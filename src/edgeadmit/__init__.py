@@ -7,7 +7,7 @@ The package is organised by layer:
 - ``dp``: value iteration, policy extraction, structural checks
 - ``salmut``: two-timescale threshold actor-critic
 - ``learners``: tabular Q-learning and the static baseline
-- ``evaluate``: discounted-cost rollouts and behavioral metrics
+- ``evaluate``: policy tables, discounted-cost rollouts and behavioral metrics
 - ``config`` / ``cli``: JSON-config driven experiment entry points
 """
 

@@ -119,9 +119,11 @@ def _make_eval_hook(exp: Experiment, seed: int, kind: str):
 
     def hook(step: int, lam: float, snapshot: np.ndarray) -> dict[str, float]:
         if kind == "salmut":
-            policy = ev.ThresholdPolicy(snapshot)
+            policy = ev.policy_table(exp.params, tau=snapshot)
         else:
-            policy = ev.TablePolicy(dp.greedy_policy(snapshot, exp.params.buffer_capacity))
+            policy = ev.policy_table(
+                exp.params, actions=dp.greedy_policy(snapshot, exp.params.buffer_capacity)
+            )
         report = ev.evaluate(
             policy, ecfg, lam, exp.params, exp.costs, exp.resources,
             seed=(seed << 20) + step,
@@ -202,18 +204,15 @@ def train(config_path, seed, out, scenario, horizon_scale, learner, paper_litera
     _run(body)
 
 
-def _policy_from_artifact(art: dict, exp: Experiment):
+def _policy_from_artifact(art: dict, exp: Experiment) -> np.ndarray:
     kind = art["kind"]
     if kind == "salmut":
-        return ev.ThresholdPolicy(np.array(art["tau"]))
-    if kind == "qlearning":
-        return ev.TablePolicy(np.array(art["policy"]))
-    if kind == "dp":
-        return ev.TablePolicy(np.array(art["policy"]))
+        return ev.policy_table(exp.params, tau=art["tau"])
+    if kind in ("qlearning", "dp"):
+        return ev.policy_table(exp.params, actions=art["policy"])
     if kind == "baseline":
-        return ev.StaticPolicy(
-            learners.BaselinePolicy(art["accept_below"]), exp.params.buffer_capacity
-        )
+        bp = learners.BaselinePolicy(art["accept_below"])
+        return ev.policy_table(exp.params, accept_below=bp.accept_below)
     raise ValueError(f"unknown policy kind {kind!r}")
 
 
@@ -344,13 +343,13 @@ def compare(config_path, seed, out, scenario, horizon_scale, trace_seed, trace_l
         _apply_horizon_scale(exp.raw, horizon_scale)
         root = exp.output_dir
         sol = artifacts.load_artifact(root / "dp" / "solution.json", artifacts.SOLUTION_SCHEMA)
-        policies = {"dp": ev.TablePolicy(np.array(sol["policy"]))}
+        policies = {"dp": ev.policy_table(exp.params, actions=sol["policy"])}
         for kind in ("salmut", "qlearning"):
             art_path = root / kind / f"seed_{exp.seeds[0]}" / "policy.json"
             art = artifacts.load_artifact(art_path, artifacts.POLICY_SCHEMA)
             policies[kind] = _policy_from_artifact(art, exp)
-        policies["baseline"] = ev.StaticPolicy(
-            cfgmod.build_baseline(exp.raw), exp.params.buffer_capacity
+        policies["baseline"] = ev.policy_table(
+            exp.params, accept_below=cfgmod.build_baseline(exp.raw).accept_below
         )
 
         horizon = trace_length or exp.raw["learner"]["horizon"]

@@ -1,7 +1,9 @@
 """Policy evaluation: discounted-cost rollouts and behavioral metrics.
 
-Rollouts freeze the arrival rate at its value when evaluation starts, so a
-policy is always measured against the traffic it currently faces.  The
+A policy is an ``(X+1, L+1)`` int8 action table (``policy_table``), 1 meaning
+offload.  Rollouts freeze the arrival rate at its value when evaluation
+starts, so a policy is always measured against the traffic it currently
+faces; ``evaluate`` steps all of its rollouts together as numpy lanes.  The
 behavioral comparison instead replays a shared event trace against an
 evolving scenario: every policy consumes the same uniform draws, so
 differences in overload entries and offload counts are attributable to the
@@ -16,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .learners import BaselinePolicy, baseline_decide
-from .model import Action, CostModel, ModelParams, ResourceDist, State
-from .scenarios import Scenario, ScenarioState
+from .model import Action, CostModel, ModelParams, ResourceDist
+from .scenarios import Scenario, trajectory
 
 
 @dataclass(frozen=True)
@@ -75,47 +76,37 @@ class EvalReport:
 # policies
 
 
-class TablePolicy:
-    """Deterministic action table (planner output or greedy Q extraction)."""
+def policy_table(
+    params: ModelParams,
+    *,
+    tau: np.ndarray | None = None,
+    actions: np.ndarray | None = None,
+    accept_below: int | None = None,
+) -> np.ndarray:
+    """A deterministic policy as an ``(X+1, L+1)`` int8 action table, 1 = offload.
 
-    def __init__(self, table: np.ndarray):
-        self.table = np.asarray(table)
-        self._full = self.table.shape[0] - 1
-
-    def decide(self, state: State) -> Action:
-        if state.x >= self._full:
-            return Action.OFFLOAD
-        return Action(int(self.table[state.x, state.ell]))
-
-
-class ThresholdPolicy:
-    """Greedy rounding of a real threshold vector: accept iff ell <= floor(tau[x])."""
-
-    def __init__(self, tau: np.ndarray):
-        self.tau = np.asarray(tau, dtype=float)
-        self._cut = np.floor(self.tau).astype(int)
-        self._full = len(self.tau) - 1
-
-    def decide(self, state: State) -> Action:
-        if state.x >= self._full:
-            return Action.OFFLOAD
-        return Action.ACCEPT if state.ell <= self._cut[state.x] else Action.OFFLOAD
-
-
-class StaticPolicy:
-    """The fixed-threshold baseline."""
-
-    def __init__(self, bp: BaselinePolicy, buffer_capacity: int):
-        self.bp = bp
-        self.buffer_capacity = buffer_capacity
-
-    def decide(self, state: State) -> Action:
-        return baseline_decide(state, self.bp, self.buffer_capacity)
-
-
-class AllOffloadPolicy:
-    def decide(self, state: State) -> Action:
-        return Action.OFFLOAD
+    Built from one source: a real threshold vector ``tau`` (accept iff
+    ``ell <= floor(tau[x])``), an action table ``actions`` (planner output or
+    greedy Q extraction), or the baseline's ``accept_below`` (accept iff
+    ``ell < accept_below``).  With none, every arrival is offloaded.  Row
+    ``X`` always offloads: a full buffer cannot accept.
+    """
+    X, L = params.buffer_capacity, params.cpu_levels
+    shape = (X + 1, L + 1)
+    ell = np.arange(L + 1)
+    if tau is not None:
+        offload = ell > np.floor(np.asarray(tau, dtype=float))[:, None]
+    elif actions is not None:
+        offload = np.asarray(actions) != Action.ACCEPT
+    elif accept_below is not None:
+        offload = np.broadcast_to(ell >= accept_below, shape)
+    else:
+        offload = np.ones(shape, dtype=bool)
+    if offload.shape != shape:
+        raise ValueError(f"policy table shape {offload.shape} does not match {shape}")
+    table = offload.astype(np.int8)
+    table[X] = 1
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +114,7 @@ class AllOffloadPolicy:
 
 
 def rollout(
-    policy,
+    table: np.ndarray,
     lam: float,
     params: ModelParams,
     cm: CostModel,
@@ -135,7 +126,12 @@ def rollout(
     window: int = 1000,
     overload_level: int = 18,
 ) -> RolloutResult:
-    """Simulate ``horizon`` uniformized steps under a frozen arrival rate."""
+    """Simulate ``horizon`` uniformized steps of ``table`` under a frozen arrival rate.
+
+    This is the one-lane reference for ``rollout_costs``.  It draws from
+    ``rng`` one uniform at a time: an event draw per step when ``lam > 0``,
+    then a resource draw unless the arrival is offloaded.
+    """
     X, L = params.buffer_capacity, params.cpu_levels
     k, mu = params.cores, params.service_rate
     run_arr, pen_arr, hold = cm.running, cm.penalty, cm.holding
@@ -155,18 +151,15 @@ def rollout(
         if lam == 0.0 and busy == 0.0:
             raise ValueError("no event possible: lam == 0 and empty queue")
         d = lam / (lam + busy)
+        incurred = hold * max(x - k, 0) + run_arr[ell]
         if lam > 0.0 and rng.random() <= d:
-            a = Action.OFFLOAD if x == X else policy.decide(State(x, ell))
-            incurred = hold * max(x - k, 0) + run_arr[ell] + (
-                pen_arr[ell] if a == Action.OFFLOAD else 0.0
-            )
-            if a == Action.ACCEPT:
+            if table[x, ell]:
+                incurred += pen_arr[ell]
+                w_off += 1
+            else:
                 r = int(np.searchsorted(cdf, rng.random(), side="right")) + 1
                 x, ell = min(x + 1, X), min(ell + r, L)
-            else:
-                w_off += 1
         else:
-            incurred = hold * max(x - k, 0) + run_arr[ell]
             r = int(np.searchsorted(cdf, rng.random(), side="right")) + 1
             x, ell = max(x - 1, 0), max(ell - r, 0)
 
@@ -189,8 +182,81 @@ def rollout(
     return RolloutResult(discounted_cost=total, windows=tuple(windows))
 
 
+def rollout_costs(
+    table: np.ndarray,
+    cfg: EvalConfig,
+    lam: float,
+    params: ModelParams,
+    cm: CostModel,
+    rd: ResourceDist,
+    seed: int,
+) -> np.ndarray:
+    """Discounted cost of each rollout, all stepped together as numpy lanes.
+
+    Lane ``i`` is ``rollout`` on ``substream(seed, f"rollout-{i}")``: its
+    uniforms are drawn up front, and it reads them through its own cursor
+    in the order ``rollout`` draws them.  Every lane applies the same
+    floating-point operations as ``rollout``, with the same scalar discount,
+    so each lane's cost equals ``rollout``'s bit for bit.
+    """
+    n, horizon = cfg.n_rollouts, cfg.rollout_length
+    X, L = params.buffer_capacity, params.cpu_levels
+    k, mu = params.cores, params.service_rate
+    beta = params.discount_beta
+
+    # a step takes at most two draws
+    width = 2 * horizon
+    u = np.empty((n, width))
+    for i in range(n):
+        rngmod.substream(seed, f"rollout-{i}").random(out=u[i])
+    u = u.ravel()
+    cursor = np.arange(n) * width
+
+    # per-state tables over s = x * (L + 1) + ell, each entry computed with
+    # the operations ``rollout`` applies in that state
+    n_states = (X + 1) * (L + 1)
+    xs, ls = np.divmod(np.arange(n_states), L + 1)
+    stay_cost = cm.holding * np.maximum(xs - k, 0) + cm.running[ls]
+    offload_cost = stay_cost + cm.penalty[ls]
+    offloads = np.asarray(table).ravel() != 0
+    if lam > 0.0:
+        arrival_p = lam / (lam + np.minimum(xs, k) * mu)
+    cdf = np.cumsum(rd.pmf)
+    # next state by (state, event, resource index): events are departure,
+    # offloaded arrival, accepted arrival; the index is searchsorted's, one
+    # past the support included as in ``rollout``
+    r = np.arange(1, len(cdf) + 2)
+    n_r = len(r)
+    after = np.stack([
+        np.maximum(xs - 1, 0)[:, None] * (L + 1) + np.maximum(ls[:, None] - r, 0),
+        np.repeat(np.arange(n_states)[:, None], n_r, axis=1),
+        np.minimum(xs + 1, X)[:, None] * (L + 1) + np.minimum(ls[:, None] + r, L),
+    ], axis=1).ravel()
+
+    x0, ell0 = cfg.initial_state
+    s = np.full(n, x0 * (L + 1) + ell0)
+    no_arrival = np.zeros(n, dtype=bool)
+    total = np.zeros(n)
+    disc = 1.0
+    for _ in range(horizon):
+        if lam > 0.0:
+            arrive = u[cursor] <= arrival_p[s]
+            cursor += 1
+        elif lam == 0.0 and (s <= L).any():  # some lane at x == 0
+            raise ValueError("no event possible: lam == 0 and empty queue")
+        else:
+            arrive = no_arrival
+        off = arrive & offloads[s]
+        total += disc * np.where(off, offload_cost[s], stay_cost[s])
+        disc *= beta
+        size = np.searchsorted(cdf, u[cursor], side="right")
+        cursor += ~off
+        s = after[(3 * s + 2 * arrive - off) * n_r + size]
+    return total
+
+
 def evaluate(
-    policy,
+    table: np.ndarray,
     cfg: EvalConfig,
     lam: float,
     params: ModelParams,
@@ -199,22 +265,7 @@ def evaluate(
     seed: int,
 ) -> EvalReport:
     """Mean and quartiles of the discounted cost over independent rollouts."""
-    costs = np.empty(cfg.n_rollouts)
-    for i in range(cfg.n_rollouts):
-        rr = rollout(
-            policy,
-            lam,
-            params,
-            cm,
-            rd,
-            cfg.rollout_length,
-            params.discount_beta,
-            rngmod.substream(seed, f"rollout-{i}"),
-            initial_state=cfg.initial_state,
-            window=cfg.window,
-            overload_level=cfg.overload_level,
-        )
-        costs[i] = rr.discounted_cost
+    costs = rollout_costs(table, cfg, lam, params, cm, rd, seed)
     costs.sort()
     q1, med, q3 = np.quantile(costs, (0.25, 0.5, 0.75))
     return EvalReport(
@@ -247,8 +298,13 @@ class EventTrace:
         return cls(seed=seed, z=z, resource_u=u)
 
 
+# trace steps converted to Python lists at a time: the whole trace as lists
+# would cost tens of megabytes at long horizons
+_CHUNK = 4096
+
+
 def behavioral_compare(
-    policies: dict[str, object],
+    policies: dict[str, np.ndarray],
     scenario: Scenario,
     params: ModelParams,
     cm: CostModel,
@@ -258,66 +314,63 @@ def behavioral_compare(
     overload_level: int = 18,
     initial_state: tuple[int, int] = (0, 0),
 ) -> dict[str, tuple[MetricsWindow, ...]]:
-    """Replay one event trace under each policy and collect per-window metrics.
+    """Replay one event trace under each policy table and collect per-window metrics.
 
     The event at step t is an arrival iff ``z_t <= lam_t / (lam_t + busy)``;
     the threshold is state-dependent, so trajectories diverge across
     policies while consuming identical randomness.
     """
     horizon = len(trace.z)
+    rows = trajectory(scenario, horizon, trace.seed)
     lam_t = np.empty(horizon)
-    ss = ScenarioState.create(scenario, horizon, trace.seed)
-    lam_t[0] = ss.lam
-    for t in range(1, horizon):
-        ss.advance()
-        lam_t[t] = ss.lam
+    for (start, lam, _), end in zip(rows, [row[0] for row in rows[1:]] + [horizon]):
+        lam_t[start:end] = lam
 
     X, L = params.buffer_capacity, params.cpu_levels
     k, mu = params.cores, params.service_rate
-    run_arr, pen_arr, hold = cm.running, cm.penalty, cm.holding
+    run_arr, pen_arr, hold = cm.running.tolist(), cm.penalty.tolist(), cm.holding
     beta = params.discount_beta
     cdf = np.cumsum(rd.pmf)
     resources = np.searchsorted(cdf, trace.resource_u, side="right") + 1
 
     out: dict[str, tuple[MetricsWindow, ...]] = {}
-    for name, policy in policies.items():
+    for name, table in policies.items():
+        offloads = np.asarray(table).tolist()
         x, ell = initial_state
         windows: list[MetricsWindow] = []
         w_disc = w_undisc = 0.0
         w_ov = w_off = 0
         w_index = w_fill = 0
         disc = 1.0
-        for t in range(horizon):
-            lam = lam_t[t]
-            busy = min(x, k) * mu
-            if lam == 0.0 and busy == 0.0:
-                raise ValueError("no event possible: lam == 0 and empty queue")
-            if lam > 0.0 and trace.z[t] <= lam / (lam + busy):
-                a = Action.OFFLOAD if x == X else policy.decide(State(x, ell))
-                incurred = hold * max(x - k, 0) + run_arr[ell] + (
-                    pen_arr[ell] if a == Action.OFFLOAD else 0.0
-                )
-                if a == Action.ACCEPT:
-                    r = int(resources[t])
-                    x, ell = min(x + 1, X), min(ell + r, L)
-                else:
-                    w_off += 1
-            else:
+        for start in range(0, horizon, _CHUNK):
+            chunk = slice(start, start + _CHUNK)
+            for lam, z, r in zip(
+                lam_t[chunk].tolist(), trace.z[chunk].tolist(), resources[chunk].tolist()
+            ):
+                busy = min(x, k) * mu
+                if lam == 0.0 and busy == 0.0:
+                    raise ValueError("no event possible: lam == 0 and empty queue")
                 incurred = hold * max(x - k, 0) + run_arr[ell]
-                r = int(resources[t])
-                x, ell = max(x - 1, 0), max(ell - r, 0)
-            w_disc += disc * incurred
-            w_undisc += incurred
-            if ell >= overload_level:
-                w_ov += 1
-            disc *= beta
-            w_fill += 1
-            if w_fill == window:
-                windows.append(MetricsWindow(w_index, w_disc, w_undisc, w_ov, w_off))
-                w_index += 1
-                w_disc = w_undisc = 0.0
-                w_ov = w_off = 0
-                w_fill = 0
+                if lam > 0.0 and z <= lam / (lam + busy):
+                    if offloads[x][ell]:
+                        incurred += pen_arr[ell]
+                        w_off += 1
+                    else:
+                        x, ell = min(x + 1, X), min(ell + r, L)
+                else:
+                    x, ell = max(x - 1, 0), max(ell - r, 0)
+                w_disc += disc * incurred
+                w_undisc += incurred
+                if ell >= overload_level:
+                    w_ov += 1
+                disc *= beta
+                w_fill += 1
+                if w_fill == window:
+                    windows.append(MetricsWindow(w_index, w_disc, w_undisc, w_ov, w_off))
+                    w_index += 1
+                    w_disc = w_undisc = 0.0
+                    w_ov = w_off = 0
+                    w_fill = 0
         if w_fill:
             windows.append(MetricsWindow(w_index, w_disc, w_undisc, w_ov, w_off))
         out[name] = tuple(windows)

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .dp import greedy_policy
-from .model import Action, CostModel, ModelParams, ResourceDist, State
+from .model import CostModel, ModelParams, ResourceDist
 from .salmut import EvalHook, LogRow, WindowStats, policy_hash
 from .scenarios import Scenario, ScenarioState
 
@@ -32,12 +32,6 @@ class BaselinePolicy:
     def __post_init__(self) -> None:
         if self.accept_below < 0:
             raise ValueError("accept_below must be >= 0")
-
-
-def baseline_decide(state: State, bp: BaselinePolicy, buffer_capacity: int) -> Action:
-    if state.x < buffer_capacity and state.ell < bp.accept_below:
-        return Action.ACCEPT
-    return Action.OFFLOAD
 
 
 @dataclass(frozen=True)

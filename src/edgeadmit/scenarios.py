@@ -136,6 +136,22 @@ class ScenarioState:
         dup._toggle_every, dup._pop_every = self._toggle_every, self._pop_every
         return dup
 
+    def event_steps(self) -> list[int]:
+        """Steps in ``1..horizon-1`` at which ``advance`` can change the state.
+
+        Phase boundaries, toggle steps and population steps; at every other
+        step ``advance`` only moves the counter.
+        """
+        sc = self.scenario
+        steps: set[int] = set()
+        if sc.rate_switches:
+            steps.update((self._phase1, self._phase2))
+        if sc.rate_toggles:
+            steps.update(range(self._toggle_every, self.horizon, self._toggle_every))
+        if sc.population_drifts:
+            steps.update(range(self._pop_every, self.horizon, self._pop_every))
+        return sorted(s for s in steps if 0 < s < self.horizon)
+
     def advance(self) -> None:
         """Move one step forward, applying any change-point events."""
         self.step += 1
@@ -186,13 +202,16 @@ def trajectory(
     """Change-point rows (step, aggregate rate, population size).
 
     Row 0 is always present; later rows appear only when the rate or the
-    population changes, which keeps exports compact at long horizons.
+    population changes, which keeps exports compact at long horizons.  Only
+    the steps that can change the state are visited; the rows are those of
+    advancing through every step.
     """
     ss = ScenarioState.create(scenario, horizon, seed)
     rows = [(0, ss.lam, ss.n_users)]
-    for _ in range(horizon - 1):
+    for s in ss.event_steps():
+        ss.step = s - 1
         ss.advance()
         last = rows[-1]
         if ss.lam != last[1] or ss.n_users != last[2]:
-            rows.append((ss.step, ss.lam, ss.n_users))
+            rows.append((s, ss.lam, ss.n_users))
     return rows

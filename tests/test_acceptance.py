@@ -42,11 +42,9 @@ from edgeadmit.dp import (
 from edgeadmit.evaluate import (
     EvalConfig,
     EventTrace,
-    StaticPolicy,
-    TablePolicy,
-    ThresholdPolicy,
     behavioral_compare,
     evaluate,
+    policy_table,
     relative_gap,
 )
 from edgeadmit.learners import BaselinePolicy, QLearningConfig, qlearning_train
@@ -69,6 +67,7 @@ from oracles import enumerate_optimal, recursion_policy_value
 LAM = 6.0
 SEEDS = tuple(range(10))
 EVAL = EvalConfig(rollout_length=1000, n_rollouts=300, window=1000, overload_level=18)
+BASELINE = BaselinePolicy(18)
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -84,8 +83,8 @@ def solution(canonical_params, canonical_costs, canonical_resources):
 def dp_target(solution, canonical_params, canonical_costs, canonical_resources):
     """Planner policy's evaluated mean discounted cost from the start state."""
     rep = evaluate(
-        TablePolicy(solution.policy), EVAL, LAM, canonical_params, canonical_costs,
-        canonical_resources, seed=90_000,
+        policy_table(canonical_params, actions=solution.policy), EVAL, LAM, canonical_params,
+        canonical_costs, canonical_resources, seed=90_000,
     )
     return rep.mean
 
@@ -321,8 +320,8 @@ def test_criterion_7_salmut_desk_scale(
     for seed in SEEDS:
         result = train(scenario, canonical_params, canonical_costs, canonical_resources, cfg, seed)
         rep = evaluate(
-            ThresholdPolicy(result.tau), EVAL, LAM, canonical_params, canonical_costs,
-            canonical_resources, seed=91_000 + seed,
+            policy_table(canonical_params, tau=result.tau), EVAL, LAM, canonical_params,
+            canonical_costs, canonical_resources, seed=91_000 + seed,
         )
         gaps.append(relative_gap(rep.mean, dp_target))
     within = sum(g <= 0.15 for g in gaps)
@@ -363,8 +362,8 @@ def test_criterion_8_qlearning_desk_scale(
             scenario, canonical_params, canonical_costs, canonical_resources, cfg, seed
         )
         rep = evaluate(
-            TablePolicy(result.policy), EVAL, LAM, canonical_params, canonical_costs,
-            canonical_resources, seed=92_000 + seed,
+            policy_table(canonical_params, actions=result.policy), EVAL, LAM, canonical_params,
+            canonical_costs, canonical_resources, seed=92_000 + seed,
         )
         gaps.append(relative_gap(rep.mean, dp_target))
     within = sum(g <= 0.20 for g in gaps)
@@ -380,7 +379,8 @@ def test_criterion_8_qlearning_desk_scale(
 
 @pytest.fixture(scope="module")
 def behavioral_runs(solution, canonical_params, canonical_costs, canonical_resources):
-    """Per scenario: the scenario, the three compared policies, their trace and series."""
+    """Per scenario: the scenario, the three compared policies, their trace and series,
+    and the learned threshold vector."""
     runs = {}
     for kind in (1, 2):
         scenario = Scenario(kind=kind)
@@ -389,16 +389,16 @@ def behavioral_runs(solution, canonical_params, canonical_costs, canonical_resou
             SalmutConfig(horizon=200_000, eval_every=200_000), seed=0,
         )
         policies = {
-            "dp": TablePolicy(solution.policy),
-            "salmut": ThresholdPolicy(trained.tau),
-            "baseline": StaticPolicy(BaselinePolicy(18), 20),
+            "dp": policy_table(canonical_params, actions=solution.policy),
+            "salmut": policy_table(canonical_params, tau=trained.tau),
+            "baseline": policy_table(canonical_params, accept_below=BASELINE.accept_below),
         }
         trace = EventTrace.generate(8000 + kind, 60_000)
         series = behavioral_compare(
             policies, scenario, canonical_params, canonical_costs, canonical_resources, trace,
             window=1000, overload_level=18,
         )
-        runs[kind] = (scenario, policies, trace, series)
+        runs[kind] = (scenario, policies, trace, series, trained.tau)
     return runs
 
 
@@ -409,7 +409,7 @@ def behavioral_totals(behavioral_runs):
             name: (sum(w.c_ov for w in ws), sum(w.c_off for w in ws))
             for name, ws in series.items()
         }
-        for kind, (_, _, _, series) in behavioral_runs.items()
+        for kind, (_, _, _, series, _) in behavioral_runs.items()
     }
 
 
@@ -453,7 +453,8 @@ def _replay_until_trapped(policy, scenario, trace, params, cm, rd):
         if t:
             ss.advance()
         action = (
-            Action.OFFLOAD if state.x == params.buffer_capacity else policy.decide(state)
+            Action.OFFLOAD if state.x == params.buffer_capacity
+            else Action(int(policy[state.x, state.ell]))
         )
         if state.x == 0 and action == Action.OFFLOAD:
             return t, offloads
@@ -487,7 +488,7 @@ def test_criterion_9_offload_ordering(
         t["salmut"][1] >= t["baseline"][1] for t in behavioral_totals.values()
     )
     details = {}
-    for kind, (scenario, policies, trace, _) in behavioral_runs.items():
+    for kind, (scenario, policies, trace, _, tau) in behavioral_runs.items():
         horizon = len(trace.z)
         trapped, offloads = {}, {}
         for name, policy in policies.items():
@@ -501,7 +502,7 @@ def test_criterion_9_offload_ordering(
             )
             assert replayed == behavioral_totals[kind][name][1], (kind, name, replayed)
         prefix = min((s for s in trapped.values() if s is not None), default=horizon)
-        cuts = np.floor(policies["salmut"].tau[:6]).astype(int).tolist()
+        cuts = np.floor(tau[:6]).astype(int).tolist()
         totals = behavioral_totals[kind]
         details[kind] = (
             f"S{kind}: C_off salmut/base = {totals['salmut'][1]}/{totals['baseline'][1]}; "
@@ -510,7 +511,7 @@ def test_criterion_9_offload_ordering(
             + f"; offloads over steps < {prefix} "
             + ", ".join(f"{n} {sum(f[:prefix])}" for n, f in offloads.items())
             + f"; salmut accepts up to ell = {cuts} at x = 0..5, the baseline up to "
-            f"{policies['baseline'].bp.accept_below - 1}"
+            f"{BASELINE.accept_below - 1}"
         )
     report(9, ok, "offload clause: " + " | ".join(details.values()))
     for kind, t in behavioral_totals.items():

@@ -3,20 +3,17 @@ import pytest
 
 from edgeadmit.dp import value_iteration
 from edgeadmit.evaluate import (
-    AllOffloadPolicy,
     EvalConfig,
     EventTrace,
-    StaticPolicy,
-    TablePolicy,
-    ThresholdPolicy,
     aggregate_training_curves,
     behavioral_compare,
     evaluate,
+    policy_table,
     relative_gap,
     rollout,
+    rollout_costs,
 )
-from edgeadmit.learners import BaselinePolicy
-from edgeadmit.model import Action, CostModel, State
+from edgeadmit.model import Action, CostModel
 from edgeadmit.rng import substream
 from edgeadmit.salmut import LogRow
 from edgeadmit.scenarios import Scenario
@@ -28,7 +25,7 @@ def test_rollout_single_departure_step(canonical_params, canonical_costs, canoni
     # lam = 0 with a busy server: the only possible event is a departure, so
     # the policy is irrelevant and the cost is the one-step accept cost
     rr = rollout(
-        AllOffloadPolicy(),
+        policy_table(canonical_params),
         0.0,
         canonical_params,
         canonical_costs,
@@ -43,7 +40,7 @@ def test_rollout_single_departure_step(canonical_params, canonical_costs, canoni
 
 
 def test_rollout_deterministic_given_stream(canonical_params, canonical_costs, canonical_resources):
-    policy = ThresholdPolicy(np.full(21, 9.0))
+    policy = policy_table(canonical_params, tau=np.full(21, 9.0))
     kwargs = dict(
         lam=6.0,
         params=canonical_params,
@@ -64,7 +61,7 @@ def test_rollout_all_offload_counts_every_arrival(
     # from the empty state an all-offload policy pins the chain at (0,0)
     # where every event is an arrival, so c_off equals the horizon
     rr = rollout(
-        AllOffloadPolicy(),
+        policy_table(canonical_params),
         6.0,
         canonical_params,
         canonical_costs,
@@ -78,7 +75,7 @@ def test_rollout_all_offload_counts_every_arrival(
 
 
 def test_rollout_windows_partition_costs(canonical_params, canonical_costs, canonical_resources):
-    policy = ThresholdPolicy(np.full(21, 12.0))
+    policy = policy_table(canonical_params, tau=np.full(21, 12.0))
     rr = rollout(
         policy,
         6.0,
@@ -108,13 +105,76 @@ def test_rollout_windows_partition_costs(canonical_params, canonical_costs, cano
     assert total_undisc == pytest.approx(rr_again.windows[0].cost_undiscounted, rel=1e-6)
 
 
+def _tables(params, costs, resources) -> dict:
+    sol = value_iteration(6.0, params, costs, resources, tol=1e-9)
+    return {
+        "tau_zero": policy_table(params, tau=np.zeros(21)),
+        "tau_integer": policy_table(params, tau=(np.arange(21) * 7 % 21).astype(float)),
+        "tau_L": policy_table(params, tau=np.full(21, 20.0)),
+        "dp": policy_table(params, actions=sol.policy),
+        "baseline": policy_table(params, accept_below=18),
+        "all_offload": policy_table(params),
+    }
+
+
+def _reference_costs(table, cfg, lam, params, costs, resources, seed) -> list:
+    return [
+        rollout(
+            table, lam, params, costs, resources, cfg.rollout_length, params.discount_beta,
+            substream(seed, f"rollout-{i}"), initial_state=cfg.initial_state,
+        ).discounted_cost
+        for i in range(cfg.n_rollouts)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n_rollouts, rollout_length, initial_state",
+    [(1, 1, (0, 0)), (1, 250, (0, 0)), (9, 1, (20, 20)), (6, 300, (20, 20)), (12, 200, (3, 7))],
+)
+@pytest.mark.parametrize("lam", [6.0, 9.0])
+def test_lanes_equal_scalar_rollout_exactly(
+    n_rollouts, rollout_length, initial_state, lam,
+    canonical_params, canonical_costs, canonical_resources,
+):
+    # every lane of the vectorised evaluation is the scalar rollout on the
+    # same substream, bit for bit
+    cfg = EvalConfig(rollout_length=rollout_length, n_rollouts=n_rollouts,
+                     initial_state=initial_state)
+    for name, table in _tables(canonical_params, canonical_costs, canonical_resources).items():
+        lanes = rollout_costs(table, cfg, lam, canonical_params, canonical_costs,
+                              canonical_resources, seed=31)
+        ref = _reference_costs(table, cfg, lam, canonical_params, canonical_costs,
+                               canonical_resources, seed=31)
+        assert lanes.tolist() == ref, name
+
+
+def test_lanes_equal_scalar_rollout_without_arrivals(
+    canonical_params, canonical_costs, canonical_resources
+):
+    # lam = 0 from a full buffer: departures only, no event draws, until the
+    # queue empties; both paths then raise the same error
+    table = policy_table(canonical_params, accept_below=18)
+    args = (0.0, canonical_params, canonical_costs, canonical_resources)
+    cfg = EvalConfig(rollout_length=20, n_rollouts=4, initial_state=(20, 20))
+    assert rollout_costs(table, cfg, *args, seed=2).tolist() == _reference_costs(
+        table, cfg, *args, seed=2
+    )
+    cfg = EvalConfig(rollout_length=21, n_rollouts=4, initial_state=(20, 20))
+    message = "no event possible: lam == 0 and empty queue"
+    with pytest.raises(ValueError, match=message):
+        _reference_costs(table, cfg, *args, seed=2)
+    with pytest.raises(ValueError, match=message):
+        evaluate(table, cfg, *args, seed=2)
+
+
 def test_evaluate_constant_cost_geometric_sum(canonical_params, canonical_resources):
     # constant cost everywhere: any policy accumulates c * (1 - b^H) / (1 - b)
     c = 1.7
     cm = CostModel(holding=0.0, running=np.full(21, c), penalty=np.zeros(21))
     cfg = EvalConfig(rollout_length=200, n_rollouts=3, window=200)
     report = evaluate(
-        ThresholdPolicy(np.full(21, 10.0)), cfg, 6.0, canonical_params, cm, canonical_resources, seed=0
+        policy_table(canonical_params, tau=np.full(21, 10.0)), cfg, 6.0, canonical_params, cm,
+        canonical_resources, seed=0,
     )
     expected = c * (1 - 0.95**200) / (1 - 0.95)
     assert report.mean == pytest.approx(expected, rel=1e-12)
@@ -124,7 +184,7 @@ def test_evaluate_constant_cost_geometric_sum(canonical_params, canonical_resour
 def test_evaluate_quartiles_order(canonical_params, canonical_costs, canonical_resources):
     cfg = EvalConfig(rollout_length=300, n_rollouts=40, window=300)
     report = evaluate(
-        ThresholdPolicy(np.full(21, 9.0)),
+        policy_table(canonical_params, tau=np.full(21, 9.0)),
         cfg,
         6.0,
         canonical_params,
@@ -140,10 +200,11 @@ def test_dp_policy_beats_baseline_on_average(canonical_params, canonical_costs, 
     sol = value_iteration(6.0, canonical_params, canonical_costs, canonical_resources, tol=1e-9)
     cfg = EvalConfig(rollout_length=1000, n_rollouts=60, window=1000)
     dp_report = evaluate(
-        TablePolicy(sol.policy), cfg, 6.0, canonical_params, canonical_costs, canonical_resources, seed=4
+        policy_table(canonical_params, actions=sol.policy), cfg, 6.0, canonical_params,
+        canonical_costs, canonical_resources, seed=4,
     )
     base_report = evaluate(
-        StaticPolicy(BaselinePolicy(18), 20),
+        policy_table(canonical_params, accept_below=18),
         cfg,
         6.0,
         canonical_params,
@@ -162,9 +223,9 @@ def test_any_policy_statistically_dominates_dp_value(
     sol = value_iteration(6.0, canonical_params, canonical_costs, canonical_resources, tol=1e-9)
     cfg = EvalConfig(rollout_length=1000, n_rollouts=50, window=1000)
     for policy in (
-        ThresholdPolicy(np.full(21, 8.0)),
-        StaticPolicy(BaselinePolicy(18), 20),
-        TablePolicy(sol.policy),
+        policy_table(canonical_params, tau=np.full(21, 8.0)),
+        policy_table(canonical_params, accept_below=18),
+        policy_table(canonical_params, actions=sol.policy),
     ):
         report = evaluate(
             policy, cfg, 6.0, canonical_params, canonical_costs, canonical_resources, seed=6
@@ -177,14 +238,14 @@ def test_any_policy_statistically_dominates_dp_value(
 def test_baseline_offloads_only_reactively(canonical_params, canonical_costs, canonical_resources):
     # trace the baseline for a while: it must never offload below its
     # threshold with a non-full buffer
-    policy = StaticPolicy(BaselinePolicy(18), 20)
+    policy = policy_table(canonical_params, accept_below=18)
     x, ell = 0, 0
     rng = substream(12, "react")
     cdf = np.cumsum(canonical_resources.pmf)
     for _ in range(5000):
         d = 6.0 / (6.0 + min(x, 2) * 3.0)
         if rng.random() <= d:
-            a = Action.OFFLOAD if x == 20 else policy.decide(State(x, ell))
+            a = Action.OFFLOAD if x == 20 else Action(int(policy[x, ell]))
             if a == Action.OFFLOAD:
                 assert ell >= 18 or x == 20
             else:
@@ -206,8 +267,8 @@ def test_behavioral_compare_shared_randomness(canonical_params, canonical_costs,
     trace = EventTrace.generate(3, 20_000)
     scenario = Scenario(kind=2)
     policies = {
-        "baseline": StaticPolicy(BaselinePolicy(18), 20),
-        "tight": ThresholdPolicy(np.full(21, 8.0)),
+        "baseline": policy_table(canonical_params, accept_below=18),
+        "tight": policy_table(canonical_params, tau=np.full(21, 8.0)),
     }
     series = behavioral_compare(
         policies, scenario, canonical_params, canonical_costs, canonical_resources, trace, window=1000
@@ -234,7 +295,10 @@ def test_behavioral_compare_identical_policy_identical_series(
     trace = EventTrace.generate(5, 5000)
     scenario = Scenario(kind=1)
     series = behavioral_compare(
-        {"a": ThresholdPolicy(np.full(21, 9.0)), "b": ThresholdPolicy(np.full(21, 9.0))},
+        {
+            "a": policy_table(canonical_params, tau=np.full(21, 9.0)),
+            "b": policy_table(canonical_params, tau=np.full(21, 9.0)),
+        },
         scenario,
         canonical_params,
         canonical_costs,
@@ -244,11 +308,20 @@ def test_behavioral_compare_identical_policy_identical_series(
     assert series["a"] == series["b"]
 
 
-def test_threshold_policy_greedy_rounding():
-    policy = ThresholdPolicy(np.array([3.7] * 21))
-    assert policy.decide(State(0, 3)) is Action.ACCEPT
-    assert policy.decide(State(0, 4)) is Action.OFFLOAD
-    assert policy.decide(State(20, 0)) is Action.OFFLOAD
+def test_threshold_policy_greedy_rounding(canonical_params):
+    policy = policy_table(canonical_params, tau=np.array([3.7] * 21))
+    assert Action(int(policy[0, 3])) is Action.ACCEPT
+    assert Action(int(policy[0, 4])) is Action.OFFLOAD
+    assert Action(int(policy[20, 0])) is Action.OFFLOAD
+
+
+def test_policy_table_rejects_wrong_shape(canonical_params):
+    # artifacts come from outside the program: a table or threshold vector
+    # sized for another model must not reach a rollout
+    with pytest.raises(ValueError, match="shape"):
+        policy_table(canonical_params, tau=np.full(20, 5.0))
+    with pytest.raises(ValueError, match="shape"):
+        policy_table(canonical_params, actions=np.zeros((21, 20), dtype=int))
 
 
 def test_rollout_mean_matches_exact_policy_value(
@@ -264,7 +337,7 @@ def test_rollout_mean_matches_exact_policy_value(
     exact = simulated_policy_value(policy_eval, 6.0, canonical_params, canonical_costs, canonical_resources)
     costs = [
         rollout(
-            ThresholdPolicy(tau),
+            policy_table(canonical_params, tau=tau),
             6.0,
             canonical_params,
             canonical_costs,

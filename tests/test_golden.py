@@ -1,0 +1,92 @@
+"""Golden digests: SHA-256 of the reprs of fixed-seed outputs.
+
+Criterion 10 compares a rerun with itself, so a change that alters a random
+stream or the order of floating-point operations passes it unnoticed.  These
+digests pin the values themselves: a change that moves any of them by one
+ulp breaks its digest.  Numbers are converted to Python ``float``/``int``
+before ``repr``, so a digest depends on values and not on numpy scalar
+types.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from edgeadmit.dp import value_iteration
+from edgeadmit.evaluate import (
+    EvalConfig,
+    EventTrace,
+    behavioral_compare,
+    evaluate,
+    policy_table,
+)
+from edgeadmit.scenarios import Scenario, trajectory
+
+# a falling threshold with fractional, integer, clipped-at-L and zero entries
+TAU = np.clip(20.5 - 1.3 * np.arange(21), 0.0, 20.0)
+
+EVALUATE_DIGESTS = {
+    6.0: "33b1529c86c8e7872f98084b482405e8cf93fdd82a2c0bdcae8604fb2268a9a5",
+    9.0: "b0feed3f69c450331e5a55b5e0c154b422c1139d4042e4e70007cfabccd91701",
+}
+COMPARE_DIGESTS = {
+    1: "816e9b3beb5c838aa619bc99ff2694d99cb6a8a3f93075d9210894d57701fe57",
+    6: "876a0b2f544daf15e4d4ccc3bf4a043afffa4593ebea23dbae8ad704243e9ed3",
+}
+TRAJECTORY_DIGEST = "2dd5756cbf1e4ef32b7dcd6270a3c10db7014b6a967b43345bce907fab42928e"
+
+
+def digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def policies(lam, params, costs, resources) -> dict:
+    """The four policy kinds: planner table, threshold vector, baseline, all-offload."""
+    sol = value_iteration(lam, params, costs, resources, tol=1e-9)
+    return {
+        "dp": policy_table(params, actions=sol.policy),
+        "threshold": policy_table(params, tau=TAU),
+        "baseline": policy_table(params, accept_below=18),
+        "all_offload": policy_table(params),
+    }
+
+
+@pytest.mark.parametrize("lam", sorted(EVALUATE_DIGESTS))
+def test_evaluate_reports_golden(lam, canonical_params, canonical_costs, canonical_resources):
+    cfg = EvalConfig(rollout_length=500, n_rollouts=16)
+    rows = []
+    for name, policy in policies(lam, canonical_params, canonical_costs,
+                                 canonical_resources).items():
+        rep = evaluate(policy, cfg, lam, canonical_params, canonical_costs,
+                       canonical_resources, seed=7)
+        rows.append((name, float(rep.mean), float(rep.q1), float(rep.median),
+                     float(rep.q3), int(rep.n_rollouts)))
+    assert digest(rows) == EVALUATE_DIGESTS[lam], rows
+
+
+@pytest.mark.parametrize("kind", sorted(COMPARE_DIGESTS))
+def test_behavioral_compare_windows_golden(
+    kind, canonical_params, canonical_costs, canonical_resources
+):
+    series = behavioral_compare(
+        policies(6.0, canonical_params, canonical_costs, canonical_resources),
+        Scenario(kind=kind), canonical_params, canonical_costs, canonical_resources,
+        EventTrace.generate(11, 20_000), window=1000, overload_level=18,
+    )
+    rows = [
+        (name, int(w.index), float(w.cost_discounted), float(w.cost_undiscounted),
+         int(w.c_ov), int(w.c_off))
+        for name, ws in series.items()
+        for w in ws
+    ]
+    assert digest(rows) == COMPARE_DIGESTS[kind]
+
+
+def test_trajectory_rows_golden():
+    rows = [
+        (kind, int(step), float(lam), int(n))
+        for kind in range(1, 7)
+        for step, lam, n in trajectory(Scenario(kind=kind), 20_000, seed=3)
+    ]
+    assert digest(rows) == TRAJECTORY_DIGEST

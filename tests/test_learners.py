@@ -2,29 +2,25 @@ import numpy as np
 import pytest
 
 from edgeadmit.dp import greedy_policy, value_iteration
-from edgeadmit.learners import (
-    BaselinePolicy,
-    QLearningConfig,
-    baseline_decide,
-    qlearning_train,
-)
-from edgeadmit.model import Action, State
+from edgeadmit.evaluate import policy_table
+from edgeadmit.learners import QLearningConfig, qlearning_train
+from edgeadmit.model import Action
 from edgeadmit.rng import substream
 from edgeadmit.scenarios import Scenario
 
 
-def test_baseline_accepts_below_threshold():
-    bp = BaselinePolicy(accept_below=18)
-    assert baseline_decide(State(3, 17), bp, 20) is Action.ACCEPT
-    assert baseline_decide(State(3, 18), bp, 20) is Action.OFFLOAD
-    assert baseline_decide(State(20, 0), bp, 20) is Action.OFFLOAD
+def test_baseline_accepts_below_threshold(canonical_params):
+    table = policy_table(canonical_params, accept_below=18)
+    assert Action(int(table[3, 17])) is Action.ACCEPT
+    assert Action(int(table[3, 18])) is Action.OFFLOAD
+    assert Action(int(table[20, 0])) is Action.OFFLOAD
 
 
-def test_baseline_never_accepts_at_or_above_threshold():
-    bp = BaselinePolicy(accept_below=18)
+def test_baseline_never_accepts_at_or_above_threshold(canonical_params):
+    table = policy_table(canonical_params, accept_below=18)
     for x in range(21):
         for ell in range(21):
-            a = baseline_decide(State(x, ell), bp, 20)
+            a = Action(int(table[x, ell]))
             if ell >= 18 or x == 20:
                 assert a is Action.OFFLOAD
             else:

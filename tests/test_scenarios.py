@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeadmit import rng as rngmod
 from edgeadmit.scenarios import Scenario, ScenarioState, aggregate_rate, trajectory
@@ -155,3 +157,28 @@ def test_scenario_validation():
         Scenario(leave_prob=0.5, stay_prob=0.5, add_prob=0.5)
     with pytest.raises(ValueError):
         Scenario(lambda_low=0.5, lambda_high=0.25)
+
+
+def _stepwise_trajectory(scenario, horizon, seed):
+    """``trajectory``'s rows by advancing through every step."""
+    ss = ScenarioState.create(scenario, horizon, seed)
+    rows = [(0, ss.lam, ss.n_users)]
+    for _ in range(horizon - 1):
+        ss.advance()
+        if ss.lam != rows[-1][1] or ss.n_users != rows[-1][2]:
+            rows.append((ss.step, ss.lam, ss.n_users))
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.integers(1, 6),
+    horizon=st.integers(1, 3000),
+    seed=st.integers(0, 2**31),
+    toggle=st.floats(0.002, 0.2),
+    population=st.floats(0.0, 0.3),
+)
+def test_trajectory_matches_stepwise_replay(kind, horizon, seed, toggle, population):
+    scenario = Scenario(kind=kind, toggle_period_fraction=toggle,
+                        population_period_fraction=population)
+    assert trajectory(scenario, horizon, seed) == _stepwise_trajectory(scenario, horizon, seed)
