@@ -24,6 +24,10 @@ SOLUTION_SCHEMA = "edgeadmit/solution/1"
 POLICY_SCHEMA = "edgeadmit/policy/1"
 
 
+class ArtifactError(ValueError):
+    """An artifact does not fit its reader: wrong schema or a policy of another shape."""
+
+
 def _atomic_write(path: Path, data: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
@@ -119,7 +123,7 @@ def load_artifact(path: Path, expect_schema: str) -> dict:
         raise FileNotFoundError(f"missing artifact: {path}")
     obj = json.loads(path.read_text())
     if obj.get("schema") != expect_schema:
-        raise ValueError(f"{path}: expected schema {expect_schema}, got {obj.get('schema')!r}")
+        raise ArtifactError(f"{path}: expected schema {expect_schema}, got {obj.get('schema')!r}")
     return obj
 
 

@@ -1,6 +1,6 @@
 """Config-driven experiment commands: solve, train, evaluate, compare.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure.
+Exit codes: 0 success, 2 input error (config or artifact), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -12,8 +12,10 @@ import click
 import numpy as np
 
 from . import artifacts, config as cfgmod, dp, evaluate as ev, learners, salmut
+from .artifacts import ArtifactError
 from .config import ConfigError, Experiment
 from .dp import SolverError
+from .model import NoEventError
 from .scenarios import trajectory
 
 
@@ -60,14 +62,14 @@ def main():
 def _run(body) -> None:
     try:
         body()
-    except ConfigError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(2)
-    except FileNotFoundError as exc:
+    except (ConfigError, ArtifactError, FileNotFoundError) as exc:
         click.echo(str(exc), err=True)
         sys.exit(2)
     except SolverError as exc:
         click.echo(f"numeric failure: {exc} (residual {exc.residual!r})", err=True)
+        sys.exit(3)
+    except NoEventError as exc:
+        click.echo(f"numeric failure: {exc}", err=True)
         sys.exit(3)
 
 
@@ -206,14 +208,17 @@ def train(config_path, seed, out, scenario, horizon_scale, learner, paper_litera
 
 def _policy_from_artifact(art: dict, exp: Experiment) -> np.ndarray:
     kind = art["kind"]
-    if kind == "salmut":
-        return ev.policy_table(exp.params, tau=art["tau"])
-    if kind in ("qlearning", "dp"):
-        return ev.policy_table(exp.params, actions=art["policy"])
-    if kind == "baseline":
-        bp = learners.BaselinePolicy(art["accept_below"])
-        return ev.policy_table(exp.params, accept_below=bp.accept_below)
-    raise ValueError(f"unknown policy kind {kind!r}")
+    try:
+        if kind == "salmut":
+            return ev.policy_table(exp.params, tau=art["tau"])
+        if kind in ("qlearning", "dp"):
+            return ev.policy_table(exp.params, actions=art["policy"])
+        if kind == "baseline":
+            bp = learners.BaselinePolicy(art["accept_below"])
+            return ev.policy_table(exp.params, accept_below=bp.accept_below)
+    except ValueError as exc:
+        raise ArtifactError(str(exc)) from None
+    raise ArtifactError(f"unknown policy kind {kind!r}")
 
 
 @main.command()
@@ -306,7 +311,7 @@ def _aggregate_curves_from_dir(root: Path):
             for rec in csv.DictReader(fh):
                 mean = rec["eval_mean"]
                 rows.append(
-                    salmut.LogRow(
+                    learners.LogRow(
                         step=int(rec["step"]),
                         policy_hash=rec["policy_hash"],
                         eval_mean=float(mean) if mean else None,
@@ -343,7 +348,7 @@ def compare(config_path, seed, out, scenario, horizon_scale, trace_seed, trace_l
         _apply_horizon_scale(exp.raw, horizon_scale)
         root = exp.output_dir
         sol = artifacts.load_artifact(root / "dp" / "solution.json", artifacts.SOLUTION_SCHEMA)
-        policies = {"dp": ev.policy_table(exp.params, actions=sol["policy"])}
+        policies = {"dp": _policy_from_artifact(dict(sol, kind="dp"), exp)}
         for kind in ("salmut", "qlearning"):
             art_path = root / kind / f"seed_{exp.seeds[0]}" / "policy.json"
             art = artifacts.load_artifact(art_path, artifacts.POLICY_SCHEMA)

@@ -112,8 +112,6 @@ def default_config() -> dict[str, Any]:
         "eval": {
             "rollout_length": 1000,
             "n_rollouts": 100,
-            "n_sample_paths": 10,
-            "eval_every": 1000,
             "initial_state": [0, 0],
             "window": 1000,
             "overload_level": 18,

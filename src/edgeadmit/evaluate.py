@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .model import Action, CostModel, ModelParams, ResourceDist
+from .model import Action, CostModel, ModelParams, NoEventError, ResourceDist, StepKernel
 from .scenarios import Scenario, trajectory
 
 
@@ -26,14 +26,12 @@ from .scenarios import Scenario, trajectory
 class EvalConfig:
     rollout_length: int = 1000
     n_rollouts: int = 100
-    n_sample_paths: int = 10
-    eval_every: int = 1000
     initial_state: tuple[int, int] = (0, 0)
     window: int = 1000
     overload_level: int = 18
 
     def __post_init__(self) -> None:
-        for name in ("rollout_length", "n_rollouts", "n_sample_paths", "eval_every", "window"):
+        for name in ("rollout_length", "n_rollouts", "window"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.overload_level < 0:
@@ -128,16 +126,17 @@ def rollout(
 ) -> RolloutResult:
     """Simulate ``horizon`` uniformized steps of ``table`` under a frozen arrival rate.
 
-    This is the one-lane reference for ``rollout_costs``.  It draws from
-    ``rng`` one uniform at a time: an event draw per step when ``lam > 0``,
-    then a resource draw unless the arrival is offloaded.
+    This is the one-lane reference for ``rollout_costs``.  It steps through
+    ``StepKernel`` with both draws from ``rng``: an event draw per step when
+    ``lam > 0``, then a resource draw unless the arrival is offloaded.
     """
-    X, L = params.buffer_capacity, params.cpu_levels
-    k, mu = params.cores, params.service_rate
-    run_arr, pen_arr, hold = cm.running, cm.penalty, cm.holding
-    cdf = np.cumsum(rd.pmf)
-    x, ell = initial_state
+    kernel = StepKernel(params, cm, rd)
+    offloads = np.asarray(table).tolist()
 
+    def decide(x: int, ell: int, n: int) -> int:
+        return offloads[x][ell]
+
+    x, ell = initial_state
     total = 0.0
     disc = 1.0
     windows: list[MetricsWindow] = []
@@ -147,22 +146,9 @@ def rollout(
     w_fill = 0
 
     for _ in range(horizon):
-        busy = min(x, k) * mu
-        if lam == 0.0 and busy == 0.0:
-            raise ValueError("no event possible: lam == 0 and empty queue")
-        d = lam / (lam + busy)
-        incurred = hold * max(x - k, 0) + run_arr[ell]
-        if lam > 0.0 and rng.random() <= d:
-            if table[x, ell]:
-                incurred += pen_arr[ell]
-                w_off += 1
-            else:
-                r = int(np.searchsorted(cdf, rng.random(), side="right")) + 1
-                x, ell = min(x + 1, X), min(ell + r, L)
-        else:
-            r = int(np.searchsorted(cdf, rng.random(), side="right")) + 1
-            x, ell = max(x - 1, 0), max(ell - r, 0)
-
+        x, ell, a, incurred = kernel.step(x, ell, lam, decide, 0, rng.random, rng.random)
+        if a:
+            w_off += 1
         total += disc * incurred
         w_disc += disc * incurred
         w_undisc += incurred
@@ -243,7 +229,7 @@ def rollout_costs(
             arrive = u[cursor] <= arrival_p[s]
             cursor += 1
         elif lam == 0.0 and (s <= L).any():  # some lane at x == 0
-            raise ValueError("no event possible: lam == 0 and empty queue")
+            raise NoEventError()
         else:
             arrive = no_arrival
         off = arrive & offloads[s]
@@ -349,7 +335,7 @@ def behavioral_compare(
             ):
                 busy = min(x, k) * mu
                 if lam == 0.0 and busy == 0.0:
-                    raise ValueError("no event possible: lam == 0 and empty queue")
+                    raise NoEventError()
                 incurred = hold * max(x - k, 0) + run_arr[ell]
                 if lam > 0.0 and z <= lam / (lam + busy):
                     if offloads[x][ell]:

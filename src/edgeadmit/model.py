@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from bisect import bisect_right
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,6 +37,13 @@ class State(NamedTuple):
 
 class CostTableWarning(UserWarning):
     """Cost tables break the monotonicity assumptions of the structural results."""
+
+
+class NoEventError(ValueError):
+    """Zero arrival rate and an empty queue: the chain has no event to sample."""
+
+    def __init__(self) -> None:
+        super().__init__("no event possible: lam == 0 and empty queue")
 
 
 @dataclass(frozen=True)
@@ -138,7 +146,6 @@ class ResourceDist:
     """PMF of the CPU resource amount ``r`` in ``1..r_max`` claimed per request."""
 
     pmf: np.ndarray
-    _cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pmf = np.asarray(self.pmf, dtype=float)
@@ -150,9 +157,6 @@ class ResourceDist:
             raise ValueError(f"pmf must sum to 1 (got {pmf.sum()!r})")
         pmf.setflags(write=False)
         object.__setattr__(self, "pmf", pmf)
-        cdf = np.cumsum(pmf)
-        cdf.setflags(write=False)
-        object.__setattr__(self, "_cdf", cdf)
 
     @property
     def r_max(self) -> int:
@@ -161,12 +165,6 @@ class ResourceDist:
     def support(self):
         """Pairs (r, probability) with probability > 0."""
         return [(r + 1, float(p)) for r, p in enumerate(self.pmf) if p > 0.0]
-
-    def sample(self, rng: np.random.Generator) -> int:
-        return self.sample_from_uniform(rng.random())
-
-    def sample_from_uniform(self, u: float) -> int:
-        return int(np.searchsorted(self._cdf, u, side="right")) + 1
 
 
 def cost(state: State, action: Action, cm: CostModel, cores: int) -> float:
@@ -184,7 +182,7 @@ def delta(x: int, lam: float, params: ModelParams) -> float:
         raise ValueError("arrival rate must be >= 0")
     busy = min(x, params.cores) * params.service_rate
     if lam == 0 and busy == 0:
-        raise ValueError("no event possible: lam == 0 and empty queue")
+        raise NoEventError()
     return lam / (lam + busy)
 
 
@@ -219,6 +217,59 @@ def transition_pmf(
     return out
 
 
+class StepKernel:
+    """The chain's one transition rule, sampled a step at a time.
+
+    Built once per ``(params, cm, rd)``: costs come from Python lists and the
+    resource size from ``bisect_right`` on the cdf list, which equals
+    ``np.searchsorted(cdf, u, side="right")``, so a step does no numpy work.
+    """
+
+    def __init__(self, params: ModelParams, cm: CostModel, rd: ResourceDist):
+        self.X, self.L = params.buffer_capacity, params.cpu_levels
+        self.cores, self.mu = params.cores, params.service_rate
+        self.holding = cm.holding
+        self.running = cm.running.tolist()
+        self.penalty = cm.penalty.tolist()
+        self.cdf = np.cumsum(rd.pmf).tolist()
+
+    def step(
+        self,
+        x: int,
+        ell: int,
+        lam: float,
+        decide: Callable[[int, int, int], int],
+        n: int,
+        event_u: Callable[[], float],
+        resource_u: Callable[[], float],
+    ) -> tuple[int, int, int | None, float]:
+        """One transition from ``(x, ell)``: ``(x', ell', action, cost)``.
+
+        ``event_u`` and ``resource_u`` return the next uniform of their
+        streams.  The event is drawn only when ``lam > 0``, and it is an
+        arrival iff the draw is at most ``delta(x)``.  ``decide(x, ell, n)``
+        is called only at an arrival; a truthy action offloads.  The resource
+        is drawn unless the arrival is offloaded.  The action is None at a
+        departure, which incurs the accept-cost of the current state: no
+        decision is taken at a completion, so no penalty can apply.  ACCEPT at
+        a full buffer moves as ``transition_pmf`` says; forcing an offload
+        there is the job of ``decide``.
+        """
+        k = self.cores
+        busy = min(x, k) * self.mu
+        if lam == 0.0 and busy == 0.0:
+            raise NoEventError()
+        incurred = self.holding * max(x - k, 0) + self.running[ell]
+        if lam > 0.0 and event_u() <= lam / (lam + busy):
+            a = decide(x, ell, n)
+            if a:
+                return x, ell, a, incurred + self.penalty[ell]
+            r = bisect_right(self.cdf, resource_u()) + 1
+            return min(x + 1, self.X), min(ell + r, self.L), a, incurred
+        r = bisect_right(self.cdf, resource_u()) + 1
+        return max(x - 1, 0), max(ell - r, 0), None, incurred
+
+
 def step(
     state: State,
     action_at_arrival: Action,
@@ -228,24 +279,12 @@ def step(
     rd: ResourceDist,
     rng: np.random.Generator,
 ) -> tuple[State, Event, float]:
-    """Sample one uniformized transition.
+    """Sample one uniformized transition with ``StepKernel``.
 
-    The action applies only if the event is an arrival.  A departure incurs
-    the accept-cost of the current state: no decision is taken at a
-    completion, so no penalty can apply.
+    The action applies only if the event is an arrival.  Event and resource
+    draws both come from ``rng``.
     """
-    x, ell = state
-    X, L = params.buffer_capacity, params.cpu_levels
-    d = delta(x, lam, params)
-    u = rng.random()
-    if lam > 0 and u <= d:
-        incurred = cost(state, action_at_arrival, cm, params.cores)
-        if action_at_arrival == Action.ACCEPT:
-            r = rd.sample(rng)
-            nxt = State(min(x + 1, X), min(ell + r, L))
-        else:
-            nxt = State(x, ell)
-        return nxt, Event.ARRIVAL, incurred
-    incurred = cost(state, Action.ACCEPT, cm, params.cores)
-    r = rd.sample(rng)
-    return State(max(x - 1, 0), max(ell - r, 0)), Event.DEPARTURE, incurred
+    x, ell, a, incurred = StepKernel(params, cm, rd).step(
+        state.x, state.ell, lam, lambda *_: action_at_arrival, 0, rng.random, rng.random
+    )
+    return State(x, ell), Event.DEPARTURE if a is None else Event.ARRIVAL, incurred

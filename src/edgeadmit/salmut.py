@@ -21,18 +21,19 @@ update (the gradient of a forced action is undefined).
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from . import rng as rngmod
+from .learners import EvalHook, LogRow, arrival_loop
 from .model import Action, CostModel, ModelParams, ResourceDist, State
-from .scenarios import Scenario, ScenarioState
+from .scenarios import Scenario
 
-EvalHook = Callable[[int, float, np.ndarray], dict[str, float] | None]
+
+# A state argument below is any ``(x, ell)`` pair: a ``State``, or the
+# plain tuple ``train`` passes, which is cheaper to build per step.
 
 
 def accept_probability(tau: np.ndarray, state: State, temperature: float) -> float:
@@ -68,11 +69,21 @@ def critic_update(
     s_next: State,
     rate: float,
     beta: float,
+    moments: AdaptiveMoments | None = None,
 ) -> float:
-    """Plain TD(0) backup on the visited cell; returns the applied delta."""
-    td = incurred + beta * q[s_next.x, s_next.ell].min() - q[s.x, s.ell, a]
-    change = rate * td
-    q[s.x, s.ell, a] += change
+    """TD(0) backup on the visited cell; returns the applied delta.
+
+    The delta is ``rate * td``, or with ``moments`` the adaptive descent step
+    at base rate ``rate`` for the gradient ``-td``.
+    """
+    x, ell = s
+    nx, nl = s_next
+    td = incurred + beta * min(q[nx, nl, 0], q[nx, nl, 1]) - q[x, ell, a]
+    if moments is None:
+        change = rate * td
+    else:
+        change = -moments.step((x, ell, a), -td, rate)
+    q[x, ell, a] += change
     return change
 
 
@@ -80,8 +91,8 @@ def gradient_estimate(
     q: np.ndarray, s: State, tau: np.ndarray, temperature: float
 ) -> float:
     """Per-visit contribution to the performance gradient at coordinate s.x."""
-    dq = q[s.x, s.ell, Action.ACCEPT] - q[s.x, s.ell, Action.OFFLOAD]
-    return f_gradient(tau, s, temperature) * dq
+    x, ell = s
+    return f_gradient(tau, s, temperature) * (q[x, ell, 0] - q[x, ell, 1])  # accept - offload
 
 
 def actor_update(
@@ -92,18 +103,22 @@ def actor_update(
     temperature: float,
     level_cap: float,
     paper_literal_sign: bool = False,
-) -> float:
-    """Projected gradient step on tau[s.x]; returns the realized change.
+    moments: AdaptiveMoments | None = None,
+) -> tuple[float, float]:
+    """Projected gradient step on tau[s.x]; returns (gradient estimate, realized change).
 
-    The default steps against the cost gradient.  ``paper_literal_sign``
-    applies the update with the opposite (ascent) sign for side-by-side comparison.
+    The step is ``rate * g``, or with ``moments`` the adaptive step at base
+    rate ``rate``.  The default steps against the cost gradient.
+    ``paper_literal_sign`` applies the update with the opposite (ascent)
+    sign for side-by-side comparison.
     """
+    x = s[0]
     g = gradient_estimate(q, s, tau, temperature)
-    step = rate * g
-    before = tau[s.x]
+    step = rate * g if moments is None else moments.step(x, g, rate)
+    before = tau[x]
     proposed = before + step if paper_literal_sign else before - step
-    tau[s.x] = min(max(proposed, 0.0), level_cap)
-    return tau[s.x] - before
+    tau[x] = min(max(proposed, 0.0), level_cap)
+    return g, tau[x] - before
 
 
 @dataclass
@@ -196,18 +211,6 @@ class SalmutConfig:
         )
 
 
-@dataclass(frozen=True)
-class LogRow:
-    step: int
-    policy_hash: str
-    eval_mean: float | None
-    eval_q1: float | None
-    eval_median: float | None
-    eval_q3: float | None
-    grad_abs_window: float
-    grad_step_window: float
-
-
 @dataclass
 class TrainResult:
     tau: np.ndarray
@@ -217,33 +220,6 @@ class TrainResult:
     tenth_grad_abs: np.ndarray    # mean |gradient estimate|
     tenth_step_abs: np.ndarray    # mean |realized tau change|
     arrivals: int
-
-
-def policy_hash(arr: np.ndarray) -> str:
-    return hashlib.sha1(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
-
-
-class WindowStats:
-    __slots__ = ("abs_g", "abs_step", "n")
-
-    def __init__(self) -> None:
-        self.abs_g = 0.0
-        self.abs_step = 0.0
-        self.n = 0
-
-    def add(self, g: float, step: float) -> None:
-        self.abs_g += abs(g)
-        self.abs_step += abs(step)
-        self.n += 1
-
-    def drain(self) -> tuple[float, float]:
-        if self.n == 0:
-            out = (0.0, 0.0)
-        else:
-            out = (float(self.abs_g) / self.n, float(self.abs_step) / self.n)
-        self.abs_g = self.abs_step = 0.0
-        self.n = 0
-        return out
 
 
 def train(
@@ -263,13 +239,9 @@ def train(
     """
     X, L = params.buffer_capacity, params.cpu_levels
     beta = params.discount_beta
-    k, mu = params.cores, params.service_rate
     temp = config.temperature
     b1, b2 = config.rates()
     literal = config.paper_literal_sign
-
-    ev_rng = rngmod.substream(seed, "events")
-    res_rng = rngmod.substream(seed, "resources")
     act_rng = rngmod.substream(seed, "exploration")
     init_rng = rngmod.substream(seed, "init")
 
@@ -282,6 +254,7 @@ def train(
         tau = np.full(X + 1, float(config.initial_tau))
 
     adam = config.mode == "adam"
+    critic_mom = actor_mom = None
     if adam:
         critic_mom = AdaptiveMoments(
             q.shape, config.adam_beta1, config.adam_beta2, config.critic_epsilon
@@ -292,94 +265,21 @@ def train(
     n0 = config.decay_n0
     k_c, k_a = config.decay_kappa_critic, config.decay_kappa_actor
 
-    ss = ScenarioState.create(scenario, config.horizon, seed)
-    x, ell = config.start_state
-    if not (0 <= x <= X and 0 <= ell <= L):
-        raise ValueError("start_state out of bounds")
+    def act(x: int, ell: int, n: int) -> int:
+        return 0 if act_rng.random() < accept_probability(tau, (x, ell), temp) else 1
 
-    horizon = config.horizon
-    window = WindowStats()
-    tenth_g = np.zeros(10)
-    tenth_s = np.zeros(10)
-    tenth_n = np.zeros(10, dtype=np.int64)
-    log: list[LogRow] = []
-    arrivals = 0
-    cdf = np.cumsum(rd.pmf)
-    run_arr = cm.running
-    pen_arr = cm.penalty
-    hold = cm.holding
-
-    for n in range(horizon):
-        if n > 0:
-            ss.advance()
-        lam = ss.lam
-        busy = min(x, k) * mu
-        if lam == 0.0 and busy == 0.0:
-            raise ValueError("no event possible: lam == 0 and empty queue")
-        d = lam / (lam + busy)
-        if lam > 0.0 and ev_rng.random() <= d:
-            arrivals += 1
-            forced = x == X
-            if forced:
-                a = 1
-            else:
-                f = _sigmoid((tau[x] - ell) / temp)
-                a = 0 if act_rng.random() < f else 1
-            incurred = hold * max(x - k, 0) + run_arr[ell] + (pen_arr[ell] if a else 0.0)
-            if a == 0:
-                r = int(np.searchsorted(cdf, res_rng.random(), side="right")) + 1
-                nx, nl = min(x + 1, X), min(ell + r, L)
-            else:
-                nx, nl = x, ell
-            td = incurred + beta * min(q[nx, nl, 0], q[nx, nl, 1]) - q[x, ell, a]
-            if adam:
-                q[x, ell, a] -= critic_mom.step((x, ell, a), -td, b1)
-            else:
-                q[x, ell, a] += b1 / (1.0 + n / n0) ** k_c * td
-            if not forced:
-                f = _sigmoid((tau[x] - ell) / temp)
-                g = f * (1.0 - f) / temp * (q[x, ell, 0] - q[x, ell, 1])
-                before = tau[x]
-                if adam:
-                    move = actor_mom.step(x, g, b2)
-                else:
-                    move = b2 / (1.0 + n / n0) ** k_a * g
-                proposed = before + move if literal else before - move
-                tau[x] = min(max(proposed, 0.0), float(L))
-                realized = tau[x] - before
-                window.add(g, realized)
-                tenth = min(10 * n // horizon, 9)
-                tenth_g[tenth] += abs(g)
-                tenth_s[tenth] += abs(realized)
-                tenth_n[tenth] += 1
-            x, ell = nx, nl
+    def update(x, ell, a, incurred, nx, nl, n):
+        s = (x, ell)
+        if adam:
+            critic_rate, actor_rate = b1, b2
         else:
-            r = int(np.searchsorted(cdf, res_rng.random(), side="right")) + 1
-            x, ell = max(x - 1, 0), max(ell - r, 0)
+            critic_rate, actor_rate = b1 / (1.0 + n / n0) ** k_c, b2 / (1.0 + n / n0) ** k_a
+        critic_update(q, s, a, incurred, (nx, nl), critic_rate, beta, critic_mom)
+        if x == X:  # forced offload: its gradient is undefined
+            return None
+        return actor_update(tau, s, q, actor_rate, temp, float(L), literal, actor_mom)
 
-        if (n + 1) % config.eval_every == 0:
-            grad_abs, grad_step = window.drain()
-            stats = eval_hook(n + 1, lam, tau.copy()) if eval_hook else None
-            stats = stats or {}
-            log.append(
-                LogRow(
-                    step=n + 1,
-                    policy_hash=policy_hash(tau),
-                    eval_mean=stats.get("mean"),
-                    eval_q1=stats.get("q1"),
-                    eval_median=stats.get("median"),
-                    eval_q3=stats.get("q3"),
-                    grad_abs_window=grad_abs,
-                    grad_step_window=grad_step,
-                )
-            )
-
-    counts = np.maximum(tenth_n, 1)
-    return TrainResult(
-        tau=tau,
-        q=q,
-        log=log,
-        tenth_grad_abs=tenth_g / counts,
-        tenth_step_abs=tenth_s / counts,
-        arrivals=arrivals,
+    out = arrival_loop(
+        scenario, params, cm, rd, config, seed, eval_hook, act, update, lambda: (tau, tau)
     )
+    return TrainResult(tau, q, *out)

@@ -236,3 +236,44 @@ def test_cli_evaluate_artifact(tmp_path):
     report = json.loads((tmp_path / "runs" / "eval" / "report.json").read_text())
     assert report["kind"] == "dp"
     assert report["n_rollouts"] == 8
+
+
+def test_cli_train_population_extinction_is_numeric_failure(tmp_path):
+    # every user leaves at the first population step and none arrive, so the
+    # chain reaches lam == 0 with an empty queue
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "scenario": {"kind": 4, "n_users": 1, "leave_prob": 1.0, "stay_prob": 0.0,
+                     "add_prob": 0.0},
+        "learner": {"horizon": 5000, "eval_every": 1000},
+        "seeds": [0],
+        "output_dir": str(tmp_path / "runs"),
+    }))
+    result = CliRunner().invoke(main, ["train", "--config", str(cfg)])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "numeric failure: no event possible" in result.output
+
+
+def test_cli_evaluate_wrong_schema_is_input_error(tmp_path):
+    runner = CliRunner()
+    cfg_path = _desk_config(tmp_path)
+    assert runner.invoke(main, ["solve", "--config", str(cfg_path)]).exit_code == 0
+    sol = tmp_path / "runs" / "dp" / "solution.json"
+    result = runner.invoke(main, ["evaluate", "--config", str(cfg_path),
+                                  "--artifact", str(sol)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "expected schema edgeadmit/policy/1" in result.output
+
+
+def test_cli_evaluate_wrong_shape_is_input_error(tmp_path):
+    cfg_path = _desk_config(tmp_path)
+    art = tmp_path / "policy.json"
+    art.write_text(json.dumps({"schema": "edgeadmit/policy/1", "kind": "dp",
+                               "config_sha256": "", "policy": [[0] * 21] * 5}))
+    result = CliRunner().invoke(main, ["evaluate", "--config", str(cfg_path),
+                                       "--artifact", str(art)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "policy table shape (5, 21) does not match (21, 21)" in result.output

@@ -13,9 +13,9 @@ from edgeadmit.evaluate import (
     rollout,
     rollout_costs,
 )
+from edgeadmit.learners import LogRow
 from edgeadmit.model import Action, CostModel
 from edgeadmit.rng import substream
-from edgeadmit.salmut import LogRow
 from edgeadmit.scenarios import Scenario
 
 from oracles import simulated_policy_value

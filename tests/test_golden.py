@@ -21,6 +21,8 @@ from edgeadmit.evaluate import (
     evaluate,
     policy_table,
 )
+from edgeadmit.learners import QLearningConfig, qlearning_train
+from edgeadmit.salmut import SalmutConfig, train
 from edgeadmit.scenarios import Scenario, trajectory
 
 # a falling threshold with fractional, integer, clipped-at-L and zero entries
@@ -33,6 +35,20 @@ EVALUATE_DIGESTS = {
 COMPARE_DIGESTS = {
     1: "816e9b3beb5c838aa619bc99ff2694d99cb6a8a3f93075d9210894d57701fe57",
     6: "876a0b2f544daf15e4d4ccc3bf4a043afffa4593ebea23dbae8ad704243e9ed3",
+}
+TRAINER_DIGESTS = {
+    ("qlearning", 1):
+        "e6e48fdc30db4816e4d4394f170b699e52c4bc84e6ad1ca172345fca52373321",
+    ("qlearning", 6):
+        "915d9a9c92dfecbf3cc8c0f939f1e2773879fd7db889affcb958c2f85d8b5b63",
+    ("salmut-adam", 1):
+        "84de781aa24deb1b9455962042cc7f9d5ebeee27410c7d85ac601f2ffc73f230",
+    ("salmut-adam", 6):
+        "d493dec30afa1fac7f8d3b56c0e41e371e32742b5d4b1b411f829383638ddc41",
+    ("salmut-decay", 1):
+        "54f5c78edb97331b1657f9ac7eeabed652f2cfee1d77ec1fdcefc41ba5dd52b0",
+    ("salmut-decay", 6):
+        "1bdab88c58ea20b611d2fe4ef594c1bf74cc08b1675e14a013d375127745db87",
 }
 TRAJECTORY_DIGEST = "2dd5756cbf1e4ef32b7dcd6270a3c10db7014b6a967b43345bce907fab42928e"
 
@@ -90,3 +106,37 @@ def test_trajectory_rows_golden():
         for step, lam, n in trajectory(Scenario(kind=kind), 20_000, seed=3)
     ]
     assert digest(rows) == TRAJECTORY_DIGEST
+
+
+def _hook(step, lam, snapshot):
+    """Stats that depend on every argument, so the digest covers the hook's inputs."""
+    return {"mean": float(snapshot.sum()), "q1": float(lam), "median": float(step),
+            "q3": float(snapshot.max())}
+
+
+def _log_rows(log) -> list:
+    return [
+        (int(r.step), r.policy_hash, float(r.eval_mean), float(r.eval_q1),
+         float(r.eval_median), float(r.eval_q3), float(r.grad_abs_window),
+         float(r.grad_step_window))
+        for r in log
+    ]
+
+
+@pytest.mark.parametrize("learner,kind", sorted(TRAINER_DIGESTS))
+def test_trainer_outputs_golden(
+    learner, kind, canonical_params, canonical_costs, canonical_resources
+):
+    args = (Scenario(kind=kind), canonical_params, canonical_costs, canonical_resources)
+    if learner == "qlearning":
+        res = qlearning_train(*args, QLearningConfig(horizon=20_000, eval_every=2500),
+                              seed=5, eval_hook=_hook)
+        out = (res.q.tolist(), res.policy.tolist(), _log_rows(res.log),
+               res.tenth_td_abs.tolist(), res.tenth_step_abs.tolist(), int(res.arrivals))
+    else:
+        mode = learner.split("-")[1]
+        res = train(*args, SalmutConfig(horizon=20_000, eval_every=2500, mode=mode),
+                    seed=5, eval_hook=_hook)
+        out = (res.tau.tolist(), res.q.tolist(), _log_rows(res.log),
+               res.tenth_grad_abs.tolist(), res.tenth_step_abs.tolist(), int(res.arrivals))
+    assert digest(out) == TRAINER_DIGESTS[learner, kind]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from edgeadmit.model import Action, CostModel, State
+from edgeadmit.model import Action, CostModel, State, StepKernel
 from edgeadmit.rng import substream
 from edgeadmit.salmut import (
     AdaptiveMoments,
@@ -138,8 +138,8 @@ def test_critic_update_converges_to_fixed_point():
 def test_actor_update_zero_advantage_no_move():
     tau = flat_tau(9.0)
     q = np.zeros((21, 21, 2))
-    moved = actor_update(tau, State(4, 9), q, 0.1, 1.0, 20.0)
-    assert moved == 0.0
+    g, moved = actor_update(tau, State(4, 9), q, 0.1, 1.0, 20.0)
+    assert g == 0.0 and moved == 0.0
     assert np.all(tau == 9.0)
 
 
@@ -147,7 +147,8 @@ def test_actor_update_hand_value():
     tau = flat_tau(10.0)
     q = np.zeros((21, 21, 2))
     q[5, 10, 0] = 4.0  # accepting is costlier by 4
-    moved = actor_update(tau, State(5, 10), q, 0.1, 1.0, 20.0)
+    g, moved = actor_update(tau, State(5, 10), q, 0.1, 1.0, 20.0)
+    assert g == pytest.approx(1.0)
     assert tau[5] == pytest.approx(9.9)
     assert moved == pytest.approx(-0.1)
     assert np.all(tau[:5] == 10.0) and np.all(tau[6:] == 10.0)
@@ -287,31 +288,24 @@ def test_gradient_estimate_unbiasedness_self_consistency(
     temp = 1.0
     lam = 6.0
 
-    def run(seed, n_steps):
-        ev = substream(seed, "ubias-events")
-        res = substream(seed, "ubias-resources")
-        act = substream(seed, "ubias-actions")
-        x, ell = 0, 0
-        visits = []
-        cdf = np.cumsum(canonical_resources.pmf)
-        for _ in range(n_steps):
-            busy = min(x, 2) * 3.0
-            d = lam / (lam + busy)
-            if ev.random() <= d:
-                if x < 20:
-                    visits.append((x, ell))
-                    f = accept_probability(tau, State(x, ell), temp)
-                    a = 0 if act.random() < f else 1
-                else:
-                    a = 1
-                if a == 0:
-                    r = int(np.searchsorted(cdf, res.random(), side="right")) + 1
-                    x, ell = min(x + 1, 20), min(ell + r, 20)
-            else:
-                r = int(np.searchsorted(cdf, res.random(), side="right")) + 1
-                x, ell = max(x - 1, 0), max(ell - r, 0)
-        return visits
+    kernel = StepKernel(canonical_params, canonical_costs, canonical_resources)
 
+    def run(seed, n_steps):
+        events = substream(seed, "ubias-events").random
+        resources = substream(seed, "ubias-resources").random
+        act = substream(seed, "ubias-actions")
+        visits = []
+
+        def decide(x, ell, n):
+            if x == canonical_params.buffer_capacity:
+                return 1
+            visits.append((x, ell))
+            return 0 if act.random() < accept_probability(tau, State(x, ell), temp) else 1
+
+        x, ell = 0, 0
+        for n in range(n_steps):
+            x, ell, _, _ = kernel.step(x, ell, lam, decide, n, events, resources)
+        return visits
     per_cell = np.zeros((21, 21))
     for x in range(21):
         for ell in range(21):
