@@ -25,7 +25,8 @@ POLICY_SCHEMA = "edgeadmit/policy/1"
 
 
 class ArtifactError(ValueError):
-    """An artifact does not fit its reader: wrong schema or a policy of another shape."""
+    """An artifact does not fit its reader: not JSON, wrong schema, a missing
+    field or a policy of another shape."""
 
 
 def _atomic_write(path: Path, data: str) -> None:
@@ -121,9 +122,13 @@ def policy_artifact(kind: str, cfg_sha: str, seed: int | None = None, **payload)
 def load_artifact(path: Path, expect_schema: str) -> dict:
     if not path.exists():
         raise FileNotFoundError(f"missing artifact: {path}")
-    obj = json.loads(path.read_text())
-    if obj.get("schema") != expect_schema:
-        raise ArtifactError(f"{path}: expected schema {expect_schema}, got {obj.get('schema')!r}")
+    try:
+        obj = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ArtifactError(f"{path}: not a JSON artifact: {exc}") from None
+    schema = obj.get("schema") if isinstance(obj, dict) else None
+    if schema != expect_schema:
+        raise ArtifactError(f"{path}: expected schema {expect_schema}, got {schema!r}")
     return obj
 
 

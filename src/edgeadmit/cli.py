@@ -206,19 +206,28 @@ def train(config_path, seed, out, scenario, horizon_scale, learner, paper_litera
     _run(body)
 
 
+# the artifact field each policy kind is built from
+_POLICY_FIELDS = {"salmut": "tau", "qlearning": "policy", "dp": "policy", "baseline": "accept_below"}
+
+
 def _policy_from_artifact(art: dict, exp: Experiment) -> np.ndarray:
-    kind = art["kind"]
+    kind = art.get("kind")
+    if kind not in _POLICY_FIELDS:
+        raise ArtifactError(f"unknown policy kind {kind!r}")
+    name = _POLICY_FIELDS[kind]
+    value = art.get(name)
+    # a null field would build the all-offload table, which takes no source
+    if value is None:
+        raise ArtifactError(f"{kind} policy artifact lacks its field {name!r}")
     try:
         if kind == "salmut":
-            return ev.policy_table(exp.params, tau=art["tau"])
-        if kind in ("qlearning", "dp"):
-            return ev.policy_table(exp.params, actions=art["policy"])
+            return ev.policy_table(exp.params, tau=value)
         if kind == "baseline":
-            bp = learners.BaselinePolicy(art["accept_below"])
+            bp = learners.BaselinePolicy(value)
             return ev.policy_table(exp.params, accept_below=bp.accept_below)
+        return ev.policy_table(exp.params, actions=value)
     except ValueError as exc:
         raise ArtifactError(str(exc)) from None
-    raise ArtifactError(f"unknown policy kind {kind!r}")
 
 
 @main.command()

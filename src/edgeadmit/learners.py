@@ -38,29 +38,6 @@ def policy_hash(arr: np.ndarray) -> str:
     return hashlib.sha1(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
 
 
-class WindowStats:
-    __slots__ = ("abs_g", "abs_step", "n")
-
-    def __init__(self) -> None:
-        self.abs_g = 0.0
-        self.abs_step = 0.0
-        self.n = 0
-
-    def add(self, g: float, step: float) -> None:
-        self.abs_g += abs(g)
-        self.abs_step += abs(step)
-        self.n += 1
-
-    def drain(self) -> tuple[float, float]:
-        if self.n == 0:
-            out = (0.0, 0.0)
-        else:
-            out = (float(self.abs_g) / self.n, float(self.abs_step) / self.n)
-        self.abs_g = self.abs_step = 0.0
-        self.n = 0
-        return out
-
-
 def arrival_loop(
     scenario: Scenario,
     params: ModelParams,
@@ -81,16 +58,18 @@ def arrival_loop(
     returns a diagnostic pair ``(g, step)``, or None to record nothing.
     Every ``config.eval_every`` steps the window means of ``|g|`` and
     ``|step|`` go into a ``LogRow`` with the ``policy_hash`` of
-    ``snapshot()[0]``; ``eval_hook`` gets a copy of ``snapshot()[1]``.
-    Events and resource sizes come from the ``events`` and ``resources``
-    substreams of ``seed``.  Returns the log, the per-tenth-of-horizon means
-    of ``|g|`` and ``|step|``, and the arrival count.
+    ``snapshot()[0]``; ``eval_hook`` gets ``snapshot()[1]``, which must be a
+    fresh array.  Events and resource sizes come from the ``events`` and
+    ``resources`` substreams of ``seed``, drawn in blocks.  The scenario is
+    advanced only at its change points, and the steps between two of them
+    run at one rate.  Returns the log, the per-tenth-of-horizon means of
+    ``|g|`` and ``|step|``, and the arrival count.
     """
     X, L = params.buffer_capacity, params.cpu_levels
-    horizon = config.horizon
-    kernel = StepKernel(params, cm, rd)
-    event_u = rngmod.substream(seed, "events").random
-    resource_u = rngmod.substream(seed, "resources").random
+    horizon, eval_every = config.horizon, config.eval_every
+    step = StepKernel(params, cm, rd).step
+    event_u = rngmod.block_uniforms(rngmod.substream(seed, "events"))
+    resource_u = rngmod.block_uniforms(rngmod.substream(seed, "resources"))
     ss = ScenarioState.create(scenario, horizon, seed)
     x, ell = config.start_state
     if not (0 <= x <= X and 0 <= ell <= L):
@@ -99,49 +78,54 @@ def arrival_loop(
     def decide(x: int, ell: int, n: int) -> int:
         return 1 if x == X else act(x, ell, n)
 
-    window = WindowStats()
-    tenth_g = np.zeros(10)
-    tenth_s = np.zeros(10)
-    tenth_n = np.zeros(10, dtype=np.int64)
+    # sums of |g| and |step| and their count, over the log window and per tenth
+    win_g = win_s = 0.0
+    win_n = 0
+    tenth_g, tenth_s, tenth_n = [0.0] * 10, [0.0] * 10, [0] * 10
     log: list[LogRow] = []
     arrivals = 0
-    for n in range(horizon):
-        if n > 0:
-            ss.advance()
+    changes = ss.event_steps()
+    for start, stop in zip([0, *changes], [*changes, horizon]):
+        if start:
+            ss.advance_to(start)
         lam = ss.lam
-        nx, nl, a, incurred = kernel.step(x, ell, lam, decide, n, event_u, resource_u)
-        if a is not None:
-            arrivals += 1
-            diag = update(x, ell, a, incurred, nx, nl, n)
-            if diag is not None:
-                g, moved = diag
-                window.add(g, moved)
-                tenth = min(10 * n // horizon, 9)
-                tenth_g[tenth] += abs(g)
-                tenth_s[tenth] += abs(moved)
-                tenth_n[tenth] += 1
-        x, ell = nx, nl
+        for n in range(start, stop):
+            nx, nl, a, incurred = step(x, ell, lam, decide, n, event_u, resource_u)
+            if a is not None:
+                arrivals += 1
+                diag = update(x, ell, a, incurred, nx, nl, n)
+                if diag is not None:
+                    g, moved = abs(diag[0]), abs(diag[1])
+                    win_g += g
+                    win_s += moved
+                    win_n += 1
+                    tenth = min(10 * n // horizon, 9)
+                    tenth_g[tenth] += g
+                    tenth_s[tenth] += moved
+                    tenth_n[tenth] += 1
+            x, ell = nx, nl
 
-        if (n + 1) % config.eval_every == 0:
-            grad_abs, grad_step = window.drain()
-            hashed, shown = snapshot()
-            stats = eval_hook(n + 1, lam, shown.copy()) if eval_hook else None
-            stats = stats or {}
-            log.append(
-                LogRow(
-                    step=n + 1,
-                    policy_hash=policy_hash(hashed),
-                    eval_mean=stats.get("mean"),
-                    eval_q1=stats.get("q1"),
-                    eval_median=stats.get("median"),
-                    eval_q3=stats.get("q3"),
-                    grad_abs_window=grad_abs,
-                    grad_step_window=grad_step,
+            if (n + 1) % eval_every == 0:
+                hashed, shown = snapshot()
+                digest = policy_hash(hashed)
+                stats = (eval_hook(n + 1, lam, shown) if eval_hook else None) or {}
+                log.append(
+                    LogRow(
+                        step=n + 1,
+                        policy_hash=digest,
+                        eval_mean=stats.get("mean"),
+                        eval_q1=stats.get("q1"),
+                        eval_median=stats.get("median"),
+                        eval_q3=stats.get("q3"),
+                        grad_abs_window=win_g / win_n if win_n else 0.0,
+                        grad_step_window=win_s / win_n if win_n else 0.0,
+                    )
                 )
-            )
+                win_g = win_s = 0.0
+                win_n = 0
 
     counts = np.maximum(tenth_n, 1)
-    return log, tenth_g / counts, tenth_s / counts, arrivals
+    return log, np.array(tenth_g) / counts, np.array(tenth_s) / counts, arrivals
 
 
 @dataclass
@@ -212,10 +196,14 @@ class QLearningConfig:
 def epsilon_greedy_action(
     q: np.ndarray, x: int, ell: int, eps: float, rng: np.random.Generator
 ) -> int:
-    """Explore uniformly with probability eps, else argmin with ties accept."""
+    """Explore uniformly with probability eps, else argmin with ties accept.
+
+    Reads ``q[x][ell]``, so ``q`` may be nested lists or an array.
+    """
     if rng.random() < eps:
         return int(rng.integers(0, 2))
-    return 0 if q[x, ell, 0] <= q[x, ell, 1] else 1
+    cell = q[x][ell]
+    return 0 if cell[0] <= cell[1] else 1
 
 
 def qlearning_train(
@@ -234,8 +222,10 @@ def qlearning_train(
     """
     X, L = params.buffer_capacity, params.cpu_levels
     beta = params.discount_beta
+    # scalar draws: random() and integers(0, 2) interleave on this stream
     act_rng = rngmod.substream(seed, "exploration")
-    q = np.zeros((X + 1, L + 1, 2))
+    # Python floats, q[x][ell][a], until returned
+    q = [[[0.0, 0.0] for _ in range(L + 1)] for _ in range(X + 1)]
     n0, kappa = config.decay_n0, config.decay_kappa
     decaying = config.rate_mode == "decay"
 
@@ -244,12 +234,18 @@ def qlearning_train(
 
     def update(x, ell, a, incurred, nx, nl, n):
         rate = config.rate / (1.0 + n / n0) ** kappa if decaying else config.rate
-        td = incurred + beta * min(q[nx, nl, 0], q[nx, nl, 1]) - q[x, ell, a]
-        q[x, ell, a] += rate * td
+        after = q[nx][nl]
+        cell = q[x][ell]
+        td = incurred + beta * min(after[0], after[1]) - cell[a]
+        cell[a] += rate * td
         return td, rate * td
 
+    def snapshot():
+        shown = np.array(q)
+        return greedy_policy(shown, X), shown
+
     out = arrival_loop(
-        scenario, params, cm, rd, config, seed, eval_hook,
-        act, update, lambda: (greedy_policy(q, X), q),
+        scenario, params, cm, rd, config, seed, eval_hook, act, update, snapshot
     )
-    return QLearningResult(q, greedy_policy(q, X), *out)
+    q_out = np.array(q)
+    return QLearningResult(q_out, greedy_policy(q_out, X), *out)

@@ -9,9 +9,14 @@ name, which is stable across platforms and sessions.
 
 from __future__ import annotations
 
+import itertools
 import zlib
+from typing import Callable
 
 import numpy as np
+
+# uniforms drawn per call to the generator by ``block_uniforms``
+BLOCK = 4096
 
 
 def _tag(name: str) -> int:
@@ -21,6 +26,17 @@ def _tag(name: str) -> int:
 def substream(seed: int, name: str) -> np.random.Generator:
     """Independent generator for (seed, name)."""
     return np.random.default_rng(np.random.SeedSequence((int(seed), _tag(name))))
+
+
+def block_uniforms(gen: np.random.Generator) -> Callable[[], float]:
+    """A callable returning the next uniform of ``gen``, drawn ``BLOCK`` at a time.
+
+    Successive calls return exactly what ``gen.random()`` would, one call at
+    a time, for about a tenth of the cost.  ``gen`` runs up to ``BLOCK``
+    draws ahead, so nothing else may draw from it.
+    """
+    blocks = iter(lambda: gen.random(BLOCK).tolist(), None)
+    return itertools.chain.from_iterable(blocks).__next__
 
 
 def user_uniform(seed: int, domain: str, uid: int, step: int) -> float:

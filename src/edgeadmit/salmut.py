@@ -21,8 +21,11 @@ update (the gradient of a forced action is undefined).
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -33,7 +36,9 @@ from .scenarios import Scenario
 
 
 # A state argument below is any ``(x, ell)`` pair: a ``State``, or the
-# plain tuple ``train`` passes, which is cheaper to build per step.
+# plain tuple ``train`` passes, which is cheaper to build per step.  The
+# helpers read ``q[x][ell][a]`` and ``tau[x]``, so they take the nested
+# lists ``train`` keeps as well as numpy arrays.
 
 
 def accept_probability(tau: np.ndarray, state: State, temperature: float) -> float:
@@ -78,12 +83,14 @@ def critic_update(
     """
     x, ell = s
     nx, nl = s_next
-    td = incurred + beta * min(q[nx, nl, 0], q[nx, nl, 1]) - q[x, ell, a]
+    after = q[nx][nl]
+    cell = q[x][ell]
+    td = incurred + beta * min(after[0], after[1]) - cell[a]
     if moments is None:
         change = rate * td
     else:
         change = -moments.step((x, ell, a), -td, rate)
-    q[x, ell, a] += change
+    cell[a] += change
     return change
 
 
@@ -92,7 +99,8 @@ def gradient_estimate(
 ) -> float:
     """Per-visit contribution to the performance gradient at coordinate s.x."""
     x, ell = s
-    return f_gradient(tau, s, temperature) * (q[x, ell, 0] - q[x, ell, 1])  # accept - offload
+    cell = q[x][ell]
+    return f_gradient(tau, s, temperature) * (cell[0] - cell[1])  # accept - offload
 
 
 def actor_update(
@@ -121,39 +129,89 @@ def actor_update(
     return g, tau[x] - before
 
 
+# bias-correction tables are computed this many entries at a time, up to a
+# cap that only a beta above about 0.9994 reaches
+_CORRECTION_CHUNK = 4096
+_CORRECTION_MAX = 1 << 16
+
+
+@functools.cache
+def bias_correction(beta: float) -> tuple[array, Callable[[int], float]]:
+    """Adam's bias correction ``1 - beta ** t``, ``t = 1, 2, ...``: a table and its tail.
+
+    Entry ``t - 1`` of the table is ``1.0 - beta ** np.int64(t)``, numpy's
+    power, which can differ from Python's float power by an ulp (at 71 of
+    the first 40 000 ``t`` for beta 0.999).  The table ends before the first
+    ``t`` at which the value rounds to 1.0 (356 for beta 0.9, 37 412 for
+    0.999), and the tail returns 1.0 for every later ``t``.  Past a table
+    cut at ``_CORRECTION_MAX`` entries, the tail computes each value.  Every
+    caller with the same beta shares the table, so it is read-only.
+    """
+    table = array("d")
+    while len(table) < _CORRECTION_MAX:
+        t = np.arange(len(table) + 1, len(table) + _CORRECTION_CHUNK + 1, dtype=np.int64)
+        chunk = 1.0 - np.power(beta, t)
+        ones = np.flatnonzero(chunk == 1.0)
+        if len(ones):
+            table.extend(chunk[: ones[0]].tolist())
+            return table, lambda t: 1.0
+        table.extend(chunk.tolist())
+    return table, lambda t: 1.0 - beta ** np.int64(t)
+
+
 @dataclass
 class AdaptiveMoments:
     """Per-coordinate first/second moment steps with an epsilon guard.
 
     The guard sits inside the square root, so the effective step is bounded
     by ``rate * |m| / sqrt(eps)`` and vanishing gradients produce vanishing
-    steps instead of being renormalized to full size.
+    steps instead of being renormalized to full size.  Each visited
+    coordinate keeps ``[m, v, count]`` in Python numbers; ``m``, ``v`` and
+    ``counts`` read them out as arrays of ``shape``.
     """
 
     shape: tuple[int, ...]
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    m: np.ndarray = field(init=False)
-    v: np.ndarray = field(init=False)
-    counts: np.ndarray = field(init=False)
+    _cells: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.m = np.zeros(self.shape)
-        self.v = np.zeros(self.shape)
-        self.counts = np.zeros(self.shape, dtype=np.int64)
+        self._cells = {}
+        self._mix1, self._mix2 = 1.0 - self.beta1, 1.0 - self.beta2
+        self._c1, self._tail1 = bias_correction(self.beta1)
+        self._c2, self._tail2 = bias_correction(self.beta2)
+        self._n1, self._n2 = len(self._c1), len(self._c2)
 
     def step(self, idx, g: float, rate: float) -> float:
         """Descent step for gradient g at coordinate idx."""
-        self.counts[idx] += 1
-        t = self.counts[idx]
-        m = self.beta1 * self.m[idx] + (1.0 - self.beta1) * g
-        v = self.beta2 * self.v[idx] + (1.0 - self.beta2) * g * g
-        self.m[idx] = m
-        self.v[idx] = v
-        m_hat = m / (1.0 - self.beta1**t)
-        v_hat = v / (1.0 - self.beta2**t)
+        cell = self._cells.get(idx)
+        if cell is None:
+            cell = self._cells[idx] = [0.0, 0.0, 0]
+        t = cell[2] = cell[2] + 1
+        m = cell[0] = self.beta1 * cell[0] + self._mix1 * g
+        v = cell[1] = self.beta2 * cell[1] + self._mix2 * g * g
+        m_hat = m / (self._c1[t - 1] if t <= self._n1 else self._tail1(t))
+        v_hat = v / (self._c2[t - 1] if t <= self._n2 else self._tail2(t))
         return rate * m_hat / math.sqrt(v_hat + self.eps)
+
+    def _read(self, k: int, dtype=float) -> np.ndarray:
+        out = np.zeros(self.shape, dtype)
+        for idx, cell in self._cells.items():
+            out[idx] = cell[k]
+        return out
+
+    @property
+    def m(self) -> np.ndarray:
+        return self._read(0)
+
+    @property
+    def v(self) -> np.ndarray:
+        return self._read(1)
+
+    @property
+    def counts(self) -> np.ndarray:
+        return self._read(2, np.int64)
 
 
 @dataclass(frozen=True)
@@ -193,6 +251,10 @@ class SalmutConfig:
         b1, b2 = self.rates()
         if b1 <= 0 or b2 <= 0:
             raise ValueError("learning rates must be > 0")
+        if self.mode == "adam" and not (
+            0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0
+        ):
+            raise ValueError("adam_beta1 and adam_beta2 must lie in [0, 1)")
         if self.mode == "decay":
             k1, k2 = self.decay_kappa_critic, self.decay_kappa_actor
             # square-summable but not summable, and actor/critic -> 0
@@ -242,31 +304,32 @@ def train(
     temp = config.temperature
     b1, b2 = config.rates()
     literal = config.paper_literal_sign
-    act_rng = rngmod.substream(seed, "exploration")
+    explore_u = rngmod.block_uniforms(rngmod.substream(seed, "exploration"))
     init_rng = rngmod.substream(seed, "init")
 
-    q = np.zeros((X + 1, L + 1, 2))
+    # the state stays in Python floats, q[x][ell][a] and tau[x], until returned
+    q = [[[0.0, 0.0] for _ in range(L + 1)] for _ in range(X + 1)]
     if config.initial_tau is None:
-        tau = init_rng.uniform(0.0, float(L), size=X + 1)
+        tau = init_rng.uniform(0.0, float(L), size=X + 1).tolist()
     else:
         if not 0.0 <= config.initial_tau <= L:
             raise ValueError("initial_tau must lie in [0, L]")
-        tau = np.full(X + 1, float(config.initial_tau))
+        tau = [float(config.initial_tau)] * (X + 1)
 
     adam = config.mode == "adam"
     critic_mom = actor_mom = None
     if adam:
         critic_mom = AdaptiveMoments(
-            q.shape, config.adam_beta1, config.adam_beta2, config.critic_epsilon
+            (X + 1, L + 1, 2), config.adam_beta1, config.adam_beta2, config.critic_epsilon
         )
         actor_mom = AdaptiveMoments(
-            tau.shape, config.adam_beta1, config.adam_beta2, config.actor_epsilon
+            (X + 1,), config.adam_beta1, config.adam_beta2, config.actor_epsilon
         )
     n0 = config.decay_n0
     k_c, k_a = config.decay_kappa_critic, config.decay_kappa_actor
 
     def act(x: int, ell: int, n: int) -> int:
-        return 0 if act_rng.random() < accept_probability(tau, (x, ell), temp) else 1
+        return 0 if explore_u() < accept_probability(tau, (x, ell), temp) else 1
 
     def update(x, ell, a, incurred, nx, nl, n):
         s = (x, ell)
@@ -279,7 +342,11 @@ def train(
             return None
         return actor_update(tau, s, q, actor_rate, temp, float(L), literal, actor_mom)
 
+    def snapshot():
+        shown = np.array(tau)
+        return shown, shown
+
     out = arrival_loop(
-        scenario, params, cm, rd, config, seed, eval_hook, act, update, lambda: (tau, tau)
+        scenario, params, cm, rd, config, seed, eval_hook, act, update, snapshot
     )
-    return TrainResult(tau, q, *out)
+    return TrainResult(np.array(tau), np.array(q), *out)

@@ -154,9 +154,19 @@ class ScenarioState:
 
     def advance(self) -> None:
         """Move one step forward, applying any change-point events."""
-        self.step += 1
+        self.advance_to(self.step + 1)
+
+    def advance_to(self, s: int) -> None:
+        """Jump forward to step ``s``, applying the change-point events of ``s`` only.
+
+        Equal to calling ``advance`` until the counter reads ``s`` when no
+        step strictly between the current one and ``s`` is in
+        ``event_steps``, as between two consecutive change points.
+        """
+        if s <= self.step:
+            raise ValueError(f"cannot move from step {self.step} back to {s}")
+        self.step = s
         sc = self.scenario
-        s = self.step
         changed = False
         if sc.rate_switches:
             if s == self._phase1:
@@ -209,8 +219,7 @@ def trajectory(
     ss = ScenarioState.create(scenario, horizon, seed)
     rows = [(0, ss.lam, ss.n_users)]
     for s in ss.event_steps():
-        ss.step = s - 1
-        ss.advance()
+        ss.advance_to(s)
         last = rows[-1]
         if ss.lam != last[1] or ss.n_users != last[2]:
             rows.append((s, ss.lam, ss.n_users))

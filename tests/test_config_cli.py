@@ -277,3 +277,29 @@ def test_cli_evaluate_wrong_shape_is_input_error(tmp_path):
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert "policy table shape (5, 21) does not match (21, 21)" in result.output
+
+
+def test_cli_evaluate_invalid_json_is_input_error(tmp_path):
+    cfg_path = _desk_config(tmp_path)
+    art = tmp_path / "policy.json"
+    art.write_text("{")
+    result = CliRunner().invoke(main, ["evaluate", "--config", str(cfg_path),
+                                       "--artifact", str(art)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"{art}: not a JSON artifact" in result.output
+
+
+@pytest.mark.parametrize("tau", ["missing", None])
+def test_cli_evaluate_missing_policy_field_is_input_error(tmp_path, tau):
+    # a null field counts as missing: it would build the all-offload table
+    cfg_path = _desk_config(tmp_path)
+    art = tmp_path / "policy.json"
+    fields = {} if tau == "missing" else {"tau": tau}
+    art.write_text(json.dumps({"schema": "edgeadmit/policy/1", "kind": "salmut",
+                               "config_sha256": "", **fields}))
+    result = CliRunner().invoke(main, ["evaluate", "--config", str(cfg_path),
+                                       "--artifact", str(art)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "salmut policy artifact lacks its field 'tau'" in result.output

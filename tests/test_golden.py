@@ -39,14 +39,26 @@ COMPARE_DIGESTS = {
 TRAINER_DIGESTS = {
     ("qlearning", 1):
         "e6e48fdc30db4816e4d4394f170b699e52c4bc84e6ad1ca172345fca52373321",
+    ("qlearning", 2):
+        "1605b80acd969cf951cf00e484bc7c1a858b4d4074b732b51ce51f62a24e7bec",
+    ("qlearning", 3):
+        "30d3fd42d3e8d9a90dba7a9424326ceb59123fd8403f413bc8a7eb34d0b2d621",
     ("qlearning", 6):
         "915d9a9c92dfecbf3cc8c0f939f1e2773879fd7db889affcb958c2f85d8b5b63",
     ("salmut-adam", 1):
         "84de781aa24deb1b9455962042cc7f9d5ebeee27410c7d85ac601f2ffc73f230",
+    ("salmut-adam", 2):
+        "b794938cc6351c3e9f9ef87259a74864c27fcdf5d0711736a9404223a97caf40",
+    ("salmut-adam", 3):
+        "a26a17a17528d523dbbc0776e09101f981bb95687a2bb790b3311138820291e9",
     ("salmut-adam", 6):
         "d493dec30afa1fac7f8d3b56c0e41e371e32742b5d4b1b411f829383638ddc41",
     ("salmut-decay", 1):
         "54f5c78edb97331b1657f9ac7eeabed652f2cfee1d77ec1fdcefc41ba5dd52b0",
+    ("salmut-decay", 2):
+        "ef2e4634e83153ebc575baf30b84cbdbe085cd9e6f85e2c55ebb8b864081ac69",
+    ("salmut-decay", 3):
+        "7d5f3a97e2d389912c36b7ac3b4ba502133b9a906d44e751c439c15f6d121c18",
     ("salmut-decay", 6):
         "1bdab88c58ea20b611d2fe4ef594c1bf74cc08b1675e14a013d375127745db87",
 }

@@ -5,8 +5,28 @@ from edgeadmit.dp import greedy_policy, value_iteration
 from edgeadmit.evaluate import policy_table
 from edgeadmit.learners import QLearningConfig, qlearning_train
 from edgeadmit.model import Action
-from edgeadmit.rng import substream
+from edgeadmit.rng import BLOCK, block_uniforms, substream
 from edgeadmit.scenarios import Scenario
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 10_000])
+def test_block_uniforms_equal_one_call_at_a_time(n):
+    draw = block_uniforms(substream(8, "events"))
+    one_at_a_time = substream(8, "events")
+    assert [draw() for _ in range(n)] == [one_at_a_time.random() for _ in range(n)]
+
+
+def test_block_uniforms_interleaved_streams():
+    # two helpers drawn in an uneven interleaving, so their block boundaries
+    # fall at different points of the sequence
+    events = block_uniforms(substream(3, "events"))
+    resources = block_uniforms(substream(3, "resources"))
+    ref_events, ref_resources = substream(3, "events"), substream(3, "resources")
+    order = substream(0, "interleave").random(4 * BLOCK) < 0.6
+    got = [events() if e else resources() for e in order]
+    want = [ref_events.random() if e else ref_resources.random() for e in order]
+    assert got == want
+    assert min(order.sum(), (~order).sum()) > BLOCK  # both helpers crossed a boundary
 
 
 def test_baseline_accepts_below_threshold(canonical_params):

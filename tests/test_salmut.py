@@ -12,6 +12,7 @@ from edgeadmit.salmut import (
     SalmutConfig,
     accept_probability,
     actor_update,
+    bias_correction,
     critic_update,
     f_gradient,
     gradient_estimate,
@@ -205,9 +206,42 @@ def test_adaptive_moments_step_bound_and_finiteness():
     assert np.isfinite(mom.m).all() and np.isfinite(mom.v).all()
 
 
+@pytest.mark.parametrize("beta,length", [(0.9, 355), (0.999, 37_411)])
+def test_bias_correction_table_equals_numpy_power(beta, length):
+    # the trainer digests pin values computed with numpy's int64 power;
+    # Python's float power differs from it by an ulp at some t
+    table, tail = bias_correction(beta)
+    assert len(table) == length
+    t = np.arange(1, length + 1, dtype=np.int64)
+    assert list(table) == [1.0 - beta ** ti for ti in t]
+    assert table[-1] < 1.0
+    past = np.int64(length + 1)
+    assert 1.0 - beta ** past == 1.0 and tail(int(past)) == 1.0
+    assert all(tail(s) == 1.0 for s in (length + 2, 10 * length, 10**7))
+
+
+def test_adaptive_moments_match_numpy_scalar_steps():
+    # reference: bias corrections from numpy-scalar powers, the values the
+    # trainer digests pin
+    mom = AdaptiveMoments(shape=(2,), eps=1e-8)
+    m = v = 0.0
+    gs = substream(1, "moments").normal(size=40_000).tolist()
+    for t, g in enumerate(gs, start=1):
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * g * g
+        want = 0.01 * (m / (1.0 - 0.9 ** np.int64(t))) / math.sqrt(
+            v / (1.0 - 0.999 ** np.int64(t)) + 1e-8
+        )
+        assert mom.step(1, g, 0.01) == want
+    assert mom.counts.tolist() == [0, 40_000]
+    assert mom.m[1] == m and mom.v[1] == v
+
+
 def test_salmut_config_validation():
     with pytest.raises(ValueError):
         SalmutConfig(temperature=0.0)
+    with pytest.raises(ValueError):
+        SalmutConfig(adam_beta2=1.0)
     with pytest.raises(ValueError):
         SalmutConfig(mode="decay", decay_kappa_critic=0.5, decay_kappa_actor=0.8)
     with pytest.raises(ValueError):

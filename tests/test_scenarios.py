@@ -159,6 +159,15 @@ def test_scenario_validation():
         Scenario(lambda_low=0.5, lambda_high=0.25)
 
 
+def test_advance_to_moves_forward_only():
+    ss = ScenarioState.create(Scenario(kind=2), horizon=9000, seed=3)
+    ss.advance_to(3000)  # the first phase boundary
+    assert ss.step == 3000 and ss.lam == pytest.approx(24 * 0.375)
+    for back in (3000, 2999):
+        with pytest.raises(ValueError):
+            ss.advance_to(back)
+
+
 def _stepwise_trajectory(scenario, horizon, seed):
     """``trajectory``'s rows by advancing through every step."""
     ss = ScenarioState.create(scenario, horizon, seed)
