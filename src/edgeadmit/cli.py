@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 input error (config or artifact), 3 numeric failure.
 
 from __future__ import annotations
 
+import contextlib
 import sys
 from pathlib import Path
 
@@ -210,6 +211,17 @@ def train(config_path, seed, out, scenario, horizon_scale, learner, paper_litera
 _POLICY_FIELDS = {"salmut": "tau", "qlearning": "policy", "dp": "policy", "baseline": "accept_below"}
 
 
+def _tau_vector(value) -> np.ndarray:
+    """A salmut artifact's ``tau``, which must be a list of finite numbers."""
+    # bool is a subclass of int, but JSON's true is no number
+    if isinstance(value, list) and all(type(v) in (int, float) for v in value):
+        with contextlib.suppress(OverflowError):  # an int beyond float range
+            tau = np.array(value, dtype=float)
+            if np.isfinite(tau).all():
+                return tau
+    raise ArtifactError("salmut policy artifact field 'tau' must be a list of finite numbers")
+
+
 def _policy_from_artifact(art: dict, exp: Experiment) -> np.ndarray:
     kind = art.get("kind")
     if kind not in _POLICY_FIELDS:
@@ -219,6 +231,10 @@ def _policy_from_artifact(art: dict, exp: Experiment) -> np.ndarray:
     # a null field would build the all-offload table, which takes no source
     if value is None:
         raise ArtifactError(f"{kind} policy artifact lacks its field {name!r}")
+    if kind == "salmut":
+        value = _tau_vector(value)
+    elif kind == "baseline" and type(value) is not int:  # bool is no integer either
+        raise ArtifactError("baseline policy artifact field 'accept_below' must be an integer")
     try:
         if kind == "salmut":
             return ev.policy_table(exp.params, tau=value)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Action, CostModel, ModelParams, ResourceDist, State, cost, delta
+from .model import Action, CostModel, ModelParams, ResourceDist, delta
 
 
 class SolverError(RuntimeError):
@@ -105,32 +105,6 @@ class _Kernel:
         return v
 
 
-def bellman_q(
-    v: np.ndarray,
-    state: State,
-    action: Action,
-    lam: float,
-    params: ModelParams,
-    cm: CostModel,
-    rd: ResourceDist,
-    self_loop: bool = False,
-) -> float:
-    """One Q-value backup from a value table."""
-    x, ell = state
-    X, L = params.buffer_capacity, params.cpu_levels
-    beta = params.discount_beta
-    d = delta(x, lam, params)
-    ev_dn = sum(p * v[max(x - 1, 0), max(ell - r, 0)] for r, p in rd.support())
-    base = cost(state, action, cm, params.cores)
-    if action == Action.ACCEPT:
-        ev_up = sum(p * v[min(x + 1, X), min(ell + r, L)] for r, p in rd.support())
-        return base + beta * (d * ev_up + (1.0 - d) * ev_dn)
-    value = base + beta * (1.0 - d) * ev_dn
-    if self_loop:
-        value += beta * d * v[x, ell]
-    return value
-
-
 def greedy_policy(q: np.ndarray, buffer_capacity: int) -> np.ndarray:
     """Argmin policy, ties toward accept; forced offload at the full buffer."""
     policy = (q[:, :, 1] < q[:, :, 0]).astype(np.int8)
@@ -181,11 +155,6 @@ def value_iteration(
     raise SolverError(
         f"no convergence in {max_iter} iterations (last update {update!r})", update
     )
-
-
-def delta_q(q: np.ndarray) -> np.ndarray:
-    """Accept-minus-offload advantage table."""
-    return q[:, :, 0] - q[:, :, 1]
 
 
 def check_value_monotone(v: np.ndarray, tol: float = 1e-9) -> MonotoneReport:

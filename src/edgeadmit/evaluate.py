@@ -12,8 +12,10 @@ policies alone.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -51,14 +53,6 @@ class MetricsWindow:
 class RolloutResult:
     discounted_cost: float
     windows: tuple[MetricsWindow, ...]
-
-    @property
-    def c_ov(self) -> int:
-        return sum(w.c_ov for w in self.windows)
-
-    @property
-    def c_off(self) -> int:
-        return sum(w.c_off for w in self.windows)
 
 
 @dataclass(frozen=True)
@@ -111,6 +105,59 @@ def policy_table(
 # rollouts
 
 
+def _windows(
+    kernel: StepKernel,
+    table: np.ndarray,
+    draws: Iterable[tuple[float, Callable[[], float], Callable[[], float]]],
+    beta: float,
+    initial_state: tuple[int, int],
+    window: int,
+    overload_level: int,
+) -> tuple[float, list[MetricsWindow]]:
+    """Step ``table`` through ``kernel`` once per ``(lam, event_u, resource_u)``.
+
+    Returns the discounted total and the per-window metrics.  ``rollout`` and
+    ``behavioral_compare`` both run this loop; they differ only in where the
+    arrival rate and the uniforms come from.
+    """
+    offloads = np.asarray(table).tolist()
+
+    def decide(x: int, ell: int, n: int) -> int:
+        return offloads[x][ell]
+
+    step = kernel.step
+    x, ell = initial_state
+    total = 0.0
+    disc = 1.0
+    windows: list[MetricsWindow] = []
+    w_disc = w_undisc = 0.0
+    w_ov = w_off = 0
+    w_index = w_fill = 0
+
+    for lam, event_u, resource_u in draws:
+        x, ell, a, incurred = step(x, ell, lam, decide, 0, event_u, resource_u)
+        if a:
+            w_off += 1
+        discounted = disc * incurred
+        total += discounted
+        w_disc += discounted
+        w_undisc += incurred
+        if ell >= overload_level:
+            w_ov += 1
+        disc *= beta
+        w_fill += 1
+        if w_fill == window:
+            windows.append(MetricsWindow(w_index, w_disc, w_undisc, w_ov, w_off))
+            w_index += 1
+            w_disc = w_undisc = 0.0
+            w_ov = w_off = 0
+            w_fill = 0
+
+    if w_fill:
+        windows.append(MetricsWindow(w_index, w_disc, w_undisc, w_ov, w_off))
+    return total, windows
+
+
 def rollout(
     table: np.ndarray,
     lam: float,
@@ -130,41 +177,11 @@ def rollout(
     ``StepKernel`` with both draws from ``rng``: an event draw per step when
     ``lam > 0``, then a resource draw unless the arrival is offloaded.
     """
-    kernel = StepKernel(params, cm, rd)
-    offloads = np.asarray(table).tolist()
-
-    def decide(x: int, ell: int, n: int) -> int:
-        return offloads[x][ell]
-
-    x, ell = initial_state
-    total = 0.0
-    disc = 1.0
-    windows: list[MetricsWindow] = []
-    w_disc = w_undisc = 0.0
-    w_ov = w_off = 0
-    w_index = 0
-    w_fill = 0
-
-    for _ in range(horizon):
-        x, ell, a, incurred = kernel.step(x, ell, lam, decide, 0, rng.random, rng.random)
-        if a:
-            w_off += 1
-        total += disc * incurred
-        w_disc += disc * incurred
-        w_undisc += incurred
-        if ell >= overload_level:
-            w_ov += 1
-        disc *= beta
-        w_fill += 1
-        if w_fill == window:
-            windows.append(MetricsWindow(w_index, w_disc, w_undisc, w_ov, w_off))
-            w_index += 1
-            w_disc = w_undisc = 0.0
-            w_ov = w_off = 0
-            w_fill = 0
-
-    if w_fill:
-        windows.append(MetricsWindow(w_index, w_disc, w_undisc, w_ov, w_off))
+    total, windows = _windows(
+        StepKernel(params, cm, rd), table,
+        itertools.repeat((lam, rng.random, rng.random), horizon),
+        beta, initial_state, window, overload_level,
+    )
     return RolloutResult(discounted_cost=total, windows=tuple(windows))
 
 
@@ -287,6 +304,8 @@ class EventTrace:
 # trace steps converted to Python lists at a time: the whole trace as lists
 # would cost tens of megabytes at long horizons
 _CHUNK = 4096
+# a float's bound ``__float__``: a zero-argument callable returning that float
+_constant_draw = attrgetter("__float__")
 
 
 def behavioral_compare(
@@ -304,7 +323,9 @@ def behavioral_compare(
 
     The event at step t is an arrival iff ``z_t <= lam_t / (lam_t + busy)``;
     the threshold is state-dependent, so trajectories diverge across
-    policies while consuming identical randomness.
+    policies while consuming identical randomness.  Each policy runs
+    ``rollout``'s loop; at step t the event draw returns ``z_t`` and the
+    resource draw ``u_t``, so a step that skips a draw shifts no later one.
     """
     horizon = len(trace.z)
     rows = trajectory(scenario, horizon, trace.seed)
@@ -312,55 +333,23 @@ def behavioral_compare(
     for (start, lam, _), end in zip(rows, [row[0] for row in rows[1:]] + [horizon]):
         lam_t[start:end] = lam
 
-    X, L = params.buffer_capacity, params.cpu_levels
-    k, mu = params.cores, params.service_rate
-    run_arr, pen_arr, hold = cm.running.tolist(), cm.penalty.tolist(), cm.holding
-    beta = params.discount_beta
-    cdf = np.cumsum(rd.pmf)
-    resources = np.searchsorted(cdf, trace.resource_u, side="right") + 1
+    def chunk(start: int):
+        steps = slice(start, start + _CHUNK)
+        return zip(
+            lam_t[steps].tolist(),
+            map(_constant_draw, trace.z[steps].tolist()),
+            map(_constant_draw, trace.resource_u[steps].tolist()),
+        )
 
-    out: dict[str, tuple[MetricsWindow, ...]] = {}
-    for name, table in policies.items():
-        offloads = np.asarray(table).tolist()
-        x, ell = initial_state
-        windows: list[MetricsWindow] = []
-        w_disc = w_undisc = 0.0
-        w_ov = w_off = 0
-        w_index = w_fill = 0
-        disc = 1.0
-        for start in range(0, horizon, _CHUNK):
-            chunk = slice(start, start + _CHUNK)
-            for lam, z, r in zip(
-                lam_t[chunk].tolist(), trace.z[chunk].tolist(), resources[chunk].tolist()
-            ):
-                busy = min(x, k) * mu
-                if lam == 0.0 and busy == 0.0:
-                    raise NoEventError()
-                incurred = hold * max(x - k, 0) + run_arr[ell]
-                if lam > 0.0 and z <= lam / (lam + busy):
-                    if offloads[x][ell]:
-                        incurred += pen_arr[ell]
-                        w_off += 1
-                    else:
-                        x, ell = min(x + 1, X), min(ell + r, L)
-                else:
-                    x, ell = max(x - 1, 0), max(ell - r, 0)
-                w_disc += disc * incurred
-                w_undisc += incurred
-                if ell >= overload_level:
-                    w_ov += 1
-                disc *= beta
-                w_fill += 1
-                if w_fill == window:
-                    windows.append(MetricsWindow(w_index, w_disc, w_undisc, w_ov, w_off))
-                    w_index += 1
-                    w_disc = w_undisc = 0.0
-                    w_ov = w_off = 0
-                    w_fill = 0
-        if w_fill:
-            windows.append(MetricsWindow(w_index, w_disc, w_undisc, w_ov, w_off))
-        out[name] = tuple(windows)
-    return out
+    kernel = StepKernel(params, cm, rd)
+    return {
+        name: tuple(_windows(
+            kernel, table,
+            itertools.chain.from_iterable(map(chunk, range(0, horizon, _CHUNK))),
+            params.discount_beta, initial_state, window, overload_level,
+        )[1])
+        for name, table in policies.items()
+    }
 
 
 def aggregate_training_curves(
@@ -381,10 +370,3 @@ def aggregate_training_curves(
         rows.append((step, float(med), float(q1), float(q3)))
     return rows
 
-
-def relative_gap(value: float, reference: float) -> float:
-    """|value - reference| / |reference|, guarding the degenerate reference."""
-    denom = abs(reference)
-    if denom < 1e-12:
-        return math.inf if abs(value - reference) > 1e-12 else 0.0
-    return abs(value - reference) / denom

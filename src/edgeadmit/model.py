@@ -1,4 +1,4 @@
-"""Model layer: states, costs, transition kernels and the one-step simulator.
+"""Model layer: states, costs and the chain's one-step simulator.
 
 The system is a finite queue (length ``x``, capacity ``X``) feeding ``k``
 cores whose joint load is discretized to ``ell`` in ``0..L``.  Uniformizing
@@ -23,11 +23,6 @@ import numpy as np
 class Action(enum.IntEnum):
     ACCEPT = 0
     OFFLOAD = 1
-
-
-class Event(enum.IntEnum):
-    ARRIVAL = 0
-    DEPARTURE = 1
 
 
 class State(NamedTuple):
@@ -158,22 +153,9 @@ class ResourceDist:
         pmf.setflags(write=False)
         object.__setattr__(self, "pmf", pmf)
 
-    @property
-    def r_max(self) -> int:
-        return len(self.pmf)
-
     def support(self):
         """Pairs (r, probability) with probability > 0."""
         return [(r + 1, float(p)) for r, p in enumerate(self.pmf) if p > 0.0]
-
-
-def cost(state: State, action: Action, cm: CostModel, cores: int) -> float:
-    """Per-step cost: holding for waiting requests, running cost, offload penalty."""
-    x, ell = state
-    value = cm.holding * max(x - cores, 0) + float(cm.running[ell])
-    if action == Action.OFFLOAD:
-        value += float(cm.penalty[ell])
-    return value
 
 
 def delta(x: int, lam: float, params: ModelParams) -> float:
@@ -184,37 +166,6 @@ def delta(x: int, lam: float, params: ModelParams) -> float:
     if lam == 0 and busy == 0:
         raise NoEventError()
     return lam / (lam + busy)
-
-
-def transition_pmf(
-    state: State,
-    action: Action,
-    lam: float,
-    params: ModelParams,
-    rd: ResourceDist,
-) -> dict[State, float]:
-    """One-step distribution: mixture of the arrival and departure kernels.
-
-    Probability mass of outcomes clamped at a boundary is merged, never
-    renormalized.
-    """
-    x, ell = state
-    X, L = params.buffer_capacity, params.cpu_levels
-    d = delta(x, lam, params)
-    out: dict[State, float] = {}
-
-    def add(s: State, prob: float) -> None:
-        if prob > 0.0:
-            out[s] = out.get(s, 0.0) + prob
-
-    if action == Action.ACCEPT:
-        for r, p in rd.support():
-            add(State(min(x + 1, X), min(ell + r, L)), d * p)
-    else:
-        add(State(x, ell), d)
-    for r, p in rd.support():
-        add(State(max(x - 1, 0), max(ell - r, 0)), (1.0 - d) * p)
-    return out
 
 
 class StepKernel:
@@ -252,39 +203,23 @@ class StepKernel:
         is drawn unless the arrival is offloaded.  The action is None at a
         departure, which incurs the accept-cost of the current state: no
         decision is taken at a completion, so no penalty can apply.  ACCEPT at
-        a full buffer moves as ``transition_pmf`` says; forcing an offload
-        there is the job of ``decide``.
+        a full buffer leaves ``x`` at ``X``; forcing an offload there is the
+        job of ``decide``.
         """
+        # clamps are comparisons, not ``min``/``max`` calls: this is every
+        # learner's and rollout's inner loop
         k = self.cores
-        busy = min(x, k) * self.mu
+        busy = (x if x < k else k) * self.mu
         if lam == 0.0 and busy == 0.0:
             raise NoEventError()
-        incurred = self.holding * max(x - k, 0) + self.running[ell]
+        incurred = self.holding * (x - k if x > k else 0) + self.running[ell]
         if lam > 0.0 and event_u() <= lam / (lam + busy):
             a = decide(x, ell, n)
             if a:
                 return x, ell, a, incurred + self.penalty[ell]
-            r = bisect_right(self.cdf, resource_u()) + 1
-            return min(x + 1, self.X), min(ell + r, self.L), a, incurred
-        r = bisect_right(self.cdf, resource_u()) + 1
-        return max(x - 1, 0), max(ell - r, 0), None, incurred
+            ell += bisect_right(self.cdf, resource_u()) + 1
+            X, L = self.X, self.L
+            return (x + 1 if x < X else X), (ell if ell < L else L), a, incurred
+        ell -= bisect_right(self.cdf, resource_u()) + 1
+        return (x - 1 if x > 0 else 0), (ell if ell > 0 else 0), None, incurred
 
-
-def step(
-    state: State,
-    action_at_arrival: Action,
-    lam: float,
-    params: ModelParams,
-    cm: CostModel,
-    rd: ResourceDist,
-    rng: np.random.Generator,
-) -> tuple[State, Event, float]:
-    """Sample one uniformized transition with ``StepKernel``.
-
-    The action applies only if the event is an arrival.  Event and resource
-    draws both come from ``rng``.
-    """
-    x, ell, a, incurred = StepKernel(params, cm, rd).step(
-        state.x, state.ell, lam, lambda *_: action_at_arrival, 0, rng.random, rng.random
-    )
-    return State(x, ell), Event.DEPARTURE if a is None else Event.ARRIVAL, incurred

@@ -121,26 +121,11 @@ class ScenarioState:
     def n_users(self) -> int:
         return len(self.uids)
 
-    def copy(self) -> "ScenarioState":
-        dup = ScenarioState(
-            scenario=self.scenario,
-            horizon=self.horizon,
-            seed=self.seed,
-            step=self.step,
-            tiers=list(self.tiers),
-            uids=list(self.uids),
-            next_uid=self.next_uid,
-            lam=self.lam,
-        )
-        dup._phase1, dup._phase2 = self._phase1, self._phase2
-        dup._toggle_every, dup._pop_every = self._toggle_every, self._pop_every
-        return dup
-
     def event_steps(self) -> list[int]:
-        """Steps in ``1..horizon-1`` at which ``advance`` can change the state.
+        """Steps in ``1..horizon-1`` at which ``advance_to`` can change the state.
 
-        Phase boundaries, toggle steps and population steps; at every other
-        step ``advance`` only moves the counter.
+        Phase boundaries, toggle steps and population steps; moving to any
+        other step only moves the counter.
         """
         sc = self.scenario
         steps: set[int] = set()
@@ -152,16 +137,13 @@ class ScenarioState:
             steps.update(range(self._pop_every, self.horizon, self._pop_every))
         return sorted(s for s in steps if 0 < s < self.horizon)
 
-    def advance(self) -> None:
-        """Move one step forward, applying any change-point events."""
-        self.advance_to(self.step + 1)
-
     def advance_to(self, s: int) -> None:
         """Jump forward to step ``s``, applying the change-point events of ``s`` only.
 
-        Equal to calling ``advance`` until the counter reads ``s`` when no
-        step strictly between the current one and ``s`` is in
-        ``event_steps``, as between two consecutive change points.
+        Equal to moving one step at a time, ``advance_to(step + 1)``, until
+        the counter reads ``s`` when no step strictly between the current one
+        and ``s`` is in ``event_steps``, as between two consecutive change
+        points.
         """
         if s <= self.step:
             raise ValueError(f"cannot move from step {self.step} back to {s}")
@@ -199,11 +181,6 @@ class ScenarioState:
             self.uids, self.tiers = uids, tiers
         if changed:
             self._recompute_rate()
-
-
-def aggregate_rate(ss: ScenarioState) -> float:
-    """Sum of the active users' current rates."""
-    return ss.lam
 
 
 def trajectory(

@@ -1,17 +1,58 @@
 """Independent reference computations used to pin expected test values.
 
-Nothing here reuses the solver's sweep machinery: policies are evaluated by
-solving the linear fixed-point system directly, and optima are found by
-enumerating every admissible deterministic stationary policy.
+Nothing here reuses the solver's sweep machinery or the simulator's step:
+one-step distributions are enumerated outcome by outcome, policies are
+evaluated by solving the linear fixed-point system directly, and optima are
+found by enumerating every admissible deterministic stationary policy.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
-from edgeadmit.model import Action, CostModel, ModelParams, ResourceDist
+from edgeadmit.model import Action, CostModel, ModelParams, ResourceDist, State, delta
+
+
+def transition_pmf(
+    state: State,
+    action: Action,
+    lam: float,
+    params: ModelParams,
+    rd: ResourceDist,
+) -> dict[State, float]:
+    """One-step distribution: mixture of the arrival and departure kernels.
+
+    Probability mass of outcomes clamped at a boundary is merged, never
+    renormalized.
+    """
+    x, ell = state
+    X, L = params.buffer_capacity, params.cpu_levels
+    d = delta(x, lam, params)
+    out: dict[State, float] = {}
+
+    def add(s: State, prob: float) -> None:
+        if prob > 0.0:
+            out[s] = out.get(s, 0.0) + prob
+
+    if action == Action.ACCEPT:
+        for r, p in rd.support():
+            add(State(min(x + 1, X), min(ell + r, L)), d * p)
+    else:
+        add(State(x, ell), d)
+    for r, p in rd.support():
+        add(State(max(x - 1, 0), max(ell - r, 0)), (1.0 - d) * p)
+    return out
+
+
+def relative_gap(value: float, reference: float) -> float:
+    """|value - reference| / |reference|, guarding the degenerate reference."""
+    denom = abs(reference)
+    if denom < 1e-12:
+        return math.inf if abs(value - reference) > 1e-12 else 0.0
+    return abs(value - reference) / denom
 
 
 def recursion_policy_value(

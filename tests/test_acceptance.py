@@ -45,25 +45,21 @@ from edgeadmit.evaluate import (
     behavioral_compare,
     evaluate,
     policy_table,
-    relative_gap,
 )
 from edgeadmit.learners import BaselinePolicy, QLearningConfig, qlearning_train
 from edgeadmit.model import (
     Action,
     CostModel,
-    Event,
     ModelParams,
     ResourceDist,
     State,
     StepKernel,
-    step,
-    transition_pmf,
 )
 from edgeadmit.rng import substream
 from edgeadmit.salmut import SalmutConfig, accept_probability, f_gradient, train
 from edgeadmit.scenarios import Scenario, ScenarioState
 
-from oracles import enumerate_optimal, recursion_policy_value
+from oracles import enumerate_optimal, recursion_policy_value, relative_gap, transition_pmf
 
 LAM = 6.0
 SEEDS = tuple(range(10))
@@ -295,7 +291,7 @@ def test_criterion_6_simulator_fidelity(canonical_params, canonical_costs, canon
     pairs += [(State(3, 19), Action.ACCEPT), (State(20, 19), Action.ACCEPT)]
     n = 100_000
     worst_z = 0.0
-    # the trainers' and rollouts' kernel, built once; ``step`` wraps it per call
+    # the one kernel the trainers, rollouts and the shared-trace comparison run
     kernel = StepKernel(canonical_params, canonical_costs, canonical_resources)
     for i, (state, action) in enumerate(pairs):
         rng = substream(700 + i, "fidelity")
@@ -435,41 +431,32 @@ def test_criterion_9_overload_dominance(behavioral_totals):
         assert t["salmut"][0] < t["baseline"][0], (kind, t)
 
 
-class _TraceDraws:
-    """Feeds ``model.step`` one step of a shared trace: event draw, then resource draw."""
-
-    def __init__(self, event_u: float, resource_u: float):
-        self._draws = iter((event_u, resource_u))
-
-    def random(self) -> float:
-        return next(self._draws)
-
-
 def _replay_until_trapped(policy, scenario, trace, params, cm, rd):
-    """Replay ``behavioral_compare``'s trajectory for one policy with ``model.step``.
+    """Replay ``behavioral_compare``'s trajectory for one policy with ``StepKernel.step``.
 
     Returns the first step at which the policy sits at ``x = 0`` in a state it
     offloads from (None if it never does) and its per-step offload flags up
     to that step.  Such a state is absorbing while the arrival rate is
     positive: ``delta(0) = 1``, so every event is an offloaded arrival.
     """
+    kernel = StepKernel(params, cm, rd)
     ss = ScenarioState.create(scenario, len(trace.z), trace.seed)
-    state = State(0, 0)
+    x, ell = 0, 0
     offloads = []
     for t in range(len(trace.z)):
         if t:
-            ss.advance()
+            ss.advance_to(t)
         action = (
-            Action.OFFLOAD if state.x == params.buffer_capacity
-            else Action(int(policy[state.x, state.ell]))
+            Action.OFFLOAD if x == params.buffer_capacity else Action(int(policy[x, ell]))
         )
-        if state.x == 0 and action == Action.OFFLOAD:
+        if x == 0 and action == Action.OFFLOAD:
             return t, offloads
-        state, event, _ = step(
-            state, action, ss.lam, params, cm, rd,
-            _TraceDraws(trace.z[t], trace.resource_u[t]),
+        # step t reads the trace's t-th event and resource draws
+        x, ell, a, _ = kernel.step(
+            x, ell, ss.lam, lambda *_: action, t,
+            iter([trace.z[t]]).__next__, iter([trace.resource_u[t]]).__next__,
         )
-        offloads.append(event == Event.ARRIVAL and action == Action.OFFLOAD)
+        offloads.append(a == Action.OFFLOAD)
     return None, offloads
 
 

@@ -2,6 +2,8 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgeadmit import config as cfgmod
 from edgeadmit.cli import main
@@ -303,3 +305,72 @@ def test_cli_evaluate_missing_policy_field_is_input_error(tmp_path, tau):
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert "salmut policy artifact lacks its field 'tau'" in result.output
+
+
+# one valid policy field per artifact kind
+_VALID_FIELDS = {
+    "salmut": ("tau", [10.5] * 21),
+    "baseline": ("accept_below", 18),
+    "qlearning": ("policy", [[0] * 18 + [1] * 3] * 21),
+    "dp": ("policy", [[0] * 18 + [1] * 3] * 21),
+}
+
+_json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+_json_values = st.one_of(
+    st.recursive(
+        _json_scalars,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=12,
+    ),
+    # the right lengths, arbitrary entries
+    st.lists(_json_scalars, min_size=21, max_size=21),
+    st.lists(st.lists(_json_scalars, min_size=21, max_size=21), min_size=21, max_size=21),
+)
+
+
+def _evaluate_policy_artifact(root, kind, value):
+    cfg = root / "cfg.json"
+    cfg.write_text(json.dumps({"eval": {"rollout_length": 10, "n_rollouts": 2},
+                               "output_dir": str(root / "runs")}))
+    art = root / "policy.json"
+    art.write_text(json.dumps({"schema": "edgeadmit/policy/1", "kind": kind,
+                               "config_sha256": "", _VALID_FIELDS[kind][0]: value}))
+    return CliRunner().invoke(main, ["evaluate", "--config", str(cfg), "--artifact", str(art)])
+
+
+@pytest.mark.parametrize("kind", sorted(_VALID_FIELDS))
+def test_cli_evaluate_valid_policy_fields(tmp_path, kind):
+    result = _evaluate_policy_artifact(tmp_path, kind, _VALID_FIELDS[kind][1])
+    assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("kind, value", [
+    ("salmut", 5), ("salmut", {"a": 1}), ("salmut", [1.0] * 20 + [True]),
+    ("salmut", [float("nan")] * 21), ("salmut", [10**400] * 21),
+    ("baseline", "x"), ("baseline", [1]), ("baseline", 2.5), ("baseline", True),
+])
+def test_cli_evaluate_malformed_policy_field_is_input_error(tmp_path, kind, value):
+    result = _evaluate_policy_artifact(tmp_path, kind, value)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert repr(_VALID_FIELDS[kind][0]) in result.output
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(_VALID_FIELDS)), value=_json_values)
+@example(kind="salmut", value=5)
+@example(kind="salmut", value={"a": 1})
+@example(kind="salmut", value=[float("nan")] * 21)
+@example(kind="salmut", value=[10**400] * 21)
+@example(kind="baseline", value="x")
+@example(kind="baseline", value=[1])
+@example(kind="baseline", value=2.5)
+@example(kind="baseline", value=True)
+def test_cli_evaluate_any_policy_field_exits_cleanly(tmp_path_factory, kind, value):
+    # whatever JSON value stands in a policy artifact's field, evaluate
+    # either scores the policy or rejects the artifact as an input error
+    result = _evaluate_policy_artifact(tmp_path_factory.mktemp("artifact"), kind, value)
+    assert result.exit_code in (0, 2), (result.output, result.exception)
+    if result.exit_code == 2:
+        assert isinstance(result.exception, SystemExit)

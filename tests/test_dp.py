@@ -5,15 +5,13 @@ from hypothesis import strategies as st
 
 from edgeadmit.dp import (
     _Kernel,
-    bellman_q,
     check_threshold_structure,
     check_value_monotone,
-    delta_q,
     greedy_policy,
     value_iteration,
     SolverError,
 )
-from edgeadmit.model import Action, CostModel, ModelParams, ResourceDist, State, cost, delta
+from edgeadmit.model import Action, CostModel, ModelParams, ResourceDist, delta
 
 from oracles import enumerate_optimal, recursion_policy_value
 
@@ -32,11 +30,12 @@ def small_setup(levels=3, beta=0.9):
 
 
 def test_bellman_zero_value_equals_cost(canonical_params, canonical_costs, canonical_resources):
-    v = np.zeros((21, 21))
-    for state in (State(0, 0), State(5, 10), State(20, 20)):
-        for a in Action:
-            got = bellman_q(v, state, a, 6.0, canonical_params, canonical_costs, canonical_resources)
-            assert got == pytest.approx(cost(state, a, canonical_costs, 2))
+    kern = _Kernel(6.0, canonical_params, canonical_costs, canonical_resources)
+    q = kern.q_tables(np.zeros((21, 21)), self_loop=False)
+    for x, ell in ((0, 0), (5, 10), (20, 20)):
+        accept = 0.12 * max(x - 2, 0) + canonical_costs.running[ell]
+        assert q[x, ell, Action.ACCEPT] == pytest.approx(accept)
+        assert q[x, ell, Action.OFFLOAD] == pytest.approx(accept + canonical_costs.penalty[ell])
 
 
 def test_bellman_constant_cost_fixed_point_accept():
@@ -46,7 +45,7 @@ def test_bellman_constant_cost_fixed_point_accept():
     c = 2.0
     cm = CostModel(holding=0.0, running=np.full(4, c), penalty=np.zeros(4))
     v = np.full((2, 4), c / (1 - params.discount_beta))
-    got = bellman_q(v, State(0, 1), Action.ACCEPT, 1.5, params, cm, rd)
+    got = _Kernel(1.5, params, cm, rd).q_tables(v, self_loop=False)[0, 1, Action.ACCEPT]
     assert got == pytest.approx(c / (1 - params.discount_beta), rel=1e-12)
 
 
@@ -104,17 +103,12 @@ def test_residual_contract(canonical_params, canonical_costs, canonical_resource
     assert np.array_equal(sol.v, q_min)
 
 
-def test_delta_q_zero_for_equal_actions():
-    q = np.zeros((3, 3, 2))
-    assert np.all(delta_q(q) == 0.0)
-
-
 def test_delta_q_monotone_where_penalty_constant(canonical_params, canonical_costs, canonical_resources):
-    # advantage of accepting decreases (equivalently, delta_q increases) in
-    # load wherever the penalty table is flat, by the monotone-value argument
-    # applied row-wise; verified on the converged tables over x < full
+    # advantage of accepting decreases (equivalently, Q_acc - Q_off increases)
+    # in load wherever the penalty table is flat, by the monotone-value
+    # argument applied row-wise; verified on the converged tables over x < full
     sol = value_iteration(6.0, canonical_params, canonical_costs, canonical_resources, tol=1e-9)
-    dq = delta_q(sol.q)
+    dq = sol.q[:, :, 0] - sol.q[:, :, 1]
     mono = check_value_monotone(sol.v)
     # restrict to rows x where v(x+1, .) is monotone over the flat-penalty
     # region, the hypothesis the argument needs

@@ -9,16 +9,15 @@ from edgeadmit.evaluate import (
     behavioral_compare,
     evaluate,
     policy_table,
-    relative_gap,
     rollout,
     rollout_costs,
 )
 from edgeadmit.learners import LogRow
-from edgeadmit.model import Action, CostModel
+from edgeadmit.model import Action, CostModel, NoEventError
 from edgeadmit.rng import substream
 from edgeadmit.scenarios import Scenario
 
-from oracles import simulated_policy_value
+from oracles import relative_gap, simulated_policy_value
 
 
 def test_rollout_single_departure_step(canonical_params, canonical_costs, canonical_resources):
@@ -36,7 +35,7 @@ def test_rollout_single_departure_step(canonical_params, canonical_costs, canoni
         initial_state=(5, 10),
     )
     assert rr.discounted_cost == pytest.approx(0.12 * 3 - 0.2)
-    assert rr.c_off == 0
+    assert [w.c_off for w in rr.windows] == [0]
 
 
 def test_rollout_deterministic_given_stream(canonical_params, canonical_costs, canonical_resources):
@@ -70,7 +69,7 @@ def test_rollout_all_offload_counts_every_arrival(
         beta=0.95,
         rng=substream(8, "roll"),
     )
-    assert rr.c_off == 400
+    assert [w.c_off for w in rr.windows] == [400]
     assert rr.windows[0].c_ov == 0
 
 
@@ -306,6 +305,23 @@ def test_behavioral_compare_identical_policy_identical_series(
         trace,
     )
     assert series["a"] == series["b"]
+
+
+def test_behavioral_compare_without_arrivals(
+    canonical_params, canonical_costs, canonical_resources
+):
+    # no users, so lam = 0 from a full buffer: departures only, no offloads,
+    # until the queue empties at step 20; the next step has no event
+    scenario = Scenario(kind=1, n_users=0)
+    policies = {"baseline": policy_table(canonical_params, accept_below=18)}
+    args = (scenario, canonical_params, canonical_costs, canonical_resources)
+    series = behavioral_compare(
+        policies, *args, EventTrace.generate(4, 20), initial_state=(20, 20)
+    )
+    [only] = series["baseline"]
+    assert only.index == 0 and only.c_off == 0
+    with pytest.raises(NoEventError, match="no event possible"):
+        behavioral_compare(policies, *args, EventTrace.generate(4, 21), initial_state=(20, 20))
 
 
 def test_threshold_policy_greedy_rounding(canonical_params):

@@ -1,46 +1,55 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgeadmit.dp import _Kernel
 from edgeadmit.model import (
     Action,
     CostModel,
     CostTableWarning,
-    Event,
     ModelParams,
+    NoEventError,
     ResourceDist,
     State,
-    cost,
+    StepKernel,
     delta,
-    step,
-    transition_pmf,
 )
 from edgeadmit.rng import substream
 
-
-def test_cost_idle_accept_is_free(canonical_costs):
-    assert cost(State(0, 0), Action.ACCEPT, canonical_costs, cores=2) == 0.0
+from oracles import transition_pmf
 
 
-def test_cost_offload_mid_band(canonical_costs):
+def step_costs(params, cm, rd, lam=6.0) -> np.ndarray:
+    """Per-step cost by ``(x, ell, action)``, as the planner charges it.
+
+    The Q-tables of the zero value function hold the immediate costs alone.
+    """
+    shape = (params.buffer_capacity + 1, params.cpu_levels + 1)
+    return _Kernel(lam, params, cm, rd).q_tables(np.zeros(shape), self_loop=False)
+
+
+def test_cost_idle_accept_is_free(canonical_params, canonical_costs, canonical_resources):
+    costs = step_costs(canonical_params, canonical_costs, canonical_resources)
+    assert costs[0, 0, Action.ACCEPT] == 0.0
+
+
+def test_cost_offload_mid_band(canonical_params, canonical_costs, canonical_resources):
     # h * (5 - 2) + c(10) + p(10) = 0.36 - 0.2 + 1
-    value = cost(State(5, 10), Action.OFFLOAD, canonical_costs, cores=2)
-    assert value == pytest.approx(1.16, abs=1e-12)
+    costs = step_costs(canonical_params, canonical_costs, canonical_resources)
+    assert costs[5, 10, Action.OFFLOAD] == pytest.approx(1.16, abs=1e-12)
 
 
-def test_cost_overloaded_accept(canonical_costs):
-    assert cost(State(2, 19), Action.ACCEPT, canonical_costs, cores=2) == pytest.approx(10.0)
+def test_cost_overloaded_accept(canonical_params, canonical_costs, canonical_resources):
+    costs = step_costs(canonical_params, canonical_costs, canonical_resources)
+    assert costs[2, 19, Action.ACCEPT] == pytest.approx(10.0)
 
 
-def test_cost_floor_with_canonical_tables(canonical_params, canonical_costs):
-    worst = min(
-        cost(State(x, ell), a, canonical_costs, canonical_params.cores)
-        for x in range(21)
-        for ell in range(21)
-        for a in Action
-    )
-    assert worst >= -0.2
+def test_cost_floor_with_canonical_tables(canonical_params, canonical_costs, canonical_resources):
+    costs = step_costs(canonical_params, canonical_costs, canonical_resources)
+    assert costs.min() >= -0.2
 
 
 @given(
@@ -53,7 +62,9 @@ def test_cost_floor_with_canonical_tables(canonical_params, canonical_costs):
 def test_cost_nonnegative_for_nonnegative_tables(h, base, x, ell, a):
     run = np.sort(np.asarray(base))
     cm = CostModel(holding=h, running=run, penalty=np.ones(4))
-    assert cost(State(x, ell), a, cm, cores=2) >= 0.0
+    params = ModelParams(buffer_capacity=6, cpu_levels=3, cores=2, service_rate=3.0)
+    costs = step_costs(params, cm, ResourceDist(pmf=[1.0]))
+    assert costs[x, ell, a] >= 0.0
 
 
 def test_cost_model_monotone_violation_warns_by_default():
@@ -123,24 +134,22 @@ def test_transition_pmf_sums_to_one_within_bounds(x, ell, action, lam, p1):
         assert 0 <= s.x <= 20 and 0 <= s.ell <= 20
 
 
-class StubRng:
-    """Feeds predetermined uniforms; lets tests trace one sample exactly."""
+def kernel_step(kernel, state, action, lam, draw):
+    """``StepKernel.step`` taking ``action`` at an arrival, both draws from ``draw``.
 
-    def __init__(self, values):
-        self._values = list(values)
-
-    def random(self):
-        return self._values.pop(0)
+    Returns the next state, the action taken (None at a departure) and the cost.
+    """
+    x, ell, a, incurred = kernel.step(state.x, state.ell, lam, lambda *_: action, 0, draw, draw)
+    return State(x, ell), a, incurred
 
 
 def test_step_first_draw_trace(canonical_params, canonical_costs, canonical_resources):
     # empty system: the event must be an arrival; accept consumes one
     # resource draw and moves up accordingly
+    kernel = StepKernel(canonical_params, canonical_costs, canonical_resources)
     rng = substream(7, "events-test")
-    nxt, event, incurred = step(
-        State(0, 0), Action.ACCEPT, 6.0, canonical_params, canonical_costs, canonical_resources, rng
-    )
-    assert event is Event.ARRIVAL
+    nxt, a, incurred = kernel_step(kernel, State(0, 0), Action.ACCEPT, 6.0, rng.random)
+    assert a is Action.ACCEPT
     assert incurred == 0.0
     assert nxt in (State(1, 1), State(1, 2))
 
@@ -148,40 +157,36 @@ def test_step_first_draw_trace(canonical_params, canonical_costs, canonical_reso
 def test_step_traced_sample(canonical_params, canonical_costs, canonical_resources):
     # event draw u = 0.3 <= delta(0) = 1 gives an arrival; the next draw
     # 0.5 < 0.6 selects resource size 1, landing at (1, 1)
-    rng = StubRng([0.3, 0.5])
-    nxt, event, incurred = step(
-        State(0, 0), Action.ACCEPT, 6.0, canonical_params, canonical_costs, canonical_resources, rng
+    kernel = StepKernel(canonical_params, canonical_costs, canonical_resources)
+    draw = iter([0.3, 0.5]).__next__
+    assert kernel_step(kernel, State(0, 0), Action.ACCEPT, 6.0, draw) == (
+        State(1, 1), Action.ACCEPT, 0.0
     )
-    assert (nxt, event, incurred) == (State(1, 1), Event.ARRIVAL, 0.0)
 
 
 def test_step_boundary_draw_is_arrival(canonical_params, canonical_costs, canonical_resources):
     # u exactly equal to delta counts as an arrival
-    rng = StubRng([0.5])
-    nxt, event, _ = step(
-        State(2, 5), Action.OFFLOAD, 6.0, canonical_params, canonical_costs, canonical_resources, rng
-    )
-    assert event is Event.ARRIVAL
+    kernel = StepKernel(canonical_params, canonical_costs, canonical_resources)
+    nxt, a, _ = kernel_step(kernel, State(2, 5), Action.OFFLOAD, 6.0, iter([0.5]).__next__)
+    assert a is Action.OFFLOAD
     assert nxt == State(2, 5)
 
 
 def test_step_offload_identity_and_penalty(canonical_params, canonical_costs, canonical_resources):
+    kernel = StepKernel(canonical_params, canonical_costs, canonical_resources)
     rng = substream(7, "events-test")
-    nxt, event, incurred = step(
-        State(0, 0), Action.OFFLOAD, 6.0, canonical_params, canonical_costs, canonical_resources, rng
-    )
-    assert event is Event.ARRIVAL
+    nxt, a, incurred = kernel_step(kernel, State(0, 0), Action.OFFLOAD, 6.0, rng.random)
+    assert a is Action.OFFLOAD
     assert nxt == State(0, 0)
     assert incurred == pytest.approx(10.0)  # idle-load offload penalty
 
 
 def test_step_departure_charges_no_penalty(canonical_params, canonical_costs, canonical_resources):
     # lam = 0 with a busy server: departures only
+    kernel = StepKernel(canonical_params, canonical_costs, canonical_resources)
     rng = substream(3, "events-test")
-    nxt, event, incurred = step(
-        State(5, 10), Action.OFFLOAD, 0.0, canonical_params, canonical_costs, canonical_resources, rng
-    )
-    assert event is Event.DEPARTURE
+    nxt, a, incurred = kernel_step(kernel, State(5, 10), Action.OFFLOAD, 0.0, rng.random)
+    assert a is None
     assert incurred == pytest.approx(0.12 * 3 - 0.2)
     assert nxt.x == 4 and nxt.ell in (8, 9)
 
@@ -201,10 +206,11 @@ def test_step_frequencies_match_pmf(
 ):
     lam = 6.0
     n = 20_000
+    kernel = StepKernel(canonical_params, canonical_costs, canonical_resources)
     rng = substream(seed, "events-mc")
     counts: dict[State, int] = {}
     for _ in range(n):
-        nxt, _, _ = step(state, action, lam, canonical_params, canonical_costs, canonical_resources, rng)
+        nxt, _, _ = kernel_step(kernel, state, action, lam, rng.random)
         counts[nxt] = counts.get(nxt, 0) + 1
     pmf = transition_pmf(state, action, lam, canonical_params, canonical_resources)
     assert set(counts) <= set(pmf)
@@ -218,14 +224,71 @@ def test_step_event_frequency_matches_delta(canonical_params, canonical_costs, c
     lam, state = 6.0, State(2, 5)
     d = delta(state.x, lam, canonical_params)
     n = 20_000
+    kernel = StepKernel(canonical_params, canonical_costs, canonical_resources)
     rng = substream(20, "events-mc")
     arrivals = sum(
-        step(state, Action.ACCEPT, lam, canonical_params, canonical_costs, canonical_resources, rng)[1]
-        is Event.ARRIVAL
+        kernel_step(kernel, state, Action.ACCEPT, lam, rng.random)[1] is not None
         for _ in range(n)
     )
     sigma = (n * d * (1 - d)) ** 0.5
     assert abs(arrivals - n * d) <= 3 * sigma
+
+
+def _no_draw() -> float:
+    raise AssertionError("the event is drawn only when lam > 0")
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 6.0])
+def test_step_clamps_every_state_and_boundary_draw(lam):
+    # every (x, ell) of a small model, both actions, event draws at and just
+    # above delta(x), resource draws at and just below each cdf entry: the
+    # successor and cost are the clamped formulas, and the successor lies in
+    # the independent one-step distribution's support
+    params = ModelParams(buffer_capacity=3, cpu_levels=4, cores=2, service_rate=3.0)
+    cm = CostModel(
+        holding=0.5, running=[0.0, 0.1, 0.2, 0.3, 5.0], penalty=[2.0, 2.0, 1.0, 1.0, 1.0]
+    )
+    rd = ResourceDist(pmf=[0.5, 0.0, 0.5])  # size 2 has probability zero
+    kernel = StepKernel(params, cm, rd)
+    X, L, k = 3, 4, 2
+    cdf = np.cumsum(rd.pmf)
+    resource_draws = sorted(
+        {0.0} | {u for c in cdf for u in (float(c), float(np.nextafter(c, 0.0))) if u < 1.0}
+    )
+    checked = set()
+    for x, ell, action in itertools.product(range(X + 1), range(L + 1), Action):
+        if lam == 0.0 and x == 0:
+            with pytest.raises(NoEventError):
+                kernel.step(x, ell, lam, lambda *_: action, 0, _no_draw, _no_draw)
+            continue
+        support = transition_pmf(State(x, ell), action, lam, params, rd)
+        stay = cm.holding * max(x - k, 0) + cm.running[ell]
+        if lam > 0.0:
+            d = delta(x, lam, params)
+            event_draws = [d] + ([float(np.nextafter(d, 1.0))] if d < 1.0 else [])
+        else:
+            event_draws = [None]
+        for z, u in itertools.product(event_draws, resource_draws):
+            r = next(r for r, c in enumerate(cdf, start=1) if u < c)
+            event_u = _no_draw if z is None else iter([z]).__next__
+            resource_u = iter([u]).__next__
+            got = kernel.step(x, ell, lam, lambda *_: action, 0, event_u, resource_u)
+            if z is not None and z <= d:
+                if action == Action.OFFLOAD:
+                    want = (x, ell, action, stay + cm.penalty[ell])
+                else:
+                    want = (min(x + 1, X), min(ell + r, L), action, stay)
+            else:
+                want = (max(x - 1, 0), max(ell - r, 0), None, stay)
+            assert got == want, (x, ell, action, z, u)
+            assert State(got[0], got[1]) in support, (x, ell, action, z, u)
+            checked.add(got[:2])
+    # every clamp is reached: both buffer ends and both load ends, the upper
+    # ones only by arrivals
+    xs, ells = {s[0] for s in checked}, {s[1] for s in checked}
+    assert 0 in xs and 0 in ells
+    if lam > 0.0:
+        assert X in xs and L in ells
 
 
 def test_model_params_beta_consistency():

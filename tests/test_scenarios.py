@@ -4,25 +4,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeadmit import rng as rngmod
-from edgeadmit.scenarios import Scenario, ScenarioState, aggregate_rate, trajectory
+from edgeadmit.scenarios import Scenario, ScenarioState, trajectory
 
 
 def test_s1_aggregate_rate_default():
     ss = ScenarioState.create(Scenario(kind=1), horizon=1000, seed=0)
-    assert aggregate_rate(ss) == pytest.approx(6.0)
+    assert ss.lam == pytest.approx(6.0)
 
 
 def test_s1_constant_over_steps():
     ss = ScenarioState.create(Scenario(kind=1), horizon=5000, seed=0)
     for _ in range(4999):
-        ss.advance()
+        ss.advance_to(ss.step + 1)
         assert ss.lam == pytest.approx(6.0)
         assert ss.n_users == 24
 
 
 def test_zero_users_zero_rate():
     ss = ScenarioState.create(Scenario(kind=1, n_users=0), horizon=10, seed=0)
-    assert aggregate_rate(ss) == 0.0
+    assert ss.lam == 0.0
 
 
 def test_s2_three_phases_with_scaled_boundaries():
@@ -39,8 +39,8 @@ def test_s2_mid_phase_aggregate_is_high_tier():
     # 24 users at the high tier: 24 * 0.375 = 9
     ss = ScenarioState.create(Scenario(kind=2), horizon=9000, seed=3)
     for _ in range(4000):
-        ss.advance()
-    assert aggregate_rate(ss) == pytest.approx(9.0)
+        ss.advance_to(ss.step + 1)
+    assert ss.lam == pytest.approx(9.0)
 
 
 def test_phase_boundaries_scale_with_horizon():
@@ -66,7 +66,7 @@ def test_s3_forced_toggle_flips_every_user(monkeypatch):
     assert all(ss.tiers)
     assert ss.lam == pytest.approx(24 * 0.375)
     for _ in range(10):  # toggle period = 1% of horizon = 10 steps
-        ss.advance()
+        ss.advance_to(ss.step + 1)
     # all draws below the toggle probability: every user flips
     assert not any(ss.tiers)
     assert ss.lam == pytest.approx(24 * 0.25)
@@ -78,7 +78,7 @@ def test_s4_population_mean_preserved():
     totals = []
     for trial in range(n_trials):
         ss = ScenarioState.create(Scenario(kind=4), horizon=10, seed=trial + 100_000)
-        ss.advance()  # population period = max(1, 0.1 * 10) = 1 step
+        ss.advance_to(ss.step + 1)  # population period = max(1, 0.1 * 10) = 1 step
         totals.append(ss.n_users)
     mean = np.mean(totals)
     var_per_user = 0.05 * 0 + 0.9 * 1 + 0.05 * 4 - 1.0
@@ -100,7 +100,7 @@ def test_s4_spawned_device_inherits_tier(monkeypatch):
     ss.tiers = [True] + [False] * 23  # force user 0 high
     ss._recompute_rate()
     for _ in range(10):
-        ss.advance()
+        ss.advance_to(ss.step + 1)
     assert ss.n_users >= 25
     spawned_idx = ss.uids.index(24)
     parent_idx = ss.uids.index(0)
@@ -122,7 +122,7 @@ def test_per_user_independence():
         ss._recompute_rate()
         series = []
         for _ in range(horizon - 1):
-            ss.advance()
+            ss.advance_to(ss.step + 1)
             series.append(ss.tiers[ss.uids.index(6)])
         return series
 
@@ -135,7 +135,7 @@ def test_aggregate_matches_recomputed_sum():
     scenario = Scenario(kind=6)
     ss = ScenarioState.create(scenario, horizon=5000, seed=23)
     for _ in range(4999):
-        ss.advance()
+        ss.advance_to(ss.step + 1)
         expected = sum(
             scenario.lambda_high if hi else scenario.lambda_low for hi in ss.tiers
         )
@@ -173,7 +173,7 @@ def _stepwise_trajectory(scenario, horizon, seed):
     ss = ScenarioState.create(scenario, horizon, seed)
     rows = [(0, ss.lam, ss.n_users)]
     for _ in range(horizon - 1):
-        ss.advance()
+        ss.advance_to(ss.step + 1)
         if ss.lam != rows[-1][1] or ss.n_users != rows[-1][2]:
             rows.append((ss.step, ss.lam, ss.n_users))
     return rows
