@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import astuple, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -19,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .dp import Solution, check_threshold_structure, check_value_monotone
+from .learners import LogRow
 
 SOLUTION_SCHEMA = "edgeadmit/solution/1"
 POLICY_SCHEMA = "edgeadmit/policy/1"
@@ -133,29 +135,4 @@ def load_artifact(path: Path, expect_schema: str) -> dict:
 
 
 def log_rows_to_csv(path: Path, log) -> None:
-    write_csv(
-        path,
-        (
-            "step",
-            "policy_hash",
-            "eval_mean",
-            "eval_q1",
-            "eval_median",
-            "eval_q3",
-            "grad_abs_window",
-            "grad_step_window",
-        ),
-        (
-            (
-                row.step,
-                row.policy_hash,
-                row.eval_mean,
-                row.eval_q1,
-                row.eval_median,
-                row.eval_q3,
-                row.grad_abs_window,
-                row.grad_step_window,
-            )
-            for row in log
-        ),
-    )
+    write_csv(path, [f.name for f in fields(LogRow)], map(astuple, log))

@@ -20,12 +20,14 @@ from .model import NoEventError
 from .scenarios import trajectory
 
 
-def _load_experiment(config_path, overrides) -> Experiment:
+def _load_experiment(config_path, overrides, horizon_scale) -> Experiment:
     cfg = cfgmod.load_config(config_path, overrides)
+    if horizon_scale is not None:
+        cfg["learner"]["horizon"] = max(1, round(cfg["learner"]["horizon"] * horizon_scale))
     return Experiment.from_config(cfg)
 
 
-def _common_overrides(seed, out, scenario, horizon_scale, learner=None) -> dict:
+def _common_overrides(seed, out, scenario, learner=None) -> dict:
     ov: dict = {}
     if seed is not None:
         ov["seeds"] = [seed]
@@ -36,11 +38,6 @@ def _common_overrides(seed, out, scenario, horizon_scale, learner=None) -> dict:
     if learner is not None:
         ov["learner"] = {"kind": learner}
     return ov
-
-
-def _apply_horizon_scale(cfg: dict, factor: float | None) -> None:
-    if factor is not None:
-        cfg["learner"]["horizon"] = max(1, round(cfg["learner"]["horizon"] * factor))
 
 
 def config_option(fn):
@@ -83,13 +80,12 @@ def solve(config_path, seed, out, scenario, horizon_scale, tol, self_loop_varian
     """Solve the planning problem and write the solution artifact."""
 
     def body():
-        ov = _common_overrides(seed, out, scenario, horizon_scale)
+        ov = _common_overrides(seed, out, scenario)
         if tol is not None:
             ov.setdefault("solver", {})["tol"] = tol
         if self_loop_variant:
             ov.setdefault("solver", {})["self_loop"] = True
-        exp = _load_experiment(config_path, ov)
-        _apply_horizon_scale(exp.raw, horizon_scale)
+        exp = _load_experiment(config_path, ov, horizon_scale)
         sol = dp.value_iteration(
             exp.planning_rate(),
             exp.params,
@@ -153,11 +149,10 @@ def train(config_path, seed, out, scenario, horizon_scale, learner, paper_litera
     """Train the configured learner for every seed; write logs and artifacts."""
 
     def body():
-        ov = _common_overrides(seed, out, scenario, horizon_scale, learner)
+        ov = _common_overrides(seed, out, scenario, learner)
         if paper_literal_sign:
             ov.setdefault("learner", {}).setdefault("salmut", {})["paper_literal_sign"] = True
-        exp = _load_experiment(config_path, ov)
-        _apply_horizon_scale(exp.raw, horizon_scale)
+        exp = _load_experiment(config_path, ov, horizon_scale)
         kind = exp.raw["learner"]["kind"]
         if kind not in ("salmut", "qlearning"):
             raise ConfigError("learner.kind", "train requires salmut or qlearning")
@@ -235,6 +230,12 @@ def _policy_from_artifact(art: dict, exp: Experiment) -> np.ndarray:
         value = _tau_vector(value)
     elif kind == "baseline" and type(value) is not int:  # bool is no integer either
         raise ArtifactError("baseline policy artifact field 'accept_below' must be an integer")
+    elif kind in ("qlearning", "dp") and not (
+        isinstance(value, list)
+        and all(isinstance(row, list) and all(type(a) is int and a in (0, 1) for a in row)
+                for row in value)
+    ):
+        raise ArtifactError(f"{kind} policy artifact field 'policy' must be a table of 0s and 1s")
     try:
         if kind == "salmut":
             return ev.policy_table(exp.params, tau=value)
@@ -260,7 +261,7 @@ def evaluate(config_path, seed, out, scenario, horizon_scale, artifact_path,
 
     def body():
         exp = _load_experiment(
-            config_path, _common_overrides(seed, out, scenario, horizon_scale)
+            config_path, _common_overrides(seed, out, scenario), horizon_scale
         )
         did_something = False
         if structure_path is not None:
@@ -368,9 +369,8 @@ def compare(config_path, seed, out, scenario, horizon_scale, trace_seed, trace_l
 
     def body():
         exp = _load_experiment(
-            config_path, _common_overrides(seed, out, scenario, horizon_scale)
+            config_path, _common_overrides(seed, out, scenario), horizon_scale
         )
-        _apply_horizon_scale(exp.raw, horizon_scale)
         root = exp.output_dir
         sol = artifacts.load_artifact(root / "dp" / "solution.json", artifacts.SOLUTION_SCHEMA)
         policies = {"dp": _policy_from_artifact(dict(sol, kind="dp"), exp)}

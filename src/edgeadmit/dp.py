@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Action, CostModel, ModelParams, ResourceDist, delta
+from .model import Action, ChainTables, CostModel, ModelParams, ResourceDist
 
 
 class SolverError(RuntimeError):
@@ -61,43 +61,30 @@ class ThresholdReport:
 
 
 class _Kernel:
-    """Precomputed clamped-index machinery for vectorized Bellman sweeps."""
+    """Bellman sweeps on ``ChainTables``, gathering from the flat value."""
 
     def __init__(self, lam: float, params: ModelParams, cm: CostModel, rd: ResourceDist):
-        X, L = params.buffer_capacity, params.cpu_levels
-        if cm.levels != L:
-            raise ValueError(
-                f"cost tables sized for {cm.levels} load levels, model has {L}"
-            )
-        xs = np.arange(X + 1)
-        ls = np.arange(L + 1)
-        self.X, self.L = X, L
+        t = ChainTables(params, cm, rd)
+        self.X, self.L = params.buffer_capacity, params.cpu_levels
         self.beta = params.discount_beta
-        self.delta = np.array([delta(x, lam, params) for x in xs])
-        self.ch = (
-            cm.holding * np.maximum(xs - params.cores, 0)[:, None]
-            + cm.running[None, :]
-        )
-        self.pen = np.asarray(cm.penalty, dtype=float)
-        self.up_x = np.minimum(xs + 1, X)
-        self.dn_x = np.maximum(xs - 1, 0)
-        self.support = rd.support()
-        self.up_l = {r: np.minimum(ls + r, L) for r, _ in self.support}
-        self.dn_l = {r: np.maximum(ls - r, 0) for r, _ in self.support}
+        self.arrival_p = t.arrival_p(lam)
+        self.tables = t
+        self.support = [(t.succ[:, 2, r - 1], t.succ[:, 0, r - 1], p) for r, p in rd.support()]
 
     def q_tables(self, v: np.ndarray, self_loop: bool) -> np.ndarray:
+        v = v.ravel()
         ev_up = np.zeros_like(v)
         ev_dn = np.zeros_like(v)
-        for r, p in self.support:
-            ev_up += p * v[np.ix_(self.up_x, self.up_l[r])]
-            ev_dn += p * v[np.ix_(self.dn_x, self.dn_l[r])]
-        d = self.delta[:, None]
+        for up, dn, p in self.support:
+            ev_up += p * v[up]
+            ev_dn += p * v[dn]
+        d = self.arrival_p
         q = np.empty(v.shape + (2,))
-        q[:, :, 0] = self.ch + self.beta * (d * ev_up + (1.0 - d) * ev_dn)
-        q[:, :, 1] = self.ch + self.pen[None, :] + self.beta * (1.0 - d) * ev_dn
+        q[:, 0] = self.tables.stay_cost + self.beta * (d * ev_up + (1.0 - d) * ev_dn)
+        q[:, 1] = self.tables.offload_cost + self.beta * (1.0 - d) * ev_dn
         if self_loop:
-            q[:, :, 1] += self.beta * d * v
-        return q
+            q[:, 1] += self.beta * d * v
+        return q.reshape(self.X + 1, self.L + 1, 2)
 
     def admissible_min(self, q: np.ndarray) -> np.ndarray:
         v = q.min(axis=2)

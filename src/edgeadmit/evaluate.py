@@ -20,7 +20,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import rng as rngmod
-from .model import Action, CostModel, ModelParams, NoEventError, ResourceDist, StepKernel
+from .model import (
+    Action, ChainTables, CostModel, ModelParams, NoEventError, ResourceDist, StepKernel,
+)
 from .scenarios import Scenario, trajectory
 
 
@@ -203,8 +205,7 @@ def rollout_costs(
     so each lane's cost equals ``rollout``'s bit for bit.
     """
     n, horizon = cfg.n_rollouts, cfg.rollout_length
-    X, L = params.buffer_capacity, params.cpu_levels
-    k, mu = params.cores, params.service_rate
+    L = params.cpu_levels
     beta = params.discount_beta
 
     # a step takes at most two draws
@@ -215,26 +216,12 @@ def rollout_costs(
     u = u.ravel()
     cursor = np.arange(n) * width
 
-    # per-state tables over s = x * (L + 1) + ell, each entry computed with
-    # the operations ``rollout`` applies in that state
-    n_states = (X + 1) * (L + 1)
-    xs, ls = np.divmod(np.arange(n_states), L + 1)
-    stay_cost = cm.holding * np.maximum(xs - k, 0) + cm.running[ls]
-    offload_cost = stay_cost + cm.penalty[ls]
+    tables = ChainTables(params, cm, rd)
     offloads = np.asarray(table).ravel() != 0
     if lam > 0.0:
-        arrival_p = lam / (lam + np.minimum(xs, k) * mu)
-    cdf = np.cumsum(rd.pmf)
-    # next state by (state, event, resource index): events are departure,
-    # offloaded arrival, accepted arrival; the index is searchsorted's, one
-    # past the support included as in ``rollout``
-    r = np.arange(1, len(cdf) + 2)
-    n_r = len(r)
-    after = np.stack([
-        np.maximum(xs - 1, 0)[:, None] * (L + 1) + np.maximum(ls[:, None] - r, 0),
-        np.repeat(np.arange(n_states)[:, None], n_r, axis=1),
-        np.minimum(xs + 1, X)[:, None] * (L + 1) + np.minimum(ls[:, None] + r, L),
-    ], axis=1).ravel()
+        arrival_p = tables.arrival_p(lam)
+    n_r = tables.succ.shape[2]
+    after = tables.succ.ravel()
 
     x0, ell0 = cfg.initial_state
     s = np.full(n, x0 * (L + 1) + ell0)
@@ -250,9 +237,9 @@ def rollout_costs(
         else:
             arrive = no_arrival
         off = arrive & offloads[s]
-        total += disc * np.where(off, offload_cost[s], stay_cost[s])
+        total += disc * np.where(off, tables.offload_cost[s], tables.stay_cost[s])
         disc *= beta
-        size = np.searchsorted(cdf, u[cursor], side="right")
+        size = np.searchsorted(tables.cdf, u[cursor], side="right")
         cursor += ~off
         s = after[(3 * s + 2 * arrive - off) * n_r + size]
     return total

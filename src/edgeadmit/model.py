@@ -1,4 +1,4 @@
-"""Model layer: states, costs and the chain's one-step simulator.
+"""Model layer: states, costs, the chain's tables and its one-step simulator.
 
 The system is a finite queue (length ``x``, capacity ``X``) feeding ``k``
 cores whose joint load is discretized to ``ell`` in ``0..L``.  Uniformizing
@@ -129,7 +129,7 @@ class CostModel:
             msg = "; ".join(problems)
             if self.strict:
                 raise ValueError(msg)
-            warnings.warn(msg, CostTableWarning, stacklevel=2)
+            warnings.warn(msg, CostTableWarning, stacklevel=3)
 
     @property
     def levels(self) -> int:
@@ -158,31 +158,64 @@ class ResourceDist:
         return [(r + 1, float(p)) for r, p in enumerate(self.pmf) if p > 0.0]
 
 
-def delta(x: int, lam: float, params: ModelParams) -> float:
-    """Probability that the next uniformized event is an arrival."""
-    if lam < 0:
-        raise ValueError("arrival rate must be >= 0")
-    busy = min(x, params.cores) * params.service_rate
-    if lam == 0 and busy == 0:
-        raise NoEventError()
-    return lam / (lam + busy)
+class ChainTables:
+    """The chain's transition rule as tables over flat states ``s = x * (L + 1) + ell``.
+
+    ``busy`` is the service rate ``min(x, k) * mu``, ``stay_cost`` the step
+    cost ``h * max(x - k, 0) + c(ell)`` and ``offload_cost`` adds ``p(ell)``.
+    ``succ[s, e, j]`` is the next state after event ``e`` (0 a departure, 1
+    an offloaded arrival, 2 an accepted one) with resource index
+    ``j = searchsorted(cdf, u, side="right")``, one past the support included.
+    Only here are the queue and load clamped to ``0..X`` and ``0..L``.
+    """
+
+    def __init__(self, params: ModelParams, cm: CostModel, rd: ResourceDist):
+        X, L, k = params.buffer_capacity, params.cpu_levels, params.cores
+        if cm.levels != L:
+            raise ValueError(f"cost tables sized for {cm.levels} load levels, model has {L}")
+        states = np.arange((X + 1) * (L + 1))
+        xs, ls = np.divmod(states, L + 1)
+        self.busy = np.minimum(xs, k) * params.service_rate
+        self.stay_cost = cm.holding * np.maximum(xs - k, 0) + cm.running[ls]
+        self.offload_cost = self.stay_cost + cm.penalty[ls]
+        self.cdf = np.cumsum(rd.pmf)
+        r = np.arange(1, len(self.cdf) + 2)
+        self.succ = np.stack([
+            np.maximum(xs - 1, 0)[:, None] * (L + 1) + np.maximum(ls[:, None] - r, 0),
+            np.repeat(states[:, None], len(r), axis=1),
+            np.minimum(xs + 1, X)[:, None] * (L + 1) + np.minimum(ls[:, None] + r, L),
+        ], axis=1)
+
+    def arrival_p(self, lam: float) -> np.ndarray:
+        """Probability that the next event is an arrival, ``lam / (lam + busy)``."""
+        if lam < 0:
+            raise ValueError("arrival rate must be >= 0")
+        if lam == 0:  # the empty queue has no event
+            raise NoEventError()
+        return lam / (lam + self.busy)
 
 
 class StepKernel:
     """The chain's one transition rule, sampled a step at a time.
 
-    Built once per ``(params, cm, rd)``: costs come from Python lists and the
-    resource size from ``bisect_right`` on the cdf list, which equals
+    Built once per ``(params, cm, rd)`` from ``ChainTables`` as nested lists
+    of Python numbers: a step only looks up its successor and cost, and the
+    resource index comes from ``bisect_right`` on the cdf list, which equals
     ``np.searchsorted(cdf, u, side="right")``, so a step does no numpy work.
     """
 
     def __init__(self, params: ModelParams, cm: CostModel, rd: ResourceDist):
-        self.X, self.L = params.buffer_capacity, params.cpu_levels
-        self.cores, self.mu = params.cores, params.service_rate
-        self.holding = cm.holding
-        self.running = cm.running.tolist()
-        self.penalty = cm.penalty.tolist()
-        self.cdf = np.cumsum(rd.pmf).tolist()
+        t = ChainTables(params, cm, rd)
+        shape = (params.buffer_capacity + 1, params.cpu_levels + 1)
+        self.busy = t.busy[:: shape[1]].tolist()
+        self.stay_cost = t.stay_cost.reshape(shape).tolist()
+        self.offload_cost = t.offload_cost.reshape(shape).tolist()
+        # successors by [x][ell][j], as one shared (x', ell') tuple per state
+        pair = [divmod(s, shape[1]) for s in range(len(t.succ))]
+        succ = t.succ.reshape(shape + t.succ.shape[1:]).tolist()
+        self.down = [[[pair[s] for s in cell[0]] for cell in row] for row in succ]
+        self.up = [[[pair[s] for s in cell[2]] for cell in row] for row in succ]
+        self.cdf = t.cdf.tolist()
 
     def step(
         self,
@@ -206,20 +239,14 @@ class StepKernel:
         a full buffer leaves ``x`` at ``X``; forcing an offload there is the
         job of ``decide``.
         """
-        # clamps are comparisons, not ``min``/``max`` calls: this is every
-        # learner's and rollout's inner loop
-        k = self.cores
-        busy = (x if x < k else k) * self.mu
+        busy = self.busy[x]
         if lam == 0.0 and busy == 0.0:
             raise NoEventError()
-        incurred = self.holding * (x - k if x > k else 0) + self.running[ell]
         if lam > 0.0 and event_u() <= lam / (lam + busy):
             a = decide(x, ell, n)
             if a:
-                return x, ell, a, incurred + self.penalty[ell]
-            ell += bisect_right(self.cdf, resource_u()) + 1
-            X, L = self.X, self.L
-            return (x + 1 if x < X else X), (ell if ell < L else L), a, incurred
-        ell -= bisect_right(self.cdf, resource_u()) + 1
-        return (x - 1 if x > 0 else 0), (ell if ell > 0 else 0), None, incurred
-
+                return x, ell, a, self.offload_cost[x][ell]
+            nx, nl = self.up[x][ell][bisect_right(self.cdf, resource_u())]
+            return nx, nl, a, self.stay_cost[x][ell]
+        nx, nl = self.down[x][ell][bisect_right(self.cdf, resource_u())]
+        return nx, nl, None, self.stay_cost[x][ell]

@@ -13,7 +13,17 @@ import math
 
 import numpy as np
 
-from edgeadmit.model import Action, CostModel, ModelParams, ResourceDist, State, delta
+from edgeadmit.model import Action, CostModel, ModelParams, NoEventError, ResourceDist, State
+
+
+def delta(x: int, lam: float, params: ModelParams) -> float:
+    """Probability that the next uniformized event is an arrival."""
+    if lam < 0:
+        raise ValueError("arrival rate must be >= 0")
+    busy = min(x, params.cores) * params.service_rate
+    if lam == 0 and busy == 0:
+        raise NoEventError()
+    return lam / (lam + busy)
 
 
 def transition_pmf(

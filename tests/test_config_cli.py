@@ -184,6 +184,21 @@ def test_cli_horizon_scale_scales_change_points(tmp_path):
     assert steps == [0, 600, 1200]
 
 
+def test_cli_horizon_scale_reaches_every_command(tmp_path):
+    # evaluate hashes the scaled config, as solve does
+    runner = CliRunner()
+    cfg_path = _desk_config(tmp_path)
+    scale = ["--config", str(cfg_path), "--horizon-scale", "0.5"]
+    assert runner.invoke(main, ["solve", *scale]).exit_code == 0
+    art = tmp_path / "runs" / "dp" / "policy.json"
+    result = runner.invoke(main, ["evaluate", *scale, "--artifact", str(art)])
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "runs" / "eval" / "report.json").read_text())
+    manifest = json.loads((tmp_path / "runs" / "eval" / "manifest.json").read_text())
+    assert report["config_sha256"] == json.loads(art.read_text())["config_sha256"]
+    assert manifest["config"]["learner"]["horizon"] == 2000
+
+
 def test_cli_compare_missing_artifact_is_file_error(tmp_path):
     runner = CliRunner()
     cfg_path = _desk_config(tmp_path)
@@ -315,6 +330,11 @@ _VALID_FIELDS = {
     "dp": ("policy", [[0] * 18 + [1] * 3] * 21),
 }
 
+# right-shaped action tables whose entries are no action: none may score as offload
+_MALFORMED_TABLES = [
+    [[entry] * 21] * 21 for entry in (None, "a", 2, -1, float("nan"), True)
+] + [[[0] * 20 + [None]] * 21]
+
 _json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
 _json_values = st.one_of(
     st.recursive(
@@ -349,6 +369,7 @@ def test_cli_evaluate_valid_policy_fields(tmp_path, kind):
     ("salmut", 5), ("salmut", {"a": 1}), ("salmut", [1.0] * 20 + [True]),
     ("salmut", [float("nan")] * 21), ("salmut", [10**400] * 21),
     ("baseline", "x"), ("baseline", [1]), ("baseline", 2.5), ("baseline", True),
+    *((kind, table) for kind in ("dp", "qlearning") for table in _MALFORMED_TABLES),
 ])
 def test_cli_evaluate_malformed_policy_field_is_input_error(tmp_path, kind, value):
     result = _evaluate_policy_artifact(tmp_path, kind, value)
@@ -367,6 +388,10 @@ def test_cli_evaluate_malformed_policy_field_is_input_error(tmp_path, kind, valu
 @example(kind="baseline", value=[1])
 @example(kind="baseline", value=2.5)
 @example(kind="baseline", value=True)
+@example(kind="dp", value=_MALFORMED_TABLES[0])
+@example(kind="dp", value=_MALFORMED_TABLES[2])
+@example(kind="qlearning", value=_MALFORMED_TABLES[0])
+@example(kind="qlearning", value=_MALFORMED_TABLES[2])
 def test_cli_evaluate_any_policy_field_exits_cleanly(tmp_path_factory, kind, value):
     # whatever JSON value stands in a policy artifact's field, evaluate
     # either scores the policy or rejects the artifact as an input error
@@ -374,3 +399,6 @@ def test_cli_evaluate_any_policy_field_exits_cleanly(tmp_path_factory, kind, val
     assert result.exit_code in (0, 2), (result.output, result.exception)
     if result.exit_code == 2:
         assert isinstance(result.exception, SystemExit)
+    elif kind in ("dp", "qlearning"):
+        # a table is scored only when every entry is an action
+        assert all(type(a) is int and a in (0, 1) for row in value for a in row)

@@ -11,9 +11,9 @@ from edgeadmit.dp import (
     value_iteration,
     SolverError,
 )
-from edgeadmit.model import Action, CostModel, ModelParams, ResourceDist, delta
+from edgeadmit.model import Action, CostModel, ModelParams, ResourceDist
 
-from oracles import enumerate_optimal, recursion_policy_value
+from oracles import delta, enumerate_optimal, recursion_policy_value
 
 
 def small_setup(levels=3, beta=0.9):

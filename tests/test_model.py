@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from edgeadmit.dp import _Kernel
 from edgeadmit.model import (
     Action,
+    ChainTables,
     CostModel,
     CostTableWarning,
     ModelParams,
@@ -15,11 +16,10 @@ from edgeadmit.model import (
     ResourceDist,
     State,
     StepKernel,
-    delta,
 )
 from edgeadmit.rng import substream
 
-from oracles import transition_pmf
+from oracles import delta, transition_pmf
 
 
 def step_costs(params, cm, rd, lam=6.0) -> np.ndarray:
@@ -68,8 +68,10 @@ def test_cost_nonnegative_for_nonnegative_tables(h, base, x, ell, a):
 
 
 def test_cost_model_monotone_violation_warns_by_default():
-    with pytest.warns(CostTableWarning):
+    with pytest.warns(CostTableWarning) as record:
         CostModel(holding=0.1, running=[0.0, -0.2, 10.0], penalty=[1.0, 1.0, 1.0])
+    # the warning names the line that built the tables
+    assert record[0].filename == __file__
 
 
 def test_cost_model_strict_mode_raises():
@@ -77,28 +79,41 @@ def test_cost_model_strict_mode_raises():
         CostModel(holding=0.1, running=[0.0, -0.2, 10.0], penalty=[1.0] * 3, strict=True)
 
 
+def arrival_p(lam, params, x=None):
+    """``ChainTables.arrival_p`` at queue length ``x``, or per queue length."""
+    L = params.cpu_levels
+    cm = CostModel(holding=0.0, running=np.zeros(L + 1), penalty=np.zeros(L + 1))
+    by_x = ChainTables(params, cm, ResourceDist(pmf=[1.0])).arrival_p(lam)[:: L + 1]
+    return by_x.tolist() if x is None else by_x[x]
+
+
 def test_delta_empty_queue_is_always_arrival(canonical_params):
-    assert delta(0, 0.5, canonical_params) == 1.0
-    assert delta(0, 100.0, canonical_params) == 1.0
+    assert arrival_p(0.5, canonical_params, 0) == 1.0
+    assert arrival_p(100.0, canonical_params, 0) == 1.0
 
 
 def test_delta_hand_values(canonical_params):
-    assert delta(2, 6.0, canonical_params) == pytest.approx(0.5)
-    assert delta(1, 6.0, canonical_params) == pytest.approx(2.0 / 3.0)
+    assert arrival_p(6.0, canonical_params, 2) == pytest.approx(0.5)
+    assert arrival_p(6.0, canonical_params, 1) == pytest.approx(2.0 / 3.0)
 
 
 def test_delta_degenerate_raises(canonical_params):
-    with pytest.raises(ValueError, match="no event possible"):
-        delta(0, 0.0, canonical_params)
+    with pytest.raises(NoEventError, match="no event possible"):
+        arrival_p(0.0, canonical_params)
+    with pytest.raises(ValueError, match="arrival rate must be >= 0"):
+        arrival_p(-1.0, canonical_params)
 
 
 @given(lam=st.floats(min_value=1e-6, max_value=50))
 def test_delta_weakly_decreasing_in_queue(lam):
     params = ModelParams(buffer_capacity=20, cpu_levels=20, cores=2, service_rate=3.0)
-    values = [delta(x, lam, params) for x in range(21)]
+    values = arrival_p(lam, params)
+    assert len(values) == 21
     assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
     # constant once every core is busy
     assert values[2:] == pytest.approx([values[2]] * 19)
+    # the oracle's scalar formula, bit for bit
+    assert values == [delta(x, lam, params) for x in range(21)]
 
 
 def test_transition_pmf_empty_accept(canonical_params, canonical_resources):
@@ -281,6 +296,8 @@ def test_step_clamps_every_state_and_boundary_draw(lam):
             else:
                 want = (max(x - 1, 0), max(ell - r, 0), None, stay)
             assert got == want, (x, ell, action, z, u)
+            # Python numbers, not numpy scalars, go into learner state
+            assert (type(got[0]), type(got[1]), type(got[3])) == (int, int, float)
             assert State(got[0], got[1]) in support, (x, ell, action, z, u)
             checked.add(got[:2])
     # every clamp is reached: both buffer ends and both load ends, the upper
