@@ -6,6 +6,8 @@ Exit codes: 0 success, 2 input error (config or artifact), 3 numeric failure.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -23,7 +25,10 @@ from .scenarios import trajectory
 def _load_experiment(config_path, overrides, horizon_scale) -> Experiment:
     cfg = cfgmod.load_config(config_path, overrides)
     if horizon_scale is not None:
-        cfg["learner"]["horizon"] = max(1, round(cfg["learner"]["horizon"] * horizon_scale))
+        horizon = cfg["learner"]["horizon"] * horizon_scale
+        if not (horizon_scale > 0 and math.isfinite(horizon)):
+            raise ConfigError("--horizon-scale", "must be finite and > 0")
+        cfg["learner"]["horizon"] = max(1, round(horizon))
     return Experiment.from_config(cfg)
 
 
@@ -113,28 +118,43 @@ def solve(config_path, seed, out, scenario, horizon_scale, tol, self_loop_varian
 
 
 def _make_eval_hook(exp: Experiment, seed: int, kind: str):
-    """Periodic evaluation against the traffic seen at the evaluation step."""
-    ecfg = exp.eval_config
+    """Periodic evaluation against the traffic seen at the evaluation step.
 
-    def hook(step: int, lam: float, snapshot: np.ndarray) -> dict[str, float]:
+    Returns the trainer's hook and ``fill(log)``.  The hook records each
+    eval point, and the points are evaluated a batch at a time as they fill
+    one, so only one batch of tables is held.  ``fill`` evaluates the rest
+    and returns ``log`` with each row's report in its ``eval_*`` fields.
+    """
+    ecfg = exp.eval_config
+    per_batch = max(1, ev.BATCH_LANES // ecfg.n_rollouts)
+    pending: list[tuple[np.ndarray, float, int]] = []
+    reports: list[ev.EvalReport] = []
+
+    def flush() -> None:
+        reports.extend(ev.evaluate_batch(pending, ecfg, exp.params, exp.costs, exp.resources))
+        pending.clear()
+
+    def hook(step: int, lam: float, snapshot: np.ndarray) -> None:
         if kind == "salmut":
             policy = ev.policy_table(exp.params, tau=snapshot)
         else:
             policy = ev.policy_table(
                 exp.params, actions=dp.greedy_policy(snapshot, exp.params.buffer_capacity)
             )
-        report = ev.evaluate(
-            policy, ecfg, lam, exp.params, exp.costs, exp.resources,
-            seed=(seed << 20) + step,
-        )
-        return {
-            "mean": report.mean,
-            "q1": report.q1,
-            "median": report.median,
-            "q3": report.q3,
-        }
+        pending.append((policy, lam, (seed << 20) + step))
+        if len(pending) == per_batch:
+            flush()
 
-    return hook
+    def fill(log: list[learners.LogRow]) -> list[learners.LogRow]:
+        if pending:
+            flush()
+        return [
+            dataclasses.replace(row, eval_mean=r.mean, eval_q1=r.q1,
+                                eval_median=r.median, eval_q3=r.q3)
+            for row, r in zip(log, reports, strict=True)
+        ]
+
+    return hook, fill
 
 
 @main.command()
@@ -161,7 +181,7 @@ def train(config_path, seed, out, scenario, horizon_scale, learner, paper_litera
         horizon = exp.raw["learner"]["horizon"]
         logs = []
         for s in exp.seeds:
-            hook = None if no_periodic_eval else _make_eval_hook(exp, s, kind)
+            hook, fill = (None, None) if no_periodic_eval else _make_eval_hook(exp, s, kind)
             seed_dir = out_dir / f"seed_{s}"
             if kind == "salmut":
                 scfg = cfgmod.build_salmut_config(exp.raw)
@@ -183,14 +203,15 @@ def train(config_path, seed, out, scenario, horizon_scale, learner, paper_litera
                     "qlearning", sha, seed=s,
                     q=result.q.tolist(), policy=result.policy.tolist(),
                 )
+            log = fill(result.log) if fill else result.log
             artifacts.write_json(seed_dir / "policy.json", art)
-            artifacts.log_rows_to_csv(seed_dir / "log.csv", result.log)
+            artifacts.log_rows_to_csv(seed_dir / "log.csv", log)
             artifacts.write_csv(
                 seed_dir / "trajectory.csv",
                 ("step", "lambda", "n_users"),
                 trajectory(exp.scenario, horizon, s),
             )
-            logs.append(result.log)
+            logs.append(log)
             click.echo(f"{kind} seed {s}: done ({horizon} steps)")
         curve = ev.aggregate_training_curves(logs)
         if curve:
@@ -358,7 +379,7 @@ def _aggregate_curves_from_dir(root: Path):
 @config_option
 @click.option("--trace-seed", type=int, default=1234, show_default=True,
               help="Seed of the shared event trace.")
-@click.option("--trace-length", type=int, default=None,
+@click.option("--trace-length", type=click.IntRange(min=1), default=None,
               help="Trace length; defaults to the configured horizon.")
 def compare(config_path, seed, out, scenario, horizon_scale, trace_seed, trace_length):
     """Run planner, learners and baseline on one shared trace; emit metrics CSVs.
@@ -414,17 +435,16 @@ def compare(config_path, seed, out, scenario, horizon_scale, trace_seed, trace_l
                 for w in series[name]
             ),
         )
+        names = sorted(policies)
+        reports = ev.evaluate_batch(
+            [(policies[name], exp.planning_rate(), exp.seeds[0]) for name in names],
+            exp.eval_config,
+            exp.params,
+            exp.costs,
+            exp.resources,
+        )
         cost_rows = []
-        for name in sorted(policies):
-            report = ev.evaluate(
-                policies[name],
-                exp.eval_config,
-                exp.planning_rate(),
-                exp.params,
-                exp.costs,
-                exp.resources,
-                seed=exp.seeds[0],
-            )
+        for name, report in zip(names, reports):
             cost_rows.append((name, report.mean, report.q1, report.median, report.q3))
             click.echo(f"{name}: mean={report.mean!r}")
         artifacts.write_csv(

@@ -3,11 +3,11 @@
 A policy is an ``(X+1, L+1)`` int8 action table (``policy_table``), 1 meaning
 offload.  Rollouts freeze the arrival rate at its value when evaluation
 starts, so a policy is always measured against the traffic it currently
-faces; ``evaluate`` steps all of its rollouts together as numpy lanes.  The
-behavioral comparison instead replays a shared event trace against an
-evolving scenario: every policy consumes the same uniform draws, so
-differences in overload entries and offload counts are attributable to the
-policies alone.
+faces; ``evaluate_batch`` steps the rollouts of many policies together as
+numpy lanes, and ``evaluate`` is its one-policy call.  The behavioral
+comparison instead replays a shared event trace against an evolving
+scenario: every policy consumes the same uniform draws, so differences in
+overload entries and offload counts are attributable to the policies alone.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -187,62 +187,118 @@ def rollout(
     return RolloutResult(discounted_cost=total, windows=tuple(windows))
 
 
+# Lanes stepped together in one array, and the uniforms each lane holds at
+# a time.  A draw takes 8 bytes and a lane's generator about 1.7 KB, so a
+# full batch holds about 1.2 MB: both constants bound evaluation's memory.
+BATCH_LANES = 300
+BLOCK_DRAWS = 280
+
+
 def rollout_costs(
-    table: np.ndarray,
+    points: Sequence[tuple[np.ndarray, float, int]],
     cfg: EvalConfig,
-    lam: float,
     params: ModelParams,
     cm: CostModel,
     rd: ResourceDist,
-    seed: int,
 ) -> np.ndarray:
-    """Discounted cost of each rollout, all stepped together as numpy lanes.
+    """Discounted cost of each rollout of each ``(table, lam, seed)`` point.
 
-    Lane ``i`` is ``rollout`` on ``substream(seed, f"rollout-{i}")``: its
-    uniforms are drawn up front, and it reads them through its own cursor
-    in the order ``rollout`` draws them.  Every lane applies the same
-    floating-point operations as ``rollout``, with the same scalar discount,
-    so each lane's cost equals ``rollout``'s bit for bit.
+    Returns a ``(len(points), n_rollouts)`` array.  Lane ``i`` of a point is
+    ``rollout`` on ``substream(seed, f"rollout-{i}")``, and all lanes of all
+    points step together as numpy lanes, ``BATCH_LANES`` at a time.  A lane
+    reads its uniforms through its own cursor in the order ``rollout`` draws
+    them; they come in blocks of ``BLOCK_DRAWS``, refilled from the lane's
+    own generator, and ``random(k)`` twice returns what ``random(2 * k)``
+    returns once.  Every lane applies the same floating-point operations as
+    ``rollout``, with the same scalar discount, so each lane's cost equals
+    ``rollout``'s bit for bit.
     """
     n, horizon = cfg.n_rollouts, cfg.rollout_length
     L = params.cpu_levels
     beta = params.discount_beta
-
-    # a step takes at most two draws
-    width = 2 * horizon
-    u = np.empty((n, width))
-    for i in range(n):
-        rngmod.substream(seed, f"rollout-{i}").random(out=u[i])
-    u = u.ravel()
-    cursor = np.arange(n) * width
-
     tables = ChainTables(params, cm, rd)
-    offloads = np.asarray(table).ravel() != 0
-    if lam > 0.0:
-        arrival_p = tables.arrival_p(lam)
+    states = len(tables.busy)
     n_r = tables.succ.shape[2]
-    after = tables.succ.ravel()
-
     x0, ell0 = cfg.initial_state
-    s = np.full(n, x0 * (L + 1) + ell0)
-    no_arrival = np.zeros(n, dtype=bool)
-    total = np.zeros(n)
-    disc = 1.0
-    for _ in range(horizon):
-        if lam > 0.0:
-            arrive = u[cursor] <= arrival_p[s]
-            cursor += 1
-        elif lam == 0.0 and (s <= L).any():  # some lane at x == 0
-            raise NoEventError()
-        else:
-            arrive = no_arrival
-        off = arrive & offloads[s]
-        total += disc * np.where(off, tables.offload_cost[s], tables.stay_cost[s])
-        disc *= beta
-        size = np.searchsorted(tables.cdf, u[cursor], side="right")
-        cursor += ~off
-        s = after[(3 * s + 2 * arrive - off) * n_r + size]
-    return total
+    # by 3 * s + event, the event 0 a departure, 1 an offloaded arrival and
+    # 2 an accepted one: the step cost, and whether a resource is drawn
+    step_cost = np.stack(
+        [tables.stay_cost, tables.offload_cost, tables.stay_cost], axis=1
+    ).ravel()
+    draws_resource = np.tile([1, 0, 1], states)
+    after = tables.succ.ravel()
+    # a step takes at most two draws, so a full block lasts half as many steps
+    width = min(BLOCK_DRAWS, 2 * horizon)
+    chunk = width // 2
+
+    lanes = [(p, i) for p in range(len(points)) for i in range(n)]
+    out = np.empty(len(lanes))
+    for first in range(0, len(lanes), BATCH_LANES):
+        batch = lanes[first:first + BATCH_LANES]
+        m = len(batch)
+        p0 = batch[0][0]
+        # per point, by state: the arrival probability (-1 at lam <= 0, where
+        # no draw is an arrival) and the event an arrival is under its table
+        arrival_p, arrival_event = [], []
+        for table, lam, _ in points[p0:batch[-1][0] + 1]:
+            arrival_p.append(tables.arrival_p(lam) if lam > 0.0 else np.full(states, -1.0))
+            arrival_event.append(2 - (np.asarray(table).ravel() != 0))
+        arrival_p = np.concatenate(arrival_p)
+        arrival_event = np.concatenate(arrival_event)
+        base = np.array([(p - p0) * states for p, _ in batch])
+        lams = np.array([points[p][1] for p, _ in batch])
+        event_draws = (lams > 0.0).astype(np.intp)
+        idle = np.flatnonzero(lams == 0.0)
+        gens = [rngmod.substream(points[p][2], f"rollout-{i}") for p, i in batch]
+
+        u = np.empty((m, width))
+        flat = u.ravel()
+        row_start = np.arange(m) * width
+        cursor = row_start + width
+        s = np.full(m, x0 * (L + 1) + ell0)
+        total = np.zeros(m)
+        disc = 1.0
+        for t in range(0, horizon, chunk):
+            # keep each lane's unread draws and fill the row up behind them
+            for row, gen, used in zip(u, gens, (cursor - row_start).tolist()):
+                row[:width - used] = row[used:]
+                gen.random(out=row[width - used:])
+            cursor = row_start.copy()
+            for _ in range(min(chunk, horizon - t)):
+                if idle.size and (s[idle] <= L).any():  # some idle lane at x == 0
+                    raise NoEventError()
+                g = base + s
+                e3 = 3 * s + (flat[cursor] <= arrival_p[g]) * arrival_event[g]
+                total += disc * step_cost[e3]
+                disc *= beta
+                cursor += event_draws
+                size = np.searchsorted(tables.cdf, flat[cursor], side="right")
+                s = after[e3 * n_r + size]
+                cursor += draws_resource[e3]
+        out[first:first + m] = total
+    return out.reshape(len(points), n)
+
+
+def evaluate_batch(
+    points: Sequence[tuple[np.ndarray, float, int]],
+    cfg: EvalConfig,
+    params: ModelParams,
+    cm: CostModel,
+    rd: ResourceDist,
+) -> list[EvalReport]:
+    """``evaluate`` of each ``(table, lam, seed)`` point, all rolled out together."""
+    reports = []
+    for costs in rollout_costs(points, cfg, params, cm, rd):
+        costs.sort()
+        q1, med, q3 = np.quantile(costs, (0.25, 0.5, 0.75))
+        reports.append(EvalReport(
+            mean=float(costs.mean()),
+            q1=float(q1),
+            median=float(med),
+            q3=float(q3),
+            n_rollouts=cfg.n_rollouts,
+        ))
+    return reports
 
 
 def evaluate(
@@ -255,16 +311,7 @@ def evaluate(
     seed: int,
 ) -> EvalReport:
     """Mean and quartiles of the discounted cost over independent rollouts."""
-    costs = rollout_costs(table, cfg, lam, params, cm, rd, seed)
-    costs.sort()
-    q1, med, q3 = np.quantile(costs, (0.25, 0.5, 0.75))
-    return EvalReport(
-        mean=float(costs.mean()),
-        q1=float(q1),
-        median=float(med),
-        q3=float(q3),
-        n_rollouts=cfg.n_rollouts,
-    )
+    return evaluate_batch([(table, lam, seed)], cfg, params, cm, rd)[0]
 
 
 # ---------------------------------------------------------------------------

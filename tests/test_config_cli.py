@@ -5,9 +5,10 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgeadmit import config as cfgmod
+from edgeadmit import config as cfgmod, evaluate as evaluate_module, learners, salmut
 from edgeadmit.cli import main
 from edgeadmit.config import ConfigError, Experiment
+from edgeadmit.dp import greedy_policy
 
 
 def test_default_config_validates_and_builds():
@@ -197,6 +198,82 @@ def test_cli_horizon_scale_reaches_every_command(tmp_path):
     manifest = json.loads((tmp_path / "runs" / "eval" / "manifest.json").read_text())
     assert report["config_sha256"] == json.loads(art.read_text())["config_sha256"]
     assert manifest["config"]["learner"]["horizon"] == 2000
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-3"])
+def test_cli_horizon_scale_must_be_finite_and_positive(tmp_path, scale):
+    result = CliRunner().invoke(
+        main, ["solve", "--out", str(tmp_path / "runs"), "--horizon-scale", scale]
+    )
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "--horizon-scale: must be finite and > 0" in result.output
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_compare_trace_length_must_be_positive(tmp_path):
+    runner = CliRunner()
+    cfg_path = _desk_config(tmp_path)
+    for args in (
+        ["solve", "--config", str(cfg_path)],
+        ["train", "--config", str(cfg_path), "--learner", "salmut", "--no-periodic-eval"],
+        ["train", "--config", str(cfg_path), "--learner", "qlearning", "--no-periodic-eval"],
+    ):
+        assert runner.invoke(main, args).exit_code == 0
+    for length in ("-5", "0"):
+        result = runner.invoke(main, ["compare", "--config", str(cfg_path),
+                                      "--trace-length", length])
+        assert result.exit_code == 2, result.output
+        assert "--trace-length" in result.output
+        assert not (tmp_path / "runs" / "compare").exists()
+
+
+@pytest.mark.parametrize("learner", ["salmut", "qlearning"])
+def test_cli_train_fills_every_eval_point(tmp_path, monkeypatch, learner):
+    # the CLI evaluates its eval points in batches after recording them: two
+    # points fill a batch of 16 lanes here, so batches are evaluated during
+    # training and the last at its end; every log row must still hold the
+    # one-point evaluation of that step's snapshot, rate and seed
+    monkeypatch.setattr(evaluate_module, "BATCH_LANES", 16)
+    cfg_path = _desk_config(tmp_path, horizon=5000)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["learner"]["eval_every"] = 1000
+    cfg_path.write_text(json.dumps(cfg))
+    result = CliRunner().invoke(main, ["train", "--config", str(cfg_path), "--learner", learner])
+    assert result.exit_code == 0, result.output
+
+    exp = Experiment.from_config(cfgmod.load_config(cfg_path, {"learner": {"kind": learner}}))
+    assert exp.eval_config.n_rollouts == 8
+    for seed in exp.seeds:
+        points = []
+
+        def record(step, lam, snapshot):
+            points.append((step, lam, snapshot))
+
+        args = (exp.scenario, exp.params, exp.costs, exp.resources)
+        if learner == "salmut":
+            salmut.train(*args, cfgmod.build_salmut_config(exp.raw), seed, eval_hook=record)
+            tables = [evaluate_module.policy_table(exp.params, tau=snap) for _, _, snap in points]
+        else:
+            learners.qlearning_train(*args, cfgmod.build_qlearning_config(exp.raw), seed,
+                                     eval_hook=record)
+            tables = [
+                evaluate_module.policy_table(
+                    exp.params, actions=greedy_policy(snap, exp.params.buffer_capacity))
+                for _, _, snap in points
+            ]
+        log = (tmp_path / "runs" / learner / f"seed_{seed}" / "log.csv").read_text()
+        rows = [line.split(",") for line in log.splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == [step for step, _, _ in points]
+        assert len(rows) == 5
+        for row, (step, lam, _), table in zip(rows, points, tables):
+            report = evaluate_module.evaluate(
+                table, exp.eval_config, lam, exp.params, exp.costs, exp.resources,
+                seed=(seed << 20) + step,
+            )
+            assert [float(cell) for cell in row[2:6]] == [
+                report.mean, report.q1, report.median, report.q3
+            ]
 
 
 def test_cli_compare_missing_artifact_is_file_error(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from edgeadmit import evaluate as evaluate_module
 from edgeadmit.dp import value_iteration
 from edgeadmit.evaluate import (
     EvalConfig,
@@ -8,6 +9,7 @@ from edgeadmit.evaluate import (
     aggregate_training_curves,
     behavioral_compare,
     evaluate,
+    evaluate_batch,
     policy_table,
     rollout,
     rollout_costs,
@@ -140,8 +142,8 @@ def test_lanes_equal_scalar_rollout_exactly(
     cfg = EvalConfig(rollout_length=rollout_length, n_rollouts=n_rollouts,
                      initial_state=initial_state)
     for name, table in _tables(canonical_params, canonical_costs, canonical_resources).items():
-        lanes = rollout_costs(table, cfg, lam, canonical_params, canonical_costs,
-                              canonical_resources, seed=31)
+        lanes = rollout_costs([(table, lam, 31)], cfg, canonical_params, canonical_costs,
+                              canonical_resources)[0]
         ref = _reference_costs(table, cfg, lam, canonical_params, canonical_costs,
                                canonical_resources, seed=31)
         assert lanes.tolist() == ref, name
@@ -155,7 +157,7 @@ def test_lanes_equal_scalar_rollout_without_arrivals(
     table = policy_table(canonical_params, accept_below=18)
     args = (0.0, canonical_params, canonical_costs, canonical_resources)
     cfg = EvalConfig(rollout_length=20, n_rollouts=4, initial_state=(20, 20))
-    assert rollout_costs(table, cfg, *args, seed=2).tolist() == _reference_costs(
+    assert rollout_costs([(table, 0.0, 2)], cfg, *args[1:])[0].tolist() == _reference_costs(
         table, cfg, *args, seed=2
     )
     cfg = EvalConfig(rollout_length=21, n_rollouts=4, initial_state=(20, 20))
@@ -164,6 +166,70 @@ def test_lanes_equal_scalar_rollout_without_arrivals(
         _reference_costs(table, cfg, *args, seed=2)
     with pytest.raises(ValueError, match=message):
         evaluate(table, cfg, *args, seed=2)
+
+
+@pytest.mark.parametrize(
+    "block, lanes, rollout_length, n_rollouts",
+    # (the block a lane holds in draws, lanes per batch): a block of 2 lasts
+    # one step; 50 steps are no multiple of a 7-draw block's 3 steps; lanes
+    # per batch that split points across batches; and the defaults
+    [(2, 5, 7, 3), (7, 10, 50, 3), (9, 4, 33, 5), (None, None, 120, 4)],
+)
+def test_batch_lanes_equal_scalar_rollout_exactly(
+    block, lanes, rollout_length, n_rollouts, monkeypatch,
+    canonical_params, canonical_costs, canonical_resources,
+):
+    # one batch mixes every policy kind, two rates and several seeds: the
+    # all-offload table takes one draw per step and tau_L two, so lanes reach
+    # their block's end at different steps; every lane is still the scalar
+    # rollout on its own substream, bit for bit
+    if block is not None:
+        monkeypatch.setattr(evaluate_module, "BLOCK_DRAWS", block)
+        monkeypatch.setattr(evaluate_module, "BATCH_LANES", lanes)
+    cfg = EvalConfig(rollout_length=rollout_length, n_rollouts=n_rollouts)
+    tables = _tables(canonical_params, canonical_costs, canonical_resources)
+    points = [
+        (table, lam, seed)
+        for seed, lam in ((3, 6.0), (4, 9.0), (40, 6.0))
+        for table in tables.values()
+    ]
+    costs = rollout_costs(points, cfg, canonical_params, canonical_costs, canonical_resources)
+    assert costs.shape == (len(points), n_rollouts)
+    for (table, lam, seed), lane_costs in zip(points, costs):
+        ref = _reference_costs(table, cfg, lam, canonical_params, canonical_costs,
+                               canonical_resources, seed=seed)
+        assert lane_costs.tolist() == ref
+    reports = evaluate_batch(points, cfg, canonical_params, canonical_costs,
+                             canonical_resources)
+    assert reports == [
+        evaluate(table, cfg, lam, canonical_params, canonical_costs, canonical_resources,
+                 seed=seed)
+        for table, lam, seed in points
+    ]
+
+
+@pytest.mark.parametrize("block, lanes", [(3, 5), (None, None)])
+def test_batch_with_idle_point_raises_exactly_when_alone(
+    block, lanes, monkeypatch, canonical_params, canonical_costs, canonical_resources
+):
+    # a lam = 0 point among others: from a full buffer its queue empties at
+    # step 20, so it raises at 21 steps and not at 20, alone or in a batch
+    if block is not None:
+        monkeypatch.setattr(evaluate_module, "BLOCK_DRAWS", block)
+        monkeypatch.setattr(evaluate_module, "BATCH_LANES", lanes)
+    table = policy_table(canonical_params, accept_below=18)
+    points = [(table, 6.0, 1), (table, 0.0, 2), (policy_table(canonical_params), 9.0, 3)]
+    args = (canonical_params, canonical_costs, canonical_resources)
+    cfg = EvalConfig(rollout_length=20, n_rollouts=4, initial_state=(20, 20))
+    costs = rollout_costs(points, cfg, *args)
+    for (table, lam, seed), lane_costs in zip(points, costs):
+        assert lane_costs.tolist() == _reference_costs(table, cfg, lam, *args, seed=seed)
+    cfg = EvalConfig(rollout_length=21, n_rollouts=4, initial_state=(20, 20))
+    with pytest.raises(NoEventError):
+        rollout_costs(points[1:2], cfg, *args)
+    with pytest.raises(NoEventError):
+        rollout_costs(points, cfg, *args)
+    rollout_costs(points[::2], cfg, *args)
 
 
 def test_evaluate_constant_cost_geometric_sum(canonical_params, canonical_resources):
