@@ -117,46 +117,6 @@ def solve(config_path, seed, out, scenario, horizon_scale, tol, self_loop_varian
     _run(body)
 
 
-def _make_eval_hook(exp: Experiment, seed: int, kind: str):
-    """Periodic evaluation against the traffic seen at the evaluation step.
-
-    Returns the trainer's hook and ``fill(log)``.  The hook records each
-    eval point, and the points are evaluated a batch at a time as they fill
-    one, so only one batch of tables is held.  ``fill`` evaluates the rest
-    and returns ``log`` with each row's report in its ``eval_*`` fields.
-    """
-    ecfg = exp.eval_config
-    per_batch = max(1, ev.BATCH_LANES // ecfg.n_rollouts)
-    pending: list[tuple[np.ndarray, float, int]] = []
-    reports: list[ev.EvalReport] = []
-
-    def flush() -> None:
-        reports.extend(ev.evaluate_batch(pending, ecfg, exp.params, exp.costs, exp.resources))
-        pending.clear()
-
-    def hook(step: int, lam: float, snapshot: np.ndarray) -> None:
-        if kind == "salmut":
-            policy = ev.policy_table(exp.params, tau=snapshot)
-        else:
-            policy = ev.policy_table(
-                exp.params, actions=dp.greedy_policy(snapshot, exp.params.buffer_capacity)
-            )
-        pending.append((policy, lam, (seed << 20) + step))
-        if len(pending) == per_batch:
-            flush()
-
-    def fill(log: list[learners.LogRow]) -> list[learners.LogRow]:
-        if pending:
-            flush()
-        return [
-            dataclasses.replace(row, eval_mean=r.mean, eval_q1=r.q1,
-                                eval_median=r.median, eval_q3=r.q3)
-            for row, r in zip(log, reports, strict=True)
-        ]
-
-    return hook, fill
-
-
 @main.command()
 @config_option
 @click.option("--learner", type=click.Choice(["salmut", "qlearning"]), default=None)
@@ -179,31 +139,38 @@ def train(config_path, seed, out, scenario, horizon_scale, learner, paper_litera
         sha = artifacts.config_hash(exp.raw)
         out_dir = exp.output_dir / kind
         horizon = exp.raw["learner"]["horizon"]
-        logs = []
+        curves = []
         for s in exp.seeds:
-            hook, fill = (None, None) if no_periodic_eval else _make_eval_hook(exp, s, kind)
             seed_dir = out_dir / f"seed_{s}"
             if kind == "salmut":
-                scfg = cfgmod.build_salmut_config(exp.raw)
                 result = salmut.train(
-                    exp.scenario, exp.params, exp.costs, exp.resources, scfg, s,
-                    eval_hook=hook,
+                    exp.scenario, exp.params, exp.costs, exp.resources, exp.salmut, s
                 )
                 art = artifacts.policy_artifact(
                     "salmut", sha, seed=s,
-                    tau=result.tau.tolist(), temperature=scfg.temperature,
+                    tau=result.tau.tolist(), temperature=exp.salmut.temperature,
                 )
             else:
-                qcfg = cfgmod.build_qlearning_config(exp.raw)
                 result = learners.qlearning_train(
-                    exp.scenario, exp.params, exp.costs, exp.resources, qcfg, s,
-                    eval_hook=hook,
+                    exp.scenario, exp.params, exp.costs, exp.resources, exp.qlearning, s
                 )
                 art = artifacts.policy_artifact(
                     "qlearning", sha, seed=s,
                     q=result.q.tolist(), policy=result.policy.tolist(),
                 )
-            log = fill(result.log) if fill else result.log
+            log = result.log
+            if not no_periodic_eval:
+                reports = ev.evaluate_batch(
+                    [(table, lam, (s << 20) + row.step)
+                     for row, (lam, table) in zip(log, result.evals)],
+                    exp.eval_config, exp.params, exp.costs, exp.resources,
+                )
+                log = [
+                    dataclasses.replace(row, eval_mean=r.mean, eval_q1=r.q1,
+                                        eval_median=r.median, eval_q3=r.q3)
+                    for row, r in zip(log, reports)
+                ]
+                curves.append([(row.step, row.eval_mean) for row in log])
             artifacts.write_json(seed_dir / "policy.json", art)
             artifacts.log_rows_to_csv(seed_dir / "log.csv", log)
             artifacts.write_csv(
@@ -211,9 +178,8 @@ def train(config_path, seed, out, scenario, horizon_scale, learner, paper_litera
                 ("step", "lambda", "n_users"),
                 trajectory(exp.scenario, horizon, s),
             )
-            logs.append(log)
             click.echo(f"{kind} seed {s}: done ({horizon} steps)")
-        curve = ev.aggregate_training_curves(logs)
+        curve = ev.aggregate_training_curves(curves)
         if curve:
             artifacts.write_csv(
                 out_dir / "training_curve.csv", ("step", "median", "q1", "q3"), curve
@@ -351,28 +317,14 @@ def evaluate(config_path, seed, out, scenario, horizon_scale, artifact_path,
 def _aggregate_curves_from_dir(root: Path):
     import csv
 
-    logs = []
+    curves = []
     for log_path in sorted(root.glob("seed_*/log.csv")):
-        rows = []
         with open(log_path, newline="") as fh:
-            for rec in csv.DictReader(fh):
-                mean = rec["eval_mean"]
-                rows.append(
-                    learners.LogRow(
-                        step=int(rec["step"]),
-                        policy_hash=rec["policy_hash"],
-                        eval_mean=float(mean) if mean else None,
-                        eval_q1=None,
-                        eval_median=None,
-                        eval_q3=None,
-                        grad_abs_window=float(rec["grad_abs_window"]),
-                        grad_step_window=float(rec["grad_step_window"]),
-                    )
-                )
-        logs.append(rows)
-    if not logs:
+            curves.append([(int(rec["step"]), float(rec["eval_mean"]))
+                           for rec in csv.DictReader(fh) if rec["eval_mean"]])
+    if not curves:
         raise FileNotFoundError(f"no seed_*/log.csv under {root}")
-    return ev.aggregate_training_curves(logs)
+    return ev.aggregate_training_curves(curves)
 
 
 @main.command()
@@ -400,7 +352,7 @@ def compare(config_path, seed, out, scenario, horizon_scale, trace_seed, trace_l
             art = artifacts.load_artifact(art_path, artifacts.POLICY_SCHEMA)
             policies[kind] = _policy_from_artifact(art, exp)
         policies["baseline"] = ev.policy_table(
-            exp.params, accept_below=cfgmod.build_baseline(exp.raw).accept_below
+            exp.params, accept_below=exp.baseline.accept_below
         )
 
         horizon = trace_length or exp.raw["learner"]["horizon"]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -169,8 +170,10 @@ def validate_config(cfg: dict) -> None:
             f"costs.{name}",
             f"must have length cpu_levels + 1 = {levels + 1}, got {len(table)}",
         )
+    _expect(_finite(cfg["costs"]["holding"]), "costs.holding", "must be a finite number")
     pmf = cfg["resources"]["pmf"]
-    _expect(isinstance(pmf, list) and len(pmf) >= 1, "resources.pmf", "must be a non-empty list")
+    _expect(isinstance(pmf, list) and len(pmf) >= 1 and all(map(_finite, pmf)),
+            "resources.pmf", "must be a non-empty list of finite numbers")
     _expect(abs(sum(pmf) - 1.0) <= 1e-12, "resources.pmf", "must sum to 1")
     _expect(all(p >= 0 for p in pmf), "resources.pmf", "entries must be >= 0")
     kind = cfg["scenario"]["kind"]
@@ -188,13 +191,24 @@ def validate_config(cfg: dict) -> None:
         "must be a non-empty list of integers",
     )
     horizon = cfg["learner"]["horizon"]
-    _expect(isinstance(horizon, int) and horizon >= 1, "learner.horizon", "must be an integer >= 1")
+    # the learners and the horizon scale compute with the horizon as a float
+    _expect(type(horizon) is int and 1 <= horizon <= 2**53, "learner.horizon",
+            "must be an integer in [1, 2**53]")
+    tol, max_iter = cfg["solver"]["tol"], cfg["solver"]["max_iter"]
+    _expect(_finite(tol) and tol > 0, "solver.tol", "must be a number > 0")
+    _expect(type(max_iter) is int and max_iter >= 1, "solver.max_iter", "must be an integer >= 1")
+    _expect(type(cfg["solver"]["self_loop"]) is bool, "solver.self_loop", "must be a boolean")
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a JSON number (bool is none) of finite float value."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _wrap(path: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(path, str(exc))
 
 
@@ -220,7 +234,7 @@ def build_resource_dist(cfg: dict) -> ResourceDist:
 
 def build_scenario(cfg: dict) -> Scenario:
     s = dict(cfg["scenario"])
-    s["phase_fractions"] = tuple(s["phase_fractions"])
+    s["phase_fractions"] = _wrap("scenario.phase_fractions", tuple, s["phase_fractions"])
     return _wrap("scenario", Scenario, **s)
 
 
@@ -231,7 +245,7 @@ def build_salmut_config(cfg: dict) -> SalmutConfig:
         SalmutConfig,
         horizon=lrn["horizon"],
         eval_every=lrn["eval_every"],
-        start_state=tuple(lrn["start_state"]),
+        start_state=lrn["start_state"],
         **lrn["salmut"],
     )
 
@@ -243,7 +257,7 @@ def build_qlearning_config(cfg: dict) -> QLearningConfig:
         QLearningConfig,
         horizon=lrn["horizon"],
         eval_every=lrn["eval_every"],
-        start_state=tuple(lrn["start_state"]),
+        start_state=lrn["start_state"],
         **lrn["qlearning"],
     )
 
@@ -253,9 +267,7 @@ def build_baseline(cfg: dict) -> BaselinePolicy:
 
 
 def build_eval_config(cfg: dict) -> EvalConfig:
-    e = dict(cfg["eval"])
-    e["initial_state"] = tuple(e["initial_state"])
-    return _wrap("eval", EvalConfig, **e)
+    return _wrap("eval", EvalConfig, **cfg["eval"])
 
 
 @dataclass(frozen=True)
@@ -268,21 +280,33 @@ class Experiment:
     resources: ResourceDist
     scenario: Scenario
     eval_config: EvalConfig
+    salmut: SalmutConfig
+    qlearning: QLearningConfig
+    baseline: BaselinePolicy
     seeds: tuple[int, ...]
     output_dir: Path
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Experiment":
-        return cls(
+        """Build every section, so each command rejects any malformed one."""
+        exp = cls(
             raw=cfg,
             params=build_model_params(cfg),
             costs=build_cost_model(cfg),
             resources=build_resource_dist(cfg),
             scenario=build_scenario(cfg),
             eval_config=build_eval_config(cfg),
+            salmut=build_salmut_config(cfg),
+            qlearning=build_qlearning_config(cfg),
+            baseline=build_baseline(cfg),
             seeds=tuple(cfg["seeds"]),
             output_dir=Path(cfg["output_dir"]),
         )
+        X, L = exp.params.buffer_capacity, exp.params.cpu_levels
+        for path, (x, ell) in (("learner.start_state", exp.salmut.start_state),
+                               ("eval.initial_state", exp.eval_config.initial_state)):
+            _expect(0 <= x <= X and 0 <= ell <= L, path, f"must lie in [0, {X}] x [0, {L}]")
+        return exp
 
     def planning_rate(self) -> float:
         """Arrival rate for the time-homogeneous planning problem."""

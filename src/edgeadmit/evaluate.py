@@ -22,6 +22,7 @@ import numpy as np
 from . import rng as rngmod
 from .model import (
     Action, ChainTables, CostModel, ModelParams, NoEventError, ResourceDist, StepKernel,
+    freeze_pair,
 )
 from .scenarios import Scenario, trajectory
 
@@ -35,6 +36,7 @@ class EvalConfig:
     overload_level: int = 18
 
     def __post_init__(self) -> None:
+        freeze_pair(self, "initial_state")
         for name in ("rollout_length", "n_rollouts", "window"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -205,7 +207,8 @@ def rollout_costs(
 
     Returns a ``(len(points), n_rollouts)`` array.  Lane ``i`` of a point is
     ``rollout`` on ``substream(seed, f"rollout-{i}")``, and all lanes of all
-    points step together as numpy lanes, ``BATCH_LANES`` at a time.  A lane
+    points step together as numpy lanes, ``BATCH_LANES`` at a time, so a
+    call holds one batch of lanes however many points it scores.  A lane
     reads its uniforms through its own cursor in the order ``rollout`` draws
     them; they come in blocks of ``BLOCK_DRAWS``, refilled from the lane's
     own generator, and ``random(k)`` twice returns what ``random(2 * k)``
@@ -231,28 +234,32 @@ def rollout_costs(
     width = min(BLOCK_DRAWS, 2 * horizon)
     chunk = width // 2
 
-    lanes = [(p, i) for p in range(len(points)) for i in range(n)]
-    out = np.empty(len(lanes))
-    for first in range(0, len(lanes), BATCH_LANES):
-        batch = lanes[first:first + BATCH_LANES]
+    out = np.empty(len(points) * n)
+    # every batch refills its rows before it reads them, so one array serves all
+    u = np.empty((min(BATCH_LANES, len(out)), width))
+    flat = u.ravel()
+    for first in range(0, len(out), BATCH_LANES):
+        # lane j is rollout i of point p, where (p, i) = divmod(j, n)
+        batch = range(first, min(first + BATCH_LANES, len(out)))
         m = len(batch)
-        p0 = batch[0][0]
+        p0 = first // n
+        local = np.arange(first, first + m) // n - p0
+        here = points[p0:p0 + local[-1] + 1]
         # per point, by state: the arrival probability (-1 at lam <= 0, where
         # no draw is an arrival) and the event an arrival is under its table
         arrival_p, arrival_event = [], []
-        for table, lam, _ in points[p0:batch[-1][0] + 1]:
+        for table, lam, _ in here:
             arrival_p.append(tables.arrival_p(lam) if lam > 0.0 else np.full(states, -1.0))
             arrival_event.append(2 - (np.asarray(table).ravel() != 0))
         arrival_p = np.concatenate(arrival_p)
         arrival_event = np.concatenate(arrival_event)
-        base = np.array([(p - p0) * states for p, _ in batch])
-        lams = np.array([points[p][1] for p, _ in batch])
+        base = local * states
+        lams = np.array([lam for _, lam, _ in here])[local]
         event_draws = (lams > 0.0).astype(np.intp)
         idle = np.flatnonzero(lams == 0.0)
-        gens = [rngmod.substream(points[p][2], f"rollout-{i}") for p, i in batch]
+        gens = [rngmod.substream(points[p][2], f"rollout-{i}")
+                for p, i in map(divmod, batch, itertools.repeat(n))]
 
-        u = np.empty((m, width))
-        flat = u.ravel()
         row_start = np.arange(m) * width
         cursor = row_start + width
         s = np.full(m, x0 * (L + 1) + ell0)
@@ -276,6 +283,7 @@ def rollout_costs(
                 s = after[e3 * n_r + size]
                 cursor += draws_resource[e3]
         out[first:first + m] = total
+        del gens  # so that two batches' generators are never held at once
     return out.reshape(len(points), n)
 
 
@@ -387,20 +395,15 @@ def behavioral_compare(
 
 
 def aggregate_training_curves(
-    logs: list[list],
+    curves: list[list[tuple[int, float]]],
 ) -> list[tuple[int, float, float, float]]:
-    """Across-seed (step, median, q1, q3) of the per-seed evaluated means."""
-    if not logs:
-        return []
+    """Across-seed (step, median, q1, q3) of each seed's ``(step, mean)`` eval points."""
     by_step: dict[int, list[float]] = {}
-    for log in logs:
-        for row in log:
-            if row.eval_mean is not None:
-                by_step.setdefault(row.step, []).append(row.eval_mean)
+    for curve in curves:
+        for step, mean in curve:
+            by_step.setdefault(step, []).append(mean)
     rows = []
     for step in sorted(by_step):
-        vals = np.array(by_step[step])
-        q1, med, q3 = np.quantile(vals, (0.25, 0.5, 0.75))
+        q1, med, q3 = np.quantile(np.array(by_step[step]), (0.25, 0.5, 0.75))
         rows.append((step, float(med), float(q1), float(q3)))
     return rows
-

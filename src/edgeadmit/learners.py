@@ -2,8 +2,8 @@
 
 Both learners run ``arrival_loop``: it advances the scenario, steps the
 chain through ``model.StepKernel``, counts arrivals and keeps the update
-diagnostics and the periodic log.  A learner supplies only its action rule,
-its update and its snapshot.
+diagnostics, the periodic log and the eval points.  A learner supplies only
+its action rule, its update and its snapshot.
 """
 
 from __future__ import annotations
@@ -16,20 +16,20 @@ import numpy as np
 
 from . import rng as rngmod
 from .dp import greedy_policy
-from .model import CostModel, ModelParams, ResourceDist, StepKernel
+from .model import CostModel, ModelParams, ResourceDist, StepKernel, freeze_pair
 from .scenarios import Scenario, ScenarioState
 
-EvalHook = Callable[[int, float, np.ndarray], dict[str, float] | None]
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class LogRow:
+    """A ``log.csv`` row; the ``eval_*`` fields stay empty without periodic evaluation."""
+
     step: int
     policy_hash: str
-    eval_mean: float | None
-    eval_q1: float | None
-    eval_median: float | None
-    eval_q3: float | None
+    eval_mean: float | None = None
+    eval_q1: float | None = None
+    eval_median: float | None = None
+    eval_q3: float | None = None
     grad_abs_window: float
     grad_step_window: float
 
@@ -45,11 +45,10 @@ def arrival_loop(
     rd: ResourceDist,
     config,
     seed: int,
-    eval_hook: EvalHook | None,
     act: Callable[[int, int, int], int],
     update: Callable[[int, int, int, float, int, int, int], tuple[float, float] | None],
     snapshot: Callable[[], tuple[np.ndarray, np.ndarray]],
-) -> tuple[list[LogRow], np.ndarray, np.ndarray, int]:
+) -> tuple[list[LogRow], list[tuple[float, np.ndarray]], np.ndarray, np.ndarray, int]:
     """Run ``config.horizon`` steps from ``config.start_state``, learning at arrivals.
 
     ``act(x, ell, n)`` picks the action at an arrival; at a full buffer the
@@ -58,12 +57,15 @@ def arrival_loop(
     returns a diagnostic pair ``(g, step)``, or None to record nothing.
     Every ``config.eval_every`` steps the window means of ``|g|`` and
     ``|step|`` go into a ``LogRow`` with the ``policy_hash`` of
-    ``snapshot()[0]``; ``eval_hook`` gets ``snapshot()[1]``, which must be a
+    ``snapshot()[0]`` and empty ``eval_*`` fields, and the eval point
+    ``(lam, snapshot()[1])`` goes into the eval list, the rate and the
+    ``(X+1, L+1)`` policy table to score for that row; the table must be a
     fresh array.  Events and resource sizes come from the ``events`` and
     ``resources`` substreams of ``seed``, drawn in blocks.  The scenario is
     advanced only at its change points, and the steps between two of them
-    run at one rate.  Returns the log, the per-tenth-of-horizon means of
-    ``|g|`` and ``|step|``, and the arrival count.
+    run at one rate.  Returns the log, the eval points, the
+    per-tenth-of-horizon means of ``|g|`` and ``|step|``, and the arrival
+    count.
     """
     X, L = params.buffer_capacity, params.cpu_levels
     horizon, eval_every = config.horizon, config.eval_every
@@ -83,6 +85,7 @@ def arrival_loop(
     win_n = 0
     tenth_g, tenth_s, tenth_n = [0.0] * 10, [0.0] * 10, [0] * 10
     log: list[LogRow] = []
+    evals: list[tuple[float, np.ndarray]] = []
     arrivals = 0
     changes = ss.event_steps()
     for start, stop in zip([0, *changes], [*changes, horizon]):
@@ -106,26 +109,21 @@ def arrival_loop(
             x, ell = nx, nl
 
             if (n + 1) % eval_every == 0:
-                hashed, shown = snapshot()
-                digest = policy_hash(hashed)
-                stats = (eval_hook(n + 1, lam, shown) if eval_hook else None) or {}
+                hashed, table = snapshot()
                 log.append(
                     LogRow(
                         step=n + 1,
-                        policy_hash=digest,
-                        eval_mean=stats.get("mean"),
-                        eval_q1=stats.get("q1"),
-                        eval_median=stats.get("median"),
-                        eval_q3=stats.get("q3"),
+                        policy_hash=policy_hash(hashed),
                         grad_abs_window=win_g / win_n if win_n else 0.0,
                         grad_step_window=win_s / win_n if win_n else 0.0,
                     )
                 )
+                evals.append((lam, table))
                 win_g = win_s = 0.0
                 win_n = 0
 
     counts = np.maximum(tenth_n, 1)
-    return log, np.array(tenth_g) / counts, np.array(tenth_s) / counts, arrivals
+    return log, evals, np.array(tenth_g) / counts, np.array(tenth_s) / counts, arrivals
 
 
 @dataclass
@@ -133,6 +131,7 @@ class QLearningResult:
     q: np.ndarray
     policy: np.ndarray  # greedy extraction, same tie rule as the planner
     log: list[LogRow]
+    evals: list[tuple[float, np.ndarray]]  # (lam, greedy table) per log row
     tenth_td_abs: np.ndarray
     tenth_step_abs: np.ndarray
     arrivals: int
@@ -182,6 +181,7 @@ class QLearningConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if not 0.0 < self.epsilon_decay_fraction <= 1.0:
             raise ValueError("epsilon_decay_fraction must lie in (0, 1]")
+        freeze_pair(self, "start_state")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.eval_every < 1:
@@ -213,7 +213,6 @@ def qlearning_train(
     rd: ResourceDist,
     config: QLearningConfig,
     seed: int,
-    eval_hook: EvalHook | None = None,
 ) -> QLearningResult:
     """Arrival-gated TD loop with an epsilon-greedy behavior policy.
 
@@ -241,11 +240,9 @@ def qlearning_train(
         return td, rate * td
 
     def snapshot():
-        shown = np.array(q)
-        return greedy_policy(shown, X), shown
+        table = greedy_policy(np.array(q), X)
+        return table, table
 
-    out = arrival_loop(
-        scenario, params, cm, rd, config, seed, eval_hook, act, update, snapshot
-    )
+    out = arrival_loop(scenario, params, cm, rd, config, seed, act, update, snapshot)
     q_out = np.array(q)
     return QLearningResult(q_out, greedy_policy(q_out, X), *out)

@@ -30,6 +30,14 @@ class State(NamedTuple):
     ell: int
 
 
+def freeze_pair(obj, name: str) -> None:
+    """Store a dataclass's state field ``name`` as a tuple of two ints, else raise."""
+    pair = tuple(getattr(obj, name))
+    if len(pair) != 2 or not all(type(v) is int for v in pair):
+        raise ValueError(f"{name} must be a pair of integers")
+    object.__setattr__(obj, name, pair)
+
+
 class CostTableWarning(UserWarning):
     """Cost tables break the monotonicity assumptions of the structural results."""
 

@@ -30,8 +30,9 @@ from typing import Callable
 import numpy as np
 
 from . import rng as rngmod
-from .learners import EvalHook, LogRow, arrival_loop
-from .model import Action, CostModel, ModelParams, ResourceDist, State
+from .evaluate import policy_table
+from .learners import LogRow, arrival_loop
+from .model import Action, CostModel, ModelParams, ResourceDist, State, freeze_pair
 from .scenarios import Scenario
 
 
@@ -165,19 +166,17 @@ class AdaptiveMoments:
 
     The guard sits inside the square root, so the effective step is bounded
     by ``rate * |m| / sqrt(eps)`` and vanishing gradients produce vanishing
-    steps instead of being renormalized to full size.  Each visited
-    coordinate keeps ``[m, v, count]`` in Python numbers; ``m``, ``v`` and
-    ``counts`` read them out as arrays of ``shape``.
+    steps instead of being renormalized to full size.  ``cells`` maps each
+    visited coordinate to its ``[m, v, count]``, in Python numbers.
     """
 
-    shape: tuple[int, ...]
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    _cells: dict = field(init=False, repr=False)
+    cells: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._cells = {}
+        self.cells = {}
         self._mix1, self._mix2 = 1.0 - self.beta1, 1.0 - self.beta2
         self._c1, self._tail1 = bias_correction(self.beta1)
         self._c2, self._tail2 = bias_correction(self.beta2)
@@ -185,33 +184,15 @@ class AdaptiveMoments:
 
     def step(self, idx, g: float, rate: float) -> float:
         """Descent step for gradient g at coordinate idx."""
-        cell = self._cells.get(idx)
+        cell = self.cells.get(idx)
         if cell is None:
-            cell = self._cells[idx] = [0.0, 0.0, 0]
+            cell = self.cells[idx] = [0.0, 0.0, 0]
         t = cell[2] = cell[2] + 1
         m = cell[0] = self.beta1 * cell[0] + self._mix1 * g
         v = cell[1] = self.beta2 * cell[1] + self._mix2 * g * g
         m_hat = m / (self._c1[t - 1] if t <= self._n1 else self._tail1(t))
         v_hat = v / (self._c2[t - 1] if t <= self._n2 else self._tail2(t))
         return rate * m_hat / math.sqrt(v_hat + self.eps)
-
-    def _read(self, k: int, dtype=float) -> np.ndarray:
-        out = np.zeros(self.shape, dtype)
-        for idx, cell in self._cells.items():
-            out[idx] = cell[k]
-        return out
-
-    @property
-    def m(self) -> np.ndarray:
-        return self._read(0)
-
-    @property
-    def v(self) -> np.ndarray:
-        return self._read(1)
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self._read(2, np.int64)
 
 
 @dataclass(frozen=True)
@@ -244,6 +225,7 @@ class SalmutConfig:
             raise ValueError("temperature must be > 0")
         if self.mode not in ("adam", "decay"):
             raise ValueError("mode must be 'adam' or 'decay'")
+        freeze_pair(self, "start_state")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.eval_every < 1:
@@ -278,6 +260,7 @@ class TrainResult:
     tau: np.ndarray
     q: np.ndarray
     log: list[LogRow]
+    evals: list[tuple[float, np.ndarray]]  # (lam, policy_table of tau) per log row
     # per-tenth-of-horizon aggregates of the actor diagnostics
     tenth_grad_abs: np.ndarray    # mean |gradient estimate|
     tenth_step_abs: np.ndarray    # mean |realized tau change|
@@ -291,7 +274,6 @@ def train(
     rd: ResourceDist,
     config: SalmutConfig,
     seed: int,
-    eval_hook: EvalHook | None = None,
 ) -> TrainResult:
     """Run the arrival-gated actor-critic loop for ``config.horizon`` steps.
 
@@ -319,12 +301,8 @@ def train(
     adam = config.mode == "adam"
     critic_mom = actor_mom = None
     if adam:
-        critic_mom = AdaptiveMoments(
-            (X + 1, L + 1, 2), config.adam_beta1, config.adam_beta2, config.critic_epsilon
-        )
-        actor_mom = AdaptiveMoments(
-            (X + 1,), config.adam_beta1, config.adam_beta2, config.actor_epsilon
-        )
+        critic_mom = AdaptiveMoments(config.adam_beta1, config.adam_beta2, config.critic_epsilon)
+        actor_mom = AdaptiveMoments(config.adam_beta1, config.adam_beta2, config.actor_epsilon)
     n0 = config.decay_n0
     k_c, k_a = config.decay_kappa_critic, config.decay_kappa_actor
 
@@ -343,10 +321,8 @@ def train(
         return actor_update(tau, s, q, actor_rate, temp, float(L), literal, actor_mom)
 
     def snapshot():
-        shown = np.array(tau)
-        return shown, shown
+        hashed = np.array(tau)
+        return hashed, policy_table(params, tau=hashed)
 
-    out = arrival_loop(
-        scenario, params, cm, rd, config, seed, eval_hook, act, update, snapshot
-    )
+    out = arrival_loop(scenario, params, cm, rd, config, seed, act, update, snapshot)
     return TrainResult(np.array(tau), np.array(q), *out)

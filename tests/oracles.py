@@ -179,3 +179,11 @@ def enumerate_optimal(
             best_sum = v.sum()
             best_policy = policy
     return pointwise_min, best_policy
+
+
+def moment_arrays(mom, shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An ``AdaptiveMoments``' per-coordinate m, v and step counts as arrays of ``shape``."""
+    m, v, counts = np.zeros(shape), np.zeros(shape), np.zeros(shape, np.int64)
+    for idx, (m_i, v_i, t_i) in mom.cells.items():
+        m[idx], v[idx], counts[idx] = m_i, v_i, t_i
+    return m, v, counts

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from edgeadmit import config as cfgmod, evaluate as evaluate_module, learners, salmut
 from edgeadmit.cli import main
 from edgeadmit.config import ConfigError, Experiment
-from edgeadmit.dp import greedy_policy
 
 
 def test_default_config_validates_and_builds():
@@ -230,11 +229,10 @@ def test_cli_compare_trace_length_must_be_positive(tmp_path):
 
 @pytest.mark.parametrize("learner", ["salmut", "qlearning"])
 def test_cli_train_fills_every_eval_point(tmp_path, monkeypatch, learner):
-    # the CLI evaluates its eval points in batches after recording them: two
-    # points fill a batch of 16 lanes here, so batches are evaluated during
-    # training and the last at its end; every log row must still hold the
-    # one-point evaluation of that step's snapshot, rate and seed
-    monkeypatch.setattr(evaluate_module, "BATCH_LANES", 16)
+    # the CLI scores a seed's eval points in one call; with 12 lanes a batch
+    # ends inside a point's 8 rollouts, and every log row must still hold the
+    # one-point evaluation of that row's eval point and seed
+    monkeypatch.setattr(evaluate_module, "BATCH_LANES", 12)
     cfg_path = _desk_config(tmp_path, horizon=5000)
     cfg = json.loads(cfg_path.read_text())
     cfg["learner"]["eval_every"] = 1000
@@ -245,35 +243,57 @@ def test_cli_train_fills_every_eval_point(tmp_path, monkeypatch, learner):
     exp = Experiment.from_config(cfgmod.load_config(cfg_path, {"learner": {"kind": learner}}))
     assert exp.eval_config.n_rollouts == 8
     for seed in exp.seeds:
-        points = []
-
-        def record(step, lam, snapshot):
-            points.append((step, lam, snapshot))
-
         args = (exp.scenario, exp.params, exp.costs, exp.resources)
         if learner == "salmut":
-            salmut.train(*args, cfgmod.build_salmut_config(exp.raw), seed, eval_hook=record)
-            tables = [evaluate_module.policy_table(exp.params, tau=snap) for _, _, snap in points]
+            trained = salmut.train(*args, exp.salmut, seed)
         else:
-            learners.qlearning_train(*args, cfgmod.build_qlearning_config(exp.raw), seed,
-                                     eval_hook=record)
-            tables = [
-                evaluate_module.policy_table(
-                    exp.params, actions=greedy_policy(snap, exp.params.buffer_capacity))
-                for _, _, snap in points
-            ]
+            trained = learners.qlearning_train(*args, exp.qlearning, seed)
         log = (tmp_path / "runs" / learner / f"seed_{seed}" / "log.csv").read_text()
         rows = [line.split(",") for line in log.splitlines()[1:]]
-        assert [int(row[0]) for row in rows] == [step for step, _, _ in points]
-        assert len(rows) == 5
-        for row, (step, lam, _), table in zip(rows, points, tables):
+        assert [int(row[0]) for row in rows] == [r.step for r in trained.log]
+        assert len(rows) == len(trained.evals) == 5
+        for row, (lam, table) in zip(rows, trained.evals):
             report = evaluate_module.evaluate(
                 table, exp.eval_config, lam, exp.params, exp.costs, exp.resources,
-                seed=(seed << 20) + step,
+                seed=(seed << 20) + int(row[0]),
             )
             assert [float(cell) for cell in row[2:6]] == [
                 report.mean, report.q1, report.median, report.q3
             ]
+
+
+# each value is a wrong type or shape for its field, or out of its range
+@pytest.mark.parametrize("section,field,value", [
+    ("resources", "pmf", ["a"]),
+    ("costs", "holding", "x"),
+    ("costs", "holding", None),
+    ("model", "cores", "2"),
+    ("eval", "n_rollouts", "5"),
+    ("learner", "eval_every", "5"),
+    ("learner.salmut", "temperature", "5"),
+    ("solver", "tol", "1"),
+    ("solver", "tol", -1),
+    ("solver", "max_iter", "x"),
+    ("learner", "start_state", [0]),
+    ("learner", "start_state", 5),
+    ("learner", "start_state", [99, 0]),
+    ("eval", "initial_state", [0]),
+    pytest.param("learner", "horizon", 10**400, id="learner-horizon-1e400"),
+])
+def test_cli_wrong_config_value_is_input_error(tmp_path, section, field, value):
+    cfg = json.loads(_desk_config(tmp_path).read_text())
+    owner = cfg
+    for key in section.split("."):
+        owner = owner.setdefault(key, {})
+    owner[field] = value
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    for args in (["solve"], ["train", "--no-periodic-eval"]):
+        result = CliRunner().invoke(main, [*args, "--config", str(cfg_path)])
+        assert result.exit_code == 2, (args, result.output)
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "config error at" in result.output
+    assert not (tmp_path / "runs").exists()
 
 
 def test_cli_compare_missing_artifact_is_file_error(tmp_path):

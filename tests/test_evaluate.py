@@ -14,7 +14,6 @@ from edgeadmit.evaluate import (
     rollout,
     rollout_costs,
 )
-from edgeadmit.learners import LogRow
 from edgeadmit.model import Action, CostModel, NoEventError
 from edgeadmit.rng import substream
 from edgeadmit.scenarios import Scenario
@@ -437,11 +436,9 @@ def test_rollout_mean_matches_exact_policy_value(
 
 def test_aggregate_training_curves():
     logs = [
-        [LogRow(100, "h", 1.0, None, None, None, 0.0, 0.0),
-         LogRow(200, "h", 3.0, None, None, None, 0.0, 0.0)],
-        [LogRow(100, "h", 2.0, None, None, None, 0.0, 0.0),
-         LogRow(200, "h", 5.0, None, None, None, 0.0, 0.0)],
-        [LogRow(100, "h", 3.0, None, None, None, 0.0, 0.0)],
+        [(100, 1.0), (200, 3.0)],
+        [(100, 2.0), (200, 5.0)],
+        [(100, 3.0)],
     ]
     rows = aggregate_training_curves(logs)
     assert rows[0][0] == 100

@@ -38,29 +38,29 @@ COMPARE_DIGESTS = {
 }
 TRAINER_DIGESTS = {
     ("qlearning", 1):
-        "e6e48fdc30db4816e4d4394f170b699e52c4bc84e6ad1ca172345fca52373321",
+        "d1c6995adedde6419c3de87c23087c238f6dc5a0281c9f6f0a9a105431267835",
     ("qlearning", 2):
-        "1605b80acd969cf951cf00e484bc7c1a858b4d4074b732b51ce51f62a24e7bec",
+        "e30eea0e014b8b391b0b9c0c6dddc4b7e182d0b6b3d93e12b824c185a0129c24",
     ("qlearning", 3):
-        "30d3fd42d3e8d9a90dba7a9424326ceb59123fd8403f413bc8a7eb34d0b2d621",
+        "4c00174352385ed9f0604aed3b8998beee5f4e84fc876a04ee756a0337d43cd1",
     ("qlearning", 6):
-        "915d9a9c92dfecbf3cc8c0f939f1e2773879fd7db889affcb958c2f85d8b5b63",
+        "5ff5407cc6f5314e5c7f292c07163e83a754877be7843394b2f219aab6d8e976",
     ("salmut-adam", 1):
-        "84de781aa24deb1b9455962042cc7f9d5ebeee27410c7d85ac601f2ffc73f230",
+        "f5db51f2d790ebc237843c40e265891e4ce942c5e4d667d73f0426ec4bfe9b98",
     ("salmut-adam", 2):
-        "b794938cc6351c3e9f9ef87259a74864c27fcdf5d0711736a9404223a97caf40",
+        "01e84ec879fb0163964b8503f4add939d93d74a077bb3c7458345f114ab0047f",
     ("salmut-adam", 3):
-        "a26a17a17528d523dbbc0776e09101f981bb95687a2bb790b3311138820291e9",
+        "6851075dfdb96af242433292debb3d01d38396c861bded18bd229aa20f5b732f",
     ("salmut-adam", 6):
-        "d493dec30afa1fac7f8d3b56c0e41e371e32742b5d4b1b411f829383638ddc41",
+        "440e5e588af088675ce9ff3a3f4043207ece6f33273808f176d96aee0a712291",
     ("salmut-decay", 1):
-        "54f5c78edb97331b1657f9ac7eeabed652f2cfee1d77ec1fdcefc41ba5dd52b0",
+        "bb57f2e5d555a2cf7199af0ac81980fd712b5649892b51333a68b34984acc756",
     ("salmut-decay", 2):
-        "ef2e4634e83153ebc575baf30b84cbdbe085cd9e6f85e2c55ebb8b864081ac69",
+        "bc5f4c9a1a1c5c7eae6ab5996348993d3588f733bff8ee127d1a1540320ed17e",
     ("salmut-decay", 3):
-        "7d5f3a97e2d389912c36b7ac3b4ba502133b9a906d44e751c439c15f6d121c18",
+        "f8380fc067d478fa8e2c5849100b131f321dd39e696d278a65ac40301179eef2",
     ("salmut-decay", 6):
-        "1bdab88c58ea20b611d2fe4ef594c1bf74cc08b1675e14a013d375127745db87",
+        "3bfdbd59c3550d3a9205de9944faffb936a779a0cabc41af1a2bf305ad59300a",
 }
 TRAJECTORY_DIGEST = "2dd5756cbf1e4ef32b7dcd6270a3c10db7014b6a967b43345bce907fab42928e"
 
@@ -120,19 +120,16 @@ def test_trajectory_rows_golden():
     assert digest(rows) == TRAJECTORY_DIGEST
 
 
-def _hook(step, lam, snapshot):
-    """Stats that depend on every argument, so the digest covers the hook's inputs."""
-    return {"mean": float(snapshot.sum()), "q1": float(lam), "median": float(step),
-            "q3": float(snapshot.max())}
-
-
 def _log_rows(log) -> list:
     return [
-        (int(r.step), r.policy_hash, float(r.eval_mean), float(r.eval_q1),
-         float(r.eval_median), float(r.eval_q3), float(r.grad_abs_window),
-         float(r.grad_step_window))
+        (int(r.step), r.policy_hash, r.eval_mean, r.eval_q1, r.eval_median, r.eval_q3,
+         float(r.grad_abs_window), float(r.grad_step_window))
         for r in log
     ]
+
+
+def _eval_points(evals) -> list:
+    return [(float(lam), str(table.dtype), table.tolist()) for lam, table in evals]
 
 
 @pytest.mark.parametrize("learner,kind", sorted(TRAINER_DIGESTS))
@@ -142,13 +139,12 @@ def test_trainer_outputs_golden(
     args = (Scenario(kind=kind), canonical_params, canonical_costs, canonical_resources)
     if learner == "qlearning":
         res = qlearning_train(*args, QLearningConfig(horizon=20_000, eval_every=2500),
-                              seed=5, eval_hook=_hook)
-        out = (res.q.tolist(), res.policy.tolist(), _log_rows(res.log),
+                              seed=5)
+        out = (res.q.tolist(), res.policy.tolist(), _log_rows(res.log), _eval_points(res.evals),
                res.tenth_td_abs.tolist(), res.tenth_step_abs.tolist(), int(res.arrivals))
     else:
         mode = learner.split("-")[1]
-        res = train(*args, SalmutConfig(horizon=20_000, eval_every=2500, mode=mode),
-                    seed=5, eval_hook=_hook)
-        out = (res.tau.tolist(), res.q.tolist(), _log_rows(res.log),
+        res = train(*args, SalmutConfig(horizon=20_000, eval_every=2500, mode=mode), seed=5)
+        out = (res.tau.tolist(), res.q.tolist(), _log_rows(res.log), _eval_points(res.evals),
                res.tenth_grad_abs.tolist(), res.tenth_step_abs.tolist(), int(res.arrivals))
     assert digest(out) == TRAINER_DIGESTS[learner, kind]

@@ -3,9 +3,10 @@ import pytest
 
 from edgeadmit.dp import greedy_policy, value_iteration
 from edgeadmit.evaluate import policy_table
-from edgeadmit.learners import QLearningConfig, qlearning_train
+from edgeadmit.learners import QLearningConfig, policy_hash, qlearning_train
 from edgeadmit.model import Action
 from edgeadmit.rng import BLOCK, block_uniforms, substream
+from edgeadmit.salmut import SalmutConfig, train
 from edgeadmit.scenarios import Scenario
 
 
@@ -118,8 +119,6 @@ def test_qlearning_deterministic(canonical_params, canonical_costs, canonical_re
 
 
 def test_qlearning_log_schema_matches_salmut(canonical_params, canonical_costs, canonical_resources):
-    from edgeadmit.salmut import SalmutConfig, train
-
     qcfg = QLearningConfig(horizon=2000, eval_every=1000)
     scfg = SalmutConfig(horizon=2000, eval_every=1000)
     q_res = qlearning_train(
@@ -142,3 +141,20 @@ def test_qlearning_policy_has_forced_offload_row(
         Scenario(kind=1), canonical_params, canonical_costs, canonical_resources, cfg, seed=1
     )
     assert np.all(result.policy[20, :] == Action.OFFLOAD)
+
+
+def test_eval_points_are_the_logged_policies(
+    canonical_params, canonical_costs, canonical_resources
+):
+    # Q-learning's eval table is the greedy table its row hashes; SALMUT's
+    # last eval point, at the horizon, scores the returned thresholds
+    args = (Scenario(kind=6), canonical_params, canonical_costs, canonical_resources)
+    q_res = qlearning_train(*args, QLearningConfig(horizon=4000, eval_every=1000), seed=3)
+    assert len(q_res.evals) == len(q_res.log) == 4
+    assert [policy_hash(table) for _, table in q_res.evals] == [
+        row.policy_hash for row in q_res.log
+    ]
+    assert np.array_equal(q_res.evals[-1][1], q_res.policy)
+    s_res = train(*args, SalmutConfig(horizon=4000, eval_every=1000), seed=3)
+    assert len(s_res.evals) == len(s_res.log) == 4
+    assert np.array_equal(s_res.evals[-1][1], policy_table(canonical_params, tau=s_res.tau))

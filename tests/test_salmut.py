@@ -20,6 +20,8 @@ from edgeadmit.salmut import (
 )
 from edgeadmit.scenarios import Scenario
 
+from oracles import moment_arrays
+
 
 def flat_tau(value: float, n: int = 21) -> np.ndarray:
     return np.full(n, float(value))
@@ -196,14 +198,15 @@ def test_gradient_estimate_values():
 
 
 def test_adaptive_moments_step_bound_and_finiteness():
-    mom = AdaptiveMoments(shape=(3,), eps=1e-2)
+    mom = AdaptiveMoments(eps=1e-2)
     total = 0.0
     for i in range(1000):
         step = mom.step(1, 1e-6 if i % 2 else -1e-6, 0.01)
         assert math.isfinite(step)
         assert abs(step) <= 0.01 * 1.0 / math.sqrt(1e-2) + 1e-12
         total += step
-    assert np.isfinite(mom.m).all() and np.isfinite(mom.v).all()
+    m, v, _ = moment_arrays(mom, (3,))
+    assert np.isfinite(m).all() and np.isfinite(v).all()
 
 
 @pytest.mark.parametrize("beta,length", [(0.9, 355), (0.999, 37_411)])
@@ -223,7 +226,7 @@ def test_bias_correction_table_equals_numpy_power(beta, length):
 def test_adaptive_moments_match_numpy_scalar_steps():
     # reference: bias corrections from numpy-scalar powers, the values the
     # trainer digests pin
-    mom = AdaptiveMoments(shape=(2,), eps=1e-8)
+    mom = AdaptiveMoments(eps=1e-8)
     m = v = 0.0
     gs = substream(1, "moments").normal(size=40_000).tolist()
     for t, g in enumerate(gs, start=1):
@@ -233,8 +236,9 @@ def test_adaptive_moments_match_numpy_scalar_steps():
             v / (1.0 - 0.999 ** np.int64(t)) + 1e-8
         )
         assert mom.step(1, g, 0.01) == want
-    assert mom.counts.tolist() == [0, 40_000]
-    assert mom.m[1] == m and mom.v[1] == v
+    moments, squares, counts = moment_arrays(mom, (2,))
+    assert counts.tolist() == [0, 40_000]
+    assert moments[1] == m and squares[1] == v
 
 
 def test_salmut_config_validation():
@@ -293,22 +297,17 @@ def test_train_tau_stays_in_bounds(canonical_params, canonical_costs, canonical_
     assert np.all(result.tau >= 0.0) and np.all(result.tau <= 20.0)
 
 
-def test_train_eval_hook_cadence(canonical_params, canonical_costs, canonical_resources):
-    calls = []
-
-    def hook(step, lam, snapshot):
-        calls.append((step, lam, snapshot.shape))
-        return {"mean": 1.0, "q1": 0.5, "median": 1.0, "q3": 1.5}
-
+def test_train_eval_points_cadence(canonical_params, canonical_costs, canonical_resources):
+    # one eval point per log row, at the rate of the row's last step: scenario
+    # 2 runs at 9.0 from step 667 to 1332 and at 6.0 elsewhere
     cfg = SalmutConfig(horizon=2000, eval_every=500)
     result = train(
-        Scenario(kind=1), canonical_params, canonical_costs, canonical_resources, cfg, seed=1,
-        eval_hook=hook,
+        Scenario(kind=2), canonical_params, canonical_costs, canonical_resources, cfg, seed=1
     )
-    assert [c[0] for c in calls] == [500, 1000, 1500, 2000]
-    assert all(c[1] == pytest.approx(6.0) for c in calls)
     assert [row.step for row in result.log] == [500, 1000, 1500, 2000]
-    assert all(row.eval_mean == 1.0 for row in result.log)
+    assert [lam for lam, _ in result.evals] == [6.0, 9.0, 6.0, 6.0]
+    assert all(table.dtype == np.int8 and table.shape == (21, 21) for _, table in result.evals)
+    assert all(row.eval_mean is None for row in result.log)
 
 
 def test_gradient_estimate_unbiasedness_self_consistency(
