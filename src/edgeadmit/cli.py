@@ -320,8 +320,13 @@ def _aggregate_curves_from_dir(root: Path):
     curves = []
     for log_path in sorted(root.glob("seed_*/log.csv")):
         with open(log_path, newline="") as fh:
-            curves.append([(int(rec["step"]), float(rec["eval_mean"]))
-                           for rec in csv.DictReader(fh) if rec["eval_mean"]])
+            try:
+                curves.append([(int(rec["step"]), float(rec["eval_mean"]))
+                               for rec in csv.DictReader(fh) if rec["eval_mean"]])
+            except KeyError as exc:
+                raise ArtifactError(f"{log_path}: no column {exc}") from None
+            except (TypeError, ValueError) as exc:  # a short row reads None
+                raise ArtifactError(f"{log_path}: {exc}") from None
     if not curves:
         raise FileNotFoundError(f"no seed_*/log.csv under {root}")
     return ev.aggregate_training_curves(curves)
@@ -375,7 +380,7 @@ def compare(config_path, seed, out, scenario, horizon_scale, trace_seed, trace_l
             (
                 (w.index, name, w.c_ov, w.c_off, w.cost_discounted, w.cost_undiscounted)
                 for name in sorted(series)
-                for w in series[name]
+                for w in series[name].windows
             ),
         )
         artifacts.write_csv(
@@ -384,7 +389,7 @@ def compare(config_path, seed, out, scenario, horizon_scale, trace_seed, trace_l
             (
                 (name, w.index, w.c_off, w.c_ov)
                 for name in sorted(series)
-                for w in series[name]
+                for w in series[name].windows
             ),
         )
         names = sorted(policies)
@@ -411,10 +416,11 @@ def compare(config_path, seed, out, scenario, horizon_scale, trace_seed, trace_l
                 "trace_length": horizon,
                 "totals": {
                     name: {
-                        "c_ov": sum(w.c_ov for w in ws),
-                        "c_off": sum(w.c_off for w in ws),
+                        "c_ov": sum(w.c_ov for w in ps.windows),
+                        "c_off": sum(w.c_off for w in ps.windows),
+                        "trap_step": ps.trap_step,
                     }
-                    for name, ws in sorted(series.items())
+                    for name, ps in sorted(series.items())
                 },
                 "config_sha256": artifacts.config_hash(exp.raw),
             },

@@ -159,7 +159,15 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
+# the grid has (X + 1) * (L + 1) states and the planner holds several arrays
+# over it, so an unbounded buffer would ask numpy for an unallocatable grid
+MAX_BUFFER_CAPACITY = 10_000
+
+
 def validate_config(cfg: dict) -> None:
+    buffer = cfg["model"]["buffer_capacity"]
+    _expect(type(buffer) is int and 1 <= buffer <= MAX_BUFFER_CAPACITY, "model.buffer_capacity",
+            f"must be an integer in [1, {MAX_BUFFER_CAPACITY}]")
     levels = cfg["model"]["cpu_levels"]
     _expect(isinstance(levels, int) and levels >= 1, "model.cpu_levels", "must be an integer >= 1")
     for name in ("running", "penalty"):

@@ -60,6 +60,14 @@ class RolloutResult:
 
 
 @dataclass(frozen=True)
+class PolicySeries:
+    """One policy's shared-trace windows and the step its trajectory is trapped at."""
+
+    windows: tuple[MetricsWindow, ...]
+    trap_step: int | None  # first step at x = 0 in an offload state, None if never
+
+
+@dataclass(frozen=True)
 class EvalReport:
     mean: float
     q1: float
@@ -112,24 +120,40 @@ def policy_table(
 def _windows(
     kernel: StepKernel,
     table: np.ndarray,
-    draws: Iterable[tuple[float, Callable[[], float], Callable[[], float]]],
+    rates: np.ndarray,
+    draws: Callable[[int], Iterable[tuple[float, Callable[[], float], Callable[[], float]]]],
     beta: float,
     initial_state: tuple[int, int],
     window: int,
     overload_level: int,
-) -> tuple[float, list[MetricsWindow]]:
-    """Step ``table`` through ``kernel`` once per ``(lam, event_u, resource_u)``.
+) -> tuple[float, list[MetricsWindow], int | None]:
+    """Step ``table`` through ``kernel`` for ``len(rates)`` steps, step t at rate ``rates[t]``.
 
-    Returns the discounted total and the per-window metrics.  ``rollout`` and
-    ``behavioral_compare`` both run this loop; they differ only in where the
-    arrival rate and the uniforms come from.
+    ``draws(t)`` yields one ``(lam, event_u, resource_u)`` per step from step
+    ``t`` on, with ``lam == rates[t]``.  Returns the discounted total, the
+    per-window metrics and the trap step: the first step that starts at
+    ``x = 0`` in a state the table offloads from, with ``lam > 0``, or None.
+    ``rollout`` and ``behavioral_compare`` both run this loop; they differ
+    only in where the arrival rates and the uniforms come from.
+
+    A trapped state is absorbing while ``lam > 0``: ``delta(0) = 1``, so every
+    event is an arrival, offloaded at the same cost.  From the trap step to
+    the first step with ``lam <= 0`` the loop calls neither the kernel nor
+    ``draws`` and applies the same float operations in the same order, so
+    every window is the kernel's bit for bit; that step goes back to the
+    kernel, which raises ``NoEventError`` at ``lam == 0``.  Once
+    ``disc * beta == disc`` (``disc`` sticks at the smallest subnormal and
+    never reaches 0.0 for ``beta`` > 0.5) and a step no longer moves
+    ``total``, every full window is the same, so it is computed once.
     """
     offloads = np.asarray(table).tolist()
+    trapped = offloads[0]
 
     def decide(x: int, ell: int, n: int) -> int:
         return offloads[x][ell]
 
     step = kernel.step
+    horizon = len(rates)
     x, ell = initial_state
     total = 0.0
     disc = 1.0
@@ -137,29 +161,81 @@ def _windows(
     w_disc = w_undisc = 0.0
     w_ov = w_off = 0
     w_index = w_fill = 0
+    trap_step = None
 
-    for lam, event_u, resource_u in draws:
-        x, ell, a, incurred = step(x, ell, lam, decide, 0, event_u, resource_u)
-        if a:
-            w_off += 1
-        discounted = disc * incurred
-        total += discounted
-        w_disc += discounted
-        w_undisc += incurred
-        if ell >= overload_level:
-            w_ov += 1
-        disc *= beta
-        w_fill += 1
-        if w_fill == window:
-            windows.append(MetricsWindow(w_index, w_disc, w_undisc, w_ov, w_off))
-            w_index += 1
-            w_disc = w_undisc = 0.0
-            w_ov = w_off = 0
-            w_fill = 0
+    t = 0
+    while t < horizon:
+        for lam, event_u, resource_u in draws(t):
+            if not x and trapped[ell] and lam > 0.0:
+                break
+            x, ell, a, incurred = step(x, ell, lam, decide, 0, event_u, resource_u)
+            if a:
+                w_off += 1
+            discounted = disc * incurred
+            total += discounted
+            w_disc += discounted
+            w_undisc += incurred
+            if ell >= overload_level:
+                w_ov += 1
+            disc *= beta
+            w_fill += 1
+            if w_fill == window:
+                windows.append(MetricsWindow(w_index, w_disc, w_undisc, w_ov, w_off))
+                w_index += 1
+                w_disc = w_undisc = 0.0
+                w_ov = w_off = 0
+                w_fill = 0
+        else:
+            break
+
+        # trapped at step t, up to the first later step with lam <= 0
+        t = w_index * window + w_fill
+        if trap_step is None:
+            trap_step = t
+        rest = rates[t:]
+        # min() allocates nothing, where a mask of the rest of a long trace
+        # would be left on the malloc heap and raise the peak RSS
+        stop = horizon if rest.min() > 0.0 else t + int(np.flatnonzero(~(rest > 0.0))[0])
+        cost = kernel.offload_cost[0][ell]
+        over = ell >= overload_level
+        while t < stop:
+            n = min(window - w_fill, stop - t)
+            if n == window and disc * beta == disc and total + disc * cost == total:
+                # neither disc nor total moves again: the full windows left are all this one
+                repeats = (stop - t) // window
+                discounted = disc * cost
+                for _ in range(window):
+                    w_disc += discounted
+                    w_undisc += cost
+                windows.extend(
+                    MetricsWindow(w_index + i, w_disc, w_undisc, window if over else 0, window)
+                    for i in range(repeats)
+                )
+                w_index += repeats
+                w_disc = w_undisc = 0.0
+                t += repeats * window
+                continue
+            for _ in range(n):
+                discounted = disc * cost
+                total += discounted
+                w_disc += discounted
+                w_undisc += cost
+                disc *= beta
+            w_off += n
+            if over:
+                w_ov += n
+            w_fill += n
+            t += n
+            if w_fill == window:
+                windows.append(MetricsWindow(w_index, w_disc, w_undisc, w_ov, w_off))
+                w_index += 1
+                w_disc = w_undisc = 0.0
+                w_ov = w_off = 0
+                w_fill = 0
 
     if w_fill:
         windows.append(MetricsWindow(w_index, w_disc, w_undisc, w_ov, w_off))
-    return total, windows
+    return total, windows, trap_step
 
 
 def rollout(
@@ -179,11 +255,12 @@ def rollout(
 
     This is the one-lane reference for ``rollout_costs``.  It steps through
     ``StepKernel`` with both draws from ``rng``: an event draw per step when
-    ``lam > 0``, then a resource draw unless the arrival is offloaded.
+    ``lam > 0``, then a resource draw unless the arrival is offloaded.  A
+    trapped rollout draws nothing more (see ``_windows``).
     """
-    total, windows = _windows(
-        StepKernel(params, cm, rd), table,
-        itertools.repeat((lam, rng.random, rng.random), horizon),
+    total, windows, _ = _windows(
+        StepKernel(params, cm, rd), table, np.broadcast_to(lam, horizon),
+        lambda t: itertools.repeat((lam, rng.random, rng.random), horizon - t),
         beta, initial_state, window, overload_level,
     )
     return RolloutResult(discounted_cost=total, windows=tuple(windows))
@@ -360,7 +437,7 @@ def behavioral_compare(
     window: int = 1000,
     overload_level: int = 18,
     initial_state: tuple[int, int] = (0, 0),
-) -> dict[str, tuple[MetricsWindow, ...]]:
+) -> dict[str, PolicySeries]:
     """Replay one event trace under each policy table and collect per-window metrics.
 
     The event at step t is an arrival iff ``z_t <= lam_t / (lam_t + busy)``;
@@ -383,15 +460,18 @@ def behavioral_compare(
             map(_constant_draw, trace.resource_u[steps].tolist()),
         )
 
+    def draws(start: int):
+        return itertools.chain.from_iterable(map(chunk, range(start, horizon, _CHUNK)))
+
     kernel = StepKernel(params, cm, rd)
-    return {
-        name: tuple(_windows(
-            kernel, table,
-            itertools.chain.from_iterable(map(chunk, range(0, horizon, _CHUNK))),
+    series = {}
+    for name, table in policies.items():
+        _, windows, trap_step = _windows(
+            kernel, table, lam_t, draws,
             params.discount_beta, initial_state, window, overload_level,
-        )[1])
-        for name, table in policies.items()
-    }
+        )
+        series[name] = PolicySeries(tuple(windows), trap_step)
+    return series
 
 
 def aggregate_training_curves(

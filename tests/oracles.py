@@ -1,9 +1,11 @@
 """Independent reference computations used to pin expected test values.
 
-Nothing here reuses the solver's sweep machinery or the simulator's step:
-one-step distributions are enumerated outcome by outcome, policies are
-evaluated by solving the linear fixed-point system directly, and optima are
-found by enumerating every admissible deterministic stationary policy.
+Nothing here reuses the solver's sweep machinery: one-step distributions
+are enumerated outcome by outcome, policies are evaluated by solving the
+linear fixed-point system directly, and optima are found by enumerating
+every admissible deterministic stationary policy.  The one use of the
+simulator's step is ``windowed_replay``, the plain loop over
+``StepKernel.step`` that the windowed loop's trap fast-forward must equal.
 """
 
 from __future__ import annotations
@@ -13,7 +15,11 @@ import math
 
 import numpy as np
 
-from edgeadmit.model import Action, CostModel, ModelParams, NoEventError, ResourceDist, State
+from edgeadmit.evaluate import MetricsWindow
+from edgeadmit.model import (
+    Action, CostModel, ModelParams, NoEventError, ResourceDist, State, StepKernel,
+)
+from edgeadmit.scenarios import ScenarioState
 
 
 def delta(x: int, lam: float, params: ModelParams) -> float:
@@ -187,3 +193,61 @@ def moment_arrays(mom, shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for idx, (m_i, v_i, t_i) in mom.cells.items():
         m[idx], v[idx], counts[idx] = m_i, v_i, t_i
     return m, v, counts
+
+
+def trace_draws(scenario, trace):
+    """``(lam, event_u, resource_u)`` per step of a shared trace, the rate advanced step by step."""
+    ss = ScenarioState.create(scenario, len(trace.z), trace.seed)
+    for t, (z, u) in enumerate(zip(trace.z.tolist(), trace.resource_u.tolist())):
+        if t:
+            ss.advance_to(t)
+        yield ss.lam, (lambda z=z: z), (lambda u=u: u)
+
+
+def windowed_replay(
+    table: np.ndarray,
+    draws,
+    params: ModelParams,
+    cm: CostModel,
+    rd: ResourceDist,
+    initial_state: tuple[int, int] = (0, 0),
+    window: int = 1000,
+    overload_level: int = 18,
+) -> tuple[float, list[MetricsWindow], int | None]:
+    """Every step through ``StepKernel.step``, with no trap fast-forward.
+
+    ``draws`` yields ``(lam, event_u, resource_u)`` per step.  Returns the
+    discounted total, the per-window metrics and the first step that starts
+    at ``x = 0`` in a state ``table`` offloads from with ``lam > 0`` (None if
+    none does).
+    """
+    kernel = StepKernel(params, cm, rd)
+    offloads = np.asarray(table).tolist()
+    beta = params.discount_beta
+    x, ell = initial_state
+    total, disc = 0.0, 1.0
+    windows: list[MetricsWindow] = []
+    w_disc = w_undisc = 0.0
+    w_ov = w_off = w_fill = 0
+    trap_step = None
+    for t, (lam, event_u, resource_u) in enumerate(draws):
+        if trap_step is None and x == 0 and offloads[0][ell] and lam > 0.0:
+            trap_step = t
+        x, ell, a, incurred = kernel.step(
+            x, ell, lam, lambda x, ell, n: offloads[x][ell], 0, event_u, resource_u
+        )
+        w_off += bool(a)
+        discounted = disc * incurred
+        total += discounted
+        w_disc += discounted
+        w_undisc += incurred
+        w_ov += ell >= overload_level
+        disc *= beta
+        w_fill += 1
+        if w_fill == window:
+            windows.append(MetricsWindow(len(windows), w_disc, w_undisc, w_ov, w_off))
+            w_disc = w_undisc = 0.0
+            w_ov = w_off = w_fill = 0
+    if w_fill:
+        windows.append(MetricsWindow(len(windows), w_disc, w_undisc, w_ov, w_off))
+    return total, windows, trap_step

@@ -409,8 +409,8 @@ def behavioral_runs(solution, canonical_params, canonical_costs, canonical_resou
 def behavioral_totals(behavioral_runs):
     return {
         kind: {
-            name: (sum(w.c_ov for w in ws), sum(w.c_off for w in ws))
-            for name, ws in series.items()
+            name: (sum(w.c_ov for w in ps.windows), sum(w.c_off for w in ps.windows))
+            for name, ps in series.items()
         }
         for kind, (_, _, _, series, _) in behavioral_runs.items()
     }
@@ -460,9 +460,29 @@ def _replay_until_trapped(policy, scenario, trace, params, cm, rd):
     return None, offloads
 
 
-def test_criterion_9_offload_ordering(
-    behavioral_runs, behavioral_totals, canonical_params, canonical_costs, canonical_resources
-):
+@pytest.fixture(scope="module")
+def trap_replays(behavioral_runs, canonical_params, canonical_costs, canonical_resources):
+    """Per scenario and policy: ``_replay_until_trapped``'s trap step and offload flags."""
+    return {
+        kind: {
+            name: _replay_until_trapped(
+                policy, scenario, trace, canonical_params, canonical_costs, canonical_resources
+            )
+            for name, policy in policies.items()
+        }
+        for kind, (scenario, policies, trace, _, _) in behavioral_runs.items()
+    }
+
+
+def test_compare_trap_step_matches_replay(behavioral_runs, trap_replays):
+    # the step compare writes as trap_step, where its fast-forward starts, is
+    # the first step a plain replay starts at x = 0 in an offload state
+    for kind, (_, _, _, series, _) in behavioral_runs.items():
+        for name, ps in series.items():
+            assert ps.trap_step == trap_replays[kind][name][0], (kind, name)
+
+
+def test_criterion_9_offload_ordering(behavioral_runs, behavioral_totals, trap_replays):
     """The learned policy should offload at least as often as the baseline.
 
     The failure message carries the measured evidence.  The baseline and the
@@ -482,14 +502,11 @@ def test_criterion_9_offload_ordering(
         t["salmut"][1] >= t["baseline"][1] for t in behavioral_totals.values()
     )
     details = {}
-    for kind, (scenario, policies, trace, _, tau) in behavioral_runs.items():
+    for kind, (_, policies, trace, _, tau) in behavioral_runs.items():
         horizon = len(trace.z)
         trapped, offloads = {}, {}
-        for name, policy in policies.items():
-            trapped[name], offloads[name] = _replay_until_trapped(
-                policy, scenario, trace, canonical_params, canonical_costs,
-                canonical_resources,
-            )
+        for name in policies:
+            trapped[name], offloads[name] = trap_replays[kind][name]
             # the replay must reproduce the compared trajectory's offload total
             replayed = sum(offloads[name]) + (
                 horizon - trapped[name] if trapped[name] is not None else 0

@@ -6,8 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgeadmit import config as cfgmod, evaluate as evaluate_module, learners, salmut
-from edgeadmit.cli import main
+from edgeadmit.cli import _policy_from_artifact, main
 from edgeadmit.config import ConfigError, Experiment
+
+from oracles import trace_draws, windowed_replay
 
 
 def test_default_config_validates_and_builds():
@@ -138,6 +140,21 @@ def test_cli_curves_aggregation_parses_logs(tmp_path):
             cells = line.split(",")
             float(cells[6])
             float(cells[7])
+
+
+@pytest.mark.parametrize("log,message", [
+    ("step,eval_mean\n100,x\n", "could not convert"),
+    ("step,eval_q1\n100,1.0\n", "no column 'eval_mean'"),
+    ("eval_mean,step\n1.0\n", "int()"),
+])
+def test_cli_curves_from_malformed_log_is_input_error(tmp_path, log, message):
+    log_path = tmp_path / "salmut" / "seed_0" / "log.csv"
+    log_path.parent.mkdir(parents=True)
+    log_path.write_text(log)
+    result = CliRunner().invoke(main, ["evaluate", "--curves-from", str(tmp_path / "salmut")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert str(log_path) in result.output and message in result.output
 
 
 def test_cli_train_qlearning_same_log_schema(tmp_path):
@@ -279,6 +296,10 @@ def test_cli_train_fills_every_eval_point(tmp_path, monkeypatch, learner):
     ("learner", "start_state", [99, 0]),
     ("eval", "initial_state", [0]),
     pytest.param("learner", "horizon", 10**400, id="learner-horizon-1e400"),
+    pytest.param("model", "buffer_capacity", 10**400, id="model-buffer-capacity-1e400"),
+    ("model", "buffer_capacity", 10_001),
+    ("model", "buffer_capacity", 0),
+    ("model", "buffer_capacity", True),
 ])
 def test_cli_wrong_config_value_is_input_error(tmp_path, section, field, value):
     cfg = json.loads(_desk_config(tmp_path).read_text())
@@ -331,6 +352,25 @@ def test_cli_compare_end_to_end(tmp_path):
     assert len(behavioral) == 1 + 4 * 40  # 2000 steps / window 50 per policy
     scatter = (out / "scatter.csv").read_text().splitlines()
     assert len(scatter) == len(behavioral)
+    # each policy's trap step is where a plain replay first sits at x = 0 in
+    # a state its table offloads from
+    exp = Experiment.from_config(cfgmod.load_config(cfg_path))
+    trace = evaluate_module.EventTrace.generate(1234, 2000)
+    runs = tmp_path / "runs"
+    artifacts = {
+        "dp": dict(json.loads((runs / "dp" / "solution.json").read_text()), kind="dp"),
+        "salmut": json.loads((runs / "salmut" / "seed_0" / "policy.json").read_text()),
+        "qlearning": json.loads((runs / "qlearning" / "seed_0" / "policy.json").read_text()),
+        "baseline": {"kind": "baseline", "accept_below": exp.baseline.accept_below},
+    }
+    totals = json.loads((out / "summary.json").read_text())["totals"]
+    for name, art in artifacts.items():
+        _, _, trap_step = windowed_replay(
+            _policy_from_artifact(art, exp), trace_draws(exp.scenario, trace),
+            exp.params, exp.costs, exp.resources, exp.eval_config.initial_state,
+        )
+        assert totals[name]["trap_step"] == trap_step, name
+        assert set(totals[name]) == {"c_ov", "c_off", "trap_step"}
     # byte-identical rerun
     before = {p: p.read_bytes() for p in out.iterdir()}
     result = runner.invoke(main, args)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from edgeadmit.dp import value_iteration
 from edgeadmit.evaluate import (
     EvalConfig,
     EventTrace,
+    PolicySeries,
     aggregate_training_curves,
     behavioral_compare,
     evaluate,
@@ -18,7 +21,7 @@ from edgeadmit.model import Action, CostModel, NoEventError
 from edgeadmit.rng import substream
 from edgeadmit.scenarios import Scenario
 
-from oracles import relative_gap, simulated_policy_value
+from oracles import relative_gap, simulated_policy_value, trace_draws, windowed_replay
 
 
 def test_rollout_single_departure_step(canonical_params, canonical_costs, canonical_resources):
@@ -338,18 +341,18 @@ def test_behavioral_compare_shared_randomness(canonical_params, canonical_costs,
         policies, scenario, canonical_params, canonical_costs, canonical_resources, trace, window=1000
     )
     assert set(series) == {"baseline", "tight"}
-    assert len(series["baseline"]) == 20
+    assert len(series["baseline"].windows) == 20
     # scatter export shape: one row per (policy, window)
-    rows = [(n, w.index, w.c_off, w.c_ov) for n in series for w in series[n]]
+    rows = [(n, w.index, w.c_off, w.c_ov) for n in series for w in series[n].windows]
     assert len(rows) == 40
     # the high-rate middle phase must overload the baseline
-    base_total_ov = sum(w.c_ov for w in series["baseline"])
-    tight_total_ov = sum(w.c_ov for w in series["tight"])
+    base_total_ov = sum(w.c_ov for w in series["baseline"].windows)
+    tight_total_ov = sum(w.c_ov for w in series["tight"].windows)
     assert base_total_ov > 0
     assert tight_total_ov < base_total_ov
     # proactive thresholds offload at least as often as the reactive baseline
-    assert sum(w.c_off for w in series["tight"]) >= sum(
-        w.c_off for w in series["baseline"]
+    assert sum(w.c_off for w in series["tight"].windows) >= sum(
+        w.c_off for w in series["baseline"].windows
     )
 
 
@@ -383,10 +386,112 @@ def test_behavioral_compare_without_arrivals(
     series = behavioral_compare(
         policies, *args, EventTrace.generate(4, 20), initial_state=(20, 20)
     )
-    [only] = series["baseline"]
+    [only] = series["baseline"].windows
     assert only.index == 0 and only.c_off == 0
     with pytest.raises(NoEventError, match="no event possible"):
         behavioral_compare(policies, *args, EventTrace.generate(4, 21), initial_state=(20, 20))
+
+
+def _replayed(policies, scenario, params, cm, rd, trace, **kwargs) -> dict:
+    """``behavioral_compare`` by ``windowed_replay``: every step through the kernel."""
+    series = {}
+    for name, table in policies.items():
+        _, windows, trap_step = windowed_replay(
+            table, trace_draws(scenario, trace), params, cm, rd, **kwargs
+        )
+        series[name] = PolicySeries(tuple(windows), trap_step)
+    return series
+
+
+def test_compare_trapped_from_the_first_step(
+    canonical_params, canonical_costs, canonical_resources
+):
+    # the all-offload table never leaves (0, 0); past step ~14 500 the discount
+    # sits at the smallest subnormal, so full windows repeat, and the trace
+    # ends in a partial window
+    args = ({"all_offload": policy_table(canonical_params)}, Scenario(kind=1),
+            canonical_params, canonical_costs, canonical_resources,
+            EventTrace.generate(21, 20_500))
+    series = behavioral_compare(*args)
+    assert series == _replayed(*args)
+    [only] = series.values()
+    assert only.trap_step == 0
+    assert len(only.windows) == 21 and only.windows[-1].c_off == 500
+
+
+# (costs, table at x = 0): a trap at a positive cost (the canonical tables,
+# the planner and the baseline) and at a negative one (no penalty, so the
+# running table's negative band, which the table offloads from)
+@pytest.mark.parametrize("sign", ["positive", "negative"])
+def test_compare_fast_forward_equals_plain_replay(
+    sign, canonical_params, canonical_costs, canonical_resources
+):
+    if sign == "positive":
+        costs = canonical_costs
+        sol = value_iteration(6.0, canonical_params, costs, canonical_resources, tol=1e-9)
+        policies = {
+            "dp": policy_table(canonical_params, actions=sol.policy),
+            "baseline": policy_table(canonical_params, accept_below=18),
+        }
+    else:
+        costs = CostModel(holding=canonical_costs.holding, running=canonical_costs.running,
+                          penalty=np.zeros(21))
+        band = np.zeros((21, 21), dtype=int)
+        band[0, 6:18] = 1
+        policies = {"band": policy_table(canonical_params, actions=band)}
+    # window 1000 does not divide the trace, so the last window is partial
+    args = (policies, Scenario(kind=1), canonical_params, costs, canonical_resources,
+            EventTrace.generate(0, 20_500))
+    series = behavioral_compare(*args)
+    assert series == _replayed(*args)
+    for ps in series.values():
+        # trapped inside a window, early enough for the repeated full windows
+        assert 0 < ps.trap_step < 14_000 and ps.trap_step % 1000
+        assert (ps.windows[-1].cost_undiscounted > 0) == (sign == "positive")
+
+
+def test_rollout_fast_forward_equals_plain_replay(
+    canonical_params, canonical_costs, canonical_resources
+):
+    # rollout's rate is one constant: its total, which the repeated full
+    # windows must leave alone, equals the plain loop's too
+    args = (canonical_params, canonical_costs, canonical_resources)
+    for table in (policy_table(canonical_params),
+                  policy_table(canonical_params, accept_below=18)):
+        rr = rollout(table, 6.0, *args, horizon=20_500, beta=0.95, rng=substream(3, "ff"))
+        rng = substream(3, "ff")
+        total, windows, _ = windowed_replay(
+            table, itertools.repeat((6.0, rng.random, rng.random), 20_500), *args
+        )
+        assert (rr.discounted_cost, rr.windows) == (total, tuple(windows))
+
+
+@pytest.mark.parametrize("initial_state", [(0, 0), (2, 0)])
+def test_compare_trap_then_no_arrivals_raises_at_the_plain_step(
+    initial_state, canonical_params, canonical_costs, canonical_resources
+):
+    # one user who leaves at step 8 on this seed: lam = 0 from there on.  Up
+    # to a horizon of 14 steps the population moves every step, so the rates
+    # of a shorter trace are a prefix of a longer one's, and both loops must
+    # raise on exactly the same horizons.  From (0, 0) the table is trapped
+    # at step 0, from (2, 0) once the queue empties.
+    scenario = Scenario(kind=4, n_users=1, leave_prob=0.3, stay_prob=0.7, add_prob=0.0)
+    policies = {"all_offload": policy_table(canonical_params)}
+    args = (scenario, canonical_params, canonical_costs, canonical_resources)
+    raised = []
+    for horizon in range(1, 15):
+        trace = EventTrace.generate(16, horizon)
+        try:
+            expected = _replayed(policies, *args, trace, initial_state=initial_state)
+        except NoEventError:
+            with pytest.raises(NoEventError):
+                behavioral_compare(policies, *args, trace, initial_state=initial_state)
+            raised.append(horizon)
+        else:
+            series = behavioral_compare(policies, *args, trace, initial_state=initial_state)
+            assert series == expected
+            assert series["all_offload"].trap_step is not None or horizon < 3
+    assert raised == list(range(9, 15))
 
 
 def test_threshold_policy_greedy_rounding(canonical_params):

@@ -105,8 +105,8 @@ def test_behavioral_compare_windows_golden(
     rows = [
         (name, int(w.index), float(w.cost_discounted), float(w.cost_undiscounted),
          int(w.c_ov), int(w.c_off))
-        for name, ws in series.items()
-        for w in ws
+        for name, ps in series.items()
+        for w in ps.windows
     ]
     assert digest(rows) == COMPARE_DIGESTS[kind]
 
