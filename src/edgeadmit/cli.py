@@ -78,19 +78,13 @@ def _run(body) -> None:
 
 @main.command()
 @config_option
-@click.option("--tol", type=float, default=None, help="Value-iteration tolerance.")
-@click.option("--self-loop-variant", is_flag=True, default=False,
-              help="Add the self-loop continuation to the offload branch.")
-def solve(config_path, seed, out, scenario, horizon_scale, tol, self_loop_variant):
+def solve(config_path, seed, out, scenario, horizon_scale):
     """Solve the planning problem and write the solution artifact."""
 
     def body():
-        ov = _common_overrides(seed, out, scenario)
-        if tol is not None:
-            ov.setdefault("solver", {})["tol"] = tol
-        if self_loop_variant:
-            ov.setdefault("solver", {})["self_loop"] = True
-        exp = _load_experiment(config_path, ov, horizon_scale)
+        exp = _load_experiment(
+            config_path, _common_overrides(seed, out, scenario), horizon_scale
+        )
         sol = dp.value_iteration(
             exp.planning_rate(),
             exp.params,
@@ -120,19 +114,15 @@ def solve(config_path, seed, out, scenario, horizon_scale, tol, self_loop_varian
 @main.command()
 @config_option
 @click.option("--learner", type=click.Choice(["salmut", "qlearning"]), default=None)
-@click.option("--paper-literal-sign", is_flag=True, default=False,
-              help="Use the published ascent sign in the threshold update.")
 @click.option("--no-periodic-eval", is_flag=True, default=False,
               help="Skip rollout evaluation at eval points (faster).")
-def train(config_path, seed, out, scenario, horizon_scale, learner, paper_literal_sign,
-          no_periodic_eval):
+def train(config_path, seed, out, scenario, horizon_scale, learner, no_periodic_eval):
     """Train the configured learner for every seed; write logs and artifacts."""
 
     def body():
-        ov = _common_overrides(seed, out, scenario, learner)
-        if paper_literal_sign:
-            ov.setdefault("learner", {}).setdefault("salmut", {})["paper_literal_sign"] = True
-        exp = _load_experiment(config_path, ov, horizon_scale)
+        exp = _load_experiment(
+            config_path, _common_overrides(seed, out, scenario, learner), horizon_scale
+        )
         kind = exp.raw["learner"]["kind"]
         if kind not in ("salmut", "qlearning"):
             raise ConfigError("learner.kind", "train requires salmut or qlearning")

@@ -220,64 +220,6 @@ def _wrap(path: str, fn, *args, **kwargs):
         raise ConfigError(path, str(exc))
 
 
-def build_model_params(cfg: dict) -> ModelParams:
-    return _wrap("model", ModelParams, **cfg["model"])
-
-
-def build_cost_model(cfg: dict) -> CostModel:
-    c = cfg["costs"]
-    return _wrap(
-        "costs",
-        CostModel,
-        holding=c["holding"],
-        running=c["running"],
-        penalty=c["penalty"],
-        strict=c["strict_monotone"],
-    )
-
-
-def build_resource_dist(cfg: dict) -> ResourceDist:
-    return _wrap("resources", ResourceDist, pmf=cfg["resources"]["pmf"])
-
-
-def build_scenario(cfg: dict) -> Scenario:
-    s = dict(cfg["scenario"])
-    s["phase_fractions"] = _wrap("scenario.phase_fractions", tuple, s["phase_fractions"])
-    return _wrap("scenario", Scenario, **s)
-
-
-def build_salmut_config(cfg: dict) -> SalmutConfig:
-    lrn = cfg["learner"]
-    return _wrap(
-        "learner.salmut",
-        SalmutConfig,
-        horizon=lrn["horizon"],
-        eval_every=lrn["eval_every"],
-        start_state=lrn["start_state"],
-        **lrn["salmut"],
-    )
-
-
-def build_qlearning_config(cfg: dict) -> QLearningConfig:
-    lrn = cfg["learner"]
-    return _wrap(
-        "learner.qlearning",
-        QLearningConfig,
-        horizon=lrn["horizon"],
-        eval_every=lrn["eval_every"],
-        start_state=lrn["start_state"],
-        **lrn["qlearning"],
-    )
-
-
-def build_baseline(cfg: dict) -> BaselinePolicy:
-    return _wrap("learner.baseline", BaselinePolicy, **cfg["learner"]["baseline"])
-
-
-def build_eval_config(cfg: dict) -> EvalConfig:
-    return _wrap("eval", EvalConfig, **cfg["eval"])
-
-
 @dataclass(frozen=True)
 class Experiment:
     """Everything a subcommand needs, assembled from one validated config."""
@@ -297,16 +239,22 @@ class Experiment:
     @classmethod
     def from_config(cls, cfg: dict) -> "Experiment":
         """Build every section, so each command rejects any malformed one."""
+        c, lrn = cfg["costs"], cfg["learner"]
+        common = {"horizon": lrn["horizon"], "eval_every": lrn["eval_every"],
+                  "start_state": lrn["start_state"]}
+        sc = dict(cfg["scenario"])
+        sc["phase_fractions"] = _wrap("scenario.phase_fractions", tuple, sc["phase_fractions"])
         exp = cls(
             raw=cfg,
-            params=build_model_params(cfg),
-            costs=build_cost_model(cfg),
-            resources=build_resource_dist(cfg),
-            scenario=build_scenario(cfg),
-            eval_config=build_eval_config(cfg),
-            salmut=build_salmut_config(cfg),
-            qlearning=build_qlearning_config(cfg),
-            baseline=build_baseline(cfg),
+            params=_wrap("model", ModelParams, **cfg["model"]),
+            costs=_wrap("costs", CostModel, holding=c["holding"], running=c["running"],
+                        penalty=c["penalty"], strict=c["strict_monotone"]),
+            resources=_wrap("resources", ResourceDist, pmf=cfg["resources"]["pmf"]),
+            scenario=_wrap("scenario", Scenario, **sc),
+            eval_config=_wrap("eval", EvalConfig, **cfg["eval"]),
+            salmut=_wrap("learner.salmut", SalmutConfig, **common, **lrn["salmut"]),
+            qlearning=_wrap("learner.qlearning", QLearningConfig, **common, **lrn["qlearning"]),
+            baseline=_wrap("learner.baseline", BaselinePolicy, **lrn["baseline"]),
             seeds=tuple(cfg["seeds"]),
             output_dir=Path(cfg["output_dir"]),
         )

@@ -8,6 +8,8 @@ numpy lanes, and ``evaluate`` is its one-policy call.  The behavioral
 comparison instead replays a shared event trace against an evolving
 scenario: every policy consumes the same uniform draws, so differences in
 overload entries and offload counts are attributable to the policies alone.
+Both run one windowed loop over ``(start, stop, lam)`` rate segments, which
+fast-forwards a policy trapped at ``x = 0`` to each segment's stop.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .model import (
     Action, ChainTables, CostModel, ModelParams, NoEventError, ResourceDist, StepKernel,
     freeze_pair,
 )
-from .scenarios import Scenario, trajectory
+from .scenarios import Scenario, rate_segments
 
 
 @dataclass(frozen=True)
@@ -120,31 +122,34 @@ def policy_table(
 def _windows(
     kernel: StepKernel,
     table: np.ndarray,
-    rates: np.ndarray,
-    draws: Callable[[int], Iterable[tuple[float, Callable[[], float], Callable[[], float]]]],
+    segments: Iterable[tuple[int, int, float]],
+    draws: Callable[[int, int], Iterable[tuple[Callable[[], float], Callable[[], float]]]],
     beta: float,
     initial_state: tuple[int, int],
     window: int,
     overload_level: int,
 ) -> tuple[float, list[MetricsWindow], int | None]:
-    """Step ``table`` through ``kernel`` for ``len(rates)`` steps, step t at rate ``rates[t]``.
+    """Step ``table`` through ``kernel`` over the rate segments ``(start, stop, lam)``.
 
-    ``draws(t)`` yields one ``(lam, event_u, resource_u)`` per step from step
-    ``t`` on, with ``lam == rates[t]``.  Returns the discounted total, the
-    per-window metrics and the trap step: the first step that starts at
-    ``x = 0`` in a state the table offloads from, with ``lam > 0``, or None.
+    The segments tile ``0..horizon`` in order, and steps ``start..stop-1``
+    run at rate ``lam``.  ``draws(start, stop)`` yields one
+    ``(event_u, resource_u)`` per step from ``start`` to ``stop - 1``.
+    Returns the discounted total, the per-window metrics and the trap step:
+    the first step that starts at ``x = 0`` in a state the table offloads
+    from, with ``lam > 0``, or None.
     ``rollout`` and ``behavioral_compare`` both run this loop; they differ
-    only in where the arrival rates and the uniforms come from.
+    only in where the rate segments and the uniforms come from.
 
     A trapped state is absorbing while ``lam > 0``: ``delta(0) = 1``, so every
     event is an arrival, offloaded at the same cost.  From the trap step to
-    the first step with ``lam <= 0`` the loop calls neither the kernel nor
-    ``draws`` and applies the same float operations in the same order, so
-    every window is the kernel's bit for bit; that step goes back to the
-    kernel, which raises ``NoEventError`` at ``lam == 0``.  Once
-    ``disc * beta == disc`` (``disc`` sticks at the smallest subnormal and
-    never reaches 0.0 for ``beta`` > 0.5) and a step no longer moves
-    ``total``, every full window is the same, so it is computed once.
+    the stop of each segment with ``lam > 0`` the loop calls neither the
+    kernel nor ``draws`` and applies the same float operations in the same
+    order, so every window is the kernel's bit for bit.  A segment with
+    ``lam == 0`` goes back to the kernel, which raises ``NoEventError`` at
+    its first step.  Once ``disc * beta == disc`` (``disc`` sticks at the
+    smallest subnormal and never reaches 0.0 for ``beta`` > 0.5) and a step
+    no longer moves ``total``, every full window is the same, so it is
+    computed once.
     """
     offloads = np.asarray(table).tolist()
     trapped = offloads[0]
@@ -153,7 +158,6 @@ def _windows(
         return offloads[x][ell]
 
     step = kernel.step
-    horizon = len(rates)
     x, ell = initial_state
     total = 0.0
     disc = 1.0
@@ -163,9 +167,8 @@ def _windows(
     w_index = w_fill = 0
     trap_step = None
 
-    t = 0
-    while t < horizon:
-        for lam, event_u, resource_u in draws(t):
+    for start, stop, lam in segments:
+        for event_u, resource_u in draws(start, stop):
             if not x and trapped[ell] and lam > 0.0:
                 break
             x, ell, a, incurred = step(x, ell, lam, decide, 0, event_u, resource_u)
@@ -186,16 +189,12 @@ def _windows(
                 w_ov = w_off = 0
                 w_fill = 0
         else:
-            break
+            continue
 
-        # trapped at step t, up to the first later step with lam <= 0
+        # trapped at step t, up to the segment's stop
         t = w_index * window + w_fill
         if trap_step is None:
             trap_step = t
-        rest = rates[t:]
-        # min() allocates nothing, where a mask of the rest of a long trace
-        # would be left on the malloc heap and raise the peak RSS
-        stop = horizon if rest.min() > 0.0 else t + int(np.flatnonzero(~(rest > 0.0))[0])
         cost = kernel.offload_cost[0][ell]
         over = ell >= overload_level
         while t < stop:
@@ -259,8 +258,8 @@ def rollout(
     trapped rollout draws nothing more (see ``_windows``).
     """
     total, windows, _ = _windows(
-        StepKernel(params, cm, rd), table, np.broadcast_to(lam, horizon),
-        lambda t: itertools.repeat((lam, rng.random, rng.random), horizon - t),
+        StepKernel(params, cm, rd), table, [(0, horizon, lam)],
+        lambda start, stop: itertools.repeat((rng.random, rng.random), stop - start),
         beta, initial_state, window, overload_level,
     )
     return RolloutResult(discounted_cost=total, windows=tuple(windows))
@@ -440,34 +439,30 @@ def behavioral_compare(
 ) -> dict[str, PolicySeries]:
     """Replay one event trace under each policy table and collect per-window metrics.
 
-    The event at step t is an arrival iff ``z_t <= lam_t / (lam_t + busy)``;
-    the threshold is state-dependent, so trajectories diverge across
-    policies while consuming identical randomness.  Each policy runs
-    ``rollout``'s loop; at step t the event draw returns ``z_t`` and the
-    resource draw ``u_t``, so a step that skips a draw shifts no later one.
+    The event at step t is an arrival iff ``z_t <= lam / (lam + busy)``, at
+    the rate ``lam`` of the ``rate_segments`` segment that holds step t; the
+    threshold is state-dependent, so trajectories diverge across policies
+    while consuming identical randomness.  Each policy runs ``rollout``'s
+    loop; at step t the event draw returns ``z_t`` and the resource draw
+    ``u_t``, so a step that skips a draw shifts no later one.
     """
-    horizon = len(trace.z)
-    rows = trajectory(scenario, horizon, trace.seed)
-    lam_t = np.empty(horizon)
-    for (start, lam, _), end in zip(rows, [row[0] for row in rows[1:]] + [horizon]):
-        lam_t[start:end] = lam
 
-    def chunk(start: int):
-        steps = slice(start, start + _CHUNK)
+    def chunk(start: int, stop: int):
+        steps = slice(start, min(start + _CHUNK, stop))
         return zip(
-            lam_t[steps].tolist(),
             map(_constant_draw, trace.z[steps].tolist()),
             map(_constant_draw, trace.resource_u[steps].tolist()),
         )
 
-    def draws(start: int):
-        return itertools.chain.from_iterable(map(chunk, range(start, horizon, _CHUNK)))
+    def draws(start: int, stop: int):
+        return itertools.chain.from_iterable(chunk(i, stop) for i in range(start, stop, _CHUNK))
 
+    segments = rate_segments(scenario, len(trace.z), trace.seed)
     kernel = StepKernel(params, cm, rd)
     series = {}
     for name, table in policies.items():
         _, windows, trap_step = _windows(
-            kernel, table, lam_t, draws,
+            kernel, table, segments, draws,
             params.discount_beta, initial_state, window, overload_level,
         )
         series[name] = PolicySeries(tuple(windows), trap_step)

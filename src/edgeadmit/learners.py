@@ -1,9 +1,9 @@
 """The shared learner loop, tabular Q-learning and the static-threshold baseline.
 
-Both learners run ``arrival_loop``: it advances the scenario, steps the
-chain through ``model.StepKernel``, counts arrivals and keeps the update
-diagnostics, the periodic log and the eval points.  A learner supplies only
-its action rule, its update and its snapshot.
+Both learners run ``arrival_loop``: it walks the scenario's rate segments,
+steps the chain through ``model.StepKernel``, counts arrivals and keeps the
+update diagnostics, the periodic log and the eval points.  A learner
+supplies only its action rule, its update and its snapshot.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from . import rng as rngmod
 from .dp import greedy_policy
 from .model import CostModel, ModelParams, ResourceDist, StepKernel, freeze_pair
-from .scenarios import Scenario, ScenarioState
+from .scenarios import Scenario, rate_segments
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -61,18 +61,16 @@ def arrival_loop(
     ``(lam, snapshot()[1])`` goes into the eval list, the rate and the
     ``(X+1, L+1)`` policy table to score for that row; the table must be a
     fresh array.  Events and resource sizes come from the ``events`` and
-    ``resources`` substreams of ``seed``, drawn in blocks.  The scenario is
-    advanced only at its change points, and the steps between two of them
-    run at one rate.  Returns the log, the eval points, the
-    per-tenth-of-horizon means of ``|g|`` and ``|step|``, and the arrival
-    count.
+    ``resources`` substreams of ``seed``, drawn in blocks.  The arrival rate
+    is read per segment of ``rate_segments``.  Returns the log, the eval
+    points, the per-tenth-of-horizon means of ``|g|`` and ``|step|``, and
+    the arrival count.
     """
     X, L = params.buffer_capacity, params.cpu_levels
     horizon, eval_every = config.horizon, config.eval_every
     step = StepKernel(params, cm, rd).step
     event_u = rngmod.block_uniforms(rngmod.substream(seed, "events"))
     resource_u = rngmod.block_uniforms(rngmod.substream(seed, "resources"))
-    ss = ScenarioState.create(scenario, horizon, seed)
     x, ell = config.start_state
     if not (0 <= x <= X and 0 <= ell <= L):
         raise ValueError("start_state out of bounds")
@@ -87,11 +85,7 @@ def arrival_loop(
     log: list[LogRow] = []
     evals: list[tuple[float, np.ndarray]] = []
     arrivals = 0
-    changes = ss.event_steps()
-    for start, stop in zip([0, *changes], [*changes, horizon]):
-        if start:
-            ss.advance_to(start)
-        lam = ss.lam
+    for start, stop, lam in rate_segments(scenario, horizon, seed):
         for n in range(start, stop):
             nx, nl, a, incurred = step(x, ell, lam, decide, n, event_u, resource_u)
             if a is not None:

@@ -15,7 +15,7 @@ import enum
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -23,11 +23,6 @@ import numpy as np
 class Action(enum.IntEnum):
     ACCEPT = 0
     OFFLOAD = 1
-
-
-class State(NamedTuple):
-    x: int
-    ell: int
 
 
 def freeze_pair(obj, name: str) -> None:

@@ -32,17 +32,17 @@ import numpy as np
 from . import rng as rngmod
 from .evaluate import policy_table
 from .learners import LogRow, arrival_loop
-from .model import Action, CostModel, ModelParams, ResourceDist, State, freeze_pair
+from .model import Action, CostModel, ModelParams, ResourceDist, freeze_pair
 from .scenarios import Scenario
 
 
-# A state argument below is any ``(x, ell)`` pair: a ``State``, or the
-# plain tuple ``train`` passes, which is cheaper to build per step.  The
-# helpers read ``q[x][ell][a]`` and ``tau[x]``, so they take the nested
-# lists ``train`` keeps as well as numpy arrays.
+# The helpers below read ``q[x][ell][a]`` and ``tau[x]``, so they take the
+# nested lists ``train`` keeps as well as numpy arrays.
 
 
-def accept_probability(tau: np.ndarray, state: State, temperature: float) -> float:
+def accept_probability(
+    tau: np.ndarray, state: tuple[int, int], temperature: float
+) -> float:
     """Sigmoid acceptance probability; zero at a full buffer (forced offload)."""
     x, ell = state
     if x >= len(tau) - 1:
@@ -50,7 +50,7 @@ def accept_probability(tau: np.ndarray, state: State, temperature: float) -> flo
     return _sigmoid((tau[x] - ell) / temperature)
 
 
-def f_gradient(tau: np.ndarray, state: State, temperature: float) -> float:
+def f_gradient(tau: np.ndarray, state: tuple[int, int], temperature: float) -> float:
     """d(accept probability)/d(tau[x]); zero where the action is forced."""
     x, ell = state
     if x >= len(tau) - 1:
@@ -69,10 +69,10 @@ def _sigmoid(z: float) -> float:
 
 def critic_update(
     q: np.ndarray,
-    s: State,
+    s: tuple[int, int],
     a: Action,
     incurred: float,
-    s_next: State,
+    s_next: tuple[int, int],
     rate: float,
     beta: float,
     moments: AdaptiveMoments | None = None,
@@ -96,9 +96,9 @@ def critic_update(
 
 
 def gradient_estimate(
-    q: np.ndarray, s: State, tau: np.ndarray, temperature: float
+    q: np.ndarray, s: tuple[int, int], tau: np.ndarray, temperature: float
 ) -> float:
-    """Per-visit contribution to the performance gradient at coordinate s.x."""
+    """Per-visit contribution to the performance gradient at coordinate s[0]."""
     x, ell = s
     cell = q[x][ell]
     return f_gradient(tau, s, temperature) * (cell[0] - cell[1])  # accept - offload
@@ -106,7 +106,7 @@ def gradient_estimate(
 
 def actor_update(
     tau: np.ndarray,
-    s: State,
+    s: tuple[int, int],
     q: np.ndarray,
     rate: float,
     temperature: float,
@@ -114,7 +114,7 @@ def actor_update(
     paper_literal_sign: bool = False,
     moments: AdaptiveMoments | None = None,
 ) -> tuple[float, float]:
-    """Projected gradient step on tau[s.x]; returns (gradient estimate, realized change).
+    """Projected gradient step on tau[s[0]]; returns (gradient estimate, realized change).
 
     The step is ``rate * g``, or with ``moments`` the adaptive step at base
     rate ``rate``.  The default steps against the cost gradient.

@@ -201,3 +201,16 @@ def trajectory(
         if ss.lam != last[1] or ss.n_users != last[2]:
             rows.append((s, ss.lam, ss.n_users))
     return rows
+
+
+def rate_segments(
+    scenario: Scenario, horizon: int, seed: int
+) -> list[tuple[int, int, float]]:
+    """The arrival rate as ``(start, stop, lam)`` segments that tile ``0..horizon``.
+
+    Steps ``start..stop-1`` all run at rate ``lam``: one segment per
+    ``trajectory`` row, ending where the next row starts.
+    """
+    rows = trajectory(scenario, horizon, seed)
+    stops = [start for start, _, _ in rows[1:]] + [horizon]
+    return [(start, stop, lam) for (start, lam, _), stop in zip(rows, stops)]

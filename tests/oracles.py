@@ -12,14 +12,22 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from edgeadmit.evaluate import MetricsWindow
 from edgeadmit.model import (
-    Action, CostModel, ModelParams, NoEventError, ResourceDist, State, StepKernel,
+    Action, CostModel, ModelParams, NoEventError, ResourceDist, StepKernel,
 )
 from edgeadmit.scenarios import ScenarioState
+
+
+class State(NamedTuple):
+    """A chain state ``(x, ell)``."""
+
+    x: int
+    ell: int
 
 
 def delta(x: int, lam: float, params: ModelParams) -> float:

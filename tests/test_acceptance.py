@@ -52,14 +52,15 @@ from edgeadmit.model import (
     CostModel,
     ModelParams,
     ResourceDist,
-    State,
     StepKernel,
 )
 from edgeadmit.rng import substream
 from edgeadmit.salmut import SalmutConfig, accept_probability, f_gradient, train
 from edgeadmit.scenarios import Scenario, ScenarioState
 
-from oracles import enumerate_optimal, recursion_policy_value, relative_gap, transition_pmf
+from oracles import (
+    State, enumerate_optimal, recursion_policy_value, relative_gap, transition_pmf,
+)
 
 LAM = 6.0
 SEEDS = tuple(range(10))

@@ -46,7 +46,9 @@ def test_malformed_cost_table_names_field(tmp_path):
 def test_cli_solve_and_structure_flags(tmp_path):
     runner = CliRunner()
     out = tmp_path / "runs"
-    result = runner.invoke(main, ["solve", "--out", str(out), "--tol", "1e-9"])
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(json.dumps({"solver": {"tol": 1e-9}}))
+    result = runner.invoke(main, ["solve", "--out", str(out), "--config", str(cfg)])
     assert result.exit_code == 0, result.output
     assert "iterations=" in result.output and "V(0,0)=" in result.output
     sol_path = out / "dp" / "solution.json"

@@ -19,7 +19,7 @@ from edgeadmit.evaluate import (
 )
 from edgeadmit.model import Action, CostModel, NoEventError
 from edgeadmit.rng import substream
-from edgeadmit.scenarios import Scenario
+from edgeadmit.scenarios import Scenario, trajectory
 
 from oracles import relative_gap, simulated_policy_value, trace_draws, windowed_replay
 
@@ -454,16 +454,41 @@ def test_rollout_fast_forward_equals_plain_replay(
     canonical_params, canonical_costs, canonical_resources
 ):
     # rollout's rate is one constant: its total, which the repeated full
-    # windows must leave alone, equals the plain loop's too
+    # windows must leave alone, equals the plain loop's too.  The last window
+    # is half full, or one step short of full.
     args = (canonical_params, canonical_costs, canonical_resources)
-    for table in (policy_table(canonical_params),
-                  policy_table(canonical_params, accept_below=18)):
-        rr = rollout(table, 6.0, *args, horizon=20_500, beta=0.95, rng=substream(3, "ff"))
+    for table, horizon in itertools.product(
+        (policy_table(canonical_params), policy_table(canonical_params, accept_below=18)),
+        (20_500, 20_999),
+    ):
+        rr = rollout(table, 6.0, *args, horizon=horizon, beta=0.95, rng=substream(3, "ff"))
         rng = substream(3, "ff")
         total, windows, _ = windowed_replay(
-            table, itertools.repeat((6.0, rng.random, rng.random), 20_500), *args
+            table, itertools.repeat((6.0, rng.random, rng.random), horizon), *args
         )
         assert (rr.discounted_cost, rr.windows) == (total, tuple(windows))
+
+
+@pytest.mark.parametrize("kind", [2, 3, 6])
+def test_compare_fast_forward_across_change_points(
+    kind, canonical_params, canonical_costs, canonical_resources
+):
+    # a trapped policy runs on through the stops of later rate segments: the
+    # phase switches of scenario 2, the toggles of 3 and the toggles and
+    # population steps of 6
+    sol = value_iteration(6.0, canonical_params, canonical_costs, canonical_resources, tol=1e-9)
+    policies = {
+        "dp": policy_table(canonical_params, actions=sol.policy),
+        "baseline": policy_table(canonical_params, accept_below=18),
+    }
+    scenario = Scenario(kind=kind)
+    trace = EventTrace.generate(0, 20_500)
+    args = (policies, scenario, canonical_params, canonical_costs, canonical_resources, trace)
+    series = behavioral_compare(*args)
+    assert series == _replayed(*args)
+    last_change = trajectory(scenario, 20_500, trace.seed)[-1][0]
+    for ps in series.values():
+        assert ps.trap_step is not None and ps.trap_step < last_change
 
 
 @pytest.mark.parametrize("initial_state", [(0, 0), (2, 0)])

@@ -14,12 +14,11 @@ from edgeadmit.model import (
     ModelParams,
     NoEventError,
     ResourceDist,
-    State,
     StepKernel,
 )
 from edgeadmit.rng import substream
 
-from oracles import delta, transition_pmf
+from oracles import State, delta, transition_pmf
 
 
 def step_costs(params, cm, rd, lam=6.0) -> np.ndarray:

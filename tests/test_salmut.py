@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from edgeadmit.model import Action, CostModel, State, StepKernel
+from edgeadmit.model import Action, CostModel, StepKernel
 from edgeadmit.rng import substream
 from edgeadmit.salmut import (
     AdaptiveMoments,
@@ -20,7 +20,7 @@ from edgeadmit.salmut import (
 )
 from edgeadmit.scenarios import Scenario
 
-from oracles import moment_arrays
+from oracles import State, moment_arrays
 
 
 def flat_tau(value: float, n: int = 21) -> np.ndarray:

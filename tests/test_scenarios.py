@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeadmit import rng as rngmod
-from edgeadmit.scenarios import Scenario, ScenarioState, trajectory
+from edgeadmit.scenarios import Scenario, ScenarioState, rate_segments, trajectory
 
 
 def test_s1_aggregate_rate_default():
@@ -169,14 +169,16 @@ def test_advance_to_moves_forward_only():
 
 
 def _stepwise_trajectory(scenario, horizon, seed):
-    """``trajectory``'s rows by advancing through every step."""
+    """``trajectory``'s rows and every step's rate, by advancing through every step."""
     ss = ScenarioState.create(scenario, horizon, seed)
     rows = [(0, ss.lam, ss.n_users)]
+    rates = [ss.lam]
     for _ in range(horizon - 1):
         ss.advance_to(ss.step + 1)
+        rates.append(ss.lam)
         if ss.lam != rows[-1][1] or ss.n_users != rows[-1][2]:
             rows.append((ss.step, ss.lam, ss.n_users))
-    return rows
+    return rows, rates
 
 
 @settings(max_examples=60, deadline=None)
@@ -190,4 +192,11 @@ def _stepwise_trajectory(scenario, horizon, seed):
 def test_trajectory_matches_stepwise_replay(kind, horizon, seed, toggle, population):
     scenario = Scenario(kind=kind, toggle_period_fraction=toggle,
                         population_period_fraction=population)
-    assert trajectory(scenario, horizon, seed) == _stepwise_trajectory(scenario, horizon, seed)
+    rows, rates = _stepwise_trajectory(scenario, horizon, seed)
+    assert trajectory(scenario, horizon, seed) == rows
+    segments = rate_segments(scenario, horizon, seed)
+    # the segments tile 0..horizon in order, with no gap and no empty segment
+    assert [start for start, _, _ in segments] == [0] + [stop for _, stop, _ in segments[:-1]]
+    assert segments[-1][1] == horizon
+    assert all(start < stop for start, stop, _ in segments)
+    assert [lam for start, stop, lam in segments for _ in range(start, stop)] == rates
