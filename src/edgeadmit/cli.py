@@ -19,7 +19,7 @@ from .artifacts import ArtifactError
 from .config import ConfigError, Experiment
 from .dp import SolverError
 from .model import NoEventError
-from .scenarios import trajectory
+from .scenarios import rate_segments, trajectory
 
 
 def _load_experiment(config_path, overrides, horizon_scale) -> Experiment:
@@ -132,9 +132,11 @@ def train(config_path, seed, out, scenario, horizon_scale, learner, no_periodic_
         curves = []
         for s in exp.seeds:
             seed_dir = out_dir / f"seed_{s}"
+            rows = trajectory(exp.scenario, horizon, s)
+            segments = rate_segments(rows, horizon)
             if kind == "salmut":
                 result = salmut.train(
-                    exp.scenario, exp.params, exp.costs, exp.resources, exp.salmut, s
+                    segments, exp.params, exp.costs, exp.resources, exp.salmut, s
                 )
                 art = artifacts.policy_artifact(
                     "salmut", sha, seed=s,
@@ -142,7 +144,7 @@ def train(config_path, seed, out, scenario, horizon_scale, learner, no_periodic_
                 )
             else:
                 result = learners.qlearning_train(
-                    exp.scenario, exp.params, exp.costs, exp.resources, exp.qlearning, s
+                    segments, exp.params, exp.costs, exp.resources, exp.qlearning, s
                 )
                 art = artifacts.policy_artifact(
                     "qlearning", sha, seed=s,
@@ -163,11 +165,7 @@ def train(config_path, seed, out, scenario, horizon_scale, learner, no_periodic_
                 curves.append([(row.step, row.eval_mean) for row in log])
             artifacts.write_json(seed_dir / "policy.json", art)
             artifacts.log_rows_to_csv(seed_dir / "log.csv", log)
-            artifacts.write_csv(
-                seed_dir / "trajectory.csv",
-                ("step", "lambda", "n_users"),
-                trajectory(exp.scenario, horizon, s),
-            )
+            artifacts.write_csv(seed_dir / "trajectory.csv", ("step", "lambda", "n_users"), rows)
             click.echo(f"{kind} seed {s}: done ({horizon} steps)")
         curve = ev.aggregate_training_curves(curves)
         if curve:

@@ -26,7 +26,7 @@ from .model import (
     Action, ChainTables, CostModel, ModelParams, NoEventError, ResourceDist, StepKernel,
     freeze_pair,
 )
-from .scenarios import Scenario, rate_segments
+from .scenarios import Scenario, rate_segments, trajectory
 
 
 @dataclass(frozen=True)
@@ -457,7 +457,8 @@ def behavioral_compare(
     def draws(start: int, stop: int):
         return itertools.chain.from_iterable(chunk(i, stop) for i in range(start, stop, _CHUNK))
 
-    segments = rate_segments(scenario, len(trace.z), trace.seed)
+    horizon = len(trace.z)
+    segments = rate_segments(trajectory(scenario, horizon, trace.seed), horizon)
     kernel = StepKernel(params, cm, rd)
     series = {}
     for name, table in policies.items():

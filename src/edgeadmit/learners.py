@@ -1,9 +1,9 @@
 """The shared learner loop, tabular Q-learning and the static-threshold baseline.
 
-Both learners run ``arrival_loop``: it walks the scenario's rate segments,
-steps the chain through ``model.StepKernel``, counts arrivals and keeps the
-update diagnostics, the periodic log and the eval points.  A learner
-supplies only its action rule, its update and its snapshot.
+Both learners run ``arrival_loop``: it walks the rate segments, steps the
+chain through ``model.StepKernel``, counts arrivals and keeps the update
+diagnostics, the periodic log and the eval points.  A learner supplies only
+its action rule, its update and its snapshot.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from . import rng as rngmod
 from .dp import greedy_policy
 from .model import CostModel, ModelParams, ResourceDist, StepKernel, freeze_pair
-from .scenarios import Scenario, rate_segments
+from .scenarios import Scenario, rate_segments, trajectory
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -39,7 +39,7 @@ def policy_hash(arr: np.ndarray) -> str:
 
 
 def arrival_loop(
-    scenario: Scenario,
+    segments: list[tuple[int, int, float]] | Scenario,
     params: ModelParams,
     cm: CostModel,
     rd: ResourceDist,
@@ -51,8 +51,11 @@ def arrival_loop(
 ) -> tuple[list[LogRow], list[tuple[float, np.ndarray]], np.ndarray, np.ndarray, int]:
     """Run ``config.horizon`` steps from ``config.start_state``, learning at arrivals.
 
-    ``act(x, ell, n)`` picks the action at an arrival; at a full buffer the
-    offload is forced and ``act`` is not called.  After each arrival,
+    ``segments`` are the ``rate_segments`` of the scenario's trajectory over
+    ``config.horizon``; a ``Scenario`` in their place stands for its own
+    segments from ``seed``.  ``act(x, ell, n)`` is ``StepKernel.step``'s
+    ``decide``: it picks the action at an arrival, and at a full buffer it
+    returns 1 (offload) without drawing.  After each arrival,
     ``update(x, ell, a, cost, x', ell', n)`` learns from the transition and
     returns a diagnostic pair ``(g, step)``, or None to record nothing.
     Every ``config.eval_every`` steps the window means of ``|g|`` and
@@ -61,22 +64,20 @@ def arrival_loop(
     ``(lam, snapshot()[1])`` goes into the eval list, the rate and the
     ``(X+1, L+1)`` policy table to score for that row; the table must be a
     fresh array.  Events and resource sizes come from the ``events`` and
-    ``resources`` substreams of ``seed``, drawn in blocks.  The arrival rate
-    is read per segment of ``rate_segments``.  Returns the log, the eval
-    points, the per-tenth-of-horizon means of ``|g|`` and ``|step|``, and
-    the arrival count.
+    ``resources`` substreams of ``seed``, drawn in blocks.  Returns the log,
+    the eval points, the per-tenth-of-horizon means of ``|g|`` and
+    ``|step|``, and the arrival count.
     """
     X, L = params.buffer_capacity, params.cpu_levels
     horizon, eval_every = config.horizon, config.eval_every
+    if isinstance(segments, Scenario):
+        segments = rate_segments(trajectory(segments, horizon, seed), horizon)
     step = StepKernel(params, cm, rd).step
     event_u = rngmod.block_uniforms(rngmod.substream(seed, "events"))
     resource_u = rngmod.block_uniforms(rngmod.substream(seed, "resources"))
     x, ell = config.start_state
     if not (0 <= x <= X and 0 <= ell <= L):
         raise ValueError("start_state out of bounds")
-
-    def decide(x: int, ell: int, n: int) -> int:
-        return 1 if x == X else act(x, ell, n)
 
     # sums of |g| and |step| and their count, over the log window and per tenth
     win_g = win_s = 0.0
@@ -85,28 +86,31 @@ def arrival_loop(
     log: list[LogRow] = []
     evals: list[tuple[float, np.ndarray]] = []
     arrivals = 0
-    for start, stop, lam in rate_segments(scenario, horizon, seed):
-        for n in range(start, stop):
-            nx, nl, a, incurred = step(x, ell, lam, decide, n, event_u, resource_u)
-            if a is not None:
-                arrivals += 1
-                diag = update(x, ell, a, incurred, nx, nl, n)
-                if diag is not None:
-                    g, moved = abs(diag[0]), abs(diag[1])
-                    win_g += g
-                    win_s += moved
-                    win_n += 1
-                    tenth = min(10 * n // horizon, 9)
-                    tenth_g[tenth] += g
-                    tenth_s[tenth] += moved
-                    tenth_n[tenth] += 1
-            x, ell = nx, nl
+    for start, stop, lam in segments:
+        # pieces of the segment that end at its stop or at a log row's step
+        while start < stop:
+            end = min(stop, start - start % eval_every + eval_every)
+            for n in range(start, end):
+                nx, nl, a, incurred = step(x, ell, lam, act, n, event_u, resource_u)
+                if a is not None:
+                    arrivals += 1
+                    diag = update(x, ell, a, incurred, nx, nl, n)
+                    if diag is not None:
+                        g, moved = abs(diag[0]), abs(diag[1])
+                        win_g += g
+                        win_s += moved
+                        win_n += 1
+                        tenth = 10 * n // horizon  # n < horizon, so at most 9
+                        tenth_g[tenth] += g
+                        tenth_s[tenth] += moved
+                        tenth_n[tenth] += 1
+                x, ell = nx, nl
 
-            if (n + 1) % eval_every == 0:
+            if end % eval_every == 0:
                 hashed, table = snapshot()
                 log.append(
                     LogRow(
-                        step=n + 1,
+                        step=end,
                         policy_hash=policy_hash(hashed),
                         grad_abs_window=win_g / win_n if win_n else 0.0,
                         grad_step_window=win_s / win_n if win_n else 0.0,
@@ -115,6 +119,7 @@ def arrival_loop(
                 evals.append((lam, table))
                 win_g = win_s = 0.0
                 win_n = 0
+            start = end
 
     counts = np.maximum(tenth_n, 1)
     return log, evals, np.array(tenth_g) / counts, np.array(tenth_s) / counts, arrivals
@@ -183,25 +188,14 @@ class QLearningConfig:
 
     def epsilon_at(self, n: int) -> float:
         ramp = self.epsilon_decay_fraction * self.horizon
-        frac = min(n / ramp, 1.0) if ramp > 0 else 1.0
+        frac = n / ramp if ramp > 0 else 1.0
+        if frac > 1.0:  # min(frac, 1.0), without the call
+            frac = 1.0
         return self.epsilon_start + (self.epsilon_end - self.epsilon_start) * frac
 
 
-def epsilon_greedy_action(
-    q: np.ndarray, x: int, ell: int, eps: float, rng: np.random.Generator
-) -> int:
-    """Explore uniformly with probability eps, else argmin with ties accept.
-
-    Reads ``q[x][ell]``, so ``q`` may be nested lists or an array.
-    """
-    if rng.random() < eps:
-        return int(rng.integers(0, 2))
-    cell = q[x][ell]
-    return 0 if cell[0] <= cell[1] else 1
-
-
 def qlearning_train(
-    scenario: Scenario,
+    segments: list[tuple[int, int, float]] | Scenario,
     params: ModelParams,
     cm: CostModel,
     rd: ResourceDist,
@@ -210,33 +204,45 @@ def qlearning_train(
 ) -> QLearningResult:
     """Arrival-gated TD loop with an epsilon-greedy behavior policy.
 
-    Shares the log schema with the actor-critic trainer; the gradient
-    columns carry the TD-error magnitude and the applied update magnitude.
+    ``segments`` are as in ``arrival_loop``.  Shares the log schema with the
+    actor-critic trainer; the gradient columns carry the TD-error magnitude
+    and the applied update magnitude.
     """
     X, L = params.buffer_capacity, params.cpu_levels
     beta = params.discount_beta
     # scalar draws: random() and integers(0, 2) interleave on this stream
     act_rng = rngmod.substream(seed, "exploration")
+    explore_u, coin = act_rng.random, act_rng.integers
+    epsilon_at = config.epsilon_at
     # Python floats, q[x][ell][a], until returned
     q = [[[0.0, 0.0] for _ in range(L + 1)] for _ in range(X + 1)]
-    n0, kappa = config.decay_n0, config.decay_kappa
+    rate0, n0, kappa = config.rate, config.decay_n0, config.decay_kappa
     decaying = config.rate_mode == "decay"
 
     def act(x: int, ell: int, n: int) -> int:
-        return epsilon_greedy_action(q, x, ell, config.epsilon_at(n), act_rng)
+        # offload at a full buffer; elsewhere explore uniformly with
+        # probability epsilon, else argmin with ties accept
+        if x == X:
+            return 1
+        if explore_u() < epsilon_at(n):
+            return int(coin(0, 2))
+        cell = q[x][ell]
+        return 0 if cell[0] <= cell[1] else 1
 
     def update(x, ell, a, incurred, nx, nl, n):
-        rate = config.rate / (1.0 + n / n0) ** kappa if decaying else config.rate
-        after = q[nx][nl]
+        rate = rate0 / (1.0 + n / n0) ** kappa if decaying else rate0
+        accept, offload = q[nx][nl]
         cell = q[x][ell]
-        td = incurred + beta * min(after[0], after[1]) - cell[a]
-        cell[a] += rate * td
-        return td, rate * td
+        # min(accept, offload), without the call
+        td = incurred + beta * (offload if offload < accept else accept) - cell[a]
+        change = rate * td
+        cell[a] += change
+        return td, change
 
     def snapshot():
         table = greedy_policy(np.array(q), X)
         return table, table
 
-    out = arrival_loop(scenario, params, cm, rd, config, seed, act, update, snapshot)
+    out = arrival_loop(segments, params, cm, rd, config, seed, act, update, snapshot)
     q_out = np.array(q)
     return QLearningResult(q_out, greedy_policy(q_out, X), *out)

@@ -240,7 +240,8 @@ class StepKernel:
         departure, which incurs the accept-cost of the current state: no
         decision is taken at a completion, so no penalty can apply.  ACCEPT at
         a full buffer leaves ``x`` at ``X``; forcing an offload there is the
-        job of ``decide``.
+        job of ``decide``: a learner's ``act`` returns 1 at ``x == X``, and a
+        ``policy_table`` offloads in its row ``X``.
         """
         busy = self.busy[x]
         if lam == 0.0 and busy == 0.0:

@@ -16,7 +16,11 @@ Two step-size regimes are first-class:
 
 Updates happen only at arrival events; departures advance the state without
 learning.  At a full buffer the offload is forced and the actor does not
-update (the gradient of a forced action is undefined).
+update (the gradient of a forced action is undefined).  ``train`` does an
+arrival's work in two closures over flat Python lists: ``act`` computes the
+acceptance sigmoid and keeps it, and ``update`` runs the critic and actor
+steps, reading that sigmoid for the actor's gradient and the adaptive
+moments from ``[m, v, t]`` lists.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,31 +36,8 @@ import numpy as np
 from . import rng as rngmod
 from .evaluate import policy_table
 from .learners import LogRow, arrival_loop
-from .model import Action, CostModel, ModelParams, ResourceDist, freeze_pair
+from .model import CostModel, ModelParams, ResourceDist, freeze_pair
 from .scenarios import Scenario
-
-
-# The helpers below read ``q[x][ell][a]`` and ``tau[x]``, so they take the
-# nested lists ``train`` keeps as well as numpy arrays.
-
-
-def accept_probability(
-    tau: np.ndarray, state: tuple[int, int], temperature: float
-) -> float:
-    """Sigmoid acceptance probability; zero at a full buffer (forced offload)."""
-    x, ell = state
-    if x >= len(tau) - 1:
-        return 0.0
-    return _sigmoid((tau[x] - ell) / temperature)
-
-
-def f_gradient(tau: np.ndarray, state: tuple[int, int], temperature: float) -> float:
-    """d(accept probability)/d(tau[x]); zero where the action is forced."""
-    x, ell = state
-    if x >= len(tau) - 1:
-        return 0.0
-    f = _sigmoid((tau[x] - ell) / temperature)
-    return f * (1.0 - f) / temperature
 
 
 def _sigmoid(z: float) -> float:
@@ -65,69 +46,6 @@ def _sigmoid(z: float) -> float:
         return 1.0 / (1.0 + math.exp(-z))
     e = math.exp(z)
     return e / (1.0 + e)
-
-
-def critic_update(
-    q: np.ndarray,
-    s: tuple[int, int],
-    a: Action,
-    incurred: float,
-    s_next: tuple[int, int],
-    rate: float,
-    beta: float,
-    moments: AdaptiveMoments | None = None,
-) -> float:
-    """TD(0) backup on the visited cell; returns the applied delta.
-
-    The delta is ``rate * td``, or with ``moments`` the adaptive descent step
-    at base rate ``rate`` for the gradient ``-td``.
-    """
-    x, ell = s
-    nx, nl = s_next
-    after = q[nx][nl]
-    cell = q[x][ell]
-    td = incurred + beta * min(after[0], after[1]) - cell[a]
-    if moments is None:
-        change = rate * td
-    else:
-        change = -moments.step((x, ell, a), -td, rate)
-    cell[a] += change
-    return change
-
-
-def gradient_estimate(
-    q: np.ndarray, s: tuple[int, int], tau: np.ndarray, temperature: float
-) -> float:
-    """Per-visit contribution to the performance gradient at coordinate s[0]."""
-    x, ell = s
-    cell = q[x][ell]
-    return f_gradient(tau, s, temperature) * (cell[0] - cell[1])  # accept - offload
-
-
-def actor_update(
-    tau: np.ndarray,
-    s: tuple[int, int],
-    q: np.ndarray,
-    rate: float,
-    temperature: float,
-    level_cap: float,
-    paper_literal_sign: bool = False,
-    moments: AdaptiveMoments | None = None,
-) -> tuple[float, float]:
-    """Projected gradient step on tau[s[0]]; returns (gradient estimate, realized change).
-
-    The step is ``rate * g``, or with ``moments`` the adaptive step at base
-    rate ``rate``.  The default steps against the cost gradient.
-    ``paper_literal_sign`` applies the update with the opposite (ascent)
-    sign for side-by-side comparison.
-    """
-    x = s[0]
-    g = gradient_estimate(q, s, tau, temperature)
-    step = rate * g if moments is None else moments.step(x, g, rate)
-    before = tau[x]
-    proposed = before + step if paper_literal_sign else before - step
-    tau[x] = min(max(proposed, 0.0), level_cap)
-    return g, tau[x] - before
 
 
 # bias-correction tables are computed this many entries at a time, up to a
@@ -158,41 +76,6 @@ def bias_correction(beta: float) -> tuple[array, Callable[[int], float]]:
             return table, lambda t: 1.0
         table.extend(chunk.tolist())
     return table, lambda t: 1.0 - beta ** np.int64(t)
-
-
-@dataclass
-class AdaptiveMoments:
-    """Per-coordinate first/second moment steps with an epsilon guard.
-
-    The guard sits inside the square root, so the effective step is bounded
-    by ``rate * |m| / sqrt(eps)`` and vanishing gradients produce vanishing
-    steps instead of being renormalized to full size.  ``cells`` maps each
-    visited coordinate to its ``[m, v, count]``, in Python numbers.
-    """
-
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    cells: dict = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.cells = {}
-        self._mix1, self._mix2 = 1.0 - self.beta1, 1.0 - self.beta2
-        self._c1, self._tail1 = bias_correction(self.beta1)
-        self._c2, self._tail2 = bias_correction(self.beta2)
-        self._n1, self._n2 = len(self._c1), len(self._c2)
-
-    def step(self, idx, g: float, rate: float) -> float:
-        """Descent step for gradient g at coordinate idx."""
-        cell = self.cells.get(idx)
-        if cell is None:
-            cell = self.cells[idx] = [0.0, 0.0, 0]
-        t = cell[2] = cell[2] + 1
-        m = cell[0] = self.beta1 * cell[0] + self._mix1 * g
-        v = cell[1] = self.beta2 * cell[1] + self._mix2 * g * g
-        m_hat = m / (self._c1[t - 1] if t <= self._n1 else self._tail1(t))
-        v_hat = v / (self._c2[t - 1] if t <= self._n2 else self._tail2(t))
-        return rate * m_hat / math.sqrt(v_hat + self.eps)
 
 
 @dataclass(frozen=True)
@@ -268,7 +151,7 @@ class TrainResult:
 
 
 def train(
-    scenario: Scenario,
+    segments: list[tuple[int, int, float]] | Scenario,
     params: ModelParams,
     cm: CostModel,
     rd: ResourceDist,
@@ -277,15 +160,17 @@ def train(
 ) -> TrainResult:
     """Run the arrival-gated actor-critic loop for ``config.horizon`` steps.
 
-    Fully deterministic given ``seed``: events, resource draws, exploration,
-    the initial threshold vector and the scenario evolution each consume an
-    independent named substream.
+    ``segments`` are as in ``learners.arrival_loop``.  Fully deterministic
+    given ``seed``: events, resource draws, exploration, the initial
+    threshold vector and the scenario evolution each consume an independent
+    named substream.
     """
     X, L = params.buffer_capacity, params.cpu_levels
     beta = params.discount_beta
     temp = config.temperature
     b1, b2 = config.rates()
     literal = config.paper_literal_sign
+    level_cap = float(L)
     explore_u = rngmod.block_uniforms(rngmod.substream(seed, "exploration"))
     init_rng = rngmod.substream(seed, "init")
 
@@ -299,30 +184,76 @@ def train(
         tau = [float(config.initial_tau)] * (X + 1)
 
     adam = config.mode == "adam"
-    critic_mom = actor_mom = None
-    if adam:
-        critic_mom = AdaptiveMoments(config.adam_beta1, config.adam_beta2, config.critic_epsilon)
-        actor_mom = AdaptiveMoments(config.adam_beta1, config.adam_beta2, config.actor_epsilon)
     n0 = config.decay_n0
     k_c, k_a = config.decay_kappa_critic, config.decay_kappa_actor
+    # adaptive moments [m, v, t] per coordinate: the critic's by [x][ell][a],
+    # the actor's by [x]; the epsilon guard sits inside the square root, so
+    # a vanishing gradient gives a vanishing step
+    critic_mom = [[[[0.0, 0.0, 0], [0.0, 0.0, 0]] for _ in range(L + 1)] for _ in range(X + 1)]
+    actor_mom = [[0.0, 0.0, 0] for _ in range(X + 1)]
+    beta1, beta2 = config.adam_beta1, config.adam_beta2
+    mix1, mix2 = 1.0 - beta1, 1.0 - beta2
+    eps_c, eps_a = config.critic_epsilon, config.actor_epsilon
+    if adam:
+        c1, tail1 = bias_correction(beta1)
+        c2, tail2 = bias_correction(beta2)
+        n1, n2 = len(c1), len(c2)
+    sqrt = math.sqrt
+    f = 0.0  # the acceptance probability of the arrival being learned from
 
     def act(x: int, ell: int, n: int) -> int:
-        return 0 if explore_u() < accept_probability(tau, (x, ell), temp) else 1
+        nonlocal f
+        if x == X:  # forced offload
+            return 1
+        f = _sigmoid((tau[x] - ell) / temp)
+        return 0 if explore_u() < f else 1
 
     def update(x, ell, a, incurred, nx, nl, n):
-        s = (x, ell)
+        # critic: TD(0) on the visited cell, an adaptive descent step on the
+        # gradient -td under adam
+        accept, offload = q[nx][nl]
+        cell = q[x][ell]
+        # min(accept, offload), without the call
+        td = incurred + beta * (offload if offload < accept else accept) - cell[a]
         if adam:
-            critic_rate, actor_rate = b1, b2
+            g = -td
+            mom = critic_mom[x][ell][a]
+            t = mom[2] = mom[2] + 1
+            m = mom[0] = beta1 * mom[0] + mix1 * g
+            v = mom[1] = beta2 * mom[1] + mix2 * g * g
+            m_hat = m / (c1[t - 1] if t <= n1 else tail1(t))
+            v_hat = v / (c2[t - 1] if t <= n2 else tail2(t))
+            cell[a] += -(b1 * m_hat / sqrt(v_hat + eps_c))
         else:
-            critic_rate, actor_rate = b1 / (1.0 + n / n0) ** k_c, b2 / (1.0 + n / n0) ** k_a
-        critic_update(q, s, a, incurred, (nx, nl), critic_rate, beta, critic_mom)
+            cell[a] += b1 / (1.0 + n / n0) ** k_c * td
         if x == X:  # forced offload: its gradient is undefined
             return None
-        return actor_update(tau, s, q, actor_rate, temp, float(L), literal, actor_mom)
+        # actor: d(accept probability)/d(tau[x]) times (accept - offload),
+        # a projected step on tau[x]; tau[x] has not moved since act
+        g = f * (1.0 - f) / temp * (cell[0] - cell[1])
+        if adam:
+            mom = actor_mom[x]
+            t = mom[2] = mom[2] + 1
+            m = mom[0] = beta1 * mom[0] + mix1 * g
+            v = mom[1] = beta2 * mom[1] + mix2 * g * g
+            m_hat = m / (c1[t - 1] if t <= n1 else tail1(t))
+            v_hat = v / (c2[t - 1] if t <= n2 else tail2(t))
+            step = b2 * m_hat / sqrt(v_hat + eps_a)
+        else:
+            step = b2 / (1.0 + n / n0) ** k_a * g
+        before = tau[x]
+        proposed = before + step if literal else before - step
+        # min(max(proposed, 0.0), level_cap), without the calls
+        if proposed < 0.0:
+            proposed = 0.0
+        elif level_cap < proposed:
+            proposed = level_cap
+        tau[x] = proposed
+        return g, proposed - before
 
     def snapshot():
         hashed = np.array(tau)
         return hashed, policy_table(params, tau=hashed)
 
-    out = arrival_loop(scenario, params, cm, rd, config, seed, act, update, snapshot)
+    out = arrival_loop(segments, params, cm, rd, config, seed, act, update, snapshot)
     return TrainResult(np.array(tau), np.array(q), *out)

@@ -204,13 +204,13 @@ def trajectory(
 
 
 def rate_segments(
-    scenario: Scenario, horizon: int, seed: int
+    rows: list[tuple[int, float, int]], horizon: int
 ) -> list[tuple[int, int, float]]:
     """The arrival rate as ``(start, stop, lam)`` segments that tile ``0..horizon``.
 
-    Steps ``start..stop-1`` all run at rate ``lam``: one segment per
-    ``trajectory`` row, ending where the next row starts.
+    ``rows`` are ``trajectory``'s rows over ``horizon``.  Steps
+    ``start..stop-1`` all run at rate ``lam``: one segment per row, ending
+    where the next row starts.
     """
-    rows = trajectory(scenario, horizon, seed)
     stops = [start for start, _, _ in rows[1:]] + [horizon]
     return [(start, stop, lam) for (start, lam, _), stop in zip(rows, stops)]

@@ -7,6 +7,7 @@ from edgeadmit.config import (
     default_running_table,
 )
 from edgeadmit.model import CostModel, CostTableWarning, ModelParams, ResourceDist
+from edgeadmit.scenarios import rate_segments, trajectory
 
 
 @pytest.fixture(scope="session")
@@ -34,6 +35,16 @@ def canonical_costs() -> CostModel:
 @pytest.fixture(scope="session")
 def canonical_resources() -> ResourceDist:
     return ResourceDist(pmf=[0.6, 0.4])
+
+
+@pytest.fixture(scope="session")
+def segments():
+    """``segments(scenario, horizon, seed)``: the rate segments ``cli.train`` passes a trainer."""
+
+    def build(scenario, horizon, seed):
+        return rate_segments(trajectory(scenario, horizon, seed), horizon)
+
+    return build
 
 
 @pytest.fixture(autouse=True)

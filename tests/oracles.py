@@ -3,23 +3,33 @@
 Nothing here reuses the solver's sweep machinery: one-step distributions
 are enumerated outcome by outcome, policies are evaluated by solving the
 linear fixed-point system directly, and optima are found by enumerating
-every admissible deterministic stationary policy.  The one use of the
-simulator's step is ``windowed_replay``, the plain loop over
-``StepKernel.step`` that the windowed loop's trap fast-forward must equal.
+every admissible deterministic stationary policy.  The uses of the
+simulator's step are the plain loops over ``StepKernel.step`` that the
+fast paths must equal: ``windowed_replay`` for the windowed loop's trap
+fast-forward, and ``reference_salmut_train`` and
+``reference_qlearning_train``, built from one helper call per learning
+step, for the trainers' fused per-arrival closures.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from edgeadmit.evaluate import MetricsWindow
+from edgeadmit import rng as rngmod
+from edgeadmit.dp import greedy_policy
+from edgeadmit.evaluate import MetricsWindow, policy_table
+from edgeadmit.learners import (
+    LogRow, QLearningConfig, QLearningResult, policy_hash,
+)
 from edgeadmit.model import (
     Action, CostModel, ModelParams, NoEventError, ResourceDist, StepKernel,
 )
+from edgeadmit.salmut import SalmutConfig, TrainResult, _sigmoid, bias_correction
 from edgeadmit.scenarios import ScenarioState
 
 
@@ -259,3 +269,298 @@ def windowed_replay(
     if w_fill:
         windows.append(MetricsWindow(len(windows), w_disc, w_undisc, w_ov, w_off))
     return total, windows, trap_step
+
+
+# SALMUT's per-arrival steps one helper call each, and the two trainers'
+# loops built from them over ``StepKernel.step``: the references the fused
+# trainers must equal bit for bit
+
+
+def accept_probability(
+    tau: np.ndarray, state: tuple[int, int], temperature: float
+) -> float:
+    """Sigmoid acceptance probability; zero at a full buffer (forced offload)."""
+    x, ell = state
+    if x >= len(tau) - 1:
+        return 0.0
+    return _sigmoid((tau[x] - ell) / temperature)
+
+
+def f_gradient(tau: np.ndarray, state: tuple[int, int], temperature: float) -> float:
+    """d(accept probability)/d(tau[x]); zero where the action is forced."""
+    x, ell = state
+    if x >= len(tau) - 1:
+        return 0.0
+    f = _sigmoid((tau[x] - ell) / temperature)
+    return f * (1.0 - f) / temperature
+
+
+def critic_update(
+    q: np.ndarray,
+    s: tuple[int, int],
+    a: Action,
+    incurred: float,
+    s_next: tuple[int, int],
+    rate: float,
+    beta: float,
+    moments: AdaptiveMoments | None = None,
+) -> float:
+    """TD(0) backup on the visited cell; returns the applied delta.
+
+    The delta is ``rate * td``, or with ``moments`` the adaptive descent step
+    at base rate ``rate`` for the gradient ``-td``.
+    """
+    x, ell = s
+    nx, nl = s_next
+    after = q[nx][nl]
+    cell = q[x][ell]
+    td = incurred + beta * min(after[0], after[1]) - cell[a]
+    if moments is None:
+        change = rate * td
+    else:
+        change = -moments.step((x, ell, a), -td, rate)
+    cell[a] += change
+    return change
+
+
+def gradient_estimate(
+    q: np.ndarray, s: tuple[int, int], tau: np.ndarray, temperature: float
+) -> float:
+    """Per-visit contribution to the performance gradient at coordinate s[0]."""
+    x, ell = s
+    cell = q[x][ell]
+    return f_gradient(tau, s, temperature) * (cell[0] - cell[1])  # accept - offload
+
+
+def actor_update(
+    tau: np.ndarray,
+    s: tuple[int, int],
+    q: np.ndarray,
+    rate: float,
+    temperature: float,
+    level_cap: float,
+    paper_literal_sign: bool = False,
+    moments: AdaptiveMoments | None = None,
+) -> tuple[float, float]:
+    """Projected gradient step on tau[s[0]]; returns (gradient estimate, realized change).
+
+    The step is ``rate * g``, or with ``moments`` the adaptive step at base
+    rate ``rate``.  The default steps against the cost gradient.
+    ``paper_literal_sign`` applies the update with the opposite (ascent)
+    sign for side-by-side comparison.
+    """
+    x = s[0]
+    g = gradient_estimate(q, s, tau, temperature)
+    step = rate * g if moments is None else moments.step(x, g, rate)
+    before = tau[x]
+    proposed = before + step if paper_literal_sign else before - step
+    tau[x] = min(max(proposed, 0.0), level_cap)
+    return g, tau[x] - before
+
+
+@dataclass
+class AdaptiveMoments:
+    """Per-coordinate first/second moment steps with an epsilon guard.
+
+    The guard sits inside the square root, so the effective step is bounded
+    by ``rate * |m| / sqrt(eps)`` and vanishing gradients produce vanishing
+    steps instead of being renormalized to full size.  ``cells`` maps each
+    visited coordinate to its ``[m, v, count]``, in Python numbers.
+    """
+
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    cells: dict = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.cells = {}
+        self._mix1, self._mix2 = 1.0 - self.beta1, 1.0 - self.beta2
+        self._c1, self._tail1 = bias_correction(self.beta1)
+        self._c2, self._tail2 = bias_correction(self.beta2)
+        self._n1, self._n2 = len(self._c1), len(self._c2)
+
+    def step(self, idx, g: float, rate: float) -> float:
+        """Descent step for gradient g at coordinate idx."""
+        cell = self.cells.get(idx)
+        if cell is None:
+            cell = self.cells[idx] = [0.0, 0.0, 0]
+        t = cell[2] = cell[2] + 1
+        m = cell[0] = self.beta1 * cell[0] + self._mix1 * g
+        v = cell[1] = self.beta2 * cell[1] + self._mix2 * g * g
+        m_hat = m / (self._c1[t - 1] if t <= self._n1 else self._tail1(t))
+        v_hat = v / (self._c2[t - 1] if t <= self._n2 else self._tail2(t))
+        return rate * m_hat / math.sqrt(v_hat + self.eps)
+
+
+def epsilon_greedy_action(
+    q: np.ndarray, x: int, ell: int, eps: float, rng: np.random.Generator
+) -> int:
+    """Explore uniformly with probability eps, else argmin with ties accept.
+
+    Reads ``q[x][ell]``, so ``q`` may be nested lists or an array.
+    """
+    if rng.random() < eps:
+        return int(rng.integers(0, 2))
+    cell = q[x][ell]
+    return 0 if cell[0] <= cell[1] else 1
+
+
+def _reference_arrival_loop(
+    segments: list[tuple[int, int, float]],
+    params: ModelParams,
+    cm: CostModel,
+    rd: ResourceDist,
+    config,
+    seed: int,
+    act: Callable[[int, int, int], int],
+    update: Callable[[int, int, int, float, int, int, int], tuple[float, float] | None],
+    snapshot: Callable[[], tuple[np.ndarray, np.ndarray]],
+) -> tuple[list[LogRow], list[tuple[float, np.ndarray]], np.ndarray, np.ndarray, int]:
+    """``learners.arrival_loop`` with a ``decide`` wrapper that forces the offload at ``X``."""
+    X, L = params.buffer_capacity, params.cpu_levels
+    horizon, eval_every = config.horizon, config.eval_every
+    step = StepKernel(params, cm, rd).step
+    event_u = rngmod.block_uniforms(rngmod.substream(seed, "events"))
+    resource_u = rngmod.block_uniforms(rngmod.substream(seed, "resources"))
+    x, ell = config.start_state
+    if not (0 <= x <= X and 0 <= ell <= L):
+        raise ValueError("start_state out of bounds")
+
+    def decide(x: int, ell: int, n: int) -> int:
+        return 1 if x == X else act(x, ell, n)
+
+    # sums of |g| and |step| and their count, over the log window and per tenth
+    win_g = win_s = 0.0
+    win_n = 0
+    tenth_g, tenth_s, tenth_n = [0.0] * 10, [0.0] * 10, [0] * 10
+    log: list[LogRow] = []
+    evals: list[tuple[float, np.ndarray]] = []
+    arrivals = 0
+    for start, stop, lam in segments:
+        for n in range(start, stop):
+            nx, nl, a, incurred = step(x, ell, lam, decide, n, event_u, resource_u)
+            if a is not None:
+                arrivals += 1
+                diag = update(x, ell, a, incurred, nx, nl, n)
+                if diag is not None:
+                    g, moved = abs(diag[0]), abs(diag[1])
+                    win_g += g
+                    win_s += moved
+                    win_n += 1
+                    tenth = min(10 * n // horizon, 9)
+                    tenth_g[tenth] += g
+                    tenth_s[tenth] += moved
+                    tenth_n[tenth] += 1
+            x, ell = nx, nl
+
+            if (n + 1) % eval_every == 0:
+                hashed, table = snapshot()
+                log.append(
+                    LogRow(
+                        step=n + 1,
+                        policy_hash=policy_hash(hashed),
+                        grad_abs_window=win_g / win_n if win_n else 0.0,
+                        grad_step_window=win_s / win_n if win_n else 0.0,
+                    )
+                )
+                evals.append((lam, table))
+                win_g = win_s = 0.0
+                win_n = 0
+
+    counts = np.maximum(tenth_n, 1)
+    return log, evals, np.array(tenth_g) / counts, np.array(tenth_s) / counts, arrivals
+
+
+def reference_salmut_train(
+    segments: list[tuple[int, int, float]],
+    params: ModelParams,
+    cm: CostModel,
+    rd: ResourceDist,
+    config: SalmutConfig,
+    seed: int,
+) -> TrainResult:
+    """``salmut.train`` through the per-arrival helpers above, one call each."""
+    X, L = params.buffer_capacity, params.cpu_levels
+    beta = params.discount_beta
+    temp = config.temperature
+    b1, b2 = config.rates()
+    literal = config.paper_literal_sign
+    explore_u = rngmod.block_uniforms(rngmod.substream(seed, "exploration"))
+    init_rng = rngmod.substream(seed, "init")
+
+    # the state stays in Python floats, q[x][ell][a] and tau[x], until returned
+    q = [[[0.0, 0.0] for _ in range(L + 1)] for _ in range(X + 1)]
+    if config.initial_tau is None:
+        tau = init_rng.uniform(0.0, float(L), size=X + 1).tolist()
+    else:
+        if not 0.0 <= config.initial_tau <= L:
+            raise ValueError("initial_tau must lie in [0, L]")
+        tau = [float(config.initial_tau)] * (X + 1)
+
+    adam = config.mode == "adam"
+    critic_mom = actor_mom = None
+    if adam:
+        critic_mom = AdaptiveMoments(config.adam_beta1, config.adam_beta2, config.critic_epsilon)
+        actor_mom = AdaptiveMoments(config.adam_beta1, config.adam_beta2, config.actor_epsilon)
+    n0 = config.decay_n0
+    k_c, k_a = config.decay_kappa_critic, config.decay_kappa_actor
+
+    def act(x: int, ell: int, n: int) -> int:
+        return 0 if explore_u() < accept_probability(tau, (x, ell), temp) else 1
+
+    def update(x, ell, a, incurred, nx, nl, n):
+        s = (x, ell)
+        if adam:
+            critic_rate, actor_rate = b1, b2
+        else:
+            critic_rate, actor_rate = b1 / (1.0 + n / n0) ** k_c, b2 / (1.0 + n / n0) ** k_a
+        critic_update(q, s, a, incurred, (nx, nl), critic_rate, beta, critic_mom)
+        if x == X:  # forced offload: its gradient is undefined
+            return None
+        return actor_update(tau, s, q, actor_rate, temp, float(L), literal, actor_mom)
+
+    def snapshot():
+        hashed = np.array(tau)
+        return hashed, policy_table(params, tau=hashed)
+
+    out = _reference_arrival_loop(segments, params, cm, rd, config, seed, act, update, snapshot)
+    return TrainResult(np.array(tau), np.array(q), *out)
+
+
+def reference_qlearning_train(
+    segments: list[tuple[int, int, float]],
+    params: ModelParams,
+    cm: CostModel,
+    rd: ResourceDist,
+    config: QLearningConfig,
+    seed: int,
+) -> QLearningResult:
+    """``learners.qlearning_train`` through ``epsilon_greedy_action``."""
+    X, L = params.buffer_capacity, params.cpu_levels
+    beta = params.discount_beta
+    # scalar draws: random() and integers(0, 2) interleave on this stream
+    act_rng = rngmod.substream(seed, "exploration")
+    # Python floats, q[x][ell][a], until returned
+    q = [[[0.0, 0.0] for _ in range(L + 1)] for _ in range(X + 1)]
+    n0, kappa = config.decay_n0, config.decay_kappa
+    decaying = config.rate_mode == "decay"
+
+    def act(x: int, ell: int, n: int) -> int:
+        return epsilon_greedy_action(q, x, ell, config.epsilon_at(n), act_rng)
+
+    def update(x, ell, a, incurred, nx, nl, n):
+        rate = config.rate / (1.0 + n / n0) ** kappa if decaying else config.rate
+        after = q[nx][nl]
+        cell = q[x][ell]
+        td = incurred + beta * min(after[0], after[1]) - cell[a]
+        cell[a] += rate * td
+        return td, rate * td
+
+    def snapshot():
+        table = greedy_policy(np.array(q), X)
+        return table, table
+
+    out = _reference_arrival_loop(segments, params, cm, rd, config, seed, act, update, snapshot)
+    q_out = np.array(q)
+    return QLearningResult(q_out, greedy_policy(q_out, X), *out)

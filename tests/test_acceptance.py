@@ -55,11 +55,12 @@ from edgeadmit.model import (
     StepKernel,
 )
 from edgeadmit.rng import substream
-from edgeadmit.salmut import SalmutConfig, accept_probability, f_gradient, train
+from edgeadmit.salmut import SalmutConfig, train
 from edgeadmit.scenarios import Scenario, ScenarioState
 
 from oracles import (
-    State, enumerate_optimal, recursion_policy_value, relative_gap, transition_pmf,
+    State, accept_probability, enumerate_optimal, f_gradient, recursion_policy_value,
+    relative_gap, transition_pmf,
 )
 
 LAM = 6.0
@@ -315,14 +316,16 @@ def test_criterion_6_simulator_fidelity(canonical_params, canonical_costs, canon
 
 
 def test_criterion_7_salmut_desk_scale(
-    dp_target, canonical_params, canonical_costs, canonical_resources
+    segments, dp_target, canonical_params, canonical_costs, canonical_resources
 ):
     t0 = time.monotonic()
     scenario = Scenario(kind=1)
     cfg = SalmutConfig(horizon=200_000, eval_every=200_000)
     gaps = []
     for seed in SEEDS:
-        result = train(scenario, canonical_params, canonical_costs, canonical_resources, cfg, seed)
+        args = (segments(scenario, 200_000, seed), canonical_params, canonical_costs,
+                canonical_resources)
+        result = train(*args, cfg, seed)
         rep = evaluate(
             policy_table(canonical_params, tau=result.tau), EVAL, LAM, canonical_params,
             canonical_costs, canonical_resources, seed=91_000 + seed,
@@ -337,7 +340,9 @@ def test_criterion_7_salmut_desk_scale(
     dcfg = SalmutConfig(horizon=200_000, eval_every=200_000, mode="decay")
     shrinks = []
     for seed in SEEDS:
-        result = train(scenario, canonical_params, canonical_costs, canonical_resources, dcfg, seed)
+        args = (segments(scenario, 200_000, seed), canonical_params, canonical_costs,
+                canonical_resources)
+        result = train(*args, dcfg, seed)
         first, last = result.tenth_step_abs[0], result.tenth_step_abs[-1]
         shrinks.append(first / max(last, 1e-300))
     min_shrink = min(shrinks)
@@ -356,14 +361,15 @@ def test_criterion_7_salmut_desk_scale(
 
 
 def test_criterion_8_qlearning_desk_scale(
-    dp_target, canonical_params, canonical_costs, canonical_resources
+    segments, dp_target, canonical_params, canonical_costs, canonical_resources
 ):
     scenario = Scenario(kind=1)
     cfg = QLearningConfig(horizon=500_000, eval_every=500_000)
     gaps = []
     for seed in SEEDS:
         result = qlearning_train(
-            scenario, canonical_params, canonical_costs, canonical_resources, cfg, seed
+            segments(scenario, 500_000, seed),
+            canonical_params, canonical_costs, canonical_resources, cfg, seed,
         )
         rep = evaluate(
             policy_table(canonical_params, actions=result.policy), EVAL, LAM, canonical_params,
@@ -382,15 +388,15 @@ def test_criterion_8_qlearning_desk_scale(
 
 
 @pytest.fixture(scope="module")
-def behavioral_runs(solution, canonical_params, canonical_costs, canonical_resources):
+def behavioral_runs(segments, solution, canonical_params, canonical_costs, canonical_resources):
     """Per scenario: the scenario, the three compared policies, their trace and series,
     and the learned threshold vector."""
     runs = {}
     for kind in (1, 2):
         scenario = Scenario(kind=kind)
         trained = train(
-            scenario, canonical_params, canonical_costs, canonical_resources,
-            SalmutConfig(horizon=200_000, eval_every=200_000), seed=0,
+            segments(scenario, 200_000, 0), canonical_params, canonical_costs,
+            canonical_resources, SalmutConfig(horizon=200_000, eval_every=200_000), seed=0,
         )
         policies = {
             "dp": policy_table(canonical_params, actions=solution.policy),

@@ -247,7 +247,7 @@ def test_cli_compare_trace_length_must_be_positive(tmp_path):
 
 
 @pytest.mark.parametrize("learner", ["salmut", "qlearning"])
-def test_cli_train_fills_every_eval_point(tmp_path, monkeypatch, learner):
+def test_cli_train_fills_every_eval_point(tmp_path, monkeypatch, segments, learner):
     # the CLI scores a seed's eval points in one call; with 12 lanes a batch
     # ends inside a point's 8 rollouts, and every log row must still hold the
     # one-point evaluation of that row's eval point and seed
@@ -262,7 +262,7 @@ def test_cli_train_fills_every_eval_point(tmp_path, monkeypatch, learner):
     exp = Experiment.from_config(cfgmod.load_config(cfg_path, {"learner": {"kind": learner}}))
     assert exp.eval_config.n_rollouts == 8
     for seed in exp.seeds:
-        args = (exp.scenario, exp.params, exp.costs, exp.resources)
+        args = (segments(exp.scenario, 5000, seed), exp.params, exp.costs, exp.resources)
         if learner == "salmut":
             trained = salmut.train(*args, exp.salmut, seed)
         else:

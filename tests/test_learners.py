@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from edgeadmit.model import Action
 from edgeadmit.rng import BLOCK, block_uniforms, substream
 from edgeadmit.salmut import SalmutConfig, train
 from edgeadmit.scenarios import Scenario
+
+from oracles import reference_qlearning_train, reference_salmut_train
 
 
 @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 10_000])
@@ -72,7 +76,7 @@ def test_epsilon_schedule_endpoints():
 def test_pure_exploration_action_marginals():
     # epsilon = 1: the behavior at any interior arrival state is a fair coin,
     # regardless of the q-values
-    from edgeadmit.learners import epsilon_greedy_action
+    from oracles import epsilon_greedy_action
 
     q = np.zeros((21, 21, 2))
     q[3, 7, 0] = 100.0  # a greedy policy would always offload here
@@ -84,7 +88,7 @@ def test_pure_exploration_action_marginals():
 
 
 def test_zero_exploration_is_greedy():
-    from edgeadmit.learners import epsilon_greedy_action
+    from oracles import epsilon_greedy_action
 
     q = np.zeros((21, 21, 2))
     q[3, 7, 0] = 1.0
@@ -105,28 +109,26 @@ def test_greedy_matches_dp_policy_when_preloaded(
     assert np.array_equal(extracted, sol.policy)
 
 
-def test_qlearning_deterministic(canonical_params, canonical_costs, canonical_resources):
+def test_qlearning_deterministic(segments, canonical_params, canonical_costs, canonical_resources):
     cfg = QLearningConfig(horizon=3000, eval_every=1000)
-    a = qlearning_train(
-        Scenario(kind=1), canonical_params, canonical_costs, canonical_resources, cfg, seed=7
-    )
-    b = qlearning_train(
-        Scenario(kind=1), canonical_params, canonical_costs, canonical_resources, cfg, seed=7
-    )
+    args = (segments(Scenario(kind=1), 3000, 7), canonical_params, canonical_costs,
+            canonical_resources)
+    a = qlearning_train(*args, cfg, seed=7)
+    b = qlearning_train(*args, cfg, seed=7)
     assert np.array_equal(a.q, b.q)
     assert np.array_equal(a.policy, b.policy)
     assert a.log == b.log
 
 
-def test_qlearning_log_schema_matches_salmut(canonical_params, canonical_costs, canonical_resources):
+def test_qlearning_log_schema_matches_salmut(
+    segments, canonical_params, canonical_costs, canonical_resources
+):
     qcfg = QLearningConfig(horizon=2000, eval_every=1000)
     scfg = SalmutConfig(horizon=2000, eval_every=1000)
-    q_res = qlearning_train(
-        Scenario(kind=1), canonical_params, canonical_costs, canonical_resources, qcfg, seed=2
-    )
-    s_res = train(
-        Scenario(kind=1), canonical_params, canonical_costs, canonical_resources, scfg, seed=2
-    )
+    args = (segments(Scenario(kind=1), 2000, 2), canonical_params, canonical_costs,
+            canonical_resources)
+    q_res = qlearning_train(*args, qcfg, seed=2)
+    s_res = train(*args, scfg, seed=2)
     assert [r.step for r in q_res.log] == [r.step for r in s_res.log]
     assert set(q_res.log[0].__dataclass_fields__) == set(
         s_res.log[0].__dataclass_fields__
@@ -134,21 +136,23 @@ def test_qlearning_log_schema_matches_salmut(canonical_params, canonical_costs, 
 
 
 def test_qlearning_policy_has_forced_offload_row(
-    canonical_params, canonical_costs, canonical_resources
+    segments, canonical_params, canonical_costs, canonical_resources
 ):
     cfg = QLearningConfig(horizon=2000, eval_every=2000)
     result = qlearning_train(
-        Scenario(kind=1), canonical_params, canonical_costs, canonical_resources, cfg, seed=1
+        segments(Scenario(kind=1), 2000, 1),
+        canonical_params, canonical_costs, canonical_resources, cfg, seed=1,
     )
     assert np.all(result.policy[20, :] == Action.OFFLOAD)
 
 
 def test_eval_points_are_the_logged_policies(
-    canonical_params, canonical_costs, canonical_resources
+    segments, canonical_params, canonical_costs, canonical_resources
 ):
     # Q-learning's eval table is the greedy table its row hashes; SALMUT's
     # last eval point, at the horizon, scores the returned thresholds
-    args = (Scenario(kind=6), canonical_params, canonical_costs, canonical_resources)
+    args = (segments(Scenario(kind=6), 4000, 3), canonical_params, canonical_costs,
+            canonical_resources)
     q_res = qlearning_train(*args, QLearningConfig(horizon=4000, eval_every=1000), seed=3)
     assert len(q_res.evals) == len(q_res.log) == 4
     assert [policy_hash(table) for _, table in q_res.evals] == [
@@ -158,3 +162,73 @@ def test_eval_points_are_the_logged_policies(
     s_res = train(*args, SalmutConfig(horizon=4000, eval_every=1000), seed=3)
     assert len(s_res.evals) == len(s_res.log) == 4
     assert np.array_equal(s_res.evals[-1][1], policy_table(canonical_params, tau=s_res.tau))
+
+
+def assert_same_result(got, want):
+    """Field by field, bit for bit: arrays by dtype, shape and bytes, the rest by repr."""
+
+    def bits(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype, value.shape, value.tobytes()
+        if isinstance(value, list):
+            return [bits(item) for item in value]
+        if isinstance(value, tuple):
+            return tuple(bits(item) for item in value)
+        return repr(value)
+
+    assert type(got) is type(want)
+    for field in dataclasses.fields(want):
+        name = field.name
+        assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+
+
+# (kind, seed, config) cases: the fused trainers against the helper-chain
+# references.  Scenario 2's phase changes fall at steps 6667 and 13334 and
+# scenario 6 toggles every 200 steps, inside the log windows; beta2 = 0.9's
+# 355-entry bias-correction table runs into its tail within the horizon;
+# (20, 20) starts at a full buffer; 20 500 is not a multiple of 3000, and
+# 8000 exceeds a 5000-step horizon.
+SALMUT_CASES = [
+    (6, 1, SalmutConfig(horizon=20_000, eval_every=2500)),
+    (6, 2, SalmutConfig(horizon=20_000, eval_every=2500, mode="decay")),
+    (2, 3, SalmutConfig(horizon=20_000, eval_every=2500, adam_beta2=0.9)),
+    (2, 4, SalmutConfig(horizon=20_000, eval_every=2500, mode="decay", paper_literal_sign=True)),
+    (6, 5, SalmutConfig(horizon=20_000, eval_every=2500, start_state=(20, 20))),
+    (2, 6, SalmutConfig(horizon=20_500, eval_every=3000, paper_literal_sign=True)),
+    (6, 7, SalmutConfig(horizon=5000, eval_every=8000, mode="decay", start_state=(20, 20))),
+]
+QLEARNING_CASES = [
+    (6, 1, QLearningConfig(horizon=20_000, eval_every=2500)),
+    (2, 2, QLearningConfig(horizon=20_000, eval_every=2500, epsilon_start=0.9,
+                           epsilon_end=0.05, epsilon_decay_fraction=0.5)),
+    (6, 3, QLearningConfig(horizon=20_000, eval_every=2500, rate_mode="constant",
+                           start_state=(20, 20))),
+    (2, 4, QLearningConfig(horizon=20_500, eval_every=3000, epsilon_start=0.0,
+                           epsilon_end=0.6, epsilon_decay_fraction=1.0)),
+    (6, 5, QLearningConfig(horizon=5000, eval_every=8000, rate_mode="constant")),
+]
+
+
+def _case_args(segments, kind, seed, cfg, params, costs, resources):
+    segs = segments(Scenario(kind=kind), cfg.horizon, seed)
+    # at least one change point falls inside a log window
+    assert any(start % cfg.eval_every for start, _, _ in segs[1:])
+    return segs, params, costs, resources, cfg, seed
+
+
+@pytest.mark.parametrize("kind,seed,cfg", SALMUT_CASES)
+def test_salmut_train_equals_helper_chain_reference(
+    kind, seed, cfg, segments, canonical_params, canonical_costs, canonical_resources
+):
+    args = _case_args(segments, kind, seed, cfg, canonical_params, canonical_costs,
+                      canonical_resources)
+    assert_same_result(train(*args), reference_salmut_train(*args))
+
+
+@pytest.mark.parametrize("kind,seed,cfg", QLEARNING_CASES)
+def test_qlearning_train_equals_helper_chain_reference(
+    kind, seed, cfg, segments, canonical_params, canonical_costs, canonical_resources
+):
+    args = _case_args(segments, kind, seed, cfg, canonical_params, canonical_costs,
+                      canonical_resources)
+    assert_same_result(qlearning_train(*args), reference_qlearning_train(*args))

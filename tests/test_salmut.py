@@ -7,20 +7,19 @@ from hypothesis import strategies as st
 
 from edgeadmit.model import Action, CostModel, StepKernel
 from edgeadmit.rng import substream
-from edgeadmit.salmut import (
+from edgeadmit.salmut import SalmutConfig, bias_correction, train
+from edgeadmit.scenarios import Scenario
+
+from oracles import (
     AdaptiveMoments,
-    SalmutConfig,
+    State,
     accept_probability,
     actor_update,
-    bias_correction,
     critic_update,
     f_gradient,
     gradient_estimate,
-    train,
+    moment_arrays,
 )
-from edgeadmit.scenarios import Scenario
-
-from oracles import State, moment_arrays
 
 
 def flat_tau(value: float, n: int = 21) -> np.ndarray:
@@ -256,53 +255,66 @@ def test_salmut_config_validation():
     SalmutConfig(mode="decay", decay_kappa_critic=0.6, decay_kappa_actor=1.0)
 
 
-def _tiny_train(canonical_params, canonical_costs, canonical_resources, **kwargs):
+def _tiny_train(segments, canonical_params, canonical_costs, canonical_resources, **kwargs):
     cfg = SalmutConfig(horizon=kwargs.pop("horizon", 2000), eval_every=500, **kwargs)
     return train(
-        Scenario(kind=1), canonical_params, canonical_costs, canonical_resources, cfg, seed=5
+        segments(Scenario(kind=1), cfg.horizon, 5),
+        canonical_params, canonical_costs, canonical_resources, cfg, seed=5,
     )
 
 
-def test_train_deterministic(canonical_params, canonical_costs, canonical_resources):
-    a = _tiny_train(canonical_params, canonical_costs, canonical_resources)
-    b = _tiny_train(canonical_params, canonical_costs, canonical_resources)
+def test_train_deterministic(segments, canonical_params, canonical_costs, canonical_resources):
+    a = _tiny_train(segments, canonical_params, canonical_costs, canonical_resources)
+    b = _tiny_train(segments, canonical_params, canonical_costs, canonical_resources)
     assert np.array_equal(a.tau, b.tau)
     assert np.array_equal(a.q, b.q)
     assert a.log == b.log
 
 
-def test_train_zero_cost_threshold_never_moves(canonical_params, canonical_resources):
+def test_train_zero_cost_threshold_never_moves(segments, canonical_params, canonical_resources):
     cm = CostModel(holding=0.0, running=np.zeros(21), penalty=np.zeros(21))
     cfg = SalmutConfig(horizon=3000, eval_every=1000, mode="decay")
-    result = train(Scenario(kind=1), canonical_params, cm, canonical_resources, cfg, seed=3)
+    result = train(
+        segments(Scenario(kind=1), 3000, 3), canonical_params, cm, canonical_resources, cfg, seed=3
+    )
     expected_init = substream(3, "init").uniform(0.0, 20.0, size=21)
     assert np.array_equal(result.tau, expected_init)
     assert np.all(result.tenth_step_abs == 0.0)
 
 
-def test_train_single_step_locality(canonical_params, canonical_costs, canonical_resources):
+def test_train_single_step_locality(
+    segments, canonical_params, canonical_costs, canonical_resources
+):
     # one step from the empty state is an arrival; at most one q cell and one
     # tau coordinate may change
     cfg = SalmutConfig(horizon=1, eval_every=1)
     result = train(
-        Scenario(kind=1), canonical_params, canonical_costs, canonical_resources, cfg, seed=9
+        segments(Scenario(kind=1), 1, 9),
+        canonical_params, canonical_costs, canonical_resources, cfg, seed=9,
     )
     assert (result.q != 0).sum() <= 1
     init = substream(9, "init").uniform(0.0, 20.0, size=21)
     assert (result.tau != init).sum() <= 1
 
 
-def test_train_tau_stays_in_bounds(canonical_params, canonical_costs, canonical_resources):
-    result = _tiny_train(canonical_params, canonical_costs, canonical_resources, horizon=5000)
+def test_train_tau_stays_in_bounds(
+    segments, canonical_params, canonical_costs, canonical_resources
+):
+    result = _tiny_train(
+        segments, canonical_params, canonical_costs, canonical_resources, horizon=5000
+    )
     assert np.all(result.tau >= 0.0) and np.all(result.tau <= 20.0)
 
 
-def test_train_eval_points_cadence(canonical_params, canonical_costs, canonical_resources):
+def test_train_eval_points_cadence(
+    segments, canonical_params, canonical_costs, canonical_resources
+):
     # one eval point per log row, at the rate of the row's last step: scenario
     # 2 runs at 9.0 from step 667 to 1332 and at 6.0 elsewhere
     cfg = SalmutConfig(horizon=2000, eval_every=500)
     result = train(
-        Scenario(kind=2), canonical_params, canonical_costs, canonical_resources, cfg, seed=1
+        segments(Scenario(kind=2), 2000, 1),
+        canonical_params, canonical_costs, canonical_resources, cfg, seed=1,
     )
     assert [row.step for row in result.log] == [500, 1000, 1500, 2000]
     assert [lam for lam, _ in result.evals] == [6.0, 9.0, 6.0, 6.0]

@@ -194,7 +194,7 @@ def test_trajectory_matches_stepwise_replay(kind, horizon, seed, toggle, populat
                         population_period_fraction=population)
     rows, rates = _stepwise_trajectory(scenario, horizon, seed)
     assert trajectory(scenario, horizon, seed) == rows
-    segments = rate_segments(scenario, horizon, seed)
+    segments = rate_segments(rows, horizon)
     # the segments tile 0..horizon in order, with no gap and no empty segment
     assert [start for start, _, _ in segments] == [0] + [stop for _, stop, _ in segments[:-1]]
     assert segments[-1][1] == horizon
