@@ -86,13 +86,7 @@ def solve(config_path, seed, out, scenario, horizon_scale):
             config_path, _common_overrides(seed, out, scenario), horizon_scale
         )
         sol = dp.value_iteration(
-            exp.planning_rate(),
-            exp.params,
-            exp.costs,
-            exp.resources,
-            tol=exp.raw["solver"]["tol"],
-            max_iter=exp.raw["solver"]["max_iter"],
-            self_loop=exp.raw["solver"]["self_loop"],
+            exp.planning_rate(), exp.params, exp.costs, exp.resources, **exp.raw["solver"]
         )
         sha = artifacts.config_hash(exp.raw)
         out_dir = exp.output_dir / "dp"
@@ -198,7 +192,7 @@ def _policy_from_artifact(art: dict, exp: Experiment) -> np.ndarray:
         raise ArtifactError(f"unknown policy kind {kind!r}")
     name = _POLICY_FIELDS[kind]
     value = art.get(name)
-    # a null field would build the all-offload table, which takes no source
+    # a null field would leave the table without its source
     if value is None:
         raise ArtifactError(f"{kind} policy artifact lacks its field {name!r}")
     if kind == "salmut":

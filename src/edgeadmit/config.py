@@ -1,7 +1,11 @@
 """JSON experiment configuration: schema, defaults, validation.
 
 Unknown keys are rejected and errors carry the dotted path of the offending
-field.  All defaults reproduce the canonical simulation setup: a 20-slot
+field.  A section that a dataclass reads (``model``, ``scenario``, ``eval``
+and the three learner sections) takes its keys and defaults from that
+class's fields; ``learner`` holds the run fields ``horizon``, ``eval_every``
+and ``start_state`` once for both learners, with ``SalmutConfig``'s
+defaults.  The defaults reproduce the canonical simulation setup: a 20-slot
 buffer, 21 load levels, 2 cores at rate 3, holding cost 0.12, discount 0.95,
 24 users at per-user rate 0.25, the banded running-cost and penalty tables,
 and the {1: 0.6, 2: 0.4} resource distribution.
@@ -12,7 +16,7 @@ from __future__ import annotations
 import copy
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -29,35 +33,30 @@ class ConfigError(Exception):
         self.path = path
 
 
-def default_running_table(levels: int = 20) -> list[float]:
+def default_running_table() -> list[float]:
     """Zero when idle, a small reward band at moderate load, high when overloaded."""
-    table = []
-    for ell in range(levels + 1):
-        if ell <= 5:
-            table.append(0.0)
-        elif ell <= 17:
-            table.append(-0.2)
-        else:
-            table.append(10.0)
-    return table
+    return [0.0] * 6 + [-0.2] * 12 + [10.0] * 3
 
 
-def default_penalty_table(levels: int = 20) -> list[float]:
+def default_penalty_table() -> list[float]:
     """Offloading is cheap once moderately loaded, expensive when nearly idle."""
-    return [10.0 if ell < 3 else 1.0 for ell in range(levels + 1)]
+    return [10.0] * 3 + [1.0] * 18
+
+
+# the run fields that `learner` holds once for both learner configs
+_RUN_FIELDS = ("horizon", "eval_every", "start_state")
+
+
+def _defaults(cls, skip=()) -> dict[str, Any]:
+    """``cls``'s field defaults by name, tuples as lists, without the fields in ``skip``."""
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in fields(cls) if f.name not in skip}
 
 
 def default_config() -> dict[str, Any]:
+    salmut = _defaults(SalmutConfig)
     return {
-        "model": {
-            "buffer_capacity": 20,
-            "cpu_levels": 20,
-            "cores": 2,
-            "service_rate": 3.0,
-            "discount_beta": 0.95,
-            "discount_rate": None,
-            "uniformization_rate": None,
-        },
+        "model": _defaults(ModelParams),
         "costs": {
             "holding": 0.12,
             "running": default_running_table(),
@@ -65,58 +64,16 @@ def default_config() -> dict[str, Any]:
             "strict_monotone": False,
         },
         "resources": {"pmf": [0.6, 0.4]},
-        "scenario": {
-            "kind": 1,
-            "n_users": 24,
-            "lambda_low": 0.25,
-            "lambda_high": 0.375,
-            "phase_fractions": [1.0 / 3.0, 2.0 / 3.0],
-            "toggle_period_fraction": 0.01,
-            "toggle_prob": 0.1,
-            "population_period_fraction": 0.1,
-            "leave_prob": 0.05,
-            "stay_prob": 0.9,
-            "add_prob": 0.05,
-        },
+        "scenario": _defaults(Scenario),
         "learner": {
             "kind": "salmut",
-            "horizon": 1_000_000,
-            "eval_every": 1000,
-            "start_state": [0, 0],
-            "salmut": {
-                "temperature": 5.0,
-                "mode": "adam",
-                "critic_rate": None,
-                "actor_rate": None,
-                "adam_beta1": 0.9,
-                "adam_beta2": 0.999,
-                "critic_epsilon": 1e-8,
-                "actor_epsilon": 1e-2,
-                "decay_n0": 3000.0,
-                "decay_kappa_critic": 0.6,
-                "decay_kappa_actor": 1.0,
-                "initial_tau": None,
-                "paper_literal_sign": False,
-            },
-            "qlearning": {
-                "rate": 0.2,
-                "rate_mode": "decay",
-                "decay_n0": 50_000.0,
-                "decay_kappa": 0.7,
-                "epsilon_start": 0.2,
-                "epsilon_end": 0.2,
-                "epsilon_decay_fraction": 0.5,
-            },
-            "baseline": {"accept_below": 18},
+            **{name: salmut.pop(name) for name in _RUN_FIELDS},
+            "salmut": salmut,
+            "qlearning": _defaults(QLearningConfig, skip=_RUN_FIELDS),
+            "baseline": _defaults(BaselinePolicy),
         },
         "solver": {"tol": 1e-9, "max_iter": 100_000, "self_loop": False},
-        "eval": {
-            "rollout_length": 1000,
-            "n_rollouts": 100,
-            "initial_state": [0, 0],
-            "window": 1000,
-            "overload_level": 18,
-        },
+        "eval": _defaults(EvalConfig),
         "seeds": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9],
         "output_dir": "runs",
     }
@@ -240,8 +197,7 @@ class Experiment:
     def from_config(cls, cfg: dict) -> "Experiment":
         """Build every section, so each command rejects any malformed one."""
         c, lrn = cfg["costs"], cfg["learner"]
-        common = {"horizon": lrn["horizon"], "eval_every": lrn["eval_every"],
-                  "start_state": lrn["start_state"]}
+        common = {name: lrn[name] for name in _RUN_FIELDS}
         sc = dict(cfg["scenario"])
         sc["phase_fractions"] = _wrap("scenario.phase_fractions", tuple, sc["phase_fractions"])
         exp = cls(

@@ -91,11 +91,11 @@ def policy_table(
 ) -> np.ndarray:
     """A deterministic policy as an ``(X+1, L+1)`` int8 action table, 1 = offload.
 
-    Built from one source: a real threshold vector ``tau`` (accept iff
-    ``ell <= floor(tau[x])``), an action table ``actions`` (planner output or
-    greedy Q extraction), or the baseline's ``accept_below`` (accept iff
-    ``ell < accept_below``).  With none, every arrival is offloaded.  Row
-    ``X`` always offloads: a full buffer cannot accept.
+    Built from one of three sources: a real threshold vector ``tau`` (accept
+    iff ``ell <= floor(tau[x])``), an action table ``actions`` (planner output
+    or greedy Q extraction), or the baseline's ``accept_below`` (accept iff
+    ``ell < accept_below``; 0 offloads every arrival).  Row ``X`` always
+    offloads: a full buffer cannot accept.
     """
     X, L = params.buffer_capacity, params.cpu_levels
     shape = (X + 1, L + 1)
@@ -104,10 +104,8 @@ def policy_table(
         offload = ell > np.floor(np.asarray(tau, dtype=float))[:, None]
     elif actions is not None:
         offload = np.asarray(actions) != Action.ACCEPT
-    elif accept_below is not None:
-        offload = np.broadcast_to(ell >= accept_below, shape)
     else:
-        offload = np.ones(shape, dtype=bool)
+        offload = np.broadcast_to(ell >= accept_below, shape)
     if offload.shape != shape:
         raise ValueError(f"policy table shape {offload.shape} does not match {shape}")
     table = offload.astype(np.int8)

@@ -17,7 +17,6 @@ import numpy as np
 from . import rng as rngmod
 from .dp import greedy_policy
 from .model import CostModel, ModelParams, ResourceDist, StepKernel, freeze_pair
-from .scenarios import Scenario, rate_segments, trajectory
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -39,7 +38,7 @@ def policy_hash(arr: np.ndarray) -> str:
 
 
 def arrival_loop(
-    segments: list[tuple[int, int, float]] | Scenario,
+    segments: list[tuple[int, int, float]],
     params: ModelParams,
     cm: CostModel,
     rd: ResourceDist,
@@ -51,11 +50,11 @@ def arrival_loop(
 ) -> tuple[list[LogRow], list[tuple[float, np.ndarray]], np.ndarray, np.ndarray, int]:
     """Run ``config.horizon`` steps from ``config.start_state``, learning at arrivals.
 
-    ``segments`` are the ``rate_segments`` of the scenario's trajectory over
-    ``config.horizon``; a ``Scenario`` in their place stands for its own
-    segments from ``seed``.  ``act(x, ell, n)`` is ``StepKernel.step``'s
-    ``decide``: it picks the action at an arrival, and at a full buffer it
-    returns 1 (offload) without drawing.  After each arrival,
+    ``segments`` are the ``scenarios.rate_segments`` of the scenario's
+    trajectory over ``config.horizon``, the only form of the rate a trainer
+    takes.  ``act(x, ell, n)`` is ``StepKernel.step``'s ``decide``: it picks
+    the action at an arrival, and at a full buffer it returns 1 (offload)
+    without drawing.  After each arrival,
     ``update(x, ell, a, cost, x', ell', n)`` learns from the transition and
     returns a diagnostic pair ``(g, step)``, or None to record nothing.
     Every ``config.eval_every`` steps the window means of ``|g|`` and
@@ -70,8 +69,6 @@ def arrival_loop(
     """
     X, L = params.buffer_capacity, params.cpu_levels
     horizon, eval_every = config.horizon, config.eval_every
-    if isinstance(segments, Scenario):
-        segments = rate_segments(trajectory(segments, horizon, seed), horizon)
     step = StepKernel(params, cm, rd).step
     event_u = rngmod.block_uniforms(rngmod.substream(seed, "events"))
     resource_u = rngmod.block_uniforms(rngmod.substream(seed, "resources"))
@@ -195,7 +192,7 @@ class QLearningConfig:
 
 
 def qlearning_train(
-    segments: list[tuple[int, int, float]] | Scenario,
+    segments: list[tuple[int, int, float]],
     params: ModelParams,
     cm: CostModel,
     rd: ResourceDist,

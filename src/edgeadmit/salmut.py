@@ -37,7 +37,6 @@ from . import rng as rngmod
 from .evaluate import policy_table
 from .learners import LogRow, arrival_loop
 from .model import CostModel, ModelParams, ResourceDist, freeze_pair
-from .scenarios import Scenario
 
 
 def _sigmoid(z: float) -> float:
@@ -151,7 +150,7 @@ class TrainResult:
 
 
 def train(
-    segments: list[tuple[int, int, float]] | Scenario,
+    segments: list[tuple[int, int, float]],
     params: ModelParams,
     cm: CostModel,
     rd: ResourceDist,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from edgeadmit import config as cfgmod, evaluate as evaluate_module, learners, salmut
 from edgeadmit.cli import _policy_from_artifact, main
 from edgeadmit.config import ConfigError, Experiment
+from edgeadmit.model import ModelParams
+from edgeadmit.scenarios import Scenario
 
 from oracles import trace_draws, windowed_replay
 
@@ -20,6 +23,24 @@ def test_default_config_validates_and_builds():
     assert exp.costs.running[6] == pytest.approx(-0.2)
     assert exp.costs.penalty[2] == pytest.approx(10.0)
     assert exp.costs.penalty[3] == pytest.approx(1.0)
+
+
+# SHA-256 of the default config's sorted JSON.  Its keys and defaults come
+# from the section dataclasses' fields, so a new field, a renamed one or a
+# changed default moves this digest and every run's config_sha256 with it
+DEFAULT_CONFIG_DIGEST = "203bc3932e42a0d2d333a84757e4bfa33f8413f72d8ba069f8d02d58be78eaf1"
+
+
+def test_default_config_pinned_and_equal_to_field_defaults():
+    canon = json.dumps(cfgmod.default_config(), sort_keys=True)
+    assert hashlib.sha256(canon.encode()).hexdigest() == DEFAULT_CONFIG_DIGEST
+    exp = Experiment.from_config(cfgmod.load_config())
+    assert exp.params == ModelParams()
+    assert exp.scenario == Scenario()
+    assert exp.eval_config == evaluate_module.EvalConfig()
+    assert exp.salmut == salmut.SalmutConfig()
+    assert exp.qlearning == learners.QLearningConfig()
+    assert exp.baseline == learners.BaselinePolicy()
 
 
 def test_unknown_key_rejected(tmp_path):

@@ -28,7 +28,7 @@ def test_rollout_single_departure_step(canonical_params, canonical_costs, canoni
     # lam = 0 with a busy server: the only possible event is a departure, so
     # the policy is irrelevant and the cost is the one-step accept cost
     rr = rollout(
-        policy_table(canonical_params),
+        policy_table(canonical_params, accept_below=0),
         0.0,
         canonical_params,
         canonical_costs,
@@ -64,7 +64,7 @@ def test_rollout_all_offload_counts_every_arrival(
     # from the empty state an all-offload policy pins the chain at (0,0)
     # where every event is an arrival, so c_off equals the horizon
     rr = rollout(
-        policy_table(canonical_params),
+        policy_table(canonical_params, accept_below=0),
         6.0,
         canonical_params,
         canonical_costs,
@@ -116,7 +116,7 @@ def _tables(params, costs, resources) -> dict:
         "tau_L": policy_table(params, tau=np.full(21, 20.0)),
         "dp": policy_table(params, actions=sol.policy),
         "baseline": policy_table(params, accept_below=18),
-        "all_offload": policy_table(params),
+        "all_offload": policy_table(params, accept_below=0),
     }
 
 
@@ -220,7 +220,8 @@ def test_batch_with_idle_point_raises_exactly_when_alone(
         monkeypatch.setattr(evaluate_module, "BLOCK_DRAWS", block)
         monkeypatch.setattr(evaluate_module, "BATCH_LANES", lanes)
     table = policy_table(canonical_params, accept_below=18)
-    points = [(table, 6.0, 1), (table, 0.0, 2), (policy_table(canonical_params), 9.0, 3)]
+    offload_all = policy_table(canonical_params, accept_below=0)
+    points = [(table, 6.0, 1), (table, 0.0, 2), (offload_all, 9.0, 3)]
     args = (canonical_params, canonical_costs, canonical_resources)
     cfg = EvalConfig(rollout_length=20, n_rollouts=4, initial_state=(20, 20))
     costs = rollout_costs(points, cfg, *args)
@@ -409,7 +410,7 @@ def test_compare_trapped_from_the_first_step(
     # the all-offload table never leaves (0, 0); past step ~14 500 the discount
     # sits at the smallest subnormal, so full windows repeat, and the trace
     # ends in a partial window
-    args = ({"all_offload": policy_table(canonical_params)}, Scenario(kind=1),
+    args = ({"all_offload": policy_table(canonical_params, accept_below=0)}, Scenario(kind=1),
             canonical_params, canonical_costs, canonical_resources,
             EventTrace.generate(21, 20_500))
     series = behavioral_compare(*args)
@@ -458,7 +459,8 @@ def test_rollout_fast_forward_equals_plain_replay(
     # is half full, or one step short of full.
     args = (canonical_params, canonical_costs, canonical_resources)
     for table, horizon in itertools.product(
-        (policy_table(canonical_params), policy_table(canonical_params, accept_below=18)),
+        (policy_table(canonical_params, accept_below=0),
+         policy_table(canonical_params, accept_below=18)),
         (20_500, 20_999),
     ):
         rr = rollout(table, 6.0, *args, horizon=horizon, beta=0.95, rng=substream(3, "ff"))
@@ -501,7 +503,7 @@ def test_compare_trap_then_no_arrivals_raises_at_the_plain_step(
     # raise on exactly the same horizons.  From (0, 0) the table is trapped
     # at step 0, from (2, 0) once the queue empties.
     scenario = Scenario(kind=4, n_users=1, leave_prob=0.3, stay_prob=0.7, add_prob=0.0)
-    policies = {"all_offload": policy_table(canonical_params)}
+    policies = {"all_offload": policy_table(canonical_params, accept_below=0)}
     args = (scenario, canonical_params, canonical_costs, canonical_resources)
     raised = []
     for horizon in range(1, 15):

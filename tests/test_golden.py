@@ -76,7 +76,7 @@ def policies(lam, params, costs, resources) -> dict:
         "dp": policy_table(params, actions=sol.policy),
         "threshold": policy_table(params, tau=TAU),
         "baseline": policy_table(params, accept_below=18),
-        "all_offload": policy_table(params),
+        "all_offload": policy_table(params, accept_below=0),
     }
 
 
@@ -134,9 +134,10 @@ def _eval_points(evals) -> list:
 
 @pytest.mark.parametrize("learner,kind", sorted(TRAINER_DIGESTS))
 def test_trainer_outputs_golden(
-    learner, kind, canonical_params, canonical_costs, canonical_resources
+    learner, kind, canonical_params, canonical_costs, canonical_resources, segments
 ):
-    args = (Scenario(kind=kind), canonical_params, canonical_costs, canonical_resources)
+    args = (segments(Scenario(kind=kind), 20_000, 5), canonical_params, canonical_costs,
+            canonical_resources)
     if learner == "qlearning":
         res = qlearning_train(*args, QLearningConfig(horizon=20_000, eval_every=2500),
                               seed=5)
