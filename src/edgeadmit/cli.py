@@ -1,13 +1,16 @@
 """Config-driven experiment commands: solve, train, evaluate, compare.
 
-Exit codes: 0 success, 2 input error (config or artifact), 3 numeric failure.
+Exit codes: 0 success, 2 input error (config or artifact), 3 numeric failure
+(or a `train` worker process that ended abruptly).
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -62,6 +65,10 @@ def main():
     """Edge-server admission control: planning, learning, evaluation."""
 
 
+class WorkerError(RuntimeError):
+    """A worker process ended without returning its seed's result."""
+
+
 def _run(body) -> None:
     try:
         body()
@@ -73,6 +80,9 @@ def _run(body) -> None:
         sys.exit(3)
     except NoEventError as exc:
         click.echo(f"numeric failure: {exc}", err=True)
+        sys.exit(3)
+    except WorkerError as exc:
+        click.echo(f"worker failure: {exc}", err=True)
         sys.exit(3)
 
 
@@ -124,43 +134,17 @@ def train(config_path, seed, out, scenario, horizon_scale, learner, no_periodic_
         out_dir = exp.output_dir / kind
         horizon = exp.raw["learner"]["horizon"]
         curves = []
-        for s in exp.seeds:
-            seed_dir = out_dir / f"seed_{s}"
-            rows = trajectory(exp.scenario, horizon, s)
-            segments = rate_segments(rows, horizon)
-            if kind == "salmut":
-                result = salmut.train(
-                    segments, exp.params, exp.costs, exp.resources, exp.salmut, s
-                )
-                art = artifacts.policy_artifact(
-                    "salmut", sha, seed=s,
-                    tau=result.tau.tolist(), temperature=exp.salmut.temperature,
-                )
-            else:
-                result = learners.qlearning_train(
-                    segments, exp.params, exp.costs, exp.resources, exp.qlearning, s
-                )
-                art = artifacts.policy_artifact(
-                    "qlearning", sha, seed=s,
-                    q=result.q.tolist(), policy=result.policy.tolist(),
-                )
-            log = result.log
-            if not no_periodic_eval:
-                reports = ev.evaluate_batch(
-                    [(table, lam, (s << 20) + row.step)
-                     for row, (lam, table) in zip(log, result.evals)],
-                    exp.eval_config, exp.params, exp.costs, exp.resources,
-                )
-                log = [
-                    dataclasses.replace(row, eval_mean=r.mean, eval_q1=r.q1,
-                                        eval_median=r.median, eval_q3=r.q3)
-                    for row, r in zip(log, reports)
-                ]
-                curves.append([(row.step, row.eval_mean) for row in log])
-            artifacts.write_json(seed_dir / "policy.json", art)
-            artifacts.log_rows_to_csv(seed_dir / "log.csv", log)
-            artifacts.write_csv(seed_dir / "trajectory.csv", ("step", "lambda", "n_users"), rows)
-            click.echo(f"{kind} seed {s}: done ({horizon} steps)")
+        train_seed = functools.partial(_train_seed, exp, kind, sha, not no_periodic_eval)
+        with _seed_results(train_seed, exp.seeds) as results:
+            for s, (art, log, rows, curve) in zip(exp.seeds, results):
+                seed_dir = out_dir / f"seed_{s}"
+                artifacts.write_json(seed_dir / "policy.json", art)
+                artifacts.log_rows_to_csv(seed_dir / "log.csv", log)
+                artifacts.write_csv(seed_dir / "trajectory.csv", ("step", "lambda", "n_users"),
+                                    rows)
+                if curve is not None:
+                    curves.append(curve)
+                click.echo(f"{kind} seed {s}: done ({horizon} steps)")
         curve = ev.aggregate_training_curves(curves)
         if curve:
             artifacts.write_csv(
@@ -169,6 +153,98 @@ def train(config_path, seed, out, scenario, horizon_scale, learner, no_periodic_
         artifacts.write_manifest(out_dir / "manifest.json", "train", exp.raw, exp.seeds)
 
     _run(body)
+
+
+def _train_seed(exp: Experiment, kind: str, sha: str, periodic_eval: bool, s: int):
+    """Train ``kind`` on seed ``s``: its policy artifact, log rows (scored at
+    their eval points when ``periodic_eval``), trajectory rows and training
+    curve (None without periodic eval)."""
+    horizon = exp.raw["learner"]["horizon"]
+    rows = trajectory(exp.scenario, horizon, s)
+    segments = rate_segments(rows, horizon)
+    if kind == "salmut":
+        result = salmut.train(segments, exp.params, exp.costs, exp.resources, exp.salmut, s)
+        art = artifacts.policy_artifact(
+            "salmut", sha, seed=s,
+            tau=result.tau.tolist(), temperature=exp.salmut.temperature,
+        )
+    else:
+        result = learners.qlearning_train(
+            segments, exp.params, exp.costs, exp.resources, exp.qlearning, s
+        )
+        art = artifacts.policy_artifact(
+            "qlearning", sha, seed=s,
+            q=result.q.tolist(), policy=result.policy.tolist(),
+        )
+    log, curve = result.log, None
+    if periodic_eval:
+        reports = ev.evaluate_batch(
+            [(table, lam, (s << 20) + row.step)
+             for row, (lam, table) in zip(log, result.evals)],
+            exp.eval_config, exp.params, exp.costs, exp.resources,
+        )
+        log = [
+            dataclasses.replace(row, eval_mean=r.mean, eval_q1=r.q1,
+                                eval_median=r.median, eval_q3=r.q3)
+            for row, r in zip(log, reports)
+        ]
+        curve = [(row.step, row.eval_mean) for row in log]
+    return art, log, rows, curve
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity: run serially
+        return 1
+
+
+def _die_with_parent(parent: int) -> None:
+    """Worker initializer: ask Linux to kill this worker when the command's
+    process dies, so that a killed command leaves no worker behind."""
+    import ctypes
+    import signal
+
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+    prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    if os.getppid() != parent:  # the command died before the request took effect
+        os._exit(1)
+
+
+@contextlib.contextmanager
+def _seed_results(fn, seeds):
+    """``fn(s)`` for each seed, yielded in seed order as the results arrive.
+
+    With more than one seed and more than one CPU, the seeds run in forked
+    worker processes, one per CPU up to one per seed; else in this process.
+    Seeds draw only from their own substreams, so a seed's result is the
+    same either way.  When a seed fails, the queued ones are cancelled and
+    the running ones joined before the error reaches the caller.
+    """
+    workers = min(len(seeds), _cpu_count())
+    if workers == 1:
+        yield map(fn, seeds)
+        return
+    # imported here, so that a command that starts no pool does not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # forked, the workers start with numpy and this package imported; spawned
+    # ones would import them again, which costs about a seed's work at a
+    # small horizon.  The command runs no thread of its own, and the
+    # executor starts its manager thread after it has forked the workers.
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_die_with_parent, initargs=(os.getpid(),))
+    try:
+        futures = [pool.submit(fn, s) for s in seeds]
+        yield (f.result() for f in futures)
+    except BrokenProcessPool:
+        raise WorkerError("a worker process training a seed ended abruptly") from None
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 # the artifact field each policy kind is built from

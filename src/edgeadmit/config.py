@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import json
 import sys
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -31,6 +32,10 @@ class ConfigError(Exception):
     def __init__(self, path: str, message: str):
         super().__init__(f"config error at {path}: {message}")
         self.path = path
+        self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.path, self.message)
 
 
 def default_running_table() -> list[float]:
@@ -171,10 +176,20 @@ def _finite(value) -> bool:
 
 
 def _wrap(path: str, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, str(exc))
+    """``fn(*args, **kwargs)``, with its errors and warnings naming the config ``path``.
+
+    A warning is issued again with ``path`` in its text, attributed to the
+    caller of ``Experiment.from_config``.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(*args, **kwargs)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(path, str(exc))
+    for w in caught:
+        warnings.warn(f"config warning at {path}: {w.message}", w.category, stacklevel=3)
+    return out
 
 
 @dataclass(frozen=True)

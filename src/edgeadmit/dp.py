@@ -27,6 +27,9 @@ class SolverError(RuntimeError):
         super().__init__(message)
         self.residual = residual
 
+    def __reduce__(self):
+        return type(self), (str(self), self.residual)
+
 
 @dataclass(frozen=True)
 class Solution:

@@ -43,6 +43,9 @@ class NoEventError(ValueError):
     def __init__(self) -> None:
         super().__init__("no event possible: lam == 0 and empty queue")
 
+    def __reduce__(self):
+        return type(self), ()
+
 
 @dataclass(frozen=True)
 class ModelParams:

@@ -54,15 +54,16 @@ _CORRECTION_MAX = 1 << 16
 
 
 @functools.cache
-def bias_correction(beta: float) -> tuple[array, Callable[[int], float]]:
+def bias_correction(beta: float) -> tuple[array, Callable[[int], float] | None]:
     """Adam's bias correction ``1 - beta ** t``, ``t = 1, 2, ...``: a table and its tail.
 
     Entry ``t - 1`` of the table is ``1.0 - beta ** np.int64(t)``, numpy's
     power, which can differ from Python's float power by an ulp (at 71 of
     the first 40 000 ``t`` for beta 0.999).  The table ends before the first
     ``t`` at which the value rounds to 1.0 (356 for beta 0.9, 37 412 for
-    0.999), and the tail returns 1.0 for every later ``t``.  Past a table
-    cut at ``_CORRECTION_MAX`` entries, the tail computes each value.  Every
+    0.999); the tail is then None, since every later value is 1.0 and
+    dividing by it changes nothing.  Past a table cut at
+    ``_CORRECTION_MAX`` entries, the tail computes each value.  Every
     caller with the same beta shares the table, so it is read-only.
     """
     table = array("d")
@@ -72,7 +73,7 @@ def bias_correction(beta: float) -> tuple[array, Callable[[int], float]]:
         ones = np.flatnonzero(chunk == 1.0)
         if len(ones):
             table.extend(chunk[: ones[0]].tolist())
-            return table, lambda t: 1.0
+            return table, None
         table.extend(chunk.tolist())
     return table, lambda t: 1.0 - beta ** np.int64(t)
 
@@ -220,8 +221,9 @@ def train(
             t = mom[2] = mom[2] + 1
             m = mom[0] = beta1 * mom[0] + mix1 * g
             v = mom[1] = beta2 * mom[1] + mix2 * g * g
-            m_hat = m / (c1[t - 1] if t <= n1 else tail1(t))
-            v_hat = v / (c2[t - 1] if t <= n2 else tail2(t))
+            # past a saturated table the correction is 1.0: no division
+            m_hat = m / c1[t - 1] if t <= n1 else m if tail1 is None else m / tail1(t)
+            v_hat = v / c2[t - 1] if t <= n2 else v if tail2 is None else v / tail2(t)
             cell[a] += -(b1 * m_hat / sqrt(v_hat + eps_c))
         else:
             cell[a] += b1 / (1.0 + n / n0) ** k_c * td
@@ -235,8 +237,8 @@ def train(
             t = mom[2] = mom[2] + 1
             m = mom[0] = beta1 * mom[0] + mix1 * g
             v = mom[1] = beta2 * mom[1] + mix2 * g * g
-            m_hat = m / (c1[t - 1] if t <= n1 else tail1(t))
-            v_hat = v / (c2[t - 1] if t <= n2 else tail2(t))
+            m_hat = m / c1[t - 1] if t <= n1 else m if tail1 is None else m / tail1(t)
+            v_hat = v / c2[t - 1] if t <= n2 else v if tail2 is None else v / tail2(t)
             step = b2 * m_hat / sqrt(v_hat + eps_a)
         else:
             step = b2 / (1.0 + n / n0) ** k_a * g

@@ -388,8 +388,9 @@ class AdaptiveMoments:
         t = cell[2] = cell[2] + 1
         m = cell[0] = self.beta1 * cell[0] + self._mix1 * g
         v = cell[1] = self.beta2 * cell[1] + self._mix2 * g * g
-        m_hat = m / (self._c1[t - 1] if t <= self._n1 else self._tail1(t))
-        v_hat = v / (self._c2[t - 1] if t <= self._n2 else self._tail2(t))
+        # past a saturated table (no tail) the correction is 1.0
+        m_hat = m / (self._c1[t - 1] if t <= self._n1 else self._tail1(t) if self._tail1 else 1.0)
+        v_hat = v / (self._c2[t - 1] if t <= self._n2 else self._tail2(t) if self._tail2 else 1.0)
         return rate * m_hat / math.sqrt(v_hat + self.eps)
 
 

@@ -217,9 +217,19 @@ def test_bias_correction_table_equals_numpy_power(beta, length):
     t = np.arange(1, length + 1, dtype=np.int64)
     assert list(table) == [1.0 - beta ** ti for ti in t]
     assert table[-1] < 1.0
-    past = np.int64(length + 1)
-    assert 1.0 - beta ** past == 1.0 and tail(int(past)) == 1.0
-    assert all(tail(s) == 1.0 for s in (length + 2, 10 * length, 10**7))
+    # the table saturates: every later correction is 1.0, so there is no tail
+    assert tail is None
+    assert all(1.0 - beta ** np.int64(s) == 1.0
+               for s in (length + 1, length + 2, 10 * length, 10**7))
+
+
+def test_bias_correction_tail_computes_past_the_cap():
+    # a beta this close to 1 does not saturate within the table's cap, so
+    # the tail computes each later value with the same numpy power
+    table, tail = bias_correction(0.9999)
+    assert len(table) == 1 << 16
+    for t in (len(table) + 1, 10**5):
+        assert tail(t) == 1.0 - 0.9999 ** np.int64(t) < 1.0
 
 
 def test_adaptive_moments_match_numpy_scalar_steps():
