@@ -19,16 +19,27 @@ from pathlib import Path
 
 
 def run(args: list[str]) -> None:
+    """Run one CLI command; if it fails, say which and exit with its code."""
     cmd = [sys.executable, "-m", "edgeadmit.cli", *args]
     print("$ " + " ".join(cmd), flush=True)
-    subprocess.run(cmd, check=True)
+    code = subprocess.run(cmd).returncode
+    if code:
+        print(f"run_study: `edgeadmit {' '.join(args)}` exited {code}", file=sys.stderr)
+        sys.exit(code if code > 0 else 128 - code)  # killed by signal -code
+
+
+def trace_length(text: str) -> int:
+    length = int(text)
+    if length < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {length}")
+    return length
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", default="configs/desk_scale.json")
     ap.add_argument("--scenarios", type=int, nargs="+", default=[1, 2, 3, 4, 5, 6])
-    ap.add_argument("--trace-length", type=int, default=None,
+    ap.add_argument("--trace-length", type=trace_length, default=None,
                     help="behavioral trace length (default: training horizon)")
     ap.add_argument("--horizon-scale", type=float, default=None,
                     help="scale every command's training horizon (see `edgeadmit --help`)")
@@ -54,7 +65,7 @@ def main() -> None:
             run(["train", *common, "--learner", "salmut"])
             run(["train", *common, "--learner", "qlearning"])
             compare_args = ["compare", *common]
-            if ns.trace_length:
+            if ns.trace_length is not None:
                 compare_args += ["--trace-length", str(ns.trace_length)]
             run(compare_args)
             run(["evaluate", *common, "--curves-from", str(out / "salmut")])

@@ -27,8 +27,8 @@ POLICY_SCHEMA = "edgeadmit/policy/1"
 
 
 class ArtifactError(ValueError):
-    """An artifact does not fit its reader: not JSON, wrong schema, a missing
-    field or a policy of another shape."""
+    """An artifact does not fit its reader: not JSON, wrong schema, another
+    chain, a missing field or a policy of another shape."""
 
 
 def _atomic_write(path: Path, data: str) -> None:
@@ -73,6 +73,11 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def chain_hash(cfg: dict) -> str:
+    """``config_hash`` of the sections the chain is built from: model, costs, resources."""
+    return config_hash({name: cfg[name] for name in ("model", "costs", "resources")})
+
+
 def write_manifest(path: Path, command: str, cfg: dict, seeds: Sequence[int]) -> None:
     write_json(
         path,
@@ -90,7 +95,7 @@ def write_manifest(path: Path, command: str, cfg: dict, seeds: Sequence[int]) ->
     )
 
 
-def solution_to_dict(sol: Solution, cfg_sha: str) -> dict:
+def solution_to_dict(sol: Solution, cfg: dict) -> dict:
     thr = check_threshold_structure(sol.policy)
     mono = check_value_monotone(sol.v)
     return {
@@ -109,19 +114,22 @@ def solution_to_dict(sol: Solution, cfg_sha: str) -> dict:
         "threshold_violation": list(thr.violation) if thr.violation else None,
         "monotone_ok": mono.passed,
         "monotone_violations": len(mono.violations),
-        "config_sha256": cfg_sha,
+        "config_sha256": config_hash(cfg),
+        "chain_sha256": chain_hash(cfg),
     }
 
 
-def policy_artifact(kind: str, cfg_sha: str, seed: int | None = None, **payload) -> dict:
-    art = {"schema": POLICY_SCHEMA, "kind": kind, "config_sha256": cfg_sha}
+def policy_artifact(kind: str, cfg: dict, seed: int | None = None, **payload) -> dict:
+    art = {"schema": POLICY_SCHEMA, "kind": kind, "config_sha256": config_hash(cfg),
+           "chain_sha256": chain_hash(cfg)}
     if seed is not None:
         art["seed"] = seed
     art.update(payload)
     return art
 
 
-def load_artifact(path: Path, expect_schema: str) -> dict:
+def load_artifact(path: Path, expect_schema: str, chain_sha: str | None = None) -> dict:
+    """The artifact at ``path``; with ``chain_sha``, it must carry that ``chain_sha256``."""
     if not path.exists():
         raise FileNotFoundError(f"missing artifact: {path}")
     try:
@@ -131,6 +139,9 @@ def load_artifact(path: Path, expect_schema: str) -> dict:
     schema = obj.get("schema") if isinstance(obj, dict) else None
     if schema != expect_schema:
         raise ArtifactError(f"{path}: expected schema {expect_schema}, got {schema!r}")
+    if chain_sha is not None and obj.get("chain_sha256") != chain_sha:
+        raise ArtifactError(f"{path}: chain_sha256 {obj.get('chain_sha256')!r} is not this "
+                            f"config's model, costs and resources ({chain_sha})")
     return obj
 
 

@@ -95,15 +95,12 @@ def solve(config_path, seed, out, scenario, horizon_scale):
         exp = _load_experiment(
             config_path, _common_overrides(seed, out, scenario), horizon_scale
         )
-        sol = dp.value_iteration(
-            exp.planning_rate(), exp.params, exp.costs, exp.resources, **exp.raw["solver"]
-        )
-        sha = artifacts.config_hash(exp.raw)
+        sol = dp.value_iteration(exp.planning_rate(), exp.chain, **exp.raw["solver"])
         out_dir = exp.output_dir / "dp"
-        artifacts.write_json(out_dir / "solution.json", artifacts.solution_to_dict(sol, sha))
+        artifacts.write_json(out_dir / "solution.json", artifacts.solution_to_dict(sol, exp.raw))
         artifacts.write_json(
             out_dir / "policy.json",
-            artifacts.policy_artifact("dp", sha, policy=sol.policy.tolist()),
+            artifacts.policy_artifact("dp", exp.raw, policy=sol.policy.tolist()),
         )
         artifacts.write_manifest(out_dir / "manifest.json", "solve", exp.raw, exp.seeds)
         x0, l0 = exp.eval_config.initial_state
@@ -130,11 +127,10 @@ def train(config_path, seed, out, scenario, horizon_scale, learner, no_periodic_
         kind = exp.raw["learner"]["kind"]
         if kind not in ("salmut", "qlearning"):
             raise ConfigError("learner.kind", "train requires salmut or qlearning")
-        sha = artifacts.config_hash(exp.raw)
         out_dir = exp.output_dir / kind
         horizon = exp.raw["learner"]["horizon"]
         curves = []
-        train_seed = functools.partial(_train_seed, exp, kind, sha, not no_periodic_eval)
+        train_seed = functools.partial(_train_seed, exp, kind, not no_periodic_eval)
         with _seed_results(train_seed, exp.seeds) as results:
             for s, (art, log, rows, curve) in zip(exp.seeds, results):
                 seed_dir = out_dir / f"seed_{s}"
@@ -155,7 +151,7 @@ def train(config_path, seed, out, scenario, horizon_scale, learner, no_periodic_
     _run(body)
 
 
-def _train_seed(exp: Experiment, kind: str, sha: str, periodic_eval: bool, s: int):
+def _train_seed(exp: Experiment, kind: str, periodic_eval: bool, s: int):
     """Train ``kind`` on seed ``s``: its policy artifact, log rows (scored at
     their eval points when ``periodic_eval``), trajectory rows and training
     curve (None without periodic eval)."""
@@ -163,17 +159,15 @@ def _train_seed(exp: Experiment, kind: str, sha: str, periodic_eval: bool, s: in
     rows = trajectory(exp.scenario, horizon, s)
     segments = rate_segments(rows, horizon)
     if kind == "salmut":
-        result = salmut.train(segments, exp.params, exp.costs, exp.resources, exp.salmut, s)
+        result = salmut.train(segments, exp.chain, exp.salmut, s)
         art = artifacts.policy_artifact(
-            "salmut", sha, seed=s,
+            "salmut", exp.raw, seed=s,
             tau=result.tau.tolist(), temperature=exp.salmut.temperature,
         )
     else:
-        result = learners.qlearning_train(
-            segments, exp.params, exp.costs, exp.resources, exp.qlearning, s
-        )
+        result = learners.qlearning_train(segments, exp.chain, exp.qlearning, s)
         art = artifacts.policy_artifact(
-            "qlearning", sha, seed=s,
+            "qlearning", exp.raw, seed=s,
             q=result.q.tolist(), policy=result.policy.tolist(),
         )
     log, curve = result.log, None
@@ -181,7 +175,7 @@ def _train_seed(exp: Experiment, kind: str, sha: str, periodic_eval: bool, s: in
         reports = ev.evaluate_batch(
             [(table, lam, (s << 20) + row.step)
              for row, (lam, table) in zip(log, result.evals)],
-            exp.eval_config, exp.params, exp.costs, exp.resources,
+            exp.eval_config, exp.chain,
         )
         log = [
             dataclasses.replace(row, eval_mean=r.mean, eval_q1=r.q1,
@@ -283,11 +277,11 @@ def _policy_from_artifact(art: dict, exp: Experiment) -> np.ndarray:
         raise ArtifactError(f"{kind} policy artifact field 'policy' must be a table of 0s and 1s")
     try:
         if kind == "salmut":
-            return ev.policy_table(exp.params, tau=value)
+            return ev.policy_table(exp.chain.params, tau=value)
         if kind == "baseline":
             bp = learners.BaselinePolicy(value)
-            return ev.policy_table(exp.params, accept_below=bp.accept_below)
-        return ev.policy_table(exp.params, actions=value)
+            return ev.policy_table(exp.chain.params, accept_below=bp.accept_below)
+        return ev.policy_table(exp.chain.params, actions=value)
     except ValueError as exc:
         raise ArtifactError(str(exc)) from None
 
@@ -334,16 +328,11 @@ def evaluate(config_path, seed, out, scenario, horizon_scale, artifact_path,
             click.echo(f"training_curve.csv: {len(rows)} points")
             did_something = True
         if artifact_path is not None:
-            art = artifacts.load_artifact(Path(artifact_path), artifacts.POLICY_SCHEMA)
+            art = artifacts.load_artifact(Path(artifact_path), artifacts.POLICY_SCHEMA,
+                                          chain_sha=artifacts.chain_hash(exp.raw))
             policy = _policy_from_artifact(art, exp)
             report = ev.evaluate(
-                policy,
-                exp.eval_config,
-                exp.planning_rate(),
-                exp.params,
-                exp.costs,
-                exp.resources,
-                seed=exp.seeds[0],
+                policy, exp.eval_config, exp.planning_rate(), exp.chain, seed=exp.seeds[0]
             )
             out_dir = exp.output_dir / "eval"
             artifacts.write_json(
@@ -408,14 +397,16 @@ def compare(config_path, seed, out, scenario, horizon_scale, trace_seed, trace_l
             config_path, _common_overrides(seed, out, scenario), horizon_scale
         )
         root = exp.output_dir
-        sol = artifacts.load_artifact(root / "dp" / "solution.json", artifacts.SOLUTION_SCHEMA)
+        chain_sha = artifacts.chain_hash(exp.raw)
+        sol = artifacts.load_artifact(root / "dp" / "solution.json", artifacts.SOLUTION_SCHEMA,
+                                      chain_sha=chain_sha)
         policies = {"dp": _policy_from_artifact(dict(sol, kind="dp"), exp)}
         for kind in ("salmut", "qlearning"):
             art_path = root / kind / f"seed_{exp.seeds[0]}" / "policy.json"
-            art = artifacts.load_artifact(art_path, artifacts.POLICY_SCHEMA)
+            art = artifacts.load_artifact(art_path, artifacts.POLICY_SCHEMA, chain_sha=chain_sha)
             policies[kind] = _policy_from_artifact(art, exp)
         policies["baseline"] = ev.policy_table(
-            exp.params, accept_below=exp.baseline.accept_below
+            exp.chain.params, accept_below=exp.baseline.accept_below
         )
 
         horizon = trace_length or exp.raw["learner"]["horizon"]
@@ -423,9 +414,7 @@ def compare(config_path, seed, out, scenario, horizon_scale, trace_seed, trace_l
         series = ev.behavioral_compare(
             policies,
             exp.scenario,
-            exp.params,
-            exp.costs,
-            exp.resources,
+            exp.chain,
             trace,
             window=exp.eval_config.window,
             overload_level=exp.eval_config.overload_level,
@@ -454,9 +443,7 @@ def compare(config_path, seed, out, scenario, horizon_scale, trace_seed, trace_l
         reports = ev.evaluate_batch(
             [(policies[name], exp.planning_rate(), exp.seeds[0]) for name in names],
             exp.eval_config,
-            exp.params,
-            exp.costs,
-            exp.resources,
+            exp.chain,
         )
         cost_rows = []
         for name, report in zip(names, reports):

@@ -23,7 +23,7 @@ from typing import Any
 
 from .evaluate import EvalConfig
 from .learners import BaselinePolicy, QLearningConfig
-from .model import CostModel, ModelParams, ResourceDist
+from .model import ChainTables, CostModel, ModelParams, ResourceDist
 from .salmut import SalmutConfig
 from .scenarios import Scenario
 
@@ -197,9 +197,7 @@ class Experiment:
     """Everything a subcommand needs, assembled from one validated config."""
 
     raw: dict
-    params: ModelParams
-    costs: CostModel
-    resources: ResourceDist
+    chain: ChainTables
     scenario: Scenario
     eval_config: EvalConfig
     salmut: SalmutConfig
@@ -210,17 +208,19 @@ class Experiment:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Experiment":
-        """Build every section, so each command rejects any malformed one."""
+        """Build every section and the chain, so each command rejects any malformed one."""
         c, lrn = cfg["costs"], cfg["learner"]
         common = {name: lrn[name] for name in _RUN_FIELDS}
         sc = dict(cfg["scenario"])
         sc["phase_fractions"] = _wrap("scenario.phase_fractions", tuple, sc["phase_fractions"])
         exp = cls(
             raw=cfg,
-            params=_wrap("model", ModelParams, **cfg["model"]),
-            costs=_wrap("costs", CostModel, holding=c["holding"], running=c["running"],
-                        penalty=c["penalty"], strict=c["strict_monotone"]),
-            resources=_wrap("resources", ResourceDist, pmf=cfg["resources"]["pmf"]),
+            chain=ChainTables(
+                _wrap("model", ModelParams, **cfg["model"]),
+                _wrap("costs", CostModel, holding=c["holding"], running=c["running"],
+                      penalty=c["penalty"], strict=c["strict_monotone"]),
+                _wrap("resources", ResourceDist, pmf=cfg["resources"]["pmf"]),
+            ),
             scenario=_wrap("scenario", Scenario, **sc),
             eval_config=_wrap("eval", EvalConfig, **cfg["eval"]),
             salmut=_wrap("learner.salmut", SalmutConfig, **common, **lrn["salmut"]),
@@ -229,7 +229,7 @@ class Experiment:
             seeds=tuple(cfg["seeds"]),
             output_dir=Path(cfg["output_dir"]),
         )
-        X, L = exp.params.buffer_capacity, exp.params.cpu_levels
+        X, L = exp.chain.params.buffer_capacity, exp.chain.params.cpu_levels
         for path, (x, ell) in (("learner.start_state", exp.salmut.start_state),
                                ("eval.initial_state", exp.eval_config.initial_state)):
             _expect(0 <= x <= X and 0 <= ell <= L, path, f"must lie in [0, {X}] x [0, {L}]")

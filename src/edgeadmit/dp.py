@@ -1,8 +1,9 @@
 """Exact planning: value iteration, policy extraction, structural checks.
 
-The dynamic program follows the published recursion literally.  Its offload
-branch carries continuation weight ``beta * (1 - delta(x))`` only — the
-arrival-probability share of the future is dropped, not self-looped.  A
+The Bellman sweep, ``q_tables`` then ``admissible_min``, reads the command's
+one ``model.ChainTables``.  It follows the published recursion literally: the
+offload branch carries continuation weight ``beta * (1 - delta(x))`` only —
+the arrival-probability share of the future is dropped, not self-looped.  A
 ``self_loop`` flag adds the missing ``beta * delta(x) * V(x, ell)`` term for
 sensitivity analysis.
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Action, ChainTables, CostModel, ModelParams, ResourceDist
+from .model import Action, ChainTables
 
 
 class SolverError(RuntimeError):
@@ -63,36 +64,33 @@ class ThresholdReport:
         return self.violation is None
 
 
-class _Kernel:
-    """Bellman sweeps on ``ChainTables``, gathering from the flat value."""
+def q_tables(chain: ChainTables, lam: float, v: np.ndarray, self_loop: bool) -> np.ndarray:
+    """One Bellman sweep from the value ``v``: Q-values by ``(x, ell, action)``.
 
-    def __init__(self, lam: float, params: ModelParams, cm: CostModel, rd: ResourceDist):
-        t = ChainTables(params, cm, rd)
-        self.X, self.L = params.buffer_capacity, params.cpu_levels
-        self.beta = params.discount_beta
-        self.arrival_p = t.arrival_p(lam)
-        self.tables = t
-        self.support = [(t.succ[:, 2, r - 1], t.succ[:, 0, r - 1], p) for r, p in rd.support()]
+    The expectations over the resource size gather from the flat ``v``
+    along ``chain.succ``.
+    """
+    beta = chain.params.discount_beta
+    v = v.ravel()
+    ev_up = np.zeros_like(v)
+    ev_dn = np.zeros_like(v)
+    for r, p in chain.rd.support():
+        ev_up += p * v[chain.succ[:, 2, r - 1]]
+        ev_dn += p * v[chain.succ[:, 0, r - 1]]
+    d = chain.arrival_p(lam)
+    q = np.empty(v.shape + (2,))
+    q[:, 0] = chain.stay_cost + beta * (d * ev_up + (1.0 - d) * ev_dn)
+    q[:, 1] = chain.offload_cost + beta * (1.0 - d) * ev_dn
+    if self_loop:
+        q[:, 1] += beta * d * v
+    return q.reshape(chain.params.buffer_capacity + 1, chain.params.cpu_levels + 1, 2)
 
-    def q_tables(self, v: np.ndarray, self_loop: bool) -> np.ndarray:
-        v = v.ravel()
-        ev_up = np.zeros_like(v)
-        ev_dn = np.zeros_like(v)
-        for up, dn, p in self.support:
-            ev_up += p * v[up]
-            ev_dn += p * v[dn]
-        d = self.arrival_p
-        q = np.empty(v.shape + (2,))
-        q[:, 0] = self.tables.stay_cost + self.beta * (d * ev_up + (1.0 - d) * ev_dn)
-        q[:, 1] = self.tables.offload_cost + self.beta * (1.0 - d) * ev_dn
-        if self_loop:
-            q[:, 1] += self.beta * d * v
-        return q.reshape(self.X + 1, self.L + 1, 2)
 
-    def admissible_min(self, q: np.ndarray) -> np.ndarray:
-        v = q.min(axis=2)
-        v[self.X, :] = q[self.X, :, 1]  # full buffer: offload only
-        return v
+def admissible_min(q: np.ndarray) -> np.ndarray:
+    """The value of Q-values ``q``: the smaller action, offload only at the full buffer."""
+    v = q.min(axis=2)
+    v[-1, :] = q[-1, :, 1]
+    return v
 
 
 def greedy_policy(q: np.ndarray, buffer_capacity: int) -> np.ndarray:
@@ -104,9 +102,7 @@ def greedy_policy(q: np.ndarray, buffer_capacity: int) -> np.ndarray:
 
 def value_iteration(
     lam: float,
-    params: ModelParams,
-    cm: CostModel,
-    rd: ResourceDist,
+    chain: ChainTables,
     tol: float = 1e-9,
     max_iter: int = 100_000,
     self_loop: bool = False,
@@ -119,23 +115,23 @@ def value_iteration(
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    kern = _Kernel(lam, params, cm, rd)
-    beta = params.discount_beta
+    X = chain.params.buffer_capacity
+    beta = chain.params.discount_beta
     thresh = tol * (1.0 - beta) / (2.0 * beta)
-    v = np.zeros((kern.X + 1, kern.L + 1))
+    v = np.zeros((X + 1, chain.params.cpu_levels + 1))
     update = np.inf
     for it in range(1, max_iter + 1):
-        v_new = kern.admissible_min(kern.q_tables(v, self_loop))
+        v_new = admissible_min(q_tables(chain, lam, v, self_loop))
         update = float(np.abs(v_new - v).max())
         v = v_new
         if update <= thresh:
-            q = kern.q_tables(v, self_loop)
-            v_final = kern.admissible_min(q)
+            q = q_tables(chain, lam, v, self_loop)
+            v_final = admissible_min(q)
             residual = beta / (1.0 - beta) * float(np.abs(v_final - v).max())
             return Solution(
                 v=v_final,
                 q=q,
-                policy=greedy_policy(q, kern.X),
+                policy=greedy_policy(q, X),
                 iterations=it,
                 residual=residual,
                 tol=tol,

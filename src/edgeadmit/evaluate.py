@@ -1,9 +1,10 @@
 """Policy evaluation: discounted-cost rollouts and behavioral metrics.
 
 A policy is an ``(X+1, L+1)`` int8 action table (``policy_table``), 1 meaning
-offload.  Rollouts freeze the arrival rate at its value when evaluation
-starts, so a policy is always measured against the traffic it currently
-faces; ``evaluate_batch`` steps the rollouts of many policies together as
+offload.  Every simulator here runs on the command's one ``model.ChainTables``.
+Rollouts freeze the arrival rate at its value when evaluation starts, so a
+policy is always measured against the traffic it currently faces;
+``evaluate_batch`` steps the rollouts of many policies together as
 numpy lanes, and ``evaluate`` is its one-policy call.  The behavioral
 comparison instead replays a shared event trace against an evolving
 scenario: every policy consumes the same uniform draws, so differences in
@@ -22,10 +23,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .model import (
-    Action, ChainTables, CostModel, ModelParams, NoEventError, ResourceDist, StepKernel,
-    freeze_pair,
-)
+from .model import Action, ChainTables, ModelParams, NoEventError, StepKernel, freeze_pair
 from .scenarios import Scenario, rate_segments, trajectory
 
 
@@ -238,9 +236,7 @@ def _windows(
 def rollout(
     table: np.ndarray,
     lam: float,
-    params: ModelParams,
-    cm: CostModel,
-    rd: ResourceDist,
+    chain: ChainTables,
     horizon: int,
     beta: float,
     rng: np.random.Generator,
@@ -256,7 +252,7 @@ def rollout(
     trapped rollout draws nothing more (see ``_windows``).
     """
     total, windows, _ = _windows(
-        StepKernel(params, cm, rd), table, [(0, horizon, lam)],
+        StepKernel(chain), table, [(0, horizon, lam)],
         lambda start, stop: itertools.repeat((rng.random, rng.random), stop - start),
         beta, initial_state, window, overload_level,
     )
@@ -273,9 +269,7 @@ BLOCK_DRAWS = 280
 def rollout_costs(
     points: Sequence[tuple[np.ndarray, float, int]],
     cfg: EvalConfig,
-    params: ModelParams,
-    cm: CostModel,
-    rd: ResourceDist,
+    chain: ChainTables,
 ) -> np.ndarray:
     """Discounted cost of each rollout of each ``(table, lam, seed)`` point.
 
@@ -291,19 +285,18 @@ def rollout_costs(
     ``rollout``'s bit for bit.
     """
     n, horizon = cfg.n_rollouts, cfg.rollout_length
-    L = params.cpu_levels
-    beta = params.discount_beta
-    tables = ChainTables(params, cm, rd)
-    states = len(tables.busy)
-    n_r = tables.succ.shape[2]
+    L = chain.params.cpu_levels
+    beta = chain.params.discount_beta
+    states = len(chain.busy)
+    n_r = chain.succ.shape[2]
     x0, ell0 = cfg.initial_state
     # by 3 * s + event, the event 0 a departure, 1 an offloaded arrival and
     # 2 an accepted one: the step cost, and whether a resource is drawn
     step_cost = np.stack(
-        [tables.stay_cost, tables.offload_cost, tables.stay_cost], axis=1
+        [chain.stay_cost, chain.offload_cost, chain.stay_cost], axis=1
     ).ravel()
     draws_resource = np.tile([1, 0, 1], states)
-    after = tables.succ.ravel()
+    after = chain.succ.ravel()
     # a step takes at most two draws, so a full block lasts half as many steps
     width = min(BLOCK_DRAWS, 2 * horizon)
     chunk = width // 2
@@ -323,7 +316,7 @@ def rollout_costs(
         # no draw is an arrival) and the event an arrival is under its table
         arrival_p, arrival_event = [], []
         for table, lam, _ in here:
-            arrival_p.append(tables.arrival_p(lam) if lam > 0.0 else np.full(states, -1.0))
+            arrival_p.append(chain.arrival_p(lam) if lam > 0.0 else np.full(states, -1.0))
             arrival_event.append(2 - (np.asarray(table).ravel() != 0))
         arrival_p = np.concatenate(arrival_p)
         arrival_event = np.concatenate(arrival_event)
@@ -353,7 +346,7 @@ def rollout_costs(
                 total += disc * step_cost[e3]
                 disc *= beta
                 cursor += event_draws
-                size = np.searchsorted(tables.cdf, flat[cursor], side="right")
+                size = np.searchsorted(chain.cdf, flat[cursor], side="right")
                 s = after[e3 * n_r + size]
                 cursor += draws_resource[e3]
         out[first:first + m] = total
@@ -364,13 +357,11 @@ def rollout_costs(
 def evaluate_batch(
     points: Sequence[tuple[np.ndarray, float, int]],
     cfg: EvalConfig,
-    params: ModelParams,
-    cm: CostModel,
-    rd: ResourceDist,
+    chain: ChainTables,
 ) -> list[EvalReport]:
     """``evaluate`` of each ``(table, lam, seed)`` point, all rolled out together."""
     reports = []
-    for costs in rollout_costs(points, cfg, params, cm, rd):
+    for costs in rollout_costs(points, cfg, chain):
         costs.sort()
         q1, med, q3 = np.quantile(costs, (0.25, 0.5, 0.75))
         reports.append(EvalReport(
@@ -387,13 +378,11 @@ def evaluate(
     table: np.ndarray,
     cfg: EvalConfig,
     lam: float,
-    params: ModelParams,
-    cm: CostModel,
-    rd: ResourceDist,
+    chain: ChainTables,
     seed: int,
 ) -> EvalReport:
     """Mean and quartiles of the discounted cost over independent rollouts."""
-    return evaluate_batch([(table, lam, seed)], cfg, params, cm, rd)[0]
+    return evaluate_batch([(table, lam, seed)], cfg, chain)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +416,7 @@ _constant_draw = attrgetter("__float__")
 def behavioral_compare(
     policies: dict[str, np.ndarray],
     scenario: Scenario,
-    params: ModelParams,
-    cm: CostModel,
-    rd: ResourceDist,
+    chain: ChainTables,
     trace: EventTrace,
     window: int = 1000,
     overload_level: int = 18,
@@ -457,12 +444,12 @@ def behavioral_compare(
 
     horizon = len(trace.z)
     segments = rate_segments(trajectory(scenario, horizon, trace.seed), horizon)
-    kernel = StepKernel(params, cm, rd)
+    kernel = StepKernel(chain)
     series = {}
     for name, table in policies.items():
         _, windows, trap_step = _windows(
             kernel, table, segments, draws,
-            params.discount_beta, initial_state, window, overload_level,
+            chain.params.discount_beta, initial_state, window, overload_level,
         )
         series[name] = PolicySeries(tuple(windows), trap_step)
     return series

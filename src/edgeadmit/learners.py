@@ -1,9 +1,9 @@
 """The shared learner loop, tabular Q-learning and the static-threshold baseline.
 
 Both learners run ``arrival_loop``: it walks the rate segments, steps the
-chain through ``model.StepKernel``, counts arrivals and keeps the update
-diagnostics, the periodic log and the eval points.  A learner supplies only
-its action rule, its update and its snapshot.
+command's one chain through ``model.StepKernel``, counts arrivals and keeps
+the update diagnostics, the periodic log and the eval points.  A learner
+supplies only its action rule, its update and its snapshot.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .dp import greedy_policy
-from .model import CostModel, ModelParams, ResourceDist, StepKernel, freeze_pair
+from .model import ChainTables, StepKernel, freeze_pair
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -39,9 +39,7 @@ def policy_hash(arr: np.ndarray) -> str:
 
 def arrival_loop(
     segments: list[tuple[int, int, float]],
-    params: ModelParams,
-    cm: CostModel,
-    rd: ResourceDist,
+    chain: ChainTables,
     config,
     seed: int,
     act: Callable[[int, int, int], int],
@@ -67,9 +65,9 @@ def arrival_loop(
     the eval points, the per-tenth-of-horizon means of ``|g|`` and
     ``|step|``, and the arrival count.
     """
-    X, L = params.buffer_capacity, params.cpu_levels
+    X, L = chain.params.buffer_capacity, chain.params.cpu_levels
     horizon, eval_every = config.horizon, config.eval_every
-    step = StepKernel(params, cm, rd).step
+    step = StepKernel(chain).step
     event_u = rngmod.block_uniforms(rngmod.substream(seed, "events"))
     resource_u = rngmod.block_uniforms(rngmod.substream(seed, "resources"))
     x, ell = config.start_state
@@ -193,9 +191,7 @@ class QLearningConfig:
 
 def qlearning_train(
     segments: list[tuple[int, int, float]],
-    params: ModelParams,
-    cm: CostModel,
-    rd: ResourceDist,
+    chain: ChainTables,
     config: QLearningConfig,
     seed: int,
 ) -> QLearningResult:
@@ -205,8 +201,8 @@ def qlearning_train(
     actor-critic trainer; the gradient columns carry the TD-error magnitude
     and the applied update magnitude.
     """
-    X, L = params.buffer_capacity, params.cpu_levels
-    beta = params.discount_beta
+    X, L = chain.params.buffer_capacity, chain.params.cpu_levels
+    beta = chain.params.discount_beta
     # scalar draws: random() and integers(0, 2) interleave on this stream
     act_rng = rngmod.substream(seed, "exploration")
     explore_u, coin = act_rng.random, act_rng.integers
@@ -240,6 +236,6 @@ def qlearning_train(
         table = greedy_policy(np.array(q), X)
         return table, table
 
-    out = arrival_loop(segments, params, cm, rd, config, seed, act, update, snapshot)
+    out = arrival_loop(segments, chain, config, seed, act, update, snapshot)
     q_out = np.array(q)
     return QLearningResult(q_out, greedy_policy(q_out, X), *out)

@@ -1,11 +1,13 @@
 """Model layer: states, costs, the chain's tables and its one-step simulator.
 
-The system is a finite queue (length ``x``, capacity ``X``) feeding ``k``
-cores whose joint load is discretized to ``ell`` in ``0..L``.  Uniformizing
-the continuous-time chain gives a discrete chain in which, from state
-``(x, ell)``, the next event is an arrival with probability
-``delta(x) = lam / (lam + min(x, k) * mu)`` and a departure otherwise.
-Costs are per uniformized step; the continuous-time scale factor is assumed
+A command builds its chain once, a ``ChainTables`` over ``(params, cm, rd)``
+made in ``config.Experiment.from_config``, and every solver and simulator
+reads that one value.  The system is a finite queue (length ``x``, capacity
+``X``) feeding ``k`` cores whose joint load is discretized to ``ell`` in
+``0..L``.  Uniformizing the continuous-time chain gives a discrete chain in
+which, from state ``(x, ell)``, the next event is an arrival with probability
+``delta(x) = lam / (lam + min(x, k) * mu)`` and a departure otherwise.  Costs
+are per uniformized step; the continuous-time scale factor is assumed
 absorbed into the cost tables.
 """
 
@@ -173,9 +175,11 @@ class ChainTables:
     an offloaded arrival, 2 an accepted one) with resource index
     ``j = searchsorted(cdf, u, side="right")``, one past the support included.
     Only here are the queue and load clamped to ``0..X`` and ``0..L``.
+    The ingredients stay attributes: ``params``, ``cm`` and ``rd``.
     """
 
     def __init__(self, params: ModelParams, cm: CostModel, rd: ResourceDist):
+        self.params, self.cm, self.rd = params, cm, rd
         X, L, k = params.buffer_capacity, params.cpu_levels, params.cores
         if cm.levels != L:
             raise ValueError(f"cost tables sized for {cm.levels} load levels, model has {L}")
@@ -204,24 +208,23 @@ class ChainTables:
 class StepKernel:
     """The chain's one transition rule, sampled a step at a time.
 
-    Built once per ``(params, cm, rd)`` from ``ChainTables`` as nested lists
-    of Python numbers: a step only looks up its successor and cost, and the
-    resource index comes from ``bisect_right`` on the cdf list, which equals
+    Built from a ``ChainTables`` as nested lists of Python numbers: a step
+    only looks up its successor and cost, and the resource index comes from
+    ``bisect_right`` on the cdf list, which equals
     ``np.searchsorted(cdf, u, side="right")``, so a step does no numpy work.
     """
 
-    def __init__(self, params: ModelParams, cm: CostModel, rd: ResourceDist):
-        t = ChainTables(params, cm, rd)
-        shape = (params.buffer_capacity + 1, params.cpu_levels + 1)
-        self.busy = t.busy[:: shape[1]].tolist()
-        self.stay_cost = t.stay_cost.reshape(shape).tolist()
-        self.offload_cost = t.offload_cost.reshape(shape).tolist()
+    def __init__(self, chain: ChainTables):
+        shape = (chain.params.buffer_capacity + 1, chain.params.cpu_levels + 1)
+        self.busy = chain.busy[:: shape[1]].tolist()
+        self.stay_cost = chain.stay_cost.reshape(shape).tolist()
+        self.offload_cost = chain.offload_cost.reshape(shape).tolist()
         # successors by [x][ell][j], as one shared (x', ell') tuple per state
-        pair = [divmod(s, shape[1]) for s in range(len(t.succ))]
-        succ = t.succ.reshape(shape + t.succ.shape[1:]).tolist()
+        pair = [divmod(s, shape[1]) for s in range(len(chain.succ))]
+        succ = chain.succ.reshape(shape + chain.succ.shape[1:]).tolist()
         self.down = [[[pair[s] for s in cell[0]] for cell in row] for row in succ]
         self.up = [[[pair[s] for s in cell[2]] for cell in row] for row in succ]
-        self.cdf = t.cdf.tolist()
+        self.cdf = chain.cdf.tolist()
 
     def step(
         self,

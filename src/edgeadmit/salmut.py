@@ -36,7 +36,7 @@ import numpy as np
 from . import rng as rngmod
 from .evaluate import policy_table
 from .learners import LogRow, arrival_loop
-from .model import CostModel, ModelParams, ResourceDist, freeze_pair
+from .model import ChainTables, freeze_pair
 
 
 def _sigmoid(z: float) -> float:
@@ -152,9 +152,7 @@ class TrainResult:
 
 def train(
     segments: list[tuple[int, int, float]],
-    params: ModelParams,
-    cm: CostModel,
-    rd: ResourceDist,
+    chain: ChainTables,
     config: SalmutConfig,
     seed: int,
 ) -> TrainResult:
@@ -165,8 +163,8 @@ def train(
     threshold vector and the scenario evolution each consume an independent
     named substream.
     """
-    X, L = params.buffer_capacity, params.cpu_levels
-    beta = params.discount_beta
+    X, L = chain.params.buffer_capacity, chain.params.cpu_levels
+    beta = chain.params.discount_beta
     temp = config.temperature
     b1, b2 = config.rates()
     literal = config.paper_literal_sign
@@ -254,7 +252,7 @@ def train(
 
     def snapshot():
         hashed = np.array(tau)
-        return hashed, policy_table(params, tau=hashed)
+        return hashed, policy_table(chain.params, tau=hashed)
 
-    out = arrival_loop(segments, params, cm, rd, config, seed, act, update, snapshot)
+    out = arrival_loop(segments, chain, config, seed, act, update, snapshot)
     return TrainResult(np.array(tau), np.array(q), *out)

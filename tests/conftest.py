@@ -6,7 +6,7 @@ from edgeadmit.config import (
     default_penalty_table,
     default_running_table,
 )
-from edgeadmit.model import CostModel, CostTableWarning, ModelParams, ResourceDist
+from edgeadmit.model import ChainTables, CostModel, CostTableWarning, ModelParams, ResourceDist
 from edgeadmit.scenarios import rate_segments, trajectory
 
 
@@ -35,6 +35,11 @@ def canonical_costs() -> CostModel:
 @pytest.fixture(scope="session")
 def canonical_resources() -> ResourceDist:
     return ResourceDist(pmf=[0.6, 0.4])
+
+
+@pytest.fixture(scope="session")
+def canonical_chain(canonical_params, canonical_costs, canonical_resources) -> ChainTables:
+    return ChainTables(canonical_params, canonical_costs, canonical_resources)
 
 
 @pytest.fixture(scope="session")

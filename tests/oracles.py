@@ -27,7 +27,7 @@ from edgeadmit.learners import (
     LogRow, QLearningConfig, QLearningResult, policy_hash,
 )
 from edgeadmit.model import (
-    Action, CostModel, ModelParams, NoEventError, ResourceDist, StepKernel,
+    Action, ChainTables, CostModel, ModelParams, NoEventError, ResourceDist, StepKernel,
 )
 from edgeadmit.salmut import SalmutConfig, TrainResult, _sigmoid, bias_correction
 from edgeadmit.scenarios import ScenarioState
@@ -225,9 +225,7 @@ def trace_draws(scenario, trace):
 def windowed_replay(
     table: np.ndarray,
     draws,
-    params: ModelParams,
-    cm: CostModel,
-    rd: ResourceDist,
+    chain: ChainTables,
     initial_state: tuple[int, int] = (0, 0),
     window: int = 1000,
     overload_level: int = 18,
@@ -239,9 +237,9 @@ def windowed_replay(
     at ``x = 0`` in a state ``table`` offloads from with ``lam > 0`` (None if
     none does).
     """
-    kernel = StepKernel(params, cm, rd)
+    kernel = StepKernel(chain)
     offloads = np.asarray(table).tolist()
-    beta = params.discount_beta
+    beta = chain.params.discount_beta
     x, ell = initial_state
     total, disc = 0.0, 1.0
     windows: list[MetricsWindow] = []
@@ -409,9 +407,7 @@ def epsilon_greedy_action(
 
 def _reference_arrival_loop(
     segments: list[tuple[int, int, float]],
-    params: ModelParams,
-    cm: CostModel,
-    rd: ResourceDist,
+    chain: ChainTables,
     config,
     seed: int,
     act: Callable[[int, int, int], int],
@@ -419,9 +415,9 @@ def _reference_arrival_loop(
     snapshot: Callable[[], tuple[np.ndarray, np.ndarray]],
 ) -> tuple[list[LogRow], list[tuple[float, np.ndarray]], np.ndarray, np.ndarray, int]:
     """``learners.arrival_loop`` with a ``decide`` wrapper that forces the offload at ``X``."""
-    X, L = params.buffer_capacity, params.cpu_levels
+    X, L = chain.params.buffer_capacity, chain.params.cpu_levels
     horizon, eval_every = config.horizon, config.eval_every
-    step = StepKernel(params, cm, rd).step
+    step = StepKernel(chain).step
     event_u = rngmod.block_uniforms(rngmod.substream(seed, "events"))
     resource_u = rngmod.block_uniforms(rngmod.substream(seed, "resources"))
     x, ell = config.start_state
@@ -475,15 +471,13 @@ def _reference_arrival_loop(
 
 def reference_salmut_train(
     segments: list[tuple[int, int, float]],
-    params: ModelParams,
-    cm: CostModel,
-    rd: ResourceDist,
+    chain: ChainTables,
     config: SalmutConfig,
     seed: int,
 ) -> TrainResult:
     """``salmut.train`` through the per-arrival helpers above, one call each."""
-    X, L = params.buffer_capacity, params.cpu_levels
-    beta = params.discount_beta
+    X, L = chain.params.buffer_capacity, chain.params.cpu_levels
+    beta = chain.params.discount_beta
     temp = config.temperature
     b1, b2 = config.rates()
     literal = config.paper_literal_sign
@@ -523,23 +517,21 @@ def reference_salmut_train(
 
     def snapshot():
         hashed = np.array(tau)
-        return hashed, policy_table(params, tau=hashed)
+        return hashed, policy_table(chain.params, tau=hashed)
 
-    out = _reference_arrival_loop(segments, params, cm, rd, config, seed, act, update, snapshot)
+    out = _reference_arrival_loop(segments, chain, config, seed, act, update, snapshot)
     return TrainResult(np.array(tau), np.array(q), *out)
 
 
 def reference_qlearning_train(
     segments: list[tuple[int, int, float]],
-    params: ModelParams,
-    cm: CostModel,
-    rd: ResourceDist,
+    chain: ChainTables,
     config: QLearningConfig,
     seed: int,
 ) -> QLearningResult:
     """``learners.qlearning_train`` through ``epsilon_greedy_action``."""
-    X, L = params.buffer_capacity, params.cpu_levels
-    beta = params.discount_beta
+    X, L = chain.params.buffer_capacity, chain.params.cpu_levels
+    beta = chain.params.discount_beta
     # scalar draws: random() and integers(0, 2) interleave on this stream
     act_rng = rngmod.substream(seed, "exploration")
     # Python floats, q[x][ell][a], until returned
@@ -562,6 +554,6 @@ def reference_qlearning_train(
         table = greedy_policy(np.array(q), X)
         return table, table
 
-    out = _reference_arrival_loop(segments, params, cm, rd, config, seed, act, update, snapshot)
+    out = _reference_arrival_loop(segments, chain, config, seed, act, update, snapshot)
     q_out = np.array(q)
     return QLearningResult(q_out, greedy_policy(q_out, X), *out)

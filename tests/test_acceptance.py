@@ -49,6 +49,7 @@ from edgeadmit.evaluate import (
 from edgeadmit.learners import BaselinePolicy, QLearningConfig, qlearning_train
 from edgeadmit.model import (
     Action,
+    ChainTables,
     CostModel,
     ModelParams,
     ResourceDist,
@@ -74,16 +75,16 @@ def report(criterion: int, passed: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def solution(canonical_params, canonical_costs, canonical_resources):
-    return value_iteration(LAM, canonical_params, canonical_costs, canonical_resources, tol=1e-9)
+def solution(canonical_chain):
+    return value_iteration(LAM, canonical_chain, tol=1e-9)
 
 
 @pytest.fixture(scope="module")
-def dp_target(solution, canonical_params, canonical_costs, canonical_resources):
+def dp_target(solution, canonical_params, canonical_chain):
     """Planner policy's evaluated mean discounted cost from the start state."""
     rep = evaluate(
-        policy_table(canonical_params, actions=solution.policy), EVAL, LAM, canonical_params,
-        canonical_costs, canonical_resources, seed=90_000,
+        policy_table(canonical_params, actions=solution.policy), EVAL, LAM, canonical_chain,
+        seed=90_000,
     )
     return rep.mean
 
@@ -124,7 +125,8 @@ def structure_solutions(canonical_params, canonical_resources):
     for seed in STRUCTURE_SEEDS:
         cm = increasing_cost_tables(seed)
         for lam in STRUCTURE_LAMS:
-            sol = value_iteration(lam, canonical_params, cm, canonical_resources, tol=1e-9)
+            sol = value_iteration(lam, ChainTables(canonical_params, cm, canonical_resources),
+                                  tol=1e-9)
             solutions.append((lam, seed, cm, sol))
     return solutions
 
@@ -159,9 +161,9 @@ def test_criterion_1_value_monotone(solution, structure_solutions):
     assert passed, f"(lam, seed, residual, first violations): {failures[:5]}"
 
 
-def test_criterion_1_runtime(canonical_params, canonical_costs, canonical_resources):
+def test_criterion_1_runtime(canonical_chain):
     t0 = time.monotonic()
-    sol = value_iteration(LAM, canonical_params, canonical_costs, canonical_resources, tol=1e-9)
+    sol = value_iteration(LAM, canonical_chain, tol=1e-9)
     elapsed = time.monotonic() - t0
     print(f"\nACCEPTANCE 1 (runtime): solve took {elapsed:.2f}s (< 5s)")
     assert sol.residual <= 1e-9
@@ -216,7 +218,7 @@ def test_criterion_3_oracle_equivalence():
         raw = gen.uniform(0.2, 1.0, size=min(levels, 2))
         rd = ResourceDist(pmf=raw / raw.sum())
         lam = lam_scale * params.service_rate
-        sol = value_iteration(lam, params, cm, rd, tol=1e-12)
+        sol = value_iteration(lam, ChainTables(params, cm, rd), tol=1e-12)
         oracle_v, _ = enumerate_optimal(lam, params, cm, rd)
         gap = float(np.abs(sol.v - oracle_v).max())
         pol_gap = float(
@@ -231,9 +233,7 @@ def test_criterion_3_oracle_equivalence():
     assert passed
 
 
-def test_criterion_4_advantage_identity(
-    solution, canonical_params, canonical_costs, canonical_resources
-):
+def test_criterion_4_advantage_identity(solution, canonical_costs, canonical_resources):
     v, q = solution.v, solution.q
     worst = 0.0
     for x in range(21):
@@ -278,7 +278,7 @@ def test_criterion_5_gradient_correctness():
     assert passed
 
 
-def test_criterion_6_simulator_fidelity(canonical_params, canonical_costs, canonical_resources):
+def test_criterion_6_simulator_fidelity(canonical_params, canonical_resources, canonical_chain):
     gen = np.random.default_rng(606)
     pairs = []
     while len(pairs) < 5:
@@ -294,7 +294,7 @@ def test_criterion_6_simulator_fidelity(canonical_params, canonical_costs, canon
     n = 100_000
     worst_z = 0.0
     # the one kernel the trainers, rollouts and the shared-trace comparison run
-    kernel = StepKernel(canonical_params, canonical_costs, canonical_resources)
+    kernel = StepKernel(canonical_chain)
     for i, (state, action) in enumerate(pairs):
         rng = substream(700 + i, "fidelity")
         counts: dict[State, int] = {}
@@ -315,20 +315,17 @@ def test_criterion_6_simulator_fidelity(canonical_params, canonical_costs, canon
     assert passed
 
 
-def test_criterion_7_salmut_desk_scale(
-    segments, dp_target, canonical_params, canonical_costs, canonical_resources
-):
+def test_criterion_7_salmut_desk_scale(segments, dp_target, canonical_params, canonical_chain):
     t0 = time.monotonic()
     scenario = Scenario(kind=1)
     cfg = SalmutConfig(horizon=200_000, eval_every=200_000)
     gaps = []
     for seed in SEEDS:
-        args = (segments(scenario, 200_000, seed), canonical_params, canonical_costs,
-                canonical_resources)
+        args = (segments(scenario, 200_000, seed), canonical_chain)
         result = train(*args, cfg, seed)
         rep = evaluate(
-            policy_table(canonical_params, tau=result.tau), EVAL, LAM, canonical_params,
-            canonical_costs, canonical_resources, seed=91_000 + seed,
+            policy_table(canonical_params, tau=result.tau), EVAL, LAM, canonical_chain,
+            seed=91_000 + seed,
         )
         gaps.append(relative_gap(rep.mean, dp_target))
     within = sum(g <= 0.15 for g in gaps)
@@ -340,8 +337,7 @@ def test_criterion_7_salmut_desk_scale(
     dcfg = SalmutConfig(horizon=200_000, eval_every=200_000, mode="decay")
     shrinks = []
     for seed in SEEDS:
-        args = (segments(scenario, 200_000, seed), canonical_params, canonical_costs,
-                canonical_resources)
+        args = (segments(scenario, 200_000, seed), canonical_chain)
         result = train(*args, dcfg, seed)
         first, last = result.tenth_step_abs[0], result.tenth_step_abs[-1]
         shrinks.append(first / max(last, 1e-300))
@@ -360,20 +356,17 @@ def test_criterion_7_salmut_desk_scale(
     assert elapsed < 120.0
 
 
-def test_criterion_8_qlearning_desk_scale(
-    segments, dp_target, canonical_params, canonical_costs, canonical_resources
-):
+def test_criterion_8_qlearning_desk_scale(segments, dp_target, canonical_params, canonical_chain):
     scenario = Scenario(kind=1)
     cfg = QLearningConfig(horizon=500_000, eval_every=500_000)
     gaps = []
     for seed in SEEDS:
         result = qlearning_train(
-            segments(scenario, 500_000, seed),
-            canonical_params, canonical_costs, canonical_resources, cfg, seed,
+            segments(scenario, 500_000, seed), canonical_chain, cfg, seed,
         )
         rep = evaluate(
-            policy_table(canonical_params, actions=result.policy), EVAL, LAM, canonical_params,
-            canonical_costs, canonical_resources, seed=92_000 + seed,
+            policy_table(canonical_params, actions=result.policy), EVAL, LAM, canonical_chain,
+            seed=92_000 + seed,
         )
         gaps.append(relative_gap(rep.mean, dp_target))
     within = sum(g <= 0.20 for g in gaps)
@@ -388,15 +381,15 @@ def test_criterion_8_qlearning_desk_scale(
 
 
 @pytest.fixture(scope="module")
-def behavioral_runs(segments, solution, canonical_params, canonical_costs, canonical_resources):
+def behavioral_runs(segments, solution, canonical_params, canonical_chain):
     """Per scenario: the scenario, the three compared policies, their trace and series,
     and the learned threshold vector."""
     runs = {}
     for kind in (1, 2):
         scenario = Scenario(kind=kind)
         trained = train(
-            segments(scenario, 200_000, 0), canonical_params, canonical_costs,
-            canonical_resources, SalmutConfig(horizon=200_000, eval_every=200_000), seed=0,
+            segments(scenario, 200_000, 0), canonical_chain,
+            SalmutConfig(horizon=200_000, eval_every=200_000), seed=0,
         )
         policies = {
             "dp": policy_table(canonical_params, actions=solution.policy),
@@ -405,7 +398,7 @@ def behavioral_runs(segments, solution, canonical_params, canonical_costs, canon
         }
         trace = EventTrace.generate(8000 + kind, 60_000)
         series = behavioral_compare(
-            policies, scenario, canonical_params, canonical_costs, canonical_resources, trace,
+            policies, scenario, canonical_chain, trace,
             window=1000, overload_level=18,
         )
         runs[kind] = (scenario, policies, trace, series, trained.tau)
@@ -438,7 +431,7 @@ def test_criterion_9_overload_dominance(behavioral_totals):
         assert t["salmut"][0] < t["baseline"][0], (kind, t)
 
 
-def _replay_until_trapped(policy, scenario, trace, params, cm, rd):
+def _replay_until_trapped(policy, scenario, trace, chain):
     """Replay ``behavioral_compare``'s trajectory for one policy with ``StepKernel.step``.
 
     Returns the first step at which the policy sits at ``x = 0`` in a state it
@@ -446,7 +439,7 @@ def _replay_until_trapped(policy, scenario, trace, params, cm, rd):
     to that step.  Such a state is absorbing while the arrival rate is
     positive: ``delta(0) = 1``, so every event is an offloaded arrival.
     """
-    kernel = StepKernel(params, cm, rd)
+    kernel = StepKernel(chain)
     ss = ScenarioState.create(scenario, len(trace.z), trace.seed)
     x, ell = 0, 0
     offloads = []
@@ -454,7 +447,7 @@ def _replay_until_trapped(policy, scenario, trace, params, cm, rd):
         if t:
             ss.advance_to(t)
         action = (
-            Action.OFFLOAD if x == params.buffer_capacity else Action(int(policy[x, ell]))
+            Action.OFFLOAD if x == chain.params.buffer_capacity else Action(int(policy[x, ell]))
         )
         if x == 0 and action == Action.OFFLOAD:
             return t, offloads
@@ -468,13 +461,11 @@ def _replay_until_trapped(policy, scenario, trace, params, cm, rd):
 
 
 @pytest.fixture(scope="module")
-def trap_replays(behavioral_runs, canonical_params, canonical_costs, canonical_resources):
+def trap_replays(behavioral_runs, canonical_chain):
     """Per scenario and policy: ``_replay_until_trapped``'s trap step and offload flags."""
     return {
         kind: {
-            name: _replay_until_trapped(
-                policy, scenario, trace, canonical_params, canonical_costs, canonical_resources
-            )
+            name: _replay_until_trapped(policy, scenario, trace, canonical_chain)
             for name, policy in policies.items()
         }
         for kind, (scenario, policies, trace, _, _) in behavioral_runs.items()

@@ -6,10 +6,11 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgeadmit import config as cfgmod, evaluate as evaluate_module, learners, salmut
+from edgeadmit import cli, config as cfgmod, evaluate as evaluate_module, learners, salmut
+from edgeadmit.artifacts import chain_hash
 from edgeadmit.cli import _policy_from_artifact, main
 from edgeadmit.config import ConfigError, Experiment
-from edgeadmit.model import ModelParams
+from edgeadmit.model import ChainTables, ModelParams
 from edgeadmit.scenarios import Scenario
 
 from oracles import trace_draws, windowed_replay
@@ -18,11 +19,11 @@ from oracles import trace_draws, windowed_replay
 def test_default_config_validates_and_builds():
     cfg = cfgmod.load_config()
     exp = Experiment.from_config(cfg)
-    assert exp.params.buffer_capacity == 20
+    assert exp.chain.params.buffer_capacity == 20
     assert exp.planning_rate() == pytest.approx(6.0)
-    assert exp.costs.running[6] == pytest.approx(-0.2)
-    assert exp.costs.penalty[2] == pytest.approx(10.0)
-    assert exp.costs.penalty[3] == pytest.approx(1.0)
+    assert exp.chain.cm.running[6] == pytest.approx(-0.2)
+    assert exp.chain.cm.penalty[2] == pytest.approx(10.0)
+    assert exp.chain.cm.penalty[3] == pytest.approx(1.0)
 
 
 # SHA-256 of the default config's sorted JSON.  Its keys and defaults come
@@ -35,7 +36,7 @@ def test_default_config_pinned_and_equal_to_field_defaults():
     canon = json.dumps(cfgmod.default_config(), sort_keys=True)
     assert hashlib.sha256(canon.encode()).hexdigest() == DEFAULT_CONFIG_DIGEST
     exp = Experiment.from_config(cfgmod.load_config())
-    assert exp.params == ModelParams()
+    assert exp.chain.params == ModelParams()
     assert exp.scenario == Scenario()
     assert exp.eval_config == evaluate_module.EvalConfig()
     assert exp.salmut == salmut.SalmutConfig()
@@ -113,6 +114,11 @@ def _desk_config(tmp_path, horizon=4000, kind=1):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def _chain_sha(cfg_path) -> str:
+    """The ``chain_sha256`` of artifacts built under the config at ``cfg_path``."""
+    return chain_hash(cfgmod.load_config(cfg_path))
 
 
 def test_cli_train_outputs_and_determinism(tmp_path):
@@ -283,7 +289,7 @@ def test_cli_train_fills_every_eval_point(tmp_path, monkeypatch, segments, learn
     exp = Experiment.from_config(cfgmod.load_config(cfg_path, {"learner": {"kind": learner}}))
     assert exp.eval_config.n_rollouts == 8
     for seed in exp.seeds:
-        args = (segments(exp.scenario, 5000, seed), exp.params, exp.costs, exp.resources)
+        args = (segments(exp.scenario, 5000, seed), exp.chain)
         if learner == "salmut":
             trained = salmut.train(*args, exp.salmut, seed)
         else:
@@ -294,7 +300,7 @@ def test_cli_train_fills_every_eval_point(tmp_path, monkeypatch, segments, learn
         assert len(rows) == len(trained.evals) == 5
         for row, (lam, table) in zip(rows, trained.evals):
             report = evaluate_module.evaluate(
-                table, exp.eval_config, lam, exp.params, exp.costs, exp.resources,
+                table, exp.eval_config, lam, exp.chain,
                 seed=(seed << 20) + int(row[0]),
             )
             assert [float(cell) for cell in row[2:6]] == [
@@ -348,6 +354,62 @@ def test_cli_compare_missing_artifact_is_file_error(tmp_path):
     assert "missing artifact" in result.output
 
 
+def test_cli_artifacts_from_another_chain_are_input_errors(tmp_path):
+    # artifacts built under one config, read under another whose costs differ:
+    # compare and evaluate --artifact name the artifact and exit 2
+    runner = CliRunner()
+    cfg_path = _desk_config(tmp_path)
+    for args in (
+        ["solve"],
+        ["train", "--learner", "salmut", "--no-periodic-eval"],
+        ["train", "--learner", "qlearning", "--no-periodic-eval"],
+    ):
+        assert runner.invoke(main, [*args, "--config", str(cfg_path)]).exit_code == 0
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**json.loads(cfg_path.read_text()), "costs": {"holding": 5.0}}))
+    runs = tmp_path / "runs"
+    salmut_policy = runs / "salmut" / "seed_0" / "policy.json"
+    for args, artifact in (
+        (["compare"], runs / "dp" / "solution.json"),
+        (["evaluate", "--artifact", str(salmut_policy)], salmut_policy),
+    ):
+        result = runner.invoke(main, [*args, "--config", str(other)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        [line] = result.output.splitlines()
+        assert line.startswith(f"{artifact}: chain_sha256 ")
+    assert not (runs / "compare").exists() and not (runs / "eval").exists()
+    # an artifact without the field is rejected the same way
+    art = json.loads(salmut_policy.read_text())
+    del art["chain_sha256"]
+    salmut_policy.write_text(json.dumps(art))
+    result = runner.invoke(main, ["compare", "--config", str(cfg_path)])
+    assert result.exit_code == 2, result.output
+    assert result.output == (f"{salmut_policy}: chain_sha256 None is not this config's "
+                             f"model, costs and resources ({_chain_sha(cfg_path)})\n")
+
+
+def test_cli_commands_build_the_chain_once(tmp_path, monkeypatch):
+    # one ChainTables per command: train's two seeds run in this process
+    built = []
+    init = ChainTables.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ChainTables, "__init__", counting_init)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+    cfg_path = _desk_config(tmp_path)
+    dp_policy = str(tmp_path / "runs" / "dp" / "policy.json")
+    for args in (["solve"], ["train", "--learner", "salmut"], ["train", "--learner", "qlearning"],
+                 ["compare"], ["evaluate", "--artifact", dp_policy]):
+        built.clear()
+        result = CliRunner().invoke(main, [*args, "--config", str(cfg_path)])
+        assert result.exit_code == 0, result.output
+        assert len(built) == 1, args
+
+
 def test_cli_compare_end_to_end(tmp_path):
     runner = CliRunner()
     cfg_path = _desk_config(tmp_path, horizon=4000)
@@ -390,7 +452,7 @@ def test_cli_compare_end_to_end(tmp_path):
     for name, art in artifacts.items():
         _, _, trap_step = windowed_replay(
             _policy_from_artifact(art, exp), trace_draws(exp.scenario, trace),
-            exp.params, exp.costs, exp.resources, exp.eval_config.initial_state,
+            exp.chain, exp.eval_config.initial_state,
         )
         assert totals[name]["trap_step"] == trap_step, name
         assert set(totals[name]) == {"c_ov", "c_off", "trap_step"}
@@ -448,7 +510,8 @@ def test_cli_evaluate_wrong_shape_is_input_error(tmp_path):
     cfg_path = _desk_config(tmp_path)
     art = tmp_path / "policy.json"
     art.write_text(json.dumps({"schema": "edgeadmit/policy/1", "kind": "dp",
-                               "config_sha256": "", "policy": [[0] * 21] * 5}))
+                               "config_sha256": "", "chain_sha256": _chain_sha(cfg_path),
+                               "policy": [[0] * 21] * 5}))
     result = CliRunner().invoke(main, ["evaluate", "--config", str(cfg_path),
                                        "--artifact", str(art)])
     assert result.exit_code == 2, result.output
@@ -474,7 +537,8 @@ def test_cli_evaluate_missing_policy_field_is_input_error(tmp_path, tau):
     art = tmp_path / "policy.json"
     fields = {} if tau == "missing" else {"tau": tau}
     art.write_text(json.dumps({"schema": "edgeadmit/policy/1", "kind": "salmut",
-                               "config_sha256": "", **fields}))
+                               "config_sha256": "", "chain_sha256": _chain_sha(cfg_path),
+                               **fields}))
     result = CliRunner().invoke(main, ["evaluate", "--config", str(cfg_path),
                                        "--artifact", str(art)])
     assert result.exit_code == 2, result.output
@@ -515,7 +579,8 @@ def _evaluate_policy_artifact(root, kind, value):
                                "output_dir": str(root / "runs")}))
     art = root / "policy.json"
     art.write_text(json.dumps({"schema": "edgeadmit/policy/1", "kind": kind,
-                               "config_sha256": "", _VALID_FIELDS[kind][0]: value}))
+                               "config_sha256": "", "chain_sha256": _chain_sha(cfg),
+                               _VALID_FIELDS[kind][0]: value}))
     return CliRunner().invoke(main, ["evaluate", "--config", str(cfg), "--artifact", str(art)])
 
 
@@ -562,3 +627,46 @@ def test_cli_evaluate_any_policy_field_exits_cleanly(tmp_path_factory, kind, val
     elif kind in ("dp", "qlearning"):
         # a table is scored only when every entry is an action
         assert all(type(a) is int and a in (0, 1) for row in value for a in row)
+
+
+@st.composite
+def _small_configs(draw):
+    """A small valid config: any chain shape up to 7 x 7 states, short runs."""
+    X, L = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    table = st.lists(st.floats(-10.0, 10.0), min_size=L + 1, max_size=L + 1)
+    weights = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3).filter(any))
+    horizon = draw(st.integers(1, 2000))
+    return {
+        "model": {"buffer_capacity": X, "cpu_levels": L, "cores": draw(st.integers(1, 3)),
+                  "service_rate": draw(st.floats(0.1, 10.0))},
+        "costs": {"holding": draw(st.floats(0.0, 2.0)), "running": draw(table),
+                  "penalty": draw(table)},
+        "resources": {"pmf": [w / sum(weights) for w in weights]},
+        "scenario": {"kind": draw(st.integers(1, 6)), "n_users": draw(st.integers(0, 4))},
+        "learner": {"horizon": horizon, "eval_every": draw(st.integers(100, 2000))},
+        "eval": {"n_rollouts": draw(st.integers(1, 3)), "rollout_length": draw(st.integers(1, 50)),
+                 "window": draw(st.integers(1, 500))},
+        "seeds": [0],
+    }
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=_small_configs())
+def test_cli_pipeline_on_small_configs_exits_cleanly(tmp_path_factory, cfg):
+    # the whole pipeline on one chain of any small shape: every command
+    # succeeds, or fails with an input (2) or numeric (3) error, never a traceback
+    root = tmp_path_factory.mktemp("pipeline")
+    path = root / "cfg.json"
+    path.write_text(json.dumps({**cfg, "output_dir": str(root / "runs")}))
+    runner = CliRunner()
+    for args in (
+        ["solve"],
+        ["train", "--learner", "salmut"],
+        ["train", "--learner", "qlearning"],
+        ["compare"],
+        ["evaluate", "--artifact", str(root / "runs" / "salmut" / "seed_0" / "policy.json")],
+    ):
+        result = runner.invoke(main, [*args, "--config", str(path)])
+        assert result.exit_code in (0, 2, 3), (args, result.output, result.exception)
+        assert result.exception is None or isinstance(result.exception, SystemExit), (
+            args, result.output, result.exception)

@@ -4,14 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeadmit.dp import (
-    _Kernel,
+    admissible_min,
     check_threshold_structure,
     check_value_monotone,
     greedy_policy,
+    q_tables,
     value_iteration,
     SolverError,
 )
-from edgeadmit.model import Action, CostModel, ModelParams, ResourceDist
+from edgeadmit.model import Action, ChainTables, CostModel, ModelParams, ResourceDist
 
 from oracles import delta, enumerate_optimal, recursion_policy_value
 
@@ -29,9 +30,8 @@ def small_setup(levels=3, beta=0.9):
     return params, cm, rd
 
 
-def test_bellman_zero_value_equals_cost(canonical_params, canonical_costs, canonical_resources):
-    kern = _Kernel(6.0, canonical_params, canonical_costs, canonical_resources)
-    q = kern.q_tables(np.zeros((21, 21)), self_loop=False)
+def test_bellman_zero_value_equals_cost(canonical_costs, canonical_chain):
+    q = q_tables(canonical_chain, 6.0, np.zeros((21, 21)), self_loop=False)
     for x, ell in ((0, 0), (5, 10), (20, 20)):
         accept = 0.12 * max(x - 2, 0) + canonical_costs.running[ell]
         assert q[x, ell, Action.ACCEPT] == pytest.approx(accept)
@@ -45,27 +45,27 @@ def test_bellman_constant_cost_fixed_point_accept():
     c = 2.0
     cm = CostModel(holding=0.0, running=np.full(4, c), penalty=np.zeros(4))
     v = np.full((2, 4), c / (1 - params.discount_beta))
-    got = _Kernel(1.5, params, cm, rd).q_tables(v, self_loop=False)[0, 1, Action.ACCEPT]
+    got = q_tables(ChainTables(params, cm, rd), 1.5, v, self_loop=False)[0, 1, Action.ACCEPT]
     assert got == pytest.approx(c / (1 - params.discount_beta), rel=1e-12)
 
 
 def test_bellman_two_state_instance_matches_linear_solve():
     params, cm, rd = small_setup(levels=1)
     lam = 1.0
-    sol = value_iteration(lam, params, cm, rd, tol=1e-10)
+    sol = value_iteration(lam, ChainTables(params, cm, rd), tol=1e-10)
     oracle_v = recursion_policy_value(sol.policy, lam, params, cm, rd)
     assert np.abs(sol.v - oracle_v).max() < 1e-9
 
 
 def test_value_iteration_zero_costs(canonical_params, canonical_resources):
     cm = CostModel(holding=0.0, running=np.zeros(21), penalty=np.zeros(21))
-    sol = value_iteration(6.0, canonical_params, cm, canonical_resources, tol=1e-9)
+    sol = value_iteration(6.0, ChainTables(canonical_params, cm, canonical_resources), tol=1e-9)
     assert np.abs(sol.v).max() == 0.0
 
 
-def test_value_iteration_nonconvergence_raises(canonical_params, canonical_costs, canonical_resources):
+def test_value_iteration_nonconvergence_raises(canonical_chain):
     with pytest.raises(SolverError) as err:
-        value_iteration(6.0, canonical_params, canonical_costs, canonical_resources, tol=1e-12, max_iter=5)
+        value_iteration(6.0, canonical_chain, tol=1e-12, max_iter=5)
     assert err.value.residual > 0
 
 
@@ -77,16 +77,16 @@ def test_structural_checks_pass_when_assumptions_hold():
     )
     running = np.concatenate([np.zeros(6), np.full(12, 0.2), np.full(3, 10.0)])
     cm = CostModel(holding=0.12, running=running, penalty=np.ones(21))
-    sol = value_iteration(6.0, params, cm, ResourceDist(pmf=[0.6, 0.4]), tol=1e-9)
+    sol = value_iteration(6.0, ChainTables(params, cm, ResourceDist(pmf=[0.6, 0.4])), tol=1e-9)
     assert check_value_monotone(sol.v).passed
     assert check_threshold_structure(sol.policy).passed
 
 
-def test_canonical_instance_value_is_not_monotone(canonical_params, canonical_costs, canonical_resources):
+def test_canonical_instance_value_is_not_monotone(canonical_chain):
     # the published experiment tables violate the increasing-cost assumptions
     # (reward band, penalty drop), and the value function genuinely decreases
     # toward the reward band at low load; this anchors the measured behavior
-    sol = value_iteration(6.0, canonical_params, canonical_costs, canonical_resources, tol=1e-9)
+    sol = value_iteration(6.0, canonical_chain, tol=1e-9)
     report = check_value_monotone(sol.v)
     assert not report.passed
     assert (0, 0) in report.violations
@@ -94,8 +94,8 @@ def test_canonical_instance_value_is_not_monotone(canonical_params, canonical_co
     assert thr.violation is not None
 
 
-def test_residual_contract(canonical_params, canonical_costs, canonical_resources):
-    sol = value_iteration(6.0, canonical_params, canonical_costs, canonical_resources, tol=1e-9)
+def test_residual_contract(canonical_chain):
+    sol = value_iteration(6.0, canonical_chain, tol=1e-9)
     assert sol.residual <= 1e-9
     # fixed point: returned v equals the admissible min of the returned q
     q_min = sol.q.min(axis=2)
@@ -103,11 +103,11 @@ def test_residual_contract(canonical_params, canonical_costs, canonical_resource
     assert np.array_equal(sol.v, q_min)
 
 
-def test_delta_q_monotone_where_penalty_constant(canonical_params, canonical_costs, canonical_resources):
+def test_delta_q_monotone_where_penalty_constant(canonical_chain):
     # advantage of accepting decreases (equivalently, Q_acc - Q_off increases)
     # in load wherever the penalty table is flat, by the monotone-value
     # argument applied row-wise; verified on the converged tables over x < full
-    sol = value_iteration(6.0, canonical_params, canonical_costs, canonical_resources, tol=1e-9)
+    sol = value_iteration(6.0, canonical_chain, tol=1e-9)
     dq = sol.q[:, :, 0] - sol.q[:, :, 1]
     mono = check_value_monotone(sol.v)
     # restrict to rows x where v(x+1, .) is monotone over the flat-penalty
@@ -121,10 +121,12 @@ def test_delta_q_monotone_where_penalty_constant(canonical_params, canonical_cos
             assert np.all(diffs >= -1e-9)
 
 
-def test_delta_q_identity_at_fixed_point(canonical_params, canonical_costs, canonical_resources):
+def test_delta_q_identity_at_fixed_point(
+    canonical_params, canonical_costs, canonical_resources, canonical_chain
+):
     # algebraic consequence of the two Q equations:
     # Q1 - Q0 = p(l) - beta * delta(x) * sum_r P(r) V(up)
-    sol = value_iteration(6.0, canonical_params, canonical_costs, canonical_resources, tol=1e-9)
+    sol = value_iteration(6.0, canonical_chain, tol=1e-9)
     v, q = sol.v, sol.q
     worst = 0.0
     for x in range(21):
@@ -166,24 +168,20 @@ def test_check_threshold_structure_rows():
 
 @settings(max_examples=50, deadline=None)
 @given(table_seed=st.integers(min_value=0, max_value=2**32 - 1), scale=st.floats(0.1, 100))
-def test_bellman_operator_is_contraction(
-    table_seed, scale, canonical_params, canonical_costs, canonical_resources
-):
-    kern = _Kernel(6.0, canonical_params, canonical_costs, canonical_resources)
+def test_bellman_operator_is_contraction(table_seed, scale, canonical_chain):
     gen = np.random.default_rng(table_seed)
     v = gen.uniform(-scale, scale, size=(21, 21))
     w = gen.uniform(-scale, scale, size=(21, 21))
-    tv = kern.admissible_min(kern.q_tables(v, False))
-    tw = kern.admissible_min(kern.q_tables(w, False))
+    tv = admissible_min(q_tables(canonical_chain, 6.0, v, False))
+    tw = admissible_min(q_tables(canonical_chain, 6.0, w, False))
     assert np.abs(tv - tw).max() <= 0.95 * np.abs(v - w).max() + 1e-12
 
 
-def test_residuals_weakly_decreasing(canonical_params, canonical_costs, canonical_resources):
-    kern = _Kernel(6.0, canonical_params, canonical_costs, canonical_resources)
+def test_residuals_weakly_decreasing(canonical_chain):
     v = np.zeros((21, 21))
     residuals = []
     for _ in range(120):
-        v_new = kern.admissible_min(kern.q_tables(v, False))
+        v_new = admissible_min(q_tables(canonical_chain, 6.0, v, False))
         residuals.append(np.abs(v_new - v).max())
         v = v_new
     assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
@@ -194,7 +192,7 @@ def test_residuals_weakly_decreasing(canonical_params, canonical_costs, canonica
 def test_oracle_equivalence_small_instances(levels, self_loop):
     params, cm, rd = small_setup(levels=levels)
     lam = 1.3
-    sol = value_iteration(lam, params, cm, rd, tol=1e-12, self_loop=self_loop)
+    sol = value_iteration(lam, ChainTables(params, cm, rd), tol=1e-12, self_loop=self_loop)
     oracle_v, _ = enumerate_optimal(lam, params, cm, rd, self_loop=self_loop)
     assert np.abs(sol.v - oracle_v).max() <= 1e-8
     # and the extracted policy's exact value attains the optimum
@@ -209,10 +207,10 @@ def test_greedy_policy_tie_breaks_accept():
     assert np.all(policy[2] == Action.OFFLOAD)
 
 
-def test_self_loop_variant_changes_offload_values(canonical_params, canonical_costs, canonical_resources):
-    base = value_iteration(6.0, canonical_params, canonical_costs, canonical_resources, tol=1e-9)
+def test_self_loop_variant_changes_offload_values(canonical_chain):
+    base = value_iteration(6.0, canonical_chain, tol=1e-9)
     variant = value_iteration(
-        6.0, canonical_params, canonical_costs, canonical_resources, tol=1e-9, self_loop=True
+        6.0, canonical_chain, tol=1e-9, self_loop=True
     )
     assert not np.allclose(base.v, variant.v)
     assert variant.v[0, 0] > base.v[0, 0]

@@ -17,22 +17,20 @@ from edgeadmit.evaluate import (
     rollout,
     rollout_costs,
 )
-from edgeadmit.model import Action, CostModel, NoEventError
+from edgeadmit.model import Action, ChainTables, CostModel, NoEventError
 from edgeadmit.rng import substream
 from edgeadmit.scenarios import Scenario, trajectory
 
 from oracles import relative_gap, simulated_policy_value, trace_draws, windowed_replay
 
 
-def test_rollout_single_departure_step(canonical_params, canonical_costs, canonical_resources):
+def test_rollout_single_departure_step(canonical_params, canonical_chain):
     # lam = 0 with a busy server: the only possible event is a departure, so
     # the policy is irrelevant and the cost is the one-step accept cost
     rr = rollout(
         policy_table(canonical_params, accept_below=0),
         0.0,
-        canonical_params,
-        canonical_costs,
-        canonical_resources,
+        canonical_chain,
         horizon=1,
         beta=0.95,
         rng=substream(0, "r"),
@@ -42,13 +40,11 @@ def test_rollout_single_departure_step(canonical_params, canonical_costs, canoni
     assert [w.c_off for w in rr.windows] == [0]
 
 
-def test_rollout_deterministic_given_stream(canonical_params, canonical_costs, canonical_resources):
+def test_rollout_deterministic_given_stream(canonical_params, canonical_chain):
     policy = policy_table(canonical_params, tau=np.full(21, 9.0))
     kwargs = dict(
         lam=6.0,
-        params=canonical_params,
-        cm=canonical_costs,
-        rd=canonical_resources,
+        chain=canonical_chain,
         horizon=500,
         beta=0.95,
         initial_state=(0, 0),
@@ -58,17 +54,13 @@ def test_rollout_deterministic_given_stream(canonical_params, canonical_costs, c
     assert a == b
 
 
-def test_rollout_all_offload_counts_every_arrival(
-    canonical_params, canonical_costs, canonical_resources
-):
+def test_rollout_all_offload_counts_every_arrival(canonical_params, canonical_chain):
     # from the empty state an all-offload policy pins the chain at (0,0)
     # where every event is an arrival, so c_off equals the horizon
     rr = rollout(
         policy_table(canonical_params, accept_below=0),
         6.0,
-        canonical_params,
-        canonical_costs,
-        canonical_resources,
+        canonical_chain,
         horizon=400,
         beta=0.95,
         rng=substream(8, "roll"),
@@ -77,14 +69,12 @@ def test_rollout_all_offload_counts_every_arrival(
     assert rr.windows[0].c_ov == 0
 
 
-def test_rollout_windows_partition_costs(canonical_params, canonical_costs, canonical_resources):
+def test_rollout_windows_partition_costs(canonical_params, canonical_chain):
     policy = policy_table(canonical_params, tau=np.full(21, 12.0))
     rr = rollout(
         policy,
         6.0,
-        canonical_params,
-        canonical_costs,
-        canonical_resources,
+        canonical_chain,
         horizon=2500,
         beta=0.95,
         rng=substream(2, "roll"),
@@ -97,9 +87,7 @@ def test_rollout_windows_partition_costs(canonical_params, canonical_costs, cano
     rr_again = rollout(
         policy,
         6.0,
-        canonical_params,
-        canonical_costs,
-        canonical_resources,
+        canonical_chain,
         horizon=2500,
         beta=1.0 - 1e-12,
         rng=substream(2, "roll"),
@@ -108,8 +96,9 @@ def test_rollout_windows_partition_costs(canonical_params, canonical_costs, cano
     assert total_undisc == pytest.approx(rr_again.windows[0].cost_undiscounted, rel=1e-6)
 
 
-def _tables(params, costs, resources) -> dict:
-    sol = value_iteration(6.0, params, costs, resources, tol=1e-9)
+def _tables(chain) -> dict:
+    params = chain.params
+    sol = value_iteration(6.0, chain, tol=1e-9)
     return {
         "tau_zero": policy_table(params, tau=np.zeros(21)),
         "tau_integer": policy_table(params, tau=(np.arange(21) * 7 % 21).astype(float)),
@@ -120,10 +109,10 @@ def _tables(params, costs, resources) -> dict:
     }
 
 
-def _reference_costs(table, cfg, lam, params, costs, resources, seed) -> list:
+def _reference_costs(table, cfg, lam, chain, seed) -> list:
     return [
         rollout(
-            table, lam, params, costs, resources, cfg.rollout_length, params.discount_beta,
+            table, lam, chain, cfg.rollout_length, chain.params.discount_beta,
             substream(seed, f"rollout-{i}"), initial_state=cfg.initial_state,
         ).discounted_cost
         for i in range(cfg.n_rollouts)
@@ -136,28 +125,23 @@ def _reference_costs(table, cfg, lam, params, costs, resources, seed) -> list:
 )
 @pytest.mark.parametrize("lam", [6.0, 9.0])
 def test_lanes_equal_scalar_rollout_exactly(
-    n_rollouts, rollout_length, initial_state, lam,
-    canonical_params, canonical_costs, canonical_resources,
+    n_rollouts, rollout_length, initial_state, lam, canonical_chain,
 ):
     # every lane of the vectorised evaluation is the scalar rollout on the
     # same substream, bit for bit
     cfg = EvalConfig(rollout_length=rollout_length, n_rollouts=n_rollouts,
                      initial_state=initial_state)
-    for name, table in _tables(canonical_params, canonical_costs, canonical_resources).items():
-        lanes = rollout_costs([(table, lam, 31)], cfg, canonical_params, canonical_costs,
-                              canonical_resources)[0]
-        ref = _reference_costs(table, cfg, lam, canonical_params, canonical_costs,
-                               canonical_resources, seed=31)
+    for name, table in _tables(canonical_chain).items():
+        lanes = rollout_costs([(table, lam, 31)], cfg, canonical_chain)[0]
+        ref = _reference_costs(table, cfg, lam, canonical_chain, seed=31)
         assert lanes.tolist() == ref, name
 
 
-def test_lanes_equal_scalar_rollout_without_arrivals(
-    canonical_params, canonical_costs, canonical_resources
-):
+def test_lanes_equal_scalar_rollout_without_arrivals(canonical_params, canonical_chain):
     # lam = 0 from a full buffer: departures only, no event draws, until the
     # queue empties; both paths then raise the same error
     table = policy_table(canonical_params, accept_below=18)
-    args = (0.0, canonical_params, canonical_costs, canonical_resources)
+    args = (0.0, canonical_chain)
     cfg = EvalConfig(rollout_length=20, n_rollouts=4, initial_state=(20, 20))
     assert rollout_costs([(table, 0.0, 2)], cfg, *args[1:])[0].tolist() == _reference_costs(
         table, cfg, *args, seed=2
@@ -178,8 +162,7 @@ def test_lanes_equal_scalar_rollout_without_arrivals(
     [(2, 5, 7, 3), (7, 10, 50, 3), (9, 4, 33, 5), (None, None, 120, 4)],
 )
 def test_batch_lanes_equal_scalar_rollout_exactly(
-    block, lanes, rollout_length, n_rollouts, monkeypatch,
-    canonical_params, canonical_costs, canonical_resources,
+    block, lanes, rollout_length, n_rollouts, monkeypatch, canonical_chain,
 ):
     # one batch mixes every policy kind, two rates and several seeds: the
     # all-offload table takes one draw per step and tau_L two, so lanes reach
@@ -189,30 +172,27 @@ def test_batch_lanes_equal_scalar_rollout_exactly(
         monkeypatch.setattr(evaluate_module, "BLOCK_DRAWS", block)
         monkeypatch.setattr(evaluate_module, "BATCH_LANES", lanes)
     cfg = EvalConfig(rollout_length=rollout_length, n_rollouts=n_rollouts)
-    tables = _tables(canonical_params, canonical_costs, canonical_resources)
+    tables = _tables(canonical_chain)
     points = [
         (table, lam, seed)
         for seed, lam in ((3, 6.0), (4, 9.0), (40, 6.0))
         for table in tables.values()
     ]
-    costs = rollout_costs(points, cfg, canonical_params, canonical_costs, canonical_resources)
+    costs = rollout_costs(points, cfg, canonical_chain)
     assert costs.shape == (len(points), n_rollouts)
     for (table, lam, seed), lane_costs in zip(points, costs):
-        ref = _reference_costs(table, cfg, lam, canonical_params, canonical_costs,
-                               canonical_resources, seed=seed)
+        ref = _reference_costs(table, cfg, lam, canonical_chain, seed=seed)
         assert lane_costs.tolist() == ref
-    reports = evaluate_batch(points, cfg, canonical_params, canonical_costs,
-                             canonical_resources)
+    reports = evaluate_batch(points, cfg, canonical_chain)
     assert reports == [
-        evaluate(table, cfg, lam, canonical_params, canonical_costs, canonical_resources,
-                 seed=seed)
+        evaluate(table, cfg, lam, canonical_chain, seed=seed)
         for table, lam, seed in points
     ]
 
 
 @pytest.mark.parametrize("block, lanes", [(3, 5), (None, None)])
 def test_batch_with_idle_point_raises_exactly_when_alone(
-    block, lanes, monkeypatch, canonical_params, canonical_costs, canonical_resources
+    block, lanes, monkeypatch, canonical_params, canonical_chain
 ):
     # a lam = 0 point among others: from a full buffer its queue empties at
     # step 20, so it raises at 21 steps and not at 20, alone or in a batch
@@ -222,7 +202,7 @@ def test_batch_with_idle_point_raises_exactly_when_alone(
     table = policy_table(canonical_params, accept_below=18)
     offload_all = policy_table(canonical_params, accept_below=0)
     points = [(table, 6.0, 1), (table, 0.0, 2), (offload_all, 9.0, 3)]
-    args = (canonical_params, canonical_costs, canonical_resources)
+    args = (canonical_chain,)
     cfg = EvalConfig(rollout_length=20, n_rollouts=4, initial_state=(20, 20))
     costs = rollout_costs(points, cfg, *args)
     for (table, lam, seed), lane_costs in zip(points, costs):
@@ -241,69 +221,60 @@ def test_evaluate_constant_cost_geometric_sum(canonical_params, canonical_resour
     cm = CostModel(holding=0.0, running=np.full(21, c), penalty=np.zeros(21))
     cfg = EvalConfig(rollout_length=200, n_rollouts=3, window=200)
     report = evaluate(
-        policy_table(canonical_params, tau=np.full(21, 10.0)), cfg, 6.0, canonical_params, cm,
-        canonical_resources, seed=0,
+        policy_table(canonical_params, tau=np.full(21, 10.0)), cfg, 6.0,
+        ChainTables(canonical_params, cm, canonical_resources), seed=0,
     )
     expected = c * (1 - 0.95**200) / (1 - 0.95)
     assert report.mean == pytest.approx(expected, rel=1e-12)
     assert report.q1 == pytest.approx(expected) == report.q3
 
 
-def test_evaluate_quartiles_order(canonical_params, canonical_costs, canonical_resources):
+def test_evaluate_quartiles_order(canonical_params, canonical_chain):
     cfg = EvalConfig(rollout_length=300, n_rollouts=40, window=300)
     report = evaluate(
         policy_table(canonical_params, tau=np.full(21, 9.0)),
         cfg,
         6.0,
-        canonical_params,
-        canonical_costs,
-        canonical_resources,
+        canonical_chain,
         seed=3,
     )
     assert report.q1 <= report.median <= report.q3
     assert report.n_rollouts == 40
 
 
-def test_dp_policy_beats_baseline_on_average(canonical_params, canonical_costs, canonical_resources):
-    sol = value_iteration(6.0, canonical_params, canonical_costs, canonical_resources, tol=1e-9)
+def test_dp_policy_beats_baseline_on_average(canonical_params, canonical_chain):
+    sol = value_iteration(6.0, canonical_chain, tol=1e-9)
     cfg = EvalConfig(rollout_length=1000, n_rollouts=60, window=1000)
     dp_report = evaluate(
-        policy_table(canonical_params, actions=sol.policy), cfg, 6.0, canonical_params,
-        canonical_costs, canonical_resources, seed=4,
+        policy_table(canonical_params, actions=sol.policy), cfg, 6.0, canonical_chain, seed=4,
     )
     base_report = evaluate(
         policy_table(canonical_params, accept_below=18),
         cfg,
         6.0,
-        canonical_params,
-        canonical_costs,
-        canonical_resources,
+        canonical_chain,
         seed=4,
     )
     assert dp_report.mean < base_report.mean
 
 
-def test_any_policy_statistically_dominates_dp_value(
-    canonical_params, canonical_costs, canonical_resources
-):
+def test_any_policy_statistically_dominates_dp_value(canonical_params, canonical_chain):
     # the planner's fixed-point value at the start state lower-bounds every
     # simulated policy cost up to statistical allowance
-    sol = value_iteration(6.0, canonical_params, canonical_costs, canonical_resources, tol=1e-9)
+    sol = value_iteration(6.0, canonical_chain, tol=1e-9)
     cfg = EvalConfig(rollout_length=1000, n_rollouts=50, window=1000)
     for policy in (
         policy_table(canonical_params, tau=np.full(21, 8.0)),
         policy_table(canonical_params, accept_below=18),
         policy_table(canonical_params, actions=sol.policy),
     ):
-        report = evaluate(
-            policy, cfg, 6.0, canonical_params, canonical_costs, canonical_resources, seed=6
-        )
+        report = evaluate(policy, cfg, 6.0, canonical_chain, seed=6)
         # allowance: 3 standard errors estimated from the quartile spread
         spread = max(report.q3 - report.q1, 0.1)
         assert report.mean >= sol.v[0, 0] - 3 * spread
 
 
-def test_baseline_offloads_only_reactively(canonical_params, canonical_costs, canonical_resources):
+def test_baseline_offloads_only_reactively(canonical_params, canonical_resources):
     # trace the baseline for a while: it must never offload below its
     # threshold with a non-full buffer
     policy = policy_table(canonical_params, accept_below=18)
@@ -331,16 +302,14 @@ def test_event_trace_reproducible():
     assert np.array_equal(a.resource_u, b.resource_u)
 
 
-def test_behavioral_compare_shared_randomness(canonical_params, canonical_costs, canonical_resources):
+def test_behavioral_compare_shared_randomness(canonical_params, canonical_chain):
     trace = EventTrace.generate(3, 20_000)
     scenario = Scenario(kind=2)
     policies = {
         "baseline": policy_table(canonical_params, accept_below=18),
         "tight": policy_table(canonical_params, tau=np.full(21, 8.0)),
     }
-    series = behavioral_compare(
-        policies, scenario, canonical_params, canonical_costs, canonical_resources, trace, window=1000
-    )
+    series = behavioral_compare(policies, scenario, canonical_chain, trace, window=1000)
     assert set(series) == {"baseline", "tight"}
     assert len(series["baseline"].windows) == 20
     # scatter export shape: one row per (policy, window)
@@ -357,9 +326,7 @@ def test_behavioral_compare_shared_randomness(canonical_params, canonical_costs,
     )
 
 
-def test_behavioral_compare_identical_policy_identical_series(
-    canonical_params, canonical_costs, canonical_resources
-):
+def test_behavioral_compare_identical_policy_identical_series(canonical_params, canonical_chain):
     trace = EventTrace.generate(5, 5000)
     scenario = Scenario(kind=1)
     series = behavioral_compare(
@@ -368,22 +335,18 @@ def test_behavioral_compare_identical_policy_identical_series(
             "b": policy_table(canonical_params, tau=np.full(21, 9.0)),
         },
         scenario,
-        canonical_params,
-        canonical_costs,
-        canonical_resources,
+        canonical_chain,
         trace,
     )
     assert series["a"] == series["b"]
 
 
-def test_behavioral_compare_without_arrivals(
-    canonical_params, canonical_costs, canonical_resources
-):
+def test_behavioral_compare_without_arrivals(canonical_params, canonical_chain):
     # no users, so lam = 0 from a full buffer: departures only, no offloads,
     # until the queue empties at step 20; the next step has no event
     scenario = Scenario(kind=1, n_users=0)
     policies = {"baseline": policy_table(canonical_params, accept_below=18)}
-    args = (scenario, canonical_params, canonical_costs, canonical_resources)
+    args = (scenario, canonical_chain)
     series = behavioral_compare(
         policies, *args, EventTrace.generate(4, 20), initial_state=(20, 20)
     )
@@ -393,26 +356,23 @@ def test_behavioral_compare_without_arrivals(
         behavioral_compare(policies, *args, EventTrace.generate(4, 21), initial_state=(20, 20))
 
 
-def _replayed(policies, scenario, params, cm, rd, trace, **kwargs) -> dict:
+def _replayed(policies, scenario, chain, trace, **kwargs) -> dict:
     """``behavioral_compare`` by ``windowed_replay``: every step through the kernel."""
     series = {}
     for name, table in policies.items():
         _, windows, trap_step = windowed_replay(
-            table, trace_draws(scenario, trace), params, cm, rd, **kwargs
+            table, trace_draws(scenario, trace), chain, **kwargs
         )
         series[name] = PolicySeries(tuple(windows), trap_step)
     return series
 
 
-def test_compare_trapped_from_the_first_step(
-    canonical_params, canonical_costs, canonical_resources
-):
+def test_compare_trapped_from_the_first_step(canonical_params, canonical_chain):
     # the all-offload table never leaves (0, 0); past step ~14 500 the discount
     # sits at the smallest subnormal, so full windows repeat, and the trace
     # ends in a partial window
     args = ({"all_offload": policy_table(canonical_params, accept_below=0)}, Scenario(kind=1),
-            canonical_params, canonical_costs, canonical_resources,
-            EventTrace.generate(21, 20_500))
+            canonical_chain, EventTrace.generate(21, 20_500))
     series = behavioral_compare(*args)
     assert series == _replayed(*args)
     [only] = series.values()
@@ -429,7 +389,8 @@ def test_compare_fast_forward_equals_plain_replay(
 ):
     if sign == "positive":
         costs = canonical_costs
-        sol = value_iteration(6.0, canonical_params, costs, canonical_resources, tol=1e-9)
+        sol = value_iteration(6.0, ChainTables(canonical_params, costs, canonical_resources),
+                              tol=1e-9)
         policies = {
             "dp": policy_table(canonical_params, actions=sol.policy),
             "baseline": policy_table(canonical_params, accept_below=18),
@@ -441,7 +402,7 @@ def test_compare_fast_forward_equals_plain_replay(
         band[0, 6:18] = 1
         policies = {"band": policy_table(canonical_params, actions=band)}
     # window 1000 does not divide the trace, so the last window is partial
-    args = (policies, Scenario(kind=1), canonical_params, costs, canonical_resources,
+    args = (policies, Scenario(kind=1), ChainTables(canonical_params, costs, canonical_resources),
             EventTrace.generate(0, 20_500))
     series = behavioral_compare(*args)
     assert series == _replayed(*args)
@@ -451,13 +412,11 @@ def test_compare_fast_forward_equals_plain_replay(
         assert (ps.windows[-1].cost_undiscounted > 0) == (sign == "positive")
 
 
-def test_rollout_fast_forward_equals_plain_replay(
-    canonical_params, canonical_costs, canonical_resources
-):
+def test_rollout_fast_forward_equals_plain_replay(canonical_params, canonical_chain):
     # rollout's rate is one constant: its total, which the repeated full
     # windows must leave alone, equals the plain loop's too.  The last window
     # is half full, or one step short of full.
-    args = (canonical_params, canonical_costs, canonical_resources)
+    args = (canonical_chain,)
     for table, horizon in itertools.product(
         (policy_table(canonical_params, accept_below=0),
          policy_table(canonical_params, accept_below=18)),
@@ -472,20 +431,18 @@ def test_rollout_fast_forward_equals_plain_replay(
 
 
 @pytest.mark.parametrize("kind", [2, 3, 6])
-def test_compare_fast_forward_across_change_points(
-    kind, canonical_params, canonical_costs, canonical_resources
-):
+def test_compare_fast_forward_across_change_points(kind, canonical_params, canonical_chain):
     # a trapped policy runs on through the stops of later rate segments: the
     # phase switches of scenario 2, the toggles of 3 and the toggles and
     # population steps of 6
-    sol = value_iteration(6.0, canonical_params, canonical_costs, canonical_resources, tol=1e-9)
+    sol = value_iteration(6.0, canonical_chain, tol=1e-9)
     policies = {
         "dp": policy_table(canonical_params, actions=sol.policy),
         "baseline": policy_table(canonical_params, accept_below=18),
     }
     scenario = Scenario(kind=kind)
     trace = EventTrace.generate(0, 20_500)
-    args = (policies, scenario, canonical_params, canonical_costs, canonical_resources, trace)
+    args = (policies, scenario, canonical_chain, trace)
     series = behavioral_compare(*args)
     assert series == _replayed(*args)
     last_change = trajectory(scenario, 20_500, trace.seed)[-1][0]
@@ -495,7 +452,7 @@ def test_compare_fast_forward_across_change_points(
 
 @pytest.mark.parametrize("initial_state", [(0, 0), (2, 0)])
 def test_compare_trap_then_no_arrivals_raises_at_the_plain_step(
-    initial_state, canonical_params, canonical_costs, canonical_resources
+    initial_state, canonical_params, canonical_chain
 ):
     # one user who leaves at step 8 on this seed: lam = 0 from there on.  Up
     # to a horizon of 14 steps the population moves every step, so the rates
@@ -504,7 +461,7 @@ def test_compare_trap_then_no_arrivals_raises_at_the_plain_step(
     # at step 0, from (2, 0) once the queue empties.
     scenario = Scenario(kind=4, n_users=1, leave_prob=0.3, stay_prob=0.7, add_prob=0.0)
     policies = {"all_offload": policy_table(canonical_params, accept_below=0)}
-    args = (scenario, canonical_params, canonical_costs, canonical_resources)
+    args = (scenario, canonical_chain)
     raised = []
     for horizon in range(1, 15):
         trace = EventTrace.generate(16, horizon)
@@ -538,7 +495,7 @@ def test_policy_table_rejects_wrong_shape(canonical_params):
 
 
 def test_rollout_mean_matches_exact_policy_value(
-    canonical_params, canonical_costs, canonical_resources
+    canonical_params, canonical_costs, canonical_resources, canonical_chain
 ):
     # Monte-Carlo rollouts agree with the linear-solve value of the same
     # policy on the simulated chain within 3 standard errors
@@ -547,14 +504,13 @@ def test_rollout_mean_matches_exact_policy_value(
     for x in range(21):
         policy_eval[x, 9:] = 1
     policy_eval[20, :] = 1
-    exact = simulated_policy_value(policy_eval, 6.0, canonical_params, canonical_costs, canonical_resources)
+    exact = simulated_policy_value(policy_eval, 6.0, canonical_params, canonical_costs,
+                                   canonical_resources)
     costs = [
         rollout(
             policy_table(canonical_params, tau=tau),
             6.0,
-            canonical_params,
-            canonical_costs,
-            canonical_resources,
+            canonical_chain,
             horizon=1000,
             beta=0.95,
             rng=substream(100 + i, "mc"),

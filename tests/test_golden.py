@@ -69,9 +69,10 @@ def digest(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()
 
 
-def policies(lam, params, costs, resources) -> dict:
+def policies(lam, chain) -> dict:
     """The four policy kinds: planner table, threshold vector, baseline, all-offload."""
-    sol = value_iteration(lam, params, costs, resources, tol=1e-9)
+    params = chain.params
+    sol = value_iteration(lam, chain, tol=1e-9)
     return {
         "dp": policy_table(params, actions=sol.policy),
         "threshold": policy_table(params, tau=TAU),
@@ -81,25 +82,21 @@ def policies(lam, params, costs, resources) -> dict:
 
 
 @pytest.mark.parametrize("lam", sorted(EVALUATE_DIGESTS))
-def test_evaluate_reports_golden(lam, canonical_params, canonical_costs, canonical_resources):
+def test_evaluate_reports_golden(lam, canonical_chain):
     cfg = EvalConfig(rollout_length=500, n_rollouts=16)
     rows = []
-    for name, policy in policies(lam, canonical_params, canonical_costs,
-                                 canonical_resources).items():
-        rep = evaluate(policy, cfg, lam, canonical_params, canonical_costs,
-                       canonical_resources, seed=7)
+    for name, policy in policies(lam, canonical_chain).items():
+        rep = evaluate(policy, cfg, lam, canonical_chain, seed=7)
         rows.append((name, float(rep.mean), float(rep.q1), float(rep.median),
                      float(rep.q3), int(rep.n_rollouts)))
     assert digest(rows) == EVALUATE_DIGESTS[lam], rows
 
 
 @pytest.mark.parametrize("kind", sorted(COMPARE_DIGESTS))
-def test_behavioral_compare_windows_golden(
-    kind, canonical_params, canonical_costs, canonical_resources
-):
+def test_behavioral_compare_windows_golden(kind, canonical_chain):
     series = behavioral_compare(
-        policies(6.0, canonical_params, canonical_costs, canonical_resources),
-        Scenario(kind=kind), canonical_params, canonical_costs, canonical_resources,
+        policies(6.0, canonical_chain),
+        Scenario(kind=kind), canonical_chain,
         EventTrace.generate(11, 20_000), window=1000, overload_level=18,
     )
     rows = [
@@ -133,11 +130,8 @@ def _eval_points(evals) -> list:
 
 
 @pytest.mark.parametrize("learner,kind", sorted(TRAINER_DIGESTS))
-def test_trainer_outputs_golden(
-    learner, kind, canonical_params, canonical_costs, canonical_resources, segments
-):
-    args = (segments(Scenario(kind=kind), 20_000, 5), canonical_params, canonical_costs,
-            canonical_resources)
+def test_trainer_outputs_golden(learner, kind, canonical_chain, segments):
+    args = (segments(Scenario(kind=kind), 20_000, 5), canonical_chain)
     if learner == "qlearning":
         res = qlearning_train(*args, QLearningConfig(horizon=20_000, eval_every=2500),
                               seed=5)

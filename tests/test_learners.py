@@ -99,20 +99,17 @@ def test_zero_exploration_is_greedy():
     assert epsilon_greedy_action(q, 0, 0, 0.0, rng) == 0  # tie accepts
 
 
-def test_greedy_matches_dp_policy_when_preloaded(
-    canonical_params, canonical_costs, canonical_resources
-):
+def test_greedy_matches_dp_policy_when_preloaded(canonical_params, canonical_chain):
     # epsilon = 0 with the planner's q preloaded: greedy extraction equals the
     # planner's policy exactly (same argmin and tie rule)
-    sol = value_iteration(6.0, canonical_params, canonical_costs, canonical_resources, tol=1e-9)
+    sol = value_iteration(6.0, canonical_chain, tol=1e-9)
     extracted = greedy_policy(sol.q, canonical_params.buffer_capacity)
     assert np.array_equal(extracted, sol.policy)
 
 
-def test_qlearning_deterministic(segments, canonical_params, canonical_costs, canonical_resources):
+def test_qlearning_deterministic(segments, canonical_chain):
     cfg = QLearningConfig(horizon=3000, eval_every=1000)
-    args = (segments(Scenario(kind=1), 3000, 7), canonical_params, canonical_costs,
-            canonical_resources)
+    args = (segments(Scenario(kind=1), 3000, 7), canonical_chain)
     a = qlearning_train(*args, cfg, seed=7)
     b = qlearning_train(*args, cfg, seed=7)
     assert np.array_equal(a.q, b.q)
@@ -120,13 +117,10 @@ def test_qlearning_deterministic(segments, canonical_params, canonical_costs, ca
     assert a.log == b.log
 
 
-def test_qlearning_log_schema_matches_salmut(
-    segments, canonical_params, canonical_costs, canonical_resources
-):
+def test_qlearning_log_schema_matches_salmut(segments, canonical_chain):
     qcfg = QLearningConfig(horizon=2000, eval_every=1000)
     scfg = SalmutConfig(horizon=2000, eval_every=1000)
-    args = (segments(Scenario(kind=1), 2000, 2), canonical_params, canonical_costs,
-            canonical_resources)
+    args = (segments(Scenario(kind=1), 2000, 2), canonical_chain)
     q_res = qlearning_train(*args, qcfg, seed=2)
     s_res = train(*args, scfg, seed=2)
     assert [r.step for r in q_res.log] == [r.step for r in s_res.log]
@@ -135,24 +129,19 @@ def test_qlearning_log_schema_matches_salmut(
     )
 
 
-def test_qlearning_policy_has_forced_offload_row(
-    segments, canonical_params, canonical_costs, canonical_resources
-):
+def test_qlearning_policy_has_forced_offload_row(segments, canonical_chain):
     cfg = QLearningConfig(horizon=2000, eval_every=2000)
     result = qlearning_train(
         segments(Scenario(kind=1), 2000, 1),
-        canonical_params, canonical_costs, canonical_resources, cfg, seed=1,
+        canonical_chain, cfg, seed=1,
     )
     assert np.all(result.policy[20, :] == Action.OFFLOAD)
 
 
-def test_eval_points_are_the_logged_policies(
-    segments, canonical_params, canonical_costs, canonical_resources
-):
+def test_eval_points_are_the_logged_policies(segments, canonical_params, canonical_chain):
     # Q-learning's eval table is the greedy table its row hashes; SALMUT's
     # last eval point, at the horizon, scores the returned thresholds
-    args = (segments(Scenario(kind=6), 4000, 3), canonical_params, canonical_costs,
-            canonical_resources)
+    args = (segments(Scenario(kind=6), 4000, 3), canonical_chain)
     q_res = qlearning_train(*args, QLearningConfig(horizon=4000, eval_every=1000), seed=3)
     assert len(q_res.evals) == len(q_res.log) == 4
     assert [policy_hash(table) for _, table in q_res.evals] == [
@@ -209,26 +198,20 @@ QLEARNING_CASES = [
 ]
 
 
-def _case_args(segments, kind, seed, cfg, params, costs, resources):
+def _case_args(segments, kind, seed, cfg, chain):
     segs = segments(Scenario(kind=kind), cfg.horizon, seed)
     # at least one change point falls inside a log window
     assert any(start % cfg.eval_every for start, _, _ in segs[1:])
-    return segs, params, costs, resources, cfg, seed
+    return segs, chain, cfg, seed
 
 
 @pytest.mark.parametrize("kind,seed,cfg", SALMUT_CASES)
-def test_salmut_train_equals_helper_chain_reference(
-    kind, seed, cfg, segments, canonical_params, canonical_costs, canonical_resources
-):
-    args = _case_args(segments, kind, seed, cfg, canonical_params, canonical_costs,
-                      canonical_resources)
+def test_salmut_train_equals_helper_chain_reference(kind, seed, cfg, segments, canonical_chain):
+    args = _case_args(segments, kind, seed, cfg, canonical_chain)
     assert_same_result(train(*args), reference_salmut_train(*args))
 
 
 @pytest.mark.parametrize("kind,seed,cfg", QLEARNING_CASES)
-def test_qlearning_train_equals_helper_chain_reference(
-    kind, seed, cfg, segments, canonical_params, canonical_costs, canonical_resources
-):
-    args = _case_args(segments, kind, seed, cfg, canonical_params, canonical_costs,
-                      canonical_resources)
+def test_qlearning_train_equals_helper_chain_reference(kind, seed, cfg, segments, canonical_chain):
+    args = _case_args(segments, kind, seed, cfg, canonical_chain)
     assert_same_result(qlearning_train(*args), reference_qlearning_train(*args))

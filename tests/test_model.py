@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeadmit.dp import _Kernel
+from edgeadmit.dp import q_tables
 from edgeadmit.model import (
     Action,
     ChainTables,
@@ -21,33 +21,33 @@ from edgeadmit.rng import substream
 from oracles import State, delta, transition_pmf
 
 
-def step_costs(params, cm, rd, lam=6.0) -> np.ndarray:
+def step_costs(chain, lam=6.0) -> np.ndarray:
     """Per-step cost by ``(x, ell, action)``, as the planner charges it.
 
     The Q-tables of the zero value function hold the immediate costs alone.
     """
-    shape = (params.buffer_capacity + 1, params.cpu_levels + 1)
-    return _Kernel(lam, params, cm, rd).q_tables(np.zeros(shape), self_loop=False)
+    shape = (chain.params.buffer_capacity + 1, chain.params.cpu_levels + 1)
+    return q_tables(chain, lam, np.zeros(shape), self_loop=False)
 
 
-def test_cost_idle_accept_is_free(canonical_params, canonical_costs, canonical_resources):
-    costs = step_costs(canonical_params, canonical_costs, canonical_resources)
+def test_cost_idle_accept_is_free(canonical_chain):
+    costs = step_costs(canonical_chain)
     assert costs[0, 0, Action.ACCEPT] == 0.0
 
 
-def test_cost_offload_mid_band(canonical_params, canonical_costs, canonical_resources):
+def test_cost_offload_mid_band(canonical_chain):
     # h * (5 - 2) + c(10) + p(10) = 0.36 - 0.2 + 1
-    costs = step_costs(canonical_params, canonical_costs, canonical_resources)
+    costs = step_costs(canonical_chain)
     assert costs[5, 10, Action.OFFLOAD] == pytest.approx(1.16, abs=1e-12)
 
 
-def test_cost_overloaded_accept(canonical_params, canonical_costs, canonical_resources):
-    costs = step_costs(canonical_params, canonical_costs, canonical_resources)
+def test_cost_overloaded_accept(canonical_chain):
+    costs = step_costs(canonical_chain)
     assert costs[2, 19, Action.ACCEPT] == pytest.approx(10.0)
 
 
-def test_cost_floor_with_canonical_tables(canonical_params, canonical_costs, canonical_resources):
-    costs = step_costs(canonical_params, canonical_costs, canonical_resources)
+def test_cost_floor_with_canonical_tables(canonical_chain):
+    costs = step_costs(canonical_chain)
     assert costs.min() >= -0.2
 
 
@@ -62,7 +62,7 @@ def test_cost_nonnegative_for_nonnegative_tables(h, base, x, ell, a):
     run = np.sort(np.asarray(base))
     cm = CostModel(holding=h, running=run, penalty=np.ones(4))
     params = ModelParams(buffer_capacity=6, cpu_levels=3, cores=2, service_rate=3.0)
-    costs = step_costs(params, cm, ResourceDist(pmf=[1.0]))
+    costs = step_costs(ChainTables(params, cm, ResourceDist(pmf=[1.0])))
     assert costs[x, ell, a] >= 0.0
 
 
@@ -157,10 +157,10 @@ def kernel_step(kernel, state, action, lam, draw):
     return State(x, ell), a, incurred
 
 
-def test_step_first_draw_trace(canonical_params, canonical_costs, canonical_resources):
+def test_step_first_draw_trace(canonical_chain):
     # empty system: the event must be an arrival; accept consumes one
     # resource draw and moves up accordingly
-    kernel = StepKernel(canonical_params, canonical_costs, canonical_resources)
+    kernel = StepKernel(canonical_chain)
     rng = substream(7, "events-test")
     nxt, a, incurred = kernel_step(kernel, State(0, 0), Action.ACCEPT, 6.0, rng.random)
     assert a is Action.ACCEPT
@@ -168,26 +168,26 @@ def test_step_first_draw_trace(canonical_params, canonical_costs, canonical_reso
     assert nxt in (State(1, 1), State(1, 2))
 
 
-def test_step_traced_sample(canonical_params, canonical_costs, canonical_resources):
+def test_step_traced_sample(canonical_chain):
     # event draw u = 0.3 <= delta(0) = 1 gives an arrival; the next draw
     # 0.5 < 0.6 selects resource size 1, landing at (1, 1)
-    kernel = StepKernel(canonical_params, canonical_costs, canonical_resources)
+    kernel = StepKernel(canonical_chain)
     draw = iter([0.3, 0.5]).__next__
     assert kernel_step(kernel, State(0, 0), Action.ACCEPT, 6.0, draw) == (
         State(1, 1), Action.ACCEPT, 0.0
     )
 
 
-def test_step_boundary_draw_is_arrival(canonical_params, canonical_costs, canonical_resources):
+def test_step_boundary_draw_is_arrival(canonical_chain):
     # u exactly equal to delta counts as an arrival
-    kernel = StepKernel(canonical_params, canonical_costs, canonical_resources)
+    kernel = StepKernel(canonical_chain)
     nxt, a, _ = kernel_step(kernel, State(2, 5), Action.OFFLOAD, 6.0, iter([0.5]).__next__)
     assert a is Action.OFFLOAD
     assert nxt == State(2, 5)
 
 
-def test_step_offload_identity_and_penalty(canonical_params, canonical_costs, canonical_resources):
-    kernel = StepKernel(canonical_params, canonical_costs, canonical_resources)
+def test_step_offload_identity_and_penalty(canonical_chain):
+    kernel = StepKernel(canonical_chain)
     rng = substream(7, "events-test")
     nxt, a, incurred = kernel_step(kernel, State(0, 0), Action.OFFLOAD, 6.0, rng.random)
     assert a is Action.OFFLOAD
@@ -195,9 +195,9 @@ def test_step_offload_identity_and_penalty(canonical_params, canonical_costs, ca
     assert incurred == pytest.approx(10.0)  # idle-load offload penalty
 
 
-def test_step_departure_charges_no_penalty(canonical_params, canonical_costs, canonical_resources):
+def test_step_departure_charges_no_penalty(canonical_chain):
     # lam = 0 with a busy server: departures only
-    kernel = StepKernel(canonical_params, canonical_costs, canonical_resources)
+    kernel = StepKernel(canonical_chain)
     rng = substream(3, "events-test")
     nxt, a, incurred = kernel_step(kernel, State(5, 10), Action.OFFLOAD, 0.0, rng.random)
     assert a is None
@@ -216,11 +216,11 @@ def test_step_departure_charges_no_penalty(canonical_params, canonical_costs, ca
     ],
 )
 def test_step_frequencies_match_pmf(
-    state, action, seed, canonical_params, canonical_costs, canonical_resources
+    state, action, seed, canonical_params, canonical_resources, canonical_chain
 ):
     lam = 6.0
     n = 20_000
-    kernel = StepKernel(canonical_params, canonical_costs, canonical_resources)
+    kernel = StepKernel(canonical_chain)
     rng = substream(seed, "events-mc")
     counts: dict[State, int] = {}
     for _ in range(n):
@@ -234,11 +234,11 @@ def test_step_frequencies_match_pmf(
         assert abs(observed - n * p) <= 3 * sigma + 1
 
 
-def test_step_event_frequency_matches_delta(canonical_params, canonical_costs, canonical_resources):
+def test_step_event_frequency_matches_delta(canonical_params, canonical_chain):
     lam, state = 6.0, State(2, 5)
     d = delta(state.x, lam, canonical_params)
     n = 20_000
-    kernel = StepKernel(canonical_params, canonical_costs, canonical_resources)
+    kernel = StepKernel(canonical_chain)
     rng = substream(20, "events-mc")
     arrivals = sum(
         kernel_step(kernel, state, Action.ACCEPT, lam, rng.random)[1] is not None
@@ -263,7 +263,7 @@ def test_step_clamps_every_state_and_boundary_draw(lam):
         holding=0.5, running=[0.0, 0.1, 0.2, 0.3, 5.0], penalty=[2.0, 2.0, 1.0, 1.0, 1.0]
     )
     rd = ResourceDist(pmf=[0.5, 0.0, 0.5])  # size 2 has probability zero
-    kernel = StepKernel(params, cm, rd)
+    kernel = StepKernel(ChainTables(params, cm, rd))
     X, L, k = 3, 4, 2
     cdf = np.cumsum(rd.pmf)
     resource_draws = sorted(

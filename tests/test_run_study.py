@@ -1,0 +1,55 @@
+"""scripts/run_study.py rejects bad flags at parse time and stops at a failing command."""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_study.py"
+
+
+@pytest.fixture
+def run_study(monkeypatch):
+    spec = importlib.util.spec_from_file_location("run_study", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # each command is recorded, without the interpreter, and exits with the
+    # next code of ``exit_codes``
+    module.calls, module.exit_codes = [], []
+
+    def fake_run(cmd):
+        module.calls.append(cmd[3:])
+        return subprocess.CompletedProcess(cmd, module.exit_codes.pop(0))
+
+    monkeypatch.setattr(module.subprocess, "run", fake_run)
+    return module
+
+
+@pytest.mark.parametrize("length", ["0", "-3", "x"])
+def test_trace_length_below_one_is_rejected_at_parse_time(run_study, monkeypatch, capsys, length):
+    monkeypatch.setattr(sys, "argv", ["run_study.py", "--trace-length", length])
+    with pytest.raises(SystemExit) as exit_info:
+        run_study.main()
+    assert exit_info.value.code == 2
+    assert "--trace-length" in capsys.readouterr().err
+    assert run_study.calls == []
+
+
+def test_failing_command_ends_the_study_with_its_code(run_study, monkeypatch, capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output_dir": str(tmp_path / "runs")}))
+    monkeypatch.setattr(sys, "argv", ["run_study.py", "--config", str(cfg), "--scenarios", "3",
+                                      "--trace-length", "1"])
+    run_study.exit_codes = [0, 0, 3]  # solve, train salmut, then train qlearning fails
+    with pytest.raises(SystemExit) as exit_info:
+        run_study.main()
+    assert exit_info.value.code == 3
+    assert [args[0] for args in run_study.calls] == ["solve", "train", "train"]
+    [line] = capsys.readouterr().err.splitlines()
+    temp_config = run_study.calls[-1][2]
+    assert line == (f"run_study: `edgeadmit train --config {temp_config} --learner qlearning` "
+                    "exited 3")
+    assert not Path(temp_config).exists()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from edgeadmit.model import Action, CostModel, StepKernel
+from edgeadmit.model import Action, ChainTables, CostModel, StepKernel
 from edgeadmit.rng import substream
 from edgeadmit.salmut import SalmutConfig, bias_correction, train
 from edgeadmit.scenarios import Scenario
@@ -265,17 +265,17 @@ def test_salmut_config_validation():
     SalmutConfig(mode="decay", decay_kappa_critic=0.6, decay_kappa_actor=1.0)
 
 
-def _tiny_train(segments, canonical_params, canonical_costs, canonical_resources, **kwargs):
+def _tiny_train(segments, canonical_chain, **kwargs):
     cfg = SalmutConfig(horizon=kwargs.pop("horizon", 2000), eval_every=500, **kwargs)
     return train(
         segments(Scenario(kind=1), cfg.horizon, 5),
-        canonical_params, canonical_costs, canonical_resources, cfg, seed=5,
+        canonical_chain, cfg, seed=5,
     )
 
 
-def test_train_deterministic(segments, canonical_params, canonical_costs, canonical_resources):
-    a = _tiny_train(segments, canonical_params, canonical_costs, canonical_resources)
-    b = _tiny_train(segments, canonical_params, canonical_costs, canonical_resources)
+def test_train_deterministic(segments, canonical_chain):
+    a = _tiny_train(segments, canonical_chain)
+    b = _tiny_train(segments, canonical_chain)
     assert np.array_equal(a.tau, b.tau)
     assert np.array_equal(a.q, b.q)
     assert a.log == b.log
@@ -285,46 +285,41 @@ def test_train_zero_cost_threshold_never_moves(segments, canonical_params, canon
     cm = CostModel(holding=0.0, running=np.zeros(21), penalty=np.zeros(21))
     cfg = SalmutConfig(horizon=3000, eval_every=1000, mode="decay")
     result = train(
-        segments(Scenario(kind=1), 3000, 3), canonical_params, cm, canonical_resources, cfg, seed=3
+        segments(Scenario(kind=1), 3000, 3), ChainTables(canonical_params, cm, canonical_resources),
+        cfg, seed=3,
     )
     expected_init = substream(3, "init").uniform(0.0, 20.0, size=21)
     assert np.array_equal(result.tau, expected_init)
     assert np.all(result.tenth_step_abs == 0.0)
 
 
-def test_train_single_step_locality(
-    segments, canonical_params, canonical_costs, canonical_resources
-):
+def test_train_single_step_locality(segments, canonical_chain):
     # one step from the empty state is an arrival; at most one q cell and one
     # tau coordinate may change
     cfg = SalmutConfig(horizon=1, eval_every=1)
     result = train(
         segments(Scenario(kind=1), 1, 9),
-        canonical_params, canonical_costs, canonical_resources, cfg, seed=9,
+        canonical_chain, cfg, seed=9,
     )
     assert (result.q != 0).sum() <= 1
     init = substream(9, "init").uniform(0.0, 20.0, size=21)
     assert (result.tau != init).sum() <= 1
 
 
-def test_train_tau_stays_in_bounds(
-    segments, canonical_params, canonical_costs, canonical_resources
-):
+def test_train_tau_stays_in_bounds(segments, canonical_chain):
     result = _tiny_train(
-        segments, canonical_params, canonical_costs, canonical_resources, horizon=5000
+        segments, canonical_chain, horizon=5000
     )
     assert np.all(result.tau >= 0.0) and np.all(result.tau <= 20.0)
 
 
-def test_train_eval_points_cadence(
-    segments, canonical_params, canonical_costs, canonical_resources
-):
+def test_train_eval_points_cadence(segments, canonical_chain):
     # one eval point per log row, at the rate of the row's last step: scenario
     # 2 runs at 9.0 from step 667 to 1332 and at 6.0 elsewhere
     cfg = SalmutConfig(horizon=2000, eval_every=500)
     result = train(
         segments(Scenario(kind=2), 2000, 1),
-        canonical_params, canonical_costs, canonical_resources, cfg, seed=1,
+        canonical_chain, cfg, seed=1,
     )
     assert [row.step for row in result.log] == [500, 1000, 1500, 2000]
     assert [lam for lam, _ in result.evals] == [6.0, 9.0, 6.0, 6.0]
@@ -332,9 +327,7 @@ def test_train_eval_points_cadence(
     assert all(row.eval_mean is None for row in result.log)
 
 
-def test_gradient_estimate_unbiasedness_self_consistency(
-    canonical_params, canonical_costs, canonical_resources
-):
+def test_gradient_estimate_unbiasedness_self_consistency(canonical_params, canonical_chain):
     # freeze (tau, q); the average of per-visit estimates over one long run
     # must match the occupancy-weighted sum computed from an independent run
     rng_q = np.random.default_rng(42)
@@ -343,7 +336,7 @@ def test_gradient_estimate_unbiasedness_self_consistency(
     temp = 1.0
     lam = 6.0
 
-    kernel = StepKernel(canonical_params, canonical_costs, canonical_resources)
+    kernel = StepKernel(canonical_chain)
 
     def run(seed, n_steps):
         events = substream(seed, "ubias-events").random
