@@ -194,17 +194,29 @@ def _cpu_count() -> int:
         return 1
 
 
-def _die_with_parent(parent: int) -> None:
-    """Worker initializer: ask Linux to kill this worker when the command's
-    process dies, so that a killed command leaves no worker behind."""
+# a worker's ``fn``, set by ``_init_worker`` in the worker process
+_worker_fn = None
+
+
+def _init_worker(parent: int, fn) -> None:
+    """Worker initializer: keep ``fn`` for ``_run_seed``, and ask Linux to kill
+    this worker when the command's process dies, so that a killed command
+    leaves no worker behind."""
     import ctypes
     import signal
 
+    global _worker_fn
+    _worker_fn = fn
     prctl = ctypes.CDLL(None).prctl
     prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
     prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
     if os.getppid() != parent:  # the command died before the request took effect
         os._exit(1)
+
+
+def _run_seed(s: int):
+    """A worker's task: its ``fn`` on seed ``s``."""
+    return _worker_fn(s)
 
 
 @contextlib.contextmanager
@@ -230,10 +242,13 @@ def _seed_results(fn, seeds):
     # ones would import them again, which costs about a seed's work at a
     # small horizon.  The command runs no thread of its own, and the
     # executor starts its manager thread after it has forked the workers.
+    # A forked worker inherits its initializer's arguments unpickled, so
+    # ``fn`` and the experiment it holds reach it without a copy, and each
+    # task carries only its seed.
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_die_with_parent, initargs=(os.getpid(),))
+                               initializer=_init_worker, initargs=(os.getpid(), fn))
     try:
-        futures = [pool.submit(fn, s) for s in seeds]
+        futures = [pool.submit(_run_seed, s) for s in seeds]
         yield (f.result() for f in futures)
     except BrokenProcessPool:
         raise WorkerError("a worker process training a seed ended abruptly") from None
@@ -411,15 +426,7 @@ def compare(config_path, seed, out, scenario, horizon_scale, trace_seed, trace_l
 
         horizon = trace_length or exp.raw["learner"]["horizon"]
         trace = ev.EventTrace.generate(trace_seed, horizon)
-        series = ev.behavioral_compare(
-            policies,
-            exp.scenario,
-            exp.chain,
-            trace,
-            window=exp.eval_config.window,
-            overload_level=exp.eval_config.overload_level,
-            initial_state=exp.eval_config.initial_state,
-        )
+        series = ev.behavioral_compare(policies, exp.scenario, exp.chain, trace, exp.eval_config)
         out_dir = root / "compare"
         artifacts.write_csv(
             out_dir / "behavioral.csv",

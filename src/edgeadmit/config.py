@@ -131,7 +131,7 @@ def validate_config(cfg: dict) -> None:
     _expect(type(buffer) is int and 1 <= buffer <= MAX_BUFFER_CAPACITY, "model.buffer_capacity",
             f"must be an integer in [1, {MAX_BUFFER_CAPACITY}]")
     levels = cfg["model"]["cpu_levels"]
-    _expect(isinstance(levels, int) and levels >= 1, "model.cpu_levels", "must be an integer >= 1")
+    _expect(type(levels) is int and levels >= 1, "model.cpu_levels", "must be an integer >= 1")
     for name in ("running", "penalty"):
         table = cfg["costs"][name]
         _expect(isinstance(table, list), f"costs.{name}", "must be a list")
@@ -156,9 +156,9 @@ def validate_config(cfg: dict) -> None:
     )
     seeds = cfg["seeds"]
     _expect(
-        isinstance(seeds, list) and seeds and all(isinstance(s, int) for s in seeds),
+        isinstance(seeds, list) and seeds and all(type(s) is int and s >= 0 for s in seeds),
         "seeds",
-        "must be a non-empty list of integers",
+        "must be a non-empty list of integers >= 0",
     )
     horizon = cfg["learner"]["horizon"]
     # the learners and the horizon scale compute with the horizon as a float

@@ -23,7 +23,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .model import Action, ChainTables, ModelParams, NoEventError, StepKernel, freeze_pair
+from .model import (
+    Action, ChainTables, ModelParams, NoEventError, StepKernel, check_ints, freeze_pair,
+)
 from .scenarios import Scenario, rate_segments, trajectory
 
 
@@ -37,11 +39,8 @@ class EvalConfig:
 
     def __post_init__(self) -> None:
         freeze_pair(self, "initial_state")
-        for name in ("rollout_length", "n_rollouts", "window"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.overload_level < 0:
-            raise ValueError("overload_level must be >= 0")
+        check_ints(self, 1, "rollout_length", "n_rollouts", "window")
+        check_ints(self, 0, "overload_level")
 
 
 @dataclass(frozen=True)
@@ -116,20 +115,20 @@ def policy_table(
 
 
 def _windows(
-    kernel: StepKernel,
+    chain: ChainTables,
     table: np.ndarray,
     segments: Iterable[tuple[int, int, float]],
     draws: Callable[[int, int], Iterable[tuple[Callable[[], float], Callable[[], float]]]],
-    beta: float,
     initial_state: tuple[int, int],
     window: int,
     overload_level: int,
 ) -> tuple[float, list[MetricsWindow], int | None]:
-    """Step ``table`` through ``kernel`` over the rate segments ``(start, stop, lam)``.
+    """Step ``table`` through the chain's ``StepKernel`` over ``(start, stop, lam)`` segments.
 
     The segments tile ``0..horizon`` in order, and steps ``start..stop-1``
     run at rate ``lam``.  ``draws(start, stop)`` yields one
     ``(event_u, resource_u)`` per step from ``start`` to ``stop - 1``.
+    Costs are discounted at the chain's ``discount_beta``.
     Returns the discounted total, the per-window metrics and the trap step:
     the first step that starts at ``x = 0`` in a state the table offloads
     from, with ``lam > 0``, or None.
@@ -153,7 +152,9 @@ def _windows(
     def decide(x: int, ell: int, n: int) -> int:
         return offloads[x][ell]
 
+    kernel = StepKernel(chain)
     step = kernel.step
+    beta = chain.params.discount_beta
     x, ell = initial_state
     total = 0.0
     disc = 1.0
@@ -238,7 +239,6 @@ def rollout(
     lam: float,
     chain: ChainTables,
     horizon: int,
-    beta: float,
     rng: np.random.Generator,
     initial_state: tuple[int, int] = (0, 0),
     window: int = 1000,
@@ -252,9 +252,9 @@ def rollout(
     trapped rollout draws nothing more (see ``_windows``).
     """
     total, windows, _ = _windows(
-        StepKernel(chain), table, [(0, horizon, lam)],
+        chain, table, [(0, horizon, lam)],
         lambda start, stop: itertools.repeat((rng.random, rng.random), stop - start),
-        beta, initial_state, window, overload_level,
+        initial_state, window, overload_level,
     )
     return RolloutResult(discounted_cost=total, windows=tuple(windows))
 
@@ -418,11 +418,11 @@ def behavioral_compare(
     scenario: Scenario,
     chain: ChainTables,
     trace: EventTrace,
-    window: int = 1000,
-    overload_level: int = 18,
-    initial_state: tuple[int, int] = (0, 0),
+    cfg: EvalConfig,
 ) -> dict[str, PolicySeries]:
     """Replay one event trace under each policy table and collect per-window metrics.
+
+    ``cfg`` gives the initial state, the window length and the overload level.
 
     The event at step t is an arrival iff ``z_t <= lam / (lam + busy)``, at
     the rate ``lam`` of the ``rate_segments`` segment that holds step t; the
@@ -444,12 +444,10 @@ def behavioral_compare(
 
     horizon = len(trace.z)
     segments = rate_segments(trajectory(scenario, horizon, trace.seed), horizon)
-    kernel = StepKernel(chain)
     series = {}
     for name, table in policies.items():
         _, windows, trap_step = _windows(
-            kernel, table, segments, draws,
-            chain.params.discount_beta, initial_state, window, overload_level,
+            chain, table, segments, draws, cfg.initial_state, cfg.window, cfg.overload_level,
         )
         series[name] = PolicySeries(tuple(windows), trap_step)
     return series

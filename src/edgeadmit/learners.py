@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .dp import greedy_policy
-from .model import ChainTables, StepKernel, freeze_pair
+from .model import ChainTables, StepKernel, check_ints, freeze_pair
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -45,7 +45,7 @@ def arrival_loop(
     act: Callable[[int, int, int], int],
     update: Callable[[int, int, int, float, int, int, int], tuple[float, float] | None],
     snapshot: Callable[[], tuple[np.ndarray, np.ndarray]],
-) -> tuple[list[LogRow], list[tuple[float, np.ndarray]], np.ndarray, np.ndarray, int]:
+) -> tuple[list[LogRow], list[tuple[float, np.ndarray]], int]:
     """Run ``config.horizon`` steps from ``config.start_state``, learning at arrivals.
 
     ``segments`` are the ``scenarios.rate_segments`` of the scenario's
@@ -62,11 +62,10 @@ def arrival_loop(
     ``(X+1, L+1)`` policy table to score for that row; the table must be a
     fresh array.  Events and resource sizes come from the ``events`` and
     ``resources`` substreams of ``seed``, drawn in blocks.  Returns the log,
-    the eval points, the per-tenth-of-horizon means of ``|g|`` and
-    ``|step|``, and the arrival count.
+    the eval points and the arrival count.
     """
     X, L = chain.params.buffer_capacity, chain.params.cpu_levels
-    horizon, eval_every = config.horizon, config.eval_every
+    eval_every = config.eval_every
     step = StepKernel(chain).step
     event_u = rngmod.block_uniforms(rngmod.substream(seed, "events"))
     resource_u = rngmod.block_uniforms(rngmod.substream(seed, "resources"))
@@ -74,10 +73,9 @@ def arrival_loop(
     if not (0 <= x <= X and 0 <= ell <= L):
         raise ValueError("start_state out of bounds")
 
-    # sums of |g| and |step| and their count, over the log window and per tenth
+    # sums of |g| and |step| and their count over the log window
     win_g = win_s = 0.0
     win_n = 0
-    tenth_g, tenth_s, tenth_n = [0.0] * 10, [0.0] * 10, [0] * 10
     log: list[LogRow] = []
     evals: list[tuple[float, np.ndarray]] = []
     arrivals = 0
@@ -91,14 +89,9 @@ def arrival_loop(
                     arrivals += 1
                     diag = update(x, ell, a, incurred, nx, nl, n)
                     if diag is not None:
-                        g, moved = abs(diag[0]), abs(diag[1])
-                        win_g += g
-                        win_s += moved
+                        win_g += abs(diag[0])
+                        win_s += abs(diag[1])
                         win_n += 1
-                        tenth = 10 * n // horizon  # n < horizon, so at most 9
-                        tenth_g[tenth] += g
-                        tenth_s[tenth] += moved
-                        tenth_n[tenth] += 1
                 x, ell = nx, nl
 
             if end % eval_every == 0:
@@ -116,8 +109,7 @@ def arrival_loop(
                 win_n = 0
             start = end
 
-    counts = np.maximum(tenth_n, 1)
-    return log, evals, np.array(tenth_g) / counts, np.array(tenth_s) / counts, arrivals
+    return log, evals, arrivals
 
 
 @dataclass
@@ -126,8 +118,6 @@ class QLearningResult:
     policy: np.ndarray  # greedy extraction, same tie rule as the planner
     log: list[LogRow]
     evals: list[tuple[float, np.ndarray]]  # (lam, greedy table) per log row
-    tenth_td_abs: np.ndarray
-    tenth_step_abs: np.ndarray
     arrivals: int
 
 
@@ -138,8 +128,7 @@ class BaselinePolicy:
     accept_below: int = 18
 
     def __post_init__(self) -> None:
-        if self.accept_below < 0:
-            raise ValueError("accept_below must be >= 0")
+        check_ints(self, 0, "accept_below")
 
 
 @dataclass(frozen=True)
@@ -176,10 +165,7 @@ class QLearningConfig:
         if not 0.0 < self.epsilon_decay_fraction <= 1.0:
             raise ValueError("epsilon_decay_fraction must lie in (0, 1]")
         freeze_pair(self, "start_state")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
+        check_ints(self, 1, "horizon", "eval_every")
 
     def epsilon_at(self, n: int) -> float:
         ramp = self.epsilon_decay_fraction * self.horizon

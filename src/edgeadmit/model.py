@@ -35,6 +35,14 @@ def freeze_pair(obj, name: str) -> None:
     object.__setattr__(obj, name, pair)
 
 
+def check_ints(obj, low: int, *names: str) -> None:
+    """Raise unless each dataclass field ``names`` of ``obj`` is an int >= ``low`` (no bool)."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is not int or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}")
+
+
 class CostTableWarning(UserWarning):
     """Cost tables break the monotonicity assumptions of the structural results."""
 
@@ -68,12 +76,7 @@ class ModelParams:
     uniformization_rate: float | None = None
 
     def __post_init__(self) -> None:
-        if self.buffer_capacity < 1:
-            raise ValueError("buffer_capacity must be >= 1")
-        if self.cpu_levels < 1:
-            raise ValueError("cpu_levels must be >= 1")
-        if self.cores < 1:
-            raise ValueError("cores must be >= 1")
+        check_ints(self, 1, "buffer_capacity", "cpu_levels", "cores")
         if self.service_rate <= 0:
             raise ValueError("service_rate must be > 0")
         if not 0.0 < self.discount_beta < 1.0:

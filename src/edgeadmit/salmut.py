@@ -36,7 +36,7 @@ import numpy as np
 from . import rng as rngmod
 from .evaluate import policy_table
 from .learners import LogRow, arrival_loop
-from .model import ChainTables, freeze_pair
+from .model import ChainTables, check_ints, freeze_pair
 
 
 def _sigmoid(z: float) -> float:
@@ -109,10 +109,7 @@ class SalmutConfig:
         if self.mode not in ("adam", "decay"):
             raise ValueError("mode must be 'adam' or 'decay'")
         freeze_pair(self, "start_state")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
+        check_ints(self, 1, "horizon", "eval_every")
         b1, b2 = self.rates()
         if b1 <= 0 or b2 <= 0:
             raise ValueError("learning rates must be > 0")
@@ -144,9 +141,6 @@ class TrainResult:
     q: np.ndarray
     log: list[LogRow]
     evals: list[tuple[float, np.ndarray]]  # (lam, policy_table of tau) per log row
-    # per-tenth-of-horizon aggregates of the actor diagnostics
-    tenth_grad_abs: np.ndarray    # mean |gradient estimate|
-    tenth_step_abs: np.ndarray    # mean |realized tau change|
     arrivals: int
 
 

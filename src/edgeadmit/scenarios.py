@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import rng as rngmod
+from .model import check_ints
 
 
 @dataclass(frozen=True)
@@ -39,10 +40,9 @@ class Scenario:
     add_prob: float = 0.05
 
     def __post_init__(self) -> None:
+        check_ints(self, 0, "kind", "n_users")
         if self.kind not in range(1, 7):
             raise ValueError("scenario kind must be 1..6")
-        if self.n_users < 0:
-            raise ValueError("n_users must be >= 0")
         if not 0 <= self.lambda_low <= self.lambda_high:
             raise ValueError("need 0 <= lambda_low <= lambda_high")
         for name in ("toggle_prob", "leave_prob", "stay_prob", "add_prob"):

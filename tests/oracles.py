@@ -413,10 +413,10 @@ def _reference_arrival_loop(
     act: Callable[[int, int, int], int],
     update: Callable[[int, int, int, float, int, int, int], tuple[float, float] | None],
     snapshot: Callable[[], tuple[np.ndarray, np.ndarray]],
-) -> tuple[list[LogRow], list[tuple[float, np.ndarray]], np.ndarray, np.ndarray, int]:
+) -> tuple[list[LogRow], list[tuple[float, np.ndarray]], int]:
     """``learners.arrival_loop`` with a ``decide`` wrapper that forces the offload at ``X``."""
     X, L = chain.params.buffer_capacity, chain.params.cpu_levels
-    horizon, eval_every = config.horizon, config.eval_every
+    eval_every = config.eval_every
     step = StepKernel(chain).step
     event_u = rngmod.block_uniforms(rngmod.substream(seed, "events"))
     resource_u = rngmod.block_uniforms(rngmod.substream(seed, "resources"))
@@ -427,10 +427,9 @@ def _reference_arrival_loop(
     def decide(x: int, ell: int, n: int) -> int:
         return 1 if x == X else act(x, ell, n)
 
-    # sums of |g| and |step| and their count, over the log window and per tenth
+    # sums of |g| and |step| and their count over the log window
     win_g = win_s = 0.0
     win_n = 0
-    tenth_g, tenth_s, tenth_n = [0.0] * 10, [0.0] * 10, [0] * 10
     log: list[LogRow] = []
     evals: list[tuple[float, np.ndarray]] = []
     arrivals = 0
@@ -441,14 +440,9 @@ def _reference_arrival_loop(
                 arrivals += 1
                 diag = update(x, ell, a, incurred, nx, nl, n)
                 if diag is not None:
-                    g, moved = abs(diag[0]), abs(diag[1])
-                    win_g += g
-                    win_s += moved
+                    win_g += abs(diag[0])
+                    win_s += abs(diag[1])
                     win_n += 1
-                    tenth = min(10 * n // horizon, 9)
-                    tenth_g[tenth] += g
-                    tenth_s[tenth] += moved
-                    tenth_n[tenth] += 1
             x, ell = nx, nl
 
             if (n + 1) % eval_every == 0:
@@ -465,8 +459,7 @@ def _reference_arrival_loop(
                 win_g = win_s = 0.0
                 win_n = 0
 
-    counts = np.maximum(tenth_n, 1)
-    return log, evals, np.array(tenth_g) / counts, np.array(tenth_s) / counts, arrivals
+    return log, evals, arrivals
 
 
 def reference_salmut_train(

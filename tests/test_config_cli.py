@@ -329,11 +329,24 @@ def test_cli_train_fills_every_eval_point(tmp_path, monkeypatch, segments, learn
     ("model", "buffer_capacity", 10_001),
     ("model", "buffer_capacity", 0),
     ("model", "buffer_capacity", True),
+    ("model", "cpu_levels", True),
+    ("model", "cores", 2.5),
+    ("scenario", "kind", True),
+    ("scenario", "n_users", 2.5),
+    ("scenario", "n_users", True),
+    ("learner", "eval_every", 2.5),
+    ("learner.baseline", "accept_below", 2.5),
+    ("eval", "n_rollouts", 2.5),
+    ("eval", "rollout_length", 2.5),
+    ("eval", "window", 2.5),
+    ("eval", "overload_level", 2.5),
+    ("", "seeds", [True]),
+    ("", "seeds", [-1]),
 ])
 def test_cli_wrong_config_value_is_input_error(tmp_path, section, field, value):
     cfg = json.loads(_desk_config(tmp_path).read_text())
     owner = cfg
-    for key in section.split("."):
+    for key in filter(None, section.split(".")):
         owner = owner.setdefault(key, {})
     owner[field] = value
     cfg_path = tmp_path / "bad.json"

@@ -32,7 +32,6 @@ def test_rollout_single_departure_step(canonical_params, canonical_chain):
         0.0,
         canonical_chain,
         horizon=1,
-        beta=0.95,
         rng=substream(0, "r"),
         initial_state=(5, 10),
     )
@@ -46,7 +45,6 @@ def test_rollout_deterministic_given_stream(canonical_params, canonical_chain):
         lam=6.0,
         chain=canonical_chain,
         horizon=500,
-        beta=0.95,
         initial_state=(0, 0),
     )
     a = rollout(policy, rng=substream(5, "roll"), **kwargs)
@@ -62,7 +60,6 @@ def test_rollout_all_offload_counts_every_arrival(canonical_params, canonical_ch
         6.0,
         canonical_chain,
         horizon=400,
-        beta=0.95,
         rng=substream(8, "roll"),
     )
     assert [w.c_off for w in rr.windows] == [400]
@@ -76,7 +73,6 @@ def test_rollout_windows_partition_costs(canonical_params, canonical_chain):
         6.0,
         canonical_chain,
         horizon=2500,
-        beta=0.95,
         rng=substream(2, "roll"),
         window=1000,
     )
@@ -89,7 +85,6 @@ def test_rollout_windows_partition_costs(canonical_params, canonical_chain):
         6.0,
         canonical_chain,
         horizon=2500,
-        beta=1.0 - 1e-12,
         rng=substream(2, "roll"),
         window=2500,
     )
@@ -112,8 +107,8 @@ def _tables(chain) -> dict:
 def _reference_costs(table, cfg, lam, chain, seed) -> list:
     return [
         rollout(
-            table, lam, chain, cfg.rollout_length, chain.params.discount_beta,
-            substream(seed, f"rollout-{i}"), initial_state=cfg.initial_state,
+            table, lam, chain, cfg.rollout_length, substream(seed, f"rollout-{i}"),
+            initial_state=cfg.initial_state,
         ).discounted_cost
         for i in range(cfg.n_rollouts)
     ]
@@ -309,7 +304,7 @@ def test_behavioral_compare_shared_randomness(canonical_params, canonical_chain)
         "baseline": policy_table(canonical_params, accept_below=18),
         "tight": policy_table(canonical_params, tau=np.full(21, 8.0)),
     }
-    series = behavioral_compare(policies, scenario, canonical_chain, trace, window=1000)
+    series = behavioral_compare(policies, scenario, canonical_chain, trace, EvalConfig())
     assert set(series) == {"baseline", "tight"}
     assert len(series["baseline"].windows) == 20
     # scatter export shape: one row per (policy, window)
@@ -337,6 +332,7 @@ def test_behavioral_compare_identical_policy_identical_series(canonical_params, 
         scenario,
         canonical_chain,
         trace,
+        EvalConfig(),
     )
     assert series["a"] == series["b"]
 
@@ -347,13 +343,12 @@ def test_behavioral_compare_without_arrivals(canonical_params, canonical_chain):
     scenario = Scenario(kind=1, n_users=0)
     policies = {"baseline": policy_table(canonical_params, accept_below=18)}
     args = (scenario, canonical_chain)
-    series = behavioral_compare(
-        policies, *args, EventTrace.generate(4, 20), initial_state=(20, 20)
-    )
+    cfg = EvalConfig(initial_state=(20, 20))
+    series = behavioral_compare(policies, *args, EventTrace.generate(4, 20), cfg)
     [only] = series["baseline"].windows
     assert only.index == 0 and only.c_off == 0
     with pytest.raises(NoEventError, match="no event possible"):
-        behavioral_compare(policies, *args, EventTrace.generate(4, 21), initial_state=(20, 20))
+        behavioral_compare(policies, *args, EventTrace.generate(4, 21), cfg)
 
 
 def _replayed(policies, scenario, chain, trace, **kwargs) -> dict:
@@ -373,7 +368,7 @@ def test_compare_trapped_from_the_first_step(canonical_params, canonical_chain):
     # ends in a partial window
     args = ({"all_offload": policy_table(canonical_params, accept_below=0)}, Scenario(kind=1),
             canonical_chain, EventTrace.generate(21, 20_500))
-    series = behavioral_compare(*args)
+    series = behavioral_compare(*args, EvalConfig())
     assert series == _replayed(*args)
     [only] = series.values()
     assert only.trap_step == 0
@@ -404,7 +399,7 @@ def test_compare_fast_forward_equals_plain_replay(
     # window 1000 does not divide the trace, so the last window is partial
     args = (policies, Scenario(kind=1), ChainTables(canonical_params, costs, canonical_resources),
             EventTrace.generate(0, 20_500))
-    series = behavioral_compare(*args)
+    series = behavioral_compare(*args, EvalConfig())
     assert series == _replayed(*args)
     for ps in series.values():
         # trapped inside a window, early enough for the repeated full windows
@@ -422,7 +417,7 @@ def test_rollout_fast_forward_equals_plain_replay(canonical_params, canonical_ch
          policy_table(canonical_params, accept_below=18)),
         (20_500, 20_999),
     ):
-        rr = rollout(table, 6.0, *args, horizon=horizon, beta=0.95, rng=substream(3, "ff"))
+        rr = rollout(table, 6.0, *args, horizon=horizon, rng=substream(3, "ff"))
         rng = substream(3, "ff")
         total, windows, _ = windowed_replay(
             table, itertools.repeat((6.0, rng.random, rng.random), horizon), *args
@@ -443,7 +438,7 @@ def test_compare_fast_forward_across_change_points(kind, canonical_params, canon
     scenario = Scenario(kind=kind)
     trace = EventTrace.generate(0, 20_500)
     args = (policies, scenario, canonical_chain, trace)
-    series = behavioral_compare(*args)
+    series = behavioral_compare(*args, EvalConfig())
     assert series == _replayed(*args)
     last_change = trajectory(scenario, 20_500, trace.seed)[-1][0]
     for ps in series.values():
@@ -462,6 +457,7 @@ def test_compare_trap_then_no_arrivals_raises_at_the_plain_step(
     scenario = Scenario(kind=4, n_users=1, leave_prob=0.3, stay_prob=0.7, add_prob=0.0)
     policies = {"all_offload": policy_table(canonical_params, accept_below=0)}
     args = (scenario, canonical_chain)
+    cfg = EvalConfig(initial_state=initial_state)
     raised = []
     for horizon in range(1, 15):
         trace = EventTrace.generate(16, horizon)
@@ -469,10 +465,10 @@ def test_compare_trap_then_no_arrivals_raises_at_the_plain_step(
             expected = _replayed(policies, *args, trace, initial_state=initial_state)
         except NoEventError:
             with pytest.raises(NoEventError):
-                behavioral_compare(policies, *args, trace, initial_state=initial_state)
+                behavioral_compare(policies, *args, trace, cfg)
             raised.append(horizon)
         else:
-            series = behavioral_compare(policies, *args, trace, initial_state=initial_state)
+            series = behavioral_compare(policies, *args, trace, cfg)
             assert series == expected
             assert series["all_offload"].trap_step is not None or horizon < 3
     assert raised == list(range(9, 15))
@@ -512,7 +508,6 @@ def test_rollout_mean_matches_exact_policy_value(
             6.0,
             canonical_chain,
             horizon=1000,
-            beta=0.95,
             rng=substream(100 + i, "mc"),
         ).discounted_cost
         for i in range(200)

@@ -38,29 +38,29 @@ COMPARE_DIGESTS = {
 }
 TRAINER_DIGESTS = {
     ("qlearning", 1):
-        "d1c6995adedde6419c3de87c23087c238f6dc5a0281c9f6f0a9a105431267835",
+        "3e273477823c7c4a24fd49af93094b1f8b0d533894550ec88b970ff2bd1a54a5",
     ("qlearning", 2):
-        "e30eea0e014b8b391b0b9c0c6dddc4b7e182d0b6b3d93e12b824c185a0129c24",
+        "b0a06eb5a0ff8c8755aa50fa0bd4570261686b8dc785bebef0ecb2882ee3cc19",
     ("qlearning", 3):
-        "4c00174352385ed9f0604aed3b8998beee5f4e84fc876a04ee756a0337d43cd1",
+        "b029146377ceeb20caeeada414f30235a5ec13da48f93a3373531aa3dc7efdcd",
     ("qlearning", 6):
-        "5ff5407cc6f5314e5c7f292c07163e83a754877be7843394b2f219aab6d8e976",
+        "b7f675e7de9cd798770125eb748643c773def668e81a0fa4ab118372ae9b687a",
     ("salmut-adam", 1):
-        "f5db51f2d790ebc237843c40e265891e4ce942c5e4d667d73f0426ec4bfe9b98",
+        "ffc1357189ee2e56ba005564839e7a01ce1453a6f373061c254a7c5b4a171a93",
     ("salmut-adam", 2):
-        "01e84ec879fb0163964b8503f4add939d93d74a077bb3c7458345f114ab0047f",
+        "2e338e7dbba31b69bd1fe0a1a40b99b7959b938dacc4b87d261a24ad5deebc45",
     ("salmut-adam", 3):
-        "6851075dfdb96af242433292debb3d01d38396c861bded18bd229aa20f5b732f",
+        "c23cf7c1cbdd153abd989e4d0555259bf73e5e54dc1e21cda718276f6a4b8d64",
     ("salmut-adam", 6):
-        "440e5e588af088675ce9ff3a3f4043207ece6f33273808f176d96aee0a712291",
+        "00d6d4924d0034dbbf6ace350a918f14735289b6cb40c33eb55879d0de5e0cca",
     ("salmut-decay", 1):
-        "bb57f2e5d555a2cf7199af0ac81980fd712b5649892b51333a68b34984acc756",
+        "1c1368cb5f916f274fa6cefb7ca98efb8a91ce9f945ac6682589f9393aed118e",
     ("salmut-decay", 2):
-        "bc5f4c9a1a1c5c7eae6ab5996348993d3588f733bff8ee127d1a1540320ed17e",
+        "b16b77dcabc37cac76d6bbf19517abfe75d2ad8206a2af3d4265bf28b8e324b0",
     ("salmut-decay", 3):
-        "f8380fc067d478fa8e2c5849100b131f321dd39e696d278a65ac40301179eef2",
+        "d4b1943771c0ee1c300e5a0e8305f70c4ba9e51d92384d9d39a3c1227bc80e81",
     ("salmut-decay", 6):
-        "3bfdbd59c3550d3a9205de9944faffb936a779a0cabc41af1a2bf305ad59300a",
+        "caed46f271d57b706a5a80bd1a6c5bada58415f1f2e22b1cf39e17ae7900edc3",
 }
 TRAJECTORY_DIGEST = "2dd5756cbf1e4ef32b7dcd6270a3c10db7014b6a967b43345bce907fab42928e"
 
@@ -97,7 +97,7 @@ def test_behavioral_compare_windows_golden(kind, canonical_chain):
     series = behavioral_compare(
         policies(6.0, canonical_chain),
         Scenario(kind=kind), canonical_chain,
-        EventTrace.generate(11, 20_000), window=1000, overload_level=18,
+        EventTrace.generate(11, 20_000), EvalConfig(window=1000, overload_level=18),
     )
     rows = [
         (name, int(w.index), float(w.cost_discounted), float(w.cost_undiscounted),
@@ -136,10 +136,10 @@ def test_trainer_outputs_golden(learner, kind, canonical_chain, segments):
         res = qlearning_train(*args, QLearningConfig(horizon=20_000, eval_every=2500),
                               seed=5)
         out = (res.q.tolist(), res.policy.tolist(), _log_rows(res.log), _eval_points(res.evals),
-               res.tenth_td_abs.tolist(), res.tenth_step_abs.tolist(), int(res.arrivals))
+               int(res.arrivals))
     else:
         mode = learner.split("-")[1]
         res = train(*args, SalmutConfig(horizon=20_000, eval_every=2500, mode=mode), seed=5)
         out = (res.tau.tolist(), res.q.tolist(), _log_rows(res.log), _eval_points(res.evals),
-               res.tenth_grad_abs.tolist(), res.tenth_step_abs.tolist(), int(res.arrivals))
+               int(res.arrivals))
     assert digest(out) == TRAINER_DIGESTS[learner, kind]

@@ -290,7 +290,7 @@ def test_train_zero_cost_threshold_never_moves(segments, canonical_params, canon
     )
     expected_init = substream(3, "init").uniform(0.0, 20.0, size=21)
     assert np.array_equal(result.tau, expected_init)
-    assert np.all(result.tenth_step_abs == 0.0)
+    assert [row.grad_step_window for row in result.log] == [0.0, 0.0, 0.0]
 
 
 def test_train_single_step_locality(segments, canonical_chain):

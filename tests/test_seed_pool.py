@@ -100,6 +100,28 @@ def test_cli_train_pool_seed_failure_is_one_line_exit_3(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_cli_train_pool_tasks_carry_only_the_seed(tmp_path, monkeypatch):
+    # the forked workers inherit the experiment, so a task pickles its seed
+    # alone: a few dozen bytes, where the pickled experiment takes tens of KB
+    from concurrent.futures import ProcessPoolExecutor
+
+    _workers(monkeypatch, 2)
+    submitted = []
+    submit = ProcessPoolExecutor.submit
+
+    def capture(self, fn, /, *args, **kwargs):
+        submitted.append((fn, args, kwargs))
+        return submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", capture)
+    cfg_path = _train_config(tmp_path, [0, 1, 2], horizon=1000)
+    result = CliRunner().invoke(main, ["train", "--config", str(cfg_path), "--no-periodic-eval"])
+    assert result.exit_code == 0, result.output
+    assert [args for _, args, _ in submitted] == [(0,), (1,), (2,)]
+    assert all(fn is cli._run_seed and kwargs == {} for fn, _, kwargs in submitted)
+    assert max(len(pickle.dumps(task)) for task in submitted) < 200
+
+
 def _die(*args):
     os._exit(1)
 
