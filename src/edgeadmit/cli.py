@@ -21,21 +21,12 @@ from . import artifacts, config as cfgmod, dp, evaluate as ev, learners, salmut
 from .artifacts import ArtifactError
 from .config import ConfigError, Experiment
 from .dp import SolverError
-from .model import NoEventError
+from .model import NoEventError, finite
 from .scenarios import rate_segments, trajectory
 
 
-def _load_experiment(config_path, overrides, horizon_scale) -> Experiment:
-    cfg = cfgmod.load_config(config_path, overrides)
-    if horizon_scale is not None:
-        horizon = cfg["learner"]["horizon"] * horizon_scale
-        if not (horizon_scale > 0 and math.isfinite(horizon)):
-            raise ConfigError("--horizon-scale", "must be finite and > 0")
-        cfg["learner"]["horizon"] = max(1, round(horizon))
-    return Experiment.from_config(cfg)
-
-
-def _common_overrides(seed, out, scenario, learner=None) -> dict:
+def _load_experiment(config_path, seed, out, scenario, horizon_scale, learner=None) -> Experiment:
+    """The config file overlaid by the command's options, built into an ``Experiment``."""
     ov: dict = {}
     if seed is not None:
         ov["seeds"] = [seed]
@@ -45,7 +36,13 @@ def _common_overrides(seed, out, scenario, learner=None) -> dict:
         ov["scenario"] = {"kind": scenario}
     if learner is not None:
         ov["learner"] = {"kind": learner}
-    return ov
+    cfg = cfgmod.load_config(config_path, ov)
+    if horizon_scale is not None:
+        horizon = cfg["learner"]["horizon"] * horizon_scale
+        if not (horizon_scale > 0 and math.isfinite(horizon)):
+            raise ConfigError("--horizon-scale", "must be finite and > 0")
+        cfg["learner"]["horizon"] = max(1, round(horizon))
+    return Experiment.from_config(cfg)
 
 
 def config_option(fn):
@@ -92,10 +89,10 @@ def solve(config_path, seed, out, scenario, horizon_scale):
     """Solve the planning problem and write the solution artifact."""
 
     def body():
-        exp = _load_experiment(
-            config_path, _common_overrides(seed, out, scenario), horizon_scale
+        exp = _load_experiment(config_path, seed, out, scenario, horizon_scale)
+        sol = dp.value_iteration(
+            exp.scenario.initial_aggregate_rate(), exp.chain, **exp.raw["solver"]
         )
-        sol = dp.value_iteration(exp.planning_rate(), exp.chain, **exp.raw["solver"])
         out_dir = exp.output_dir / "dp"
         artifacts.write_json(out_dir / "solution.json", artifacts.solution_to_dict(sol, exp.raw))
         artifacts.write_json(
@@ -121,9 +118,7 @@ def train(config_path, seed, out, scenario, horizon_scale, learner, no_periodic_
     """Train the configured learner for every seed; write logs and artifacts."""
 
     def body():
-        exp = _load_experiment(
-            config_path, _common_overrides(seed, out, scenario, learner), horizon_scale
-        )
+        exp = _load_experiment(config_path, seed, out, scenario, horizon_scale, learner)
         kind = exp.raw["learner"]["kind"]
         if kind not in ("salmut", "qlearning"):
             raise ConfigError("learner.kind", "train requires salmut or qlearning")
@@ -262,12 +257,8 @@ _POLICY_FIELDS = {"salmut": "tau", "qlearning": "policy", "dp": "policy", "basel
 
 def _tau_vector(value) -> np.ndarray:
     """A salmut artifact's ``tau``, which must be a list of finite numbers."""
-    # bool is a subclass of int, but JSON's true is no number
-    if isinstance(value, list) and all(type(v) in (int, float) for v in value):
-        with contextlib.suppress(OverflowError):  # an int beyond float range
-            tau = np.array(value, dtype=float)
-            if np.isfinite(tau).all():
-                return tau
+    if isinstance(value, list) and all(map(finite, value)):
+        return np.array(value, dtype=float)
     raise ArtifactError("salmut policy artifact field 'tau' must be a list of finite numbers")
 
 
@@ -314,9 +305,7 @@ def evaluate(config_path, seed, out, scenario, horizon_scale, artifact_path,
     """Evaluate a policy artifact, check structure, or aggregate training curves."""
 
     def body():
-        exp = _load_experiment(
-            config_path, _common_overrides(seed, out, scenario), horizon_scale
-        )
+        exp = _load_experiment(config_path, seed, out, scenario, horizon_scale)
         did_something = False
         if structure_path is not None:
             sol = artifacts.load_artifact(Path(structure_path), artifacts.SOLUTION_SCHEMA)
@@ -346,23 +335,13 @@ def evaluate(config_path, seed, out, scenario, horizon_scale, artifact_path,
             art = artifacts.load_artifact(Path(artifact_path), artifacts.POLICY_SCHEMA,
                                           chain_sha=artifacts.chain_hash(exp.raw))
             policy = _policy_from_artifact(art, exp)
-            report = ev.evaluate(
-                policy, exp.eval_config, exp.planning_rate(), exp.chain, seed=exp.seeds[0]
-            )
+            lam = exp.scenario.initial_aggregate_rate()
+            report = ev.evaluate(policy, exp.eval_config, lam, exp.chain, seed=exp.seeds[0])
             out_dir = exp.output_dir / "eval"
-            artifacts.write_json(
-                out_dir / "report.json",
-                {
-                    "kind": art["kind"],
-                    "mean": report.mean,
-                    "q1": report.q1,
-                    "median": report.median,
-                    "q3": report.q3,
-                    "n_rollouts": report.n_rollouts,
-                    "lambda": exp.planning_rate(),
-                    "config_sha256": artifacts.config_hash(exp.raw),
-                },
-            )
+            artifacts.write_json(out_dir / "report.json", {
+                "kind": art["kind"], **dataclasses.asdict(report), "lambda": lam,
+                "config_sha256": artifacts.config_hash(exp.raw),
+            })
             artifacts.write_manifest(out_dir / "manifest.json", "evaluate", exp.raw, exp.seeds)
             click.echo(
                 f"{art['kind']}: mean={report.mean!r} median={report.median!r} "
@@ -408,9 +387,7 @@ def compare(config_path, seed, out, scenario, horizon_scale, trace_seed, trace_l
     """
 
     def body():
-        exp = _load_experiment(
-            config_path, _common_overrides(seed, out, scenario), horizon_scale
-        )
+        exp = _load_experiment(config_path, seed, out, scenario, horizon_scale)
         root = exp.output_dir
         chain_sha = artifacts.chain_hash(exp.raw)
         sol = artifacts.load_artifact(root / "dp" / "solution.json", artifacts.SOLUTION_SCHEMA,
@@ -448,7 +425,8 @@ def compare(config_path, seed, out, scenario, horizon_scale, trace_seed, trace_l
         )
         names = sorted(policies)
         reports = ev.evaluate_batch(
-            [(policies[name], exp.planning_rate(), exp.seeds[0]) for name in names],
+            [(policies[name], exp.scenario.initial_aggregate_rate(), exp.seeds[0])
+             for name in names],
             exp.eval_config,
             exp.chain,
         )

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import copy
 import json
-import sys
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -23,7 +22,7 @@ from typing import Any
 
 from .evaluate import EvalConfig
 from .learners import BaselinePolicy, QLearningConfig
-from .model import ChainTables, CostModel, ModelParams, ResourceDist
+from .model import ChainTables, CostModel, ModelParams, ResourceDist, finite
 from .salmut import SalmutConfig
 from .scenarios import Scenario
 
@@ -101,8 +100,16 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     """Defaults, overlaid by a JSON file, overlaid by CLI-style overrides."""
     cfg = default_config()
     if path is not None:
+
+        def number(text: str) -> float:
+            # json reads NaN, Infinity, -Infinity and overflowing literals (1e400)
+            value = float(text)
+            if not finite(value):
+                raise ConfigError(str(path), f"non-finite number {text}")
+            return value
+
         try:
-            raw = json.loads(Path(path).read_text())
+            raw = json.loads(Path(path).read_text(), parse_float=number, parse_constant=number)
         except FileNotFoundError:
             raise ConfigError(str(path), "file not found")
         except json.JSONDecodeError as exc:
@@ -134,20 +141,19 @@ def validate_config(cfg: dict) -> None:
     _expect(type(levels) is int and levels >= 1, "model.cpu_levels", "must be an integer >= 1")
     for name in ("running", "penalty"):
         table = cfg["costs"][name]
-        _expect(isinstance(table, list), f"costs.{name}", "must be a list")
+        _expect(isinstance(table, list) and all(map(finite, table)), f"costs.{name}",
+                "must be a list of finite numbers")
         _expect(
             len(table) == levels + 1,
             f"costs.{name}",
             f"must have length cpu_levels + 1 = {levels + 1}, got {len(table)}",
         )
-    _expect(_finite(cfg["costs"]["holding"]), "costs.holding", "must be a finite number")
+    _expect(finite(cfg["costs"]["holding"]), "costs.holding", "must be a finite number")
     pmf = cfg["resources"]["pmf"]
-    _expect(isinstance(pmf, list) and len(pmf) >= 1 and all(map(_finite, pmf)),
+    _expect(isinstance(pmf, list) and len(pmf) >= 1 and all(map(finite, pmf)),
             "resources.pmf", "must be a non-empty list of finite numbers")
     _expect(abs(sum(pmf) - 1.0) <= 1e-12, "resources.pmf", "must sum to 1")
     _expect(all(p >= 0 for p in pmf), "resources.pmf", "entries must be >= 0")
-    kind = cfg["scenario"]["kind"]
-    _expect(kind in range(1, 7), "scenario.kind", "must be 1..6")
     lk = cfg["learner"]["kind"]
     _expect(
         lk in ("salmut", "qlearning", "baseline", "dp"),
@@ -165,14 +171,9 @@ def validate_config(cfg: dict) -> None:
     _expect(type(horizon) is int and 1 <= horizon <= 2**53, "learner.horizon",
             "must be an integer in [1, 2**53]")
     tol, max_iter = cfg["solver"]["tol"], cfg["solver"]["max_iter"]
-    _expect(_finite(tol) and tol > 0, "solver.tol", "must be a number > 0")
+    _expect(finite(tol) and tol > 0, "solver.tol", "must be a number > 0")
     _expect(type(max_iter) is int and max_iter >= 1, "solver.max_iter", "must be an integer >= 1")
     _expect(type(cfg["solver"]["self_loop"]) is bool, "solver.self_loop", "must be a boolean")
-
-
-def _finite(value) -> bool:
-    """Whether ``value`` is a JSON number (bool is none) of finite float value."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _wrap(path: str, fn, *args, **kwargs):
@@ -227,14 +228,12 @@ class Experiment:
             qlearning=_wrap("learner.qlearning", QLearningConfig, **common, **lrn["qlearning"]),
             baseline=_wrap("learner.baseline", BaselinePolicy, **lrn["baseline"]),
             seeds=tuple(cfg["seeds"]),
-            output_dir=Path(cfg["output_dir"]),
+            output_dir=_wrap("output_dir", Path, cfg["output_dir"]),
         )
         X, L = exp.chain.params.buffer_capacity, exp.chain.params.cpu_levels
         for path, (x, ell) in (("learner.start_state", exp.salmut.start_state),
                                ("eval.initial_state", exp.eval_config.initial_state)):
             _expect(0 <= x <= X and 0 <= ell <= L, path, f"must lie in [0, {X}] x [0, {L}]")
+        tau = exp.salmut.initial_tau
+        _expect(tau is None or 0 <= tau <= L, "learner.salmut.initial_tau", f"must lie in [0, {L}]")
         return exp
-
-    def planning_rate(self) -> float:
-        """Arrival rate for the time-homogeneous planning problem."""
-        return self.scenario.initial_aggregate_rate()

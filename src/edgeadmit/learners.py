@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .dp import greedy_policy
-from .model import ChainTables, StepKernel, check_ints, freeze_pair
+from .model import ChainTables, StepKernel, check_ints, check_numbers, freeze_pair
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -155,8 +155,12 @@ class QLearningConfig:
     start_state: tuple[int, int] = (0, 0)
 
     def __post_init__(self) -> None:
+        check_numbers(self, "rate", "decay_n0", "decay_kappa", "epsilon_start", "epsilon_end",
+                      "epsilon_decay_fraction")
         if not 0.0 < self.rate <= 1.0:
             raise ValueError("rate must lie in (0, 1]")
+        if self.decay_n0 <= 0:
+            raise ValueError("decay_n0 must be > 0")
         if self.rate_mode not in ("constant", "decay"):
             raise ValueError("rate_mode must be 'constant' or 'decay'")
         for name in ("epsilon_start", "epsilon_end"):

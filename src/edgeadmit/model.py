@@ -14,6 +14,7 @@ absorbed into the cost tables.
 from __future__ import annotations
 
 import enum
+import sys
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -41,6 +42,19 @@ def check_ints(obj, low: int, *names: str) -> None:
         value = getattr(obj, name)
         if type(value) is not int or value < low:
             raise ValueError(f"{name} must be an integer >= {low}")
+
+
+def finite(value) -> bool:
+    """Whether ``value`` is an int or a float (a bool is neither) of finite float value."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def check_numbers(obj, *names: str, optional: tuple[str, ...] = ()) -> None:
+    """Raise unless each field ``names`` of ``obj`` is ``finite`` (or None if in ``optional``)."""
+    for name in names + optional:
+        value = getattr(obj, name)
+        if not (finite(value) or value is None and name in optional):
+            raise ValueError(f"{name} must be a finite number")
 
 
 class CostTableWarning(UserWarning):
@@ -77,6 +91,8 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         check_ints(self, 1, "buffer_capacity", "cpu_levels", "cores")
+        check_numbers(self, "service_rate", "discount_beta",
+                      optional=("discount_rate", "uniformization_rate"))
         if self.service_rate <= 0:
             raise ValueError("service_rate must be > 0")
         if not 0.0 < self.discount_beta < 1.0:
@@ -123,6 +139,8 @@ class CostModel:
     strict: bool = False
 
     def __post_init__(self) -> None:
+        if type(self.strict) is not bool:
+            raise ValueError("strict must be a boolean")
         run = np.asarray(self.running, dtype=float)
         pen = np.asarray(self.penalty, dtype=float)
         if run.ndim != 1 or pen.ndim != 1 or run.shape != pen.shape:

@@ -36,7 +36,7 @@ import numpy as np
 from . import rng as rngmod
 from .evaluate import policy_table
 from .learners import LogRow, arrival_loop
-from .model import ChainTables, check_ints, freeze_pair
+from .model import ChainTables, check_ints, check_numbers, freeze_pair
 
 
 def _sigmoid(z: float) -> float:
@@ -104,8 +104,15 @@ class SalmutConfig:
     _DECAY_RATES = (1.0, 0.1)
 
     def __post_init__(self) -> None:
+        check_numbers(self, "temperature", "adam_beta1", "adam_beta2", "critic_epsilon",
+                      "actor_epsilon", "decay_n0", "decay_kappa_critic", "decay_kappa_actor",
+                      optional=("critic_rate", "actor_rate", "initial_tau"))
         if self.temperature <= 0:
             raise ValueError("temperature must be > 0")
+        if not (self.critic_epsilon > 0 and self.actor_epsilon > 0):
+            raise ValueError("critic_epsilon and actor_epsilon must be > 0")
+        if type(self.paper_literal_sign) is not bool:
+            raise ValueError("paper_literal_sign must be a boolean")
         if self.mode not in ("adam", "decay"):
             raise ValueError("mode must be 'adam' or 'decay'")
         freeze_pair(self, "start_state")

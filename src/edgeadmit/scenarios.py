@@ -19,10 +19,10 @@ independent and trajectories reproducible regardless of population churn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import rng as rngmod
-from .model import check_ints
+from .model import check_ints, check_numbers
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,9 @@ class Scenario:
 
     def __post_init__(self) -> None:
         check_ints(self, 0, "kind", "n_users")
+        check_numbers(self, "lambda_low", "lambda_high", "toggle_period_fraction",
+                      "toggle_prob", "population_period_fraction", "leave_prob",
+                      "stay_prob", "add_prob")
         if self.kind not in range(1, 7):
             raise ValueError("scenario kind must be 1..6")
         if not 0 <= self.lambda_low <= self.lambda_high:
@@ -72,134 +75,74 @@ class Scenario:
         return self.n_users * self.lambda_low
 
 
-@dataclass
-class ScenarioState:
-    """Mutable per-run traffic state, owned by exactly one simulation."""
-
-    scenario: Scenario
-    horizon: int
-    seed: int
-    step: int = 0
-    tiers: list[bool] = field(default_factory=list)  # True = high rate
-    uids: list[int] = field(default_factory=list)
-    next_uid: int = 0
-    lam: float = 0.0
-    _phase1: int = 0
-    _phase2: int = 0
-    _toggle_every: int = 0
-    _pop_every: int = 0
-
-    @classmethod
-    def create(cls, scenario: Scenario, horizon: int, seed: int) -> "ScenarioState":
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        ss = cls(scenario=scenario, horizon=horizon, seed=seed)
-        ss.uids = list(range(scenario.n_users))
-        ss.next_uid = scenario.n_users
-        if scenario.rate_toggles:
-            ss.tiers = [
-                rngmod.user_uniform(seed, "scenario-init", uid, 0) < 0.5
-                for uid in ss.uids
-            ]
-        else:
-            ss.tiers = [False] * scenario.n_users
-        f1, f2 = scenario.phase_fractions
-        ss._phase1 = round(f1 * horizon)
-        ss._phase2 = round(f2 * horizon)
-        ss._toggle_every = max(1, round(scenario.toggle_period_fraction * horizon))
-        ss._pop_every = max(1, round(scenario.population_period_fraction * horizon))
-        ss._recompute_rate()
-        return ss
-
-    def _recompute_rate(self) -> None:
-        sc = self.scenario
-        self.lam = sum(
-            sc.lambda_high if hi else sc.lambda_low for hi in self.tiers
-        )
-
-    @property
-    def n_users(self) -> int:
-        return len(self.uids)
-
-    def event_steps(self) -> list[int]:
-        """Steps in ``1..horizon-1`` at which ``advance_to`` can change the state.
-
-        Phase boundaries, toggle steps and population steps; moving to any
-        other step only moves the counter.
-        """
-        sc = self.scenario
-        steps: set[int] = set()
-        if sc.rate_switches:
-            steps.update((self._phase1, self._phase2))
-        if sc.rate_toggles:
-            steps.update(range(self._toggle_every, self.horizon, self._toggle_every))
-        if sc.population_drifts:
-            steps.update(range(self._pop_every, self.horizon, self._pop_every))
-        return sorted(s for s in steps if 0 < s < self.horizon)
-
-    def advance_to(self, s: int) -> None:
-        """Jump forward to step ``s``, applying the change-point events of ``s`` only.
-
-        Equal to moving one step at a time, ``advance_to(step + 1)``, until
-        the counter reads ``s`` when no step strictly between the current one
-        and ``s`` is in ``event_steps``, as between two consecutive change
-        points.
-        """
-        if s <= self.step:
-            raise ValueError(f"cannot move from step {self.step} back to {s}")
-        self.step = s
-        sc = self.scenario
-        changed = False
-        if sc.rate_switches:
-            if s == self._phase1:
-                self.tiers = [True] * len(self.tiers)
-                changed = True
-            elif s == self._phase2:
-                self.tiers = [False] * len(self.tiers)
-                changed = True
-        if sc.rate_toggles and s % self._toggle_every == 0:
-            for i, uid in enumerate(self.uids):
-                if rngmod.user_uniform(self.seed, "scenario-toggle", uid, s) < sc.toggle_prob:
-                    self.tiers[i] = not self.tiers[i]
-                    changed = True
-        if sc.population_drifts and s % self._pop_every == 0:
-            uids: list[int] = []
-            tiers: list[bool] = []
-            for uid, tier in zip(self.uids, self.tiers):
-                u = rngmod.user_uniform(self.seed, "scenario-pop", uid, s)
-                if u < sc.leave_prob:
-                    changed = True
-                    continue
-                uids.append(uid)
-                tiers.append(tier)
-                if u >= 1.0 - sc.add_prob:
-                    # the new device inherits its owner's current rate tier
-                    uids.append(self.next_uid)
-                    tiers.append(tier)
-                    self.next_uid += 1
-                    changed = True
-            self.uids, self.tiers = uids, tiers
-        if changed:
-            self._recompute_rate()
+def _schedule(scenario: Scenario, horizon: int) -> tuple[int, int, int, int]:
+    """The two phase boundaries and the toggle and population periods, in steps."""
+    f1, f2 = scenario.phase_fractions
+    toggle = max(1, round(scenario.toggle_period_fraction * horizon))
+    pop = max(1, round(scenario.population_period_fraction * horizon))
+    return round(f1 * horizon), round(f2 * horizon), toggle, pop
 
 
-def trajectory(
-    scenario: Scenario, horizon: int, seed: int
-) -> list[tuple[int, float, int]]:
+def event_steps(scenario: Scenario, horizon: int) -> list[int]:
+    """The sorted steps in ``1..horizon-1`` at which the traffic can change.
+
+    Phase boundaries, toggle steps and population steps; at every other step
+    the rate and the population stay as they are.
+    """
+    phase1, phase2, toggle, pop = _schedule(scenario, horizon)
+    steps: set[int] = set()
+    if scenario.rate_switches:
+        steps.update((phase1, phase2))
+    if scenario.rate_toggles:
+        steps.update(range(toggle, horizon, toggle))
+    if scenario.population_drifts:
+        steps.update(range(pop, horizon, pop))
+    return sorted(s for s in steps if 0 < s < horizon)
+
+
+def trajectory(scenario: Scenario, horizon: int, seed: int) -> list[tuple[int, float, int]]:
     """Change-point rows (step, aggregate rate, population size).
 
     Row 0 is always present; later rows appear only when the rate or the
-    population changes, which keeps exports compact at long horizons.  Only
-    the steps that can change the state are visited; the rows are those of
-    advancing through every step.
+    population changes, which keeps exports compact at long horizons.  Each
+    of the ``event_steps`` applies its rate switch, then its toggles, then
+    its population draws; no other step can change the state.
     """
-    ss = ScenarioState.create(scenario, horizon, seed)
-    rows = [(0, ss.lam, ss.n_users)]
-    for s in ss.event_steps():
-        ss.advance_to(s)
-        last = rows[-1]
-        if ss.lam != last[1] or ss.n_users != last[2]:
-            rows.append((s, ss.lam, ss.n_users))
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    sc, uniform = scenario, rngmod.user_uniform
+    phase1, phase2, toggle, pop = _schedule(sc, horizon)
+    # (user id, on the high rate tier), always in the same order, so that
+    # equal populations sum to equal rates
+    users = [(uid, sc.rate_toggles and uniform(seed, "scenario-init", uid, 0) < 0.5)
+             for uid in range(sc.n_users)]
+    next_uid = sc.n_users
+
+    def rate() -> float:
+        return sum(sc.lambda_high if hi else sc.lambda_low for _, hi in users)
+
+    rows = [(0, rate(), len(users))]
+    for s in event_steps(sc, horizon):
+        if sc.rate_switches and s in (phase1, phase2):
+            users = [(uid, s == phase1) for uid, _ in users]
+        if sc.rate_toggles and s % toggle == 0:
+            users = [(uid, hi != (uniform(seed, "scenario-toggle", uid, s) < sc.toggle_prob))
+                     for uid, hi in users]
+        if sc.population_drifts and s % pop == 0:
+            kept = []
+            for uid, hi in users:
+                u = uniform(seed, "scenario-pop", uid, s)
+                if u < sc.leave_prob:
+                    continue
+                kept.append((uid, hi))
+                if u >= 1.0 - sc.add_prob:
+                    # the new device inherits its owner's current rate tier
+                    kept.append((next_uid, hi))
+                    next_uid += 1
+            users = kept
+        lam = rate()
+        if lam != rows[-1][1] or len(users) != rows[-1][2]:
+            rows.append((s, lam, len(users)))
     return rows
 
 

@@ -8,7 +8,9 @@ simulator's step are the plain loops over ``StepKernel.step`` that the
 fast paths must equal: ``windowed_replay`` for the windowed loop's trap
 fast-forward, and ``reference_salmut_train`` and
 ``reference_qlearning_train``, built from one helper call per learning
-step, for the trainers' fused per-arrival closures.
+step, for the trainers' fused per-arrival closures.  ``scenario_users``
+applies the traffic rules at every step, where ``scenarios.trajectory``
+visits only its event steps.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from edgeadmit.model import (
     Action, ChainTables, CostModel, ModelParams, NoEventError, ResourceDist, StepKernel,
 )
 from edgeadmit.salmut import SalmutConfig, TrainResult, _sigmoid, bias_correction
-from edgeadmit.scenarios import ScenarioState
+from edgeadmit.scenarios import Scenario
 
 
 class State(NamedTuple):
@@ -213,13 +215,54 @@ def moment_arrays(mom, shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return m, v, counts
 
 
+def scenario_users(scenario: Scenario, horizon: int, seed: int):
+    """Per step ``0..horizon-1``, the users ``[(uid, high tier)]`` once the step's events applied.
+
+    Every step is tested for each rule by its own phase and modulo test: the
+    rate switch of kinds 2 and 5 at the phase boundaries, then the toggles of
+    kinds 3 and 6, then the population draws of kinds 4 to 6.
+    """
+    kind, uniform = scenario.kind, rngmod.user_uniform
+    f1, f2 = scenario.phase_fractions
+    phase1, phase2 = round(f1 * horizon), round(f2 * horizon)
+    toggle_every = max(1, round(scenario.toggle_period_fraction * horizon))
+    pop_every = max(1, round(scenario.population_period_fraction * horizon))
+    users = [(uid, kind in (3, 6) and uniform(seed, "scenario-init", uid, 0) < 0.5)
+             for uid in range(scenario.n_users)]
+    next_uid = scenario.n_users
+    yield users
+    for t in range(1, horizon):
+        if kind in (2, 5) and t == phase1:
+            users = [(uid, True) for uid, _ in users]
+        elif kind in (2, 5) and t == phase2:
+            users = [(uid, False) for uid, _ in users]
+        if kind in (3, 6) and t % toggle_every == 0:
+            users = [(uid, not hi if uniform(seed, "scenario-toggle", uid, t)
+                      < scenario.toggle_prob else hi) for uid, hi in users]
+        if kind in (4, 5, 6) and t % pop_every == 0:
+            drawn = [(uid, hi, uniform(seed, "scenario-pop", uid, t)) for uid, hi in users]
+            users = []
+            for uid, hi, u in drawn:
+                if u >= scenario.leave_prob:
+                    users.append((uid, hi))
+                    if u >= 1.0 - scenario.add_prob:
+                        users.append((next_uid, hi))
+                        next_uid += 1
+        yield users
+
+
+def scenario_rates(scenario: Scenario, horizon: int, seed: int):
+    """Per step ``0..horizon-1``, ``(aggregate rate, population)`` from ``scenario_users``."""
+    lo, hi_rate = scenario.lambda_low, scenario.lambda_high
+    for users in scenario_users(scenario, horizon, seed):
+        yield sum(hi_rate if hi else lo for _, hi in users), len(users)
+
+
 def trace_draws(scenario, trace):
-    """``(lam, event_u, resource_u)`` per step of a shared trace, the rate advanced step by step."""
-    ss = ScenarioState.create(scenario, len(trace.z), trace.seed)
-    for t, (z, u) in enumerate(zip(trace.z.tolist(), trace.resource_u.tolist())):
-        if t:
-            ss.advance_to(t)
-        yield ss.lam, (lambda z=z: z), (lambda u=u: u)
+    """``(lam, event_u, resource_u)`` per step of a shared trace, ``lam`` from ``scenario_rates``."""
+    rates = scenario_rates(scenario, len(trace.z), trace.seed)
+    for (lam, _), z, u in zip(rates, trace.z.tolist(), trace.resource_u.tolist()):
+        yield lam, (lambda z=z: z), (lambda u=u: u)
 
 
 def windowed_replay(

@@ -57,11 +57,11 @@ from edgeadmit.model import (
 )
 from edgeadmit.rng import substream
 from edgeadmit.salmut import SalmutConfig, train
-from edgeadmit.scenarios import Scenario, ScenarioState
+from edgeadmit.scenarios import Scenario
 
 from oracles import (
     State, accept_probability, enumerate_optimal, f_gradient, recursion_policy_value,
-    relative_gap, transition_pmf,
+    relative_gap, trace_draws, transition_pmf,
 )
 
 LAM = 6.0
@@ -437,22 +437,16 @@ def _replay_until_trapped(policy, scenario, trace, chain):
     positive: ``delta(0) = 1``, so every event is an offloaded arrival.
     """
     kernel = StepKernel(chain)
-    ss = ScenarioState.create(scenario, len(trace.z), trace.seed)
     x, ell = 0, 0
     offloads = []
-    for t in range(len(trace.z)):
-        if t:
-            ss.advance_to(t)
+    # step t reads the trace's t-th event and resource draws
+    for t, (lam, event_u, resource_u) in enumerate(trace_draws(scenario, trace)):
         action = (
             Action.OFFLOAD if x == chain.params.buffer_capacity else Action(int(policy[x, ell]))
         )
         if x == 0 and action == Action.OFFLOAD:
             return t, offloads
-        # step t reads the trace's t-th event and resource draws
-        x, ell, a, _ = kernel.step(
-            x, ell, ss.lam, lambda *_: action, t,
-            iter([trace.z[t]]).__next__, iter([trace.resource_u[t]]).__next__,
-        )
+        x, ell, a, _ = kernel.step(x, ell, lam, lambda *_: action, t, event_u, resource_u)
         offloads.append(a == Action.OFFLOAD)
     return None, offloads
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -20,7 +21,7 @@ def test_default_config_validates_and_builds():
     cfg = cfgmod.load_config()
     exp = Experiment.from_config(cfg)
     assert exp.chain.params.buffer_capacity == 20
-    assert exp.planning_rate() == pytest.approx(6.0)
+    assert exp.scenario.initial_aggregate_rate() == pytest.approx(6.0)
     assert exp.chain.cm.running[6] == pytest.approx(-0.2)
     assert exp.chain.cm.penalty[2] == pytest.approx(10.0)
     assert exp.chain.cm.penalty[3] == pytest.approx(1.0)
@@ -308,6 +309,10 @@ def test_cli_train_fills_every_eval_point(tmp_path, monkeypatch, segments, learn
             ]
 
 
+# a placeholder for the JSON literal 1e400 in a config file's text
+OVERFLOW = "<1e400>"
+
+
 # each value is a wrong type or shape for its field, or out of its range
 @pytest.mark.parametrize("section,field,value", [
     ("resources", "pmf", ["a"]),
@@ -342,6 +347,33 @@ def test_cli_train_fills_every_eval_point(tmp_path, monkeypatch, segments, learn
     ("eval", "overload_level", 2.5),
     ("", "seeds", [True]),
     ("", "seeds", [-1]),
+    # non-finite numbers: json.dumps writes NaN, Infinity and -Infinity
+    pytest.param("costs", "running", [None] * 21, id="costs-running-null"),
+    pytest.param("costs", "penalty", [1.0] * 20 + [math.nan], id="costs-penalty-nan"),
+    pytest.param("costs", "running", [True] * 21, id="costs-running-true"),
+    pytest.param("learner.salmut", "decay_n0", -math.inf, id="salmut-decay-n0-minus-inf"),
+    pytest.param("model", "service_rate", OVERFLOW, id="model-service-rate-1e400"),
+    pytest.param("model", "service_rate", math.nan, id="model-service-rate-nan"),
+    pytest.param("learner.salmut", "temperature", math.nan, id="salmut-temperature-nan"),
+    pytest.param("", "scenario", {"kind": 2, "lambda_high": math.inf},
+                 id="scenario-2-lambda-high-inf"),
+    pytest.param("", "scenario", {"kind": 3, "toggle_period_fraction": math.nan},
+                 id="scenario-3-toggle-period-nan"),
+    # wrong types and ranges, each checked by the dataclass that reads it
+    pytest.param("", "scenario", {"kind": 4, "population_period_fraction": "x"},
+                 id="scenario-4-population-period-x"),
+    ("learner.salmut", "critic_epsilon", "x"),
+    ("learner.salmut", "critic_epsilon", 0),
+    ("learner.salmut", "critic_epsilon", -1),
+    ("learner.salmut", "actor_epsilon", -1),
+    ("learner.salmut", "initial_tau", 99),
+    ("learner.salmut", "paper_literal_sign", "no"),
+    ("learner.qlearning", "decay_kappa", "x"),
+    ("learner.qlearning", "decay_n0", 0),
+    ("", "output_dir", 5),
+    # tables that meet the monotone hypotheses, so that only the flag is wrong
+    pytest.param("", "costs", {"running": [0.0] * 21, "penalty": [1.0] * 21,
+                               "strict_monotone": "no"}, id="costs-strict-monotone-no"),
 ])
 def test_cli_wrong_config_value_is_input_error(tmp_path, section, field, value):
     cfg = json.loads(_desk_config(tmp_path).read_text())
@@ -350,7 +382,8 @@ def test_cli_wrong_config_value_is_input_error(tmp_path, section, field, value):
         owner = owner.setdefault(key, {})
     owner[field] = value
     cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps(cfg))
+    # json.dumps cannot write 1e400, which json.loads reads as inf
+    cfg_path.write_text(json.dumps(cfg).replace(json.dumps(OVERFLOW), "1e400"))
     for args in (["solve"], ["train", "--no-periodic-eval"]):
         result = CliRunner().invoke(main, [*args, "--config", str(cfg_path)])
         assert result.exit_code == 2, (args, result.output)

@@ -4,25 +4,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeadmit import rng as rngmod
-from edgeadmit.scenarios import Scenario, ScenarioState, rate_segments, trajectory
+from edgeadmit.scenarios import Scenario, event_steps, rate_segments, trajectory
+
+from oracles import scenario_rates
+
+
+def _step_rates(rows, horizon):
+    """The rate at every step ``0..horizon-1``, from ``trajectory``'s rows."""
+    return [lam for start, stop, lam in rate_segments(rows, horizon) for _ in range(start, stop)]
 
 
 def test_s1_aggregate_rate_default():
-    ss = ScenarioState.create(Scenario(kind=1), horizon=1000, seed=0)
-    assert ss.lam == pytest.approx(6.0)
+    [(step, lam, n_users)] = trajectory(Scenario(kind=1), 1000, seed=0)
+    assert (step, n_users) == (0, 24)
+    assert lam == pytest.approx(6.0)
 
 
 def test_s1_constant_over_steps():
-    ss = ScenarioState.create(Scenario(kind=1), horizon=5000, seed=0)
-    for _ in range(4999):
-        ss.advance_to(ss.step + 1)
-        assert ss.lam == pytest.approx(6.0)
-        assert ss.n_users == 24
+    # one row: the rate and the population never change over the horizon
+    assert trajectory(Scenario(kind=1), 5000, seed=0) == [(0, pytest.approx(6.0), 24)]
+    assert event_steps(Scenario(kind=1), 5000) == []
 
 
 def test_zero_users_zero_rate():
-    ss = ScenarioState.create(Scenario(kind=1, n_users=0), horizon=10, seed=0)
-    assert ss.lam == 0.0
+    for kind in range(1, 7):
+        assert trajectory(Scenario(kind=kind, n_users=0), 10, seed=0) == [(0, 0.0, 0)]
 
 
 def test_s2_three_phases_with_scaled_boundaries():
@@ -37,10 +43,8 @@ def test_s2_three_phases_with_scaled_boundaries():
 
 def test_s2_mid_phase_aggregate_is_high_tier():
     # 24 users at the high tier: 24 * 0.375 = 9
-    ss = ScenarioState.create(Scenario(kind=2), horizon=9000, seed=3)
-    for _ in range(4000):
-        ss.advance_to(ss.step + 1)
-    assert ss.lam == pytest.approx(9.0)
+    rows = trajectory(Scenario(kind=2), 9000, seed=3)
+    assert _step_rates(rows, 9000)[4000] == pytest.approx(9.0)
 
 
 def test_phase_boundaries_scale_with_horizon():
@@ -48,6 +52,7 @@ def test_phase_boundaries_scale_with_horizon():
         rows = trajectory(Scenario(kind=2), horizon, seed=5)
         steps = [r[0] for r in rows]
         assert steps == [0, horizon // 3, 2 * horizon // 3]
+        assert event_steps(Scenario(kind=2), horizon) == steps[1:]
 
 
 def test_s3_forced_toggle_flips_every_user(monkeypatch):
@@ -58,28 +63,24 @@ def test_s3_forced_toggle_flips_every_user(monkeypatch):
         return 0.0
 
     monkeypatch.setattr(rngmod, "user_uniform", zero_draw)
-    import edgeadmit.scenarios as sc
-
-    monkeypatch.setattr(sc.rngmod, "user_uniform", zero_draw)
-    ss = ScenarioState.create(Scenario(kind=3), horizon=1000, seed=9)
-    # draw 0.0 < 0.5 puts every user on the high tier initially
-    assert all(ss.tiers)
-    assert ss.lam == pytest.approx(24 * 0.375)
-    for _ in range(10):  # toggle period = 1% of horizon = 10 steps
-        ss.advance_to(ss.step + 1)
-    # all draws below the toggle probability: every user flips
-    assert not any(ss.tiers)
-    assert ss.lam == pytest.approx(24 * 0.25)
+    rows = trajectory(Scenario(kind=3), 1000, seed=9)
+    # draw 0.0 < 0.5 puts every user on the high tier initially; every draw
+    # lies below the toggle probability, so every user flips at each toggle
+    # step, 1% of the horizon = 10 steps apart
+    assert rows == [(0, pytest.approx(24 * 0.375), 24)] + [
+        (s, pytest.approx(24 * (0.25 if s % 20 else 0.375)), 24) for s in range(10, 1000, 10)
+    ]
+    assert calls[:24] == [("scenario-init", uid, 0) for uid in range(24)]
+    assert calls[24:48] == [("scenario-toggle", uid, 10) for uid in range(24)]
+    assert len(calls) == 24 * 100
 
 
 def test_s4_population_mean_preserved():
-    # per-user branching mean: 0.05 * 0 + 0.9 * 1 + 0.05 * 2 = 1
+    # per-user branching mean: 0.05 * 0 + 0.9 * 1 + 0.05 * 2 = 1; at horizon
+    # 2 the one population step is step 1, the period max(1, 0.1 * 2) = 1
     n_trials = 10_000
-    totals = []
-    for trial in range(n_trials):
-        ss = ScenarioState.create(Scenario(kind=4), horizon=10, seed=trial + 100_000)
-        ss.advance_to(ss.step + 1)  # population period = max(1, 0.1 * 10) = 1 step
-        totals.append(ss.n_users)
+    totals = [trajectory(Scenario(kind=4), 2, seed=trial + 100_000)[-1][2]
+              for trial in range(n_trials)]
     mean = np.mean(totals)
     var_per_user = 0.05 * 0 + 0.9 * 1 + 0.05 * 4 - 1.0
     sigma = (24 * var_per_user / n_trials) ** 0.5
@@ -87,59 +88,53 @@ def test_s4_population_mean_preserved():
 
 
 def test_s4_spawned_device_inherits_tier(monkeypatch):
-    import edgeadmit.scenarios as sc
-
-    def add_draw(seed, domain, uid, step):
+    def draw(seed, domain, uid, step):
+        if domain == "scenario-init":
+            return 0.0 if uid == 0 else 0.9  # user 0 alone starts high
         if domain == "scenario-pop" and uid == 0:
-            return 0.99  # spawn
-        return 0.5  # stay
+            return 0.99  # user 0 spawns a device at every population step
+        return 0.5  # no toggle, no departure, no spawn
 
-    monkeypatch.setattr(sc.rngmod, "user_uniform", add_draw)
+    monkeypatch.setattr(rngmod, "user_uniform", draw)
     scenario = Scenario(kind=6)  # toggling + population drift
-    ss = ScenarioState.create(scenario, horizon=100, seed=11)
-    ss.tiers = [True] + [False] * 23  # force user 0 high
-    ss._recompute_rate()
-    for _ in range(10):
-        ss.advance_to(ss.step + 1)
-    assert ss.n_users >= 25
-    spawned_idx = ss.uids.index(24)
-    parent_idx = ss.uids.index(0)
-    assert ss.tiers[spawned_idx] == ss.tiers[parent_idx]
+    rows = trajectory(scenario, 100, seed=11)
+    # population steps every 10 steps: each adds one high-tier device
+    assert rows == [
+        (s, pytest.approx((1 + k) * 0.375 + 23 * 0.25), 24 + k)
+        for k, s in enumerate(range(0, 100, 10))
+    ]
 
 
 def test_per_user_independence():
-    # user 5's draws never affect user 6's trajectory: replaying the same
-    # scenario with user 5 removed leaves user 6's tier flips unchanged
+    # on kind 3 the rate that user k adds, the trajectory with users 0..k
+    # minus the one with users 0..k-1, is the series rebuilt from user k's
+    # own draws alone: no other user's draws reach it
+    horizon, seed, k = 2000, 17, 6
     scenario = Scenario(kind=3)
-    horizon = 2000
-    seed = 17
+    toggle_every = round(scenario.toggle_period_fraction * horizon)
 
-    def tier_series(uids):
-        ss = ScenarioState.create(scenario, horizon, seed)
-        keep = [i for i, uid in enumerate(ss.uids) if uid in uids]
-        ss.uids = [ss.uids[i] for i in keep]
-        ss.tiers = [ss.tiers[i] for i in keep]
-        ss._recompute_rate()
-        series = []
-        for _ in range(horizon - 1):
-            ss.advance_to(ss.step + 1)
-            series.append(ss.tiers[ss.uids.index(6)])
-        return series
+    def rates(n_users):
+        rows = trajectory(Scenario(kind=3, n_users=n_users), horizon, seed)
+        return _step_rates(rows, horizon)
 
-    with_five = tier_series({5, 6})
-    without_five = tier_series({6})
-    assert with_five == without_five
+    added = [a - b for a, b in zip(rates(k + 1), rates(k))]
+    high = rngmod.user_uniform(seed, "scenario-init", k, 0) < 0.5
+    rebuilt = []
+    for t in range(horizon):
+        if t and t % toggle_every == 0:
+            high ^= rngmod.user_uniform(seed, "scenario-toggle", k, t) < scenario.toggle_prob
+        rebuilt.append(scenario.lambda_high if high else scenario.lambda_low)
+    assert added == rebuilt
+    assert len(set(rebuilt)) == 2  # user k toggles at least once
 
 
 def test_aggregate_matches_recomputed_sum():
-    scenario = Scenario(kind=6)
-    ss = ScenarioState.create(scenario, horizon=5000, seed=23)
-    for _ in range(4999):
-        ss.advance_to(ss.step + 1)
-        expected = sum(
-            scenario.lambda_high if hi else scenario.lambda_low for hi in ss.tiers
-        )
-        assert ss.lam == pytest.approx(expected, abs=1e-12)
+    # every step's rate equals the per-step reference's sum over its users
+    scenario, horizon = Scenario(kind=6), 5000
+    rows = trajectory(scenario, horizon, seed=23)
+    expected = list(scenario_rates(scenario, horizon, seed=23))
+    assert _step_rates(rows, horizon) == [lam for lam, _ in expected]
+    assert len(rows) > 50
 
 
 def test_trajectory_deterministic_per_seed():
@@ -157,27 +152,17 @@ def test_scenario_validation():
         Scenario(leave_prob=0.5, stay_prob=0.5, add_prob=0.5)
     with pytest.raises(ValueError):
         Scenario(lambda_low=0.5, lambda_high=0.25)
-
-
-def test_advance_to_moves_forward_only():
-    ss = ScenarioState.create(Scenario(kind=2), horizon=9000, seed=3)
-    ss.advance_to(3000)  # the first phase boundary
-    assert ss.step == 3000 and ss.lam == pytest.approx(24 * 0.375)
-    for back in (3000, 2999):
-        with pytest.raises(ValueError):
-            ss.advance_to(back)
+    with pytest.raises(ValueError):
+        trajectory(Scenario(), 0, seed=0)
 
 
 def _stepwise_trajectory(scenario, horizon, seed):
-    """``trajectory``'s rows and every step's rate, by advancing through every step."""
-    ss = ScenarioState.create(scenario, horizon, seed)
-    rows = [(0, ss.lam, ss.n_users)]
-    rates = [ss.lam]
-    for _ in range(horizon - 1):
-        ss.advance_to(ss.step + 1)
-        rates.append(ss.lam)
-        if ss.lam != rows[-1][1] or ss.n_users != rows[-1][2]:
-            rows.append((ss.step, ss.lam, ss.n_users))
+    """``trajectory``'s rows and every step's rate, from the per-step reference."""
+    rows, rates = [], []
+    for t, (lam, n_users) in enumerate(scenario_rates(scenario, horizon, seed)):
+        rates.append(lam)
+        if not rows or lam != rows[-1][1] or n_users != rows[-1][2]:
+            rows.append((t, lam, n_users))
     return rows, rates
 
 
@@ -194,9 +179,11 @@ def test_trajectory_matches_stepwise_replay(kind, horizon, seed, toggle, populat
                         population_period_fraction=population)
     rows, rates = _stepwise_trajectory(scenario, horizon, seed)
     assert trajectory(scenario, horizon, seed) == rows
+    # every change row lies on an event step
+    assert {s for s, _, _ in rows[1:]} <= set(event_steps(scenario, horizon))
     segments = rate_segments(rows, horizon)
     # the segments tile 0..horizon in order, with no gap and no empty segment
     assert [start for start, _, _ in segments] == [0] + [stop for _, stop, _ in segments[:-1]]
     assert segments[-1][1] == horizon
     assert all(start < stop for start, stop, _ in segments)
-    assert [lam for start, stop, lam in segments for _ in range(start, stop)] == rates
+    assert _step_rates(rows, horizon) == rates
