@@ -10,12 +10,11 @@ Outputs land under the config's output_dir, one subtree per scenario.
 """
 
 import argparse
-import json
-import os
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
+
+from edgeadmit.config import ConfigError, load_config
 
 
 def run(args: list[str]) -> None:
@@ -45,32 +44,24 @@ def main() -> None:
                     help="scale every command's training horizon (see `edgeadmit --help`)")
     ns = ap.parse_args()
 
-    base = json.loads(Path(ns.config).read_text())
-    root = Path(base.get("output_dir", "runs"))
+    try:
+        root = Path(load_config(ns.config)["output_dir"])
+    except ConfigError as exc:
+        print(f"run_study: {exc}", file=sys.stderr)
+        sys.exit(2)
     for kind in ns.scenarios:
         out = root / f"scenario_{kind}"
-        cfg = dict(base)
-        cfg["output_dir"] = str(out)
-        cfg["scenario"] = {**cfg.get("scenario", {}), "kind": kind}
-        with tempfile.NamedTemporaryFile(
-            "w", suffix=".json", delete=False
-        ) as fh:
-            json.dump(cfg, fh)
-            cfg_path = fh.name
-        common = ["--config", cfg_path]
+        common = ["--config", ns.config, "--scenario", str(kind), "--out", str(out)]
         if ns.horizon_scale is not None:
             common += ["--horizon-scale", repr(ns.horizon_scale)]
-        try:
-            run(["solve", *common])
-            run(["train", *common, "--learner", "salmut"])
-            run(["train", *common, "--learner", "qlearning"])
-            compare_args = ["compare", *common]
-            if ns.trace_length is not None:
-                compare_args += ["--trace-length", str(ns.trace_length)]
-            run(compare_args)
-            run(["evaluate", *common, "--curves-from", str(out / "salmut")])
-        finally:
-            os.unlink(cfg_path)
+        run(["solve", *common])
+        run(["train", *common, "--learner", "salmut"])
+        run(["train", *common, "--learner", "qlearning"])
+        compare_args = ["compare", *common]
+        if ns.trace_length is not None:
+            compare_args += ["--trace-length", str(ns.trace_length)]
+        run(compare_args)
+        run(["evaluate", *common, "--curves-from", str(out / "salmut")])
         print(f"scenario {kind}: outputs under {out}")
 
 

@@ -21,7 +21,7 @@ from . import artifacts, config as cfgmod, dp, evaluate as ev, learners, salmut
 from .artifacts import ArtifactError
 from .config import ConfigError, Experiment
 from .dp import SolverError
-from .model import NoEventError, finite
+from .model import NoEventError
 from .scenarios import rate_segments, trajectory
 
 
@@ -120,8 +120,6 @@ def train(config_path, seed, out, scenario, horizon_scale, learner, no_periodic_
     def body():
         exp = _load_experiment(config_path, seed, out, scenario, horizon_scale, learner)
         kind = exp.raw["learner"]["kind"]
-        if kind not in ("salmut", "qlearning"):
-            raise ConfigError("learner.kind", "train requires salmut or qlearning")
         out_dir = exp.output_dir / kind
         horizon = exp.raw["learner"]["horizon"]
         curves = []
@@ -158,6 +156,7 @@ def _train_seed(exp: Experiment, kind: str, periodic_eval: bool, s: int):
         art = artifacts.policy_artifact(
             "salmut", exp.raw, seed=s,
             tau=result.tau.tolist(), temperature=exp.salmut.temperature,
+            policy=ev.policy_table(exp.chain.params, tau=result.tau).tolist(),
         )
     else:
         result = learners.qlearning_train(segments, exp.chain, exp.qlearning, s)
@@ -251,45 +250,26 @@ def _seed_results(fn, seeds):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-# the artifact field each policy kind is built from
-_POLICY_FIELDS = {"salmut": "tau", "qlearning": "policy", "dp": "policy", "baseline": "accept_below"}
-
-
-def _tau_vector(value) -> np.ndarray:
-    """A salmut artifact's ``tau``, which must be a list of finite numbers."""
-    if isinstance(value, list) and all(map(finite, value)):
-        return np.array(value, dtype=float)
-    raise ArtifactError("salmut policy artifact field 'tau' must be a list of finite numbers")
-
-
-def _policy_from_artifact(art: dict, exp: Experiment) -> np.ndarray:
-    kind = art.get("kind")
-    if kind not in _POLICY_FIELDS:
-        raise ArtifactError(f"unknown policy kind {kind!r}")
-    name = _POLICY_FIELDS[kind]
-    value = art.get(name)
+def _load_policy(path: Path, exp: Experiment) -> tuple[str, np.ndarray]:
+    """The kind and action table of the policy artifact at ``path``, which
+    must be of ``exp``'s chain and carry a ``policy`` table of 0s and 1s."""
+    art = artifacts.load_artifact(path, artifacts.POLICY_SCHEMA,
+                                  chain_sha=artifacts.chain_hash(exp.raw))
+    kind, value = art.get("kind"), art.get("policy")
+    if kind not in ("dp", "salmut", "qlearning"):
+        raise ArtifactError(f"{path}: unknown policy kind {kind!r}")
     # a null field would leave the table without its source
     if value is None:
-        raise ArtifactError(f"{kind} policy artifact lacks its field {name!r}")
-    if kind == "salmut":
-        value = _tau_vector(value)
-    elif kind == "baseline" and type(value) is not int:  # bool is no integer either
-        raise ArtifactError("baseline policy artifact field 'accept_below' must be an integer")
-    elif kind in ("qlearning", "dp") and not (
-        isinstance(value, list)
-        and all(isinstance(row, list) and all(type(a) is int and a in (0, 1) for a in row)
-                for row in value)
-    ):
-        raise ArtifactError(f"{kind} policy artifact field 'policy' must be a table of 0s and 1s")
+        raise ArtifactError(f"{path}: {kind} policy artifact lacks its field 'policy'")
+    if not (isinstance(value, list)
+            and all(isinstance(row, list) and all(type(a) is int and a in (0, 1) for a in row)
+                    for row in value)):
+        raise ArtifactError(f"{path}: {kind} policy artifact field 'policy' must be a table "
+                            "of 0s and 1s")
     try:
-        if kind == "salmut":
-            return ev.policy_table(exp.chain.params, tau=value)
-        if kind == "baseline":
-            bp = learners.BaselinePolicy(value)
-            return ev.policy_table(exp.chain.params, accept_below=bp.accept_below)
-        return ev.policy_table(exp.chain.params, actions=value)
+        return kind, ev.policy_table(exp.chain.params, actions=value)
     except ValueError as exc:
-        raise ArtifactError(str(exc)) from None
+        raise ArtifactError(f"{path}: {exc}") from None
 
 
 @main.command()
@@ -332,19 +312,17 @@ def evaluate(config_path, seed, out, scenario, horizon_scale, artifact_path,
             click.echo(f"training_curve.csv: {len(rows)} points")
             did_something = True
         if artifact_path is not None:
-            art = artifacts.load_artifact(Path(artifact_path), artifacts.POLICY_SCHEMA,
-                                          chain_sha=artifacts.chain_hash(exp.raw))
-            policy = _policy_from_artifact(art, exp)
+            kind, policy = _load_policy(Path(artifact_path), exp)
             lam = exp.scenario.initial_aggregate_rate()
             report = ev.evaluate(policy, exp.eval_config, lam, exp.chain, seed=exp.seeds[0])
             out_dir = exp.output_dir / "eval"
             artifacts.write_json(out_dir / "report.json", {
-                "kind": art["kind"], **dataclasses.asdict(report), "lambda": lam,
+                "kind": kind, **dataclasses.asdict(report), "lambda": lam,
                 "config_sha256": artifacts.config_hash(exp.raw),
             })
             artifacts.write_manifest(out_dir / "manifest.json", "evaluate", exp.raw, exp.seeds)
             click.echo(
-                f"{art['kind']}: mean={report.mean!r} median={report.median!r} "
+                f"{kind}: mean={report.mean!r} median={report.median!r} "
                 f"q1={report.q1!r} q3={report.q3!r}"
             )
             did_something = True
@@ -382,21 +360,21 @@ def _aggregate_curves_from_dir(root: Path):
 def compare(config_path, seed, out, scenario, horizon_scale, trace_seed, trace_length):
     """Run planner, learners and baseline on one shared trace; emit metrics CSVs.
 
-    Expects dp/solution.json plus salmut and qlearning seed_*/policy.json
-    artifacts under the output directory (from `solve` and `train`).
+    Reads the policy artifacts dp/policy.json (from `solve`) and
+    salmut/seed_<s>/policy.json and qlearning/seed_<s>/policy.json (from
+    `train`, ``s`` the first seed) under the output directory; the baseline
+    comes from the config's learner.baseline.
     """
 
     def body():
         exp = _load_experiment(config_path, seed, out, scenario, horizon_scale)
         root = exp.output_dir
-        chain_sha = artifacts.chain_hash(exp.raw)
-        sol = artifacts.load_artifact(root / "dp" / "solution.json", artifacts.SOLUTION_SCHEMA,
-                                      chain_sha=chain_sha)
-        policies = {"dp": _policy_from_artifact(dict(sol, kind="dp"), exp)}
-        for kind in ("salmut", "qlearning"):
-            art_path = root / kind / f"seed_{exp.seeds[0]}" / "policy.json"
-            art = artifacts.load_artifact(art_path, artifacts.POLICY_SCHEMA, chain_sha=chain_sha)
-            policies[kind] = _policy_from_artifact(art, exp)
+        seed_dir = f"seed_{exp.seeds[0]}"
+        policies = {kind: _load_policy(root / path, exp)[1] for kind, path in (
+            ("dp", "dp/policy.json"),
+            ("salmut", f"salmut/{seed_dir}/policy.json"),
+            ("qlearning", f"qlearning/{seed_dir}/policy.json"),
+        )}
         policies["baseline"] = ev.policy_table(
             exp.chain.params, accept_below=exp.baseline.accept_below
         )

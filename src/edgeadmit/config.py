@@ -155,11 +155,7 @@ def validate_config(cfg: dict) -> None:
     _expect(abs(sum(pmf) - 1.0) <= 1e-12, "resources.pmf", "must sum to 1")
     _expect(all(p >= 0 for p in pmf), "resources.pmf", "entries must be >= 0")
     lk = cfg["learner"]["kind"]
-    _expect(
-        lk in ("salmut", "qlearning", "baseline", "dp"),
-        "learner.kind",
-        "must be one of salmut|qlearning|baseline|dp",
-    )
+    _expect(lk in ("salmut", "qlearning"), "learner.kind", "must be one of salmut|qlearning")
     seeds = cfg["seeds"]
     _expect(
         isinstance(seeds, list) and seeds and all(type(s) is int and s >= 0 for s in seeds),
@@ -174,6 +170,7 @@ def validate_config(cfg: dict) -> None:
     _expect(finite(tol) and tol > 0, "solver.tol", "must be a number > 0")
     _expect(type(max_iter) is int and max_iter >= 1, "solver.max_iter", "must be an integer >= 1")
     _expect(type(cfg["solver"]["self_loop"]) is bool, "solver.self_loop", "must be a boolean")
+    _expect(isinstance(cfg["output_dir"], str), "output_dir", "must be a string")
 
 
 def _wrap(path: str, fn, *args, **kwargs):
@@ -228,7 +225,7 @@ class Experiment:
             qlearning=_wrap("learner.qlearning", QLearningConfig, **common, **lrn["qlearning"]),
             baseline=_wrap("learner.baseline", BaselinePolicy, **lrn["baseline"]),
             seeds=tuple(cfg["seeds"]),
-            output_dir=_wrap("output_dir", Path, cfg["output_dir"]),
+            output_dir=Path(cfg["output_dir"]),
         )
         X, L = exp.chain.params.buffer_capacity, exp.chain.params.cpu_levels
         for path, (x, ell) in (("learner.start_state", exp.salmut.start_state),

@@ -161,6 +161,9 @@ class QLearningConfig:
             raise ValueError("rate must lie in (0, 1]")
         if self.decay_n0 <= 0:
             raise ValueError("decay_n0 must be > 0")
+        # a negative exponent would grow the step size with the arrival count
+        if self.decay_kappa < 0:
+            raise ValueError("decay_kappa must be >= 0")
         if self.rate_mode not in ("constant", "decay"):
             raise ValueError("rate_mode must be 'constant' or 'decay'")
         for name in ("epsilon_start", "epsilon_end"):

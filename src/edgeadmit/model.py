@@ -145,6 +145,8 @@ class CostModel:
         pen = np.asarray(self.penalty, dtype=float)
         if run.ndim != 1 or pen.ndim != 1 or run.shape != pen.shape:
             raise ValueError("running and penalty must be 1-D tables of equal length")
+        if not (np.isfinite(self.holding) and np.isfinite(run).all() and np.isfinite(pen).all()):
+            raise ValueError("holding, running and penalty must be finite")
         run.setflags(write=False)
         pen.setflags(write=False)
         object.__setattr__(self, "running", run)
@@ -175,6 +177,8 @@ class ResourceDist:
         pmf = np.asarray(self.pmf, dtype=float)
         if pmf.ndim != 1 or len(pmf) == 0:
             raise ValueError("pmf must be a non-empty 1-D table")
+        if not np.isfinite(pmf).all():
+            raise ValueError("pmf entries must be finite")
         if np.any(pmf < 0):
             raise ValueError("pmf entries must be >= 0")
         if abs(pmf.sum() - 1.0) > 1e-12:

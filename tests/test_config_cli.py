@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 from edgeadmit import cli, config as cfgmod, evaluate as evaluate_module, learners, salmut
 from edgeadmit.artifacts import chain_hash
-from edgeadmit.cli import _policy_from_artifact, main
+from edgeadmit.cli import _load_policy, main
 from edgeadmit.config import ConfigError, Experiment
+from edgeadmit.dp import greedy_policy
 from edgeadmit.model import ChainTables, ModelParams
 from edgeadmit.scenarios import Scenario
 
@@ -369,8 +371,10 @@ OVERFLOW = "<1e400>"
     ("learner.salmut", "initial_tau", 99),
     ("learner.salmut", "paper_literal_sign", "no"),
     ("learner.qlearning", "decay_kappa", "x"),
+    ("learner.qlearning", "decay_kappa", -1),
     ("learner.qlearning", "decay_n0", 0),
     ("", "output_dir", 5),
+    ("learner", "kind", "dp"),
     # tables that meet the monotone hypotheses, so that only the flag is wrong
     pytest.param("", "costs", {"running": [0.0] * 21, "penalty": [1.0] * 21,
                                "strict_monotone": "no"}, id="costs-strict-monotone-no"),
@@ -416,7 +420,7 @@ def test_cli_artifacts_from_another_chain_are_input_errors(tmp_path):
     runs = tmp_path / "runs"
     salmut_policy = runs / "salmut" / "seed_0" / "policy.json"
     for args, artifact in (
-        (["compare"], runs / "dp" / "solution.json"),
+        (["compare"], runs / "dp" / "policy.json"),
         (["evaluate", "--artifact", str(salmut_policy)], salmut_policy),
     ):
         result = runner.invoke(main, [*args, "--config", str(other)])
@@ -488,17 +492,16 @@ def test_cli_compare_end_to_end(tmp_path):
     exp = Experiment.from_config(cfgmod.load_config(cfg_path))
     trace = evaluate_module.EventTrace.generate(1234, 2000)
     runs = tmp_path / "runs"
-    artifacts = {
-        "dp": dict(json.loads((runs / "dp" / "solution.json").read_text()), kind="dp"),
-        "salmut": json.loads((runs / "salmut" / "seed_0" / "policy.json").read_text()),
-        "qlearning": json.loads((runs / "qlearning" / "seed_0" / "policy.json").read_text()),
-        "baseline": {"kind": "baseline", "accept_below": exp.baseline.accept_below},
+    tables = {
+        "baseline": evaluate_module.policy_table(exp.chain.params,
+                                                 accept_below=exp.baseline.accept_below),
     }
+    for path in (runs / "dp", runs / "salmut" / "seed_0", runs / "qlearning" / "seed_0"):
+        kind, tables[kind] = _load_policy(path / "policy.json", exp)
     totals = json.loads((out / "summary.json").read_text())["totals"]
-    for name, art in artifacts.items():
+    for name, table in tables.items():
         _, _, trap_step = windowed_replay(
-            _policy_from_artifact(art, exp), trace_draws(exp.scenario, trace),
-            exp.chain, exp.eval_config.initial_state,
+            table, trace_draws(exp.scenario, trace), exp.chain, exp.eval_config.initial_state,
         )
         assert totals[name]["trap_step"] == trap_step, name
         assert set(totals[name]) == {"c_ov", "c_off", "trap_step"}
@@ -521,6 +524,51 @@ def test_cli_evaluate_artifact(tmp_path):
     report = json.loads((tmp_path / "runs" / "eval" / "report.json").read_text())
     assert report["kind"] == "dp"
     assert report["n_rollouts"] == 8
+
+
+def test_cli_policy_artifacts_carry_their_action_tables(tmp_path):
+    # every policy.json carries the table its learner or the planner acts by,
+    # and evaluate --artifact scores a SALMUT artifact as its threshold vector
+    runner = CliRunner()
+    cfg_path = _desk_config(tmp_path)
+    for args in (["solve"], ["train", "--learner", "salmut", "--no-periodic-eval"],
+                 ["train", "--learner", "qlearning", "--no-periodic-eval"]):
+        assert runner.invoke(main, [*args, "--config", str(cfg_path)]).exit_code == 0
+    runs = tmp_path / "runs"
+    exp = Experiment.from_config(cfgmod.load_config(cfg_path))
+    params = exp.chain.params
+    sol = json.loads((runs / "dp" / "solution.json").read_text())
+    assert json.loads((runs / "dp" / "policy.json").read_text())["policy"] == sol["policy"]
+    for s in exp.seeds:
+        art = json.loads((runs / "salmut" / f"seed_{s}" / "policy.json").read_text())
+        assert art["policy"] == evaluate_module.policy_table(params, tau=art["tau"]).tolist()
+        art = json.loads((runs / "qlearning" / f"seed_{s}" / "policy.json").read_text())
+        greedy = greedy_policy(np.array(art["q"]), params.buffer_capacity)
+        assert art["policy"] == greedy.tolist()
+    salmut_path = runs / "salmut" / "seed_0" / "policy.json"
+    result = runner.invoke(main, ["evaluate", "--config", str(cfg_path),
+                                  "--artifact", str(salmut_path)])
+    assert result.exit_code == 0, result.output
+    report = json.loads((runs / "eval" / "report.json").read_text())
+    tau = json.loads(salmut_path.read_text())["tau"]
+    lam = exp.scenario.initial_aggregate_rate()
+    expected = evaluate_module.evaluate(evaluate_module.policy_table(params, tau=tau),
+                                        exp.eval_config, lam, exp.chain, seed=exp.seeds[0])
+    assert (report["kind"], report["mean"]) == ("salmut", expected.mean)
+
+
+def test_cli_evaluate_baseline_artifact_is_input_error(tmp_path):
+    # the baseline is no artifact kind: compare builds it from learner.baseline
+    cfg_path = _desk_config(tmp_path)
+    art = tmp_path / "policy.json"
+    art.write_text(json.dumps({"schema": "edgeadmit/policy/1", "kind": "baseline",
+                               "config_sha256": "", "chain_sha256": _chain_sha(cfg_path),
+                               "accept_below": 18}))
+    result = CliRunner().invoke(main, ["evaluate", "--config", str(cfg_path),
+                                       "--artifact", str(art)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == f"{art}: unknown policy kind 'baseline'\n"
 
 
 def test_cli_train_population_extinction_is_numeric_failure(tmp_path):
@@ -576,12 +624,13 @@ def test_cli_evaluate_invalid_json_is_input_error(tmp_path):
     assert f"{art}: not a JSON artifact" in result.output
 
 
-@pytest.mark.parametrize("tau", ["missing", None])
-def test_cli_evaluate_missing_policy_field_is_input_error(tmp_path, tau):
-    # a null field counts as missing: it would build the all-offload table
+@pytest.mark.parametrize("policy", ["missing", None])
+def test_cli_evaluate_missing_policy_field_is_input_error(tmp_path, policy):
+    # a null field counts as missing; a salmut artifact that carries only its
+    # threshold vector `tau` is refused the same way
     cfg_path = _desk_config(tmp_path)
     art = tmp_path / "policy.json"
-    fields = {} if tau == "missing" else {"tau": tau}
+    fields = {"tau": [10.5] * 21} if policy == "missing" else {"policy": policy}
     art.write_text(json.dumps({"schema": "edgeadmit/policy/1", "kind": "salmut",
                                "config_sha256": "", "chain_sha256": _chain_sha(cfg_path),
                                **fields}))
@@ -589,16 +638,12 @@ def test_cli_evaluate_missing_policy_field_is_input_error(tmp_path, tau):
                                        "--artifact", str(art)])
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
-    assert "salmut policy artifact lacks its field 'tau'" in result.output
+    assert "salmut policy artifact lacks its field 'policy'" in result.output
 
 
-# one valid policy field per artifact kind
-_VALID_FIELDS = {
-    "salmut": ("tau", [10.5] * 21),
-    "baseline": ("accept_below", 18),
-    "qlearning": ("policy", [[0] * 18 + [1] * 3] * 21),
-    "dp": ("policy", [[0] * 18 + [1] * 3] * 21),
-}
+# the kinds of policy artifact, each read from its action table `policy`
+_POLICY_KINDS = ("dp", "qlearning", "salmut")
+_VALID_TABLE = [[0] * 18 + [1] * 3] * 21
 
 # right-shaped action tables whose entries are no action: none may score as offload
 _MALFORMED_TABLES = [
@@ -626,51 +671,54 @@ def _evaluate_policy_artifact(root, kind, value):
     art = root / "policy.json"
     art.write_text(json.dumps({"schema": "edgeadmit/policy/1", "kind": kind,
                                "config_sha256": "", "chain_sha256": _chain_sha(cfg),
-                               _VALID_FIELDS[kind][0]: value}))
+                               "policy": value}))
     return CliRunner().invoke(main, ["evaluate", "--config", str(cfg), "--artifact", str(art)])
 
 
-@pytest.mark.parametrize("kind", sorted(_VALID_FIELDS))
+@pytest.mark.parametrize("kind", _POLICY_KINDS)
 def test_cli_evaluate_valid_policy_fields(tmp_path, kind):
-    result = _evaluate_policy_artifact(tmp_path, kind, _VALID_FIELDS[kind][1])
+    result = _evaluate_policy_artifact(tmp_path, kind, _VALID_TABLE)
     assert result.exit_code == 0, result.output
 
 
 @pytest.mark.parametrize("kind, value", [
+    # values that are no table: threshold vectors and accept-below integers
     ("salmut", 5), ("salmut", {"a": 1}), ("salmut", [1.0] * 20 + [True]),
     ("salmut", [float("nan")] * 21), ("salmut", [10**400] * 21),
-    ("baseline", "x"), ("baseline", [1]), ("baseline", 2.5), ("baseline", True),
+    ("dp", "x"), ("dp", [1]), ("qlearning", 2.5), ("qlearning", True),
     *((kind, table) for kind in ("dp", "qlearning") for table in _MALFORMED_TABLES),
+    *(("salmut", table) for table in _MALFORMED_TABLES),
 ])
 def test_cli_evaluate_malformed_policy_field_is_input_error(tmp_path, kind, value):
     result = _evaluate_policy_artifact(tmp_path, kind, value)
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
-    assert repr(_VALID_FIELDS[kind][0]) in result.output
+    assert "'policy'" in result.output
 
 
 @settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(sorted(_VALID_FIELDS)), value=_json_values)
+@given(kind=st.sampled_from(_POLICY_KINDS), value=_json_values)
 @example(kind="salmut", value=5)
 @example(kind="salmut", value={"a": 1})
 @example(kind="salmut", value=[float("nan")] * 21)
 @example(kind="salmut", value=[10**400] * 21)
-@example(kind="baseline", value="x")
-@example(kind="baseline", value=[1])
-@example(kind="baseline", value=2.5)
-@example(kind="baseline", value=True)
+@example(kind="salmut", value=_MALFORMED_TABLES[2])
+@example(kind="dp", value="x")
+@example(kind="dp", value=[1])
+@example(kind="qlearning", value=2.5)
+@example(kind="qlearning", value=True)
 @example(kind="dp", value=_MALFORMED_TABLES[0])
 @example(kind="dp", value=_MALFORMED_TABLES[2])
 @example(kind="qlearning", value=_MALFORMED_TABLES[0])
 @example(kind="qlearning", value=_MALFORMED_TABLES[2])
 def test_cli_evaluate_any_policy_field_exits_cleanly(tmp_path_factory, kind, value):
-    # whatever JSON value stands in a policy artifact's field, evaluate
-    # either scores the policy or rejects the artifact as an input error
+    # whatever JSON value stands in a policy artifact's `policy` field,
+    # evaluate either scores the policy or rejects the artifact as an input error
     result = _evaluate_policy_artifact(tmp_path_factory.mktemp("artifact"), kind, value)
     assert result.exit_code in (0, 2), (result.output, result.exception)
     if result.exit_code == 2:
         assert isinstance(result.exception, SystemExit)
-    elif kind in ("dp", "qlearning"):
+    else:
         # a table is scored only when every entry is an action
         assert all(type(a) is int and a in (0, 1) for row in value for a in row)
 

@@ -320,3 +320,19 @@ def test_resource_dist_validation():
         ResourceDist(pmf=[1.2, -0.2])
     rd = ResourceDist(pmf=[0.25, 0.25, 0.5])
     assert rd.support() == [(1, 0.25), (2, 0.25), (3, 0.5)]
+
+
+@pytest.mark.parametrize("pmf", [[np.nan], [0.5, np.nan, 0.5], [np.inf, -np.inf]])
+def test_resource_dist_rejects_non_finite_entries(pmf):
+    with pytest.raises(ValueError, match="finite"):
+        ResourceDist(pmf=pmf)
+
+
+@pytest.mark.parametrize("holding, running, penalty", [
+    (np.nan, [0.0, 1.0], [1.0, 1.0]),
+    (0.1, [0.0, np.nan], [1.0, 1.0]),
+    (0.1, [0.0, 1.0], [np.inf, 1.0]),
+])
+def test_cost_model_rejects_non_finite_entries(holding, running, penalty):
+    with pytest.raises(ValueError, match="finite"):
+        CostModel(holding=holding, running=running, penalty=penalty)

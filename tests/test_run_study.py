@@ -49,7 +49,23 @@ def test_failing_command_ends_the_study_with_its_code(run_study, monkeypatch, ca
     assert exit_info.value.code == 3
     assert [args[0] for args in run_study.calls] == ["solve", "train", "train"]
     [line] = capsys.readouterr().err.splitlines()
-    temp_config = run_study.calls[-1][2]
-    assert line == (f"run_study: `edgeadmit train --config {temp_config} --learner qlearning` "
-                    "exited 3")
-    assert not Path(temp_config).exists()
+    out = tmp_path / "runs" / "scenario_3"
+    assert line == (f"run_study: `edgeadmit train --config {cfg} --scenario 3 --out {out} "
+                    "--learner qlearning` exited 3")
+
+
+@pytest.mark.parametrize("config, error", [
+    ({"modle": {}}, "config error at modle: unknown key"),
+    ({"output_dir": 5}, "config error at output_dir: must be a string"),
+])
+def test_config_that_does_not_load_ends_the_study_before_any_command(run_study, monkeypatch,
+                                                                     capsys, tmp_path,
+                                                                     config, error):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    monkeypatch.setattr(sys, "argv", ["run_study.py", "--config", str(cfg)])
+    with pytest.raises(SystemExit) as exit_info:
+        run_study.main()
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == f"run_study: {error}\n"
+    assert run_study.calls == []
