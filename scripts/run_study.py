@@ -12,9 +12,9 @@ Outputs land under the config's output_dir, one subtree per scenario.
 import argparse
 import subprocess
 import sys
-from pathlib import Path
+import warnings
 
-from edgeadmit.config import ConfigError, load_config
+from edgeadmit.config import ConfigError, Experiment, load_config
 
 
 def run(args: list[str]) -> None:
@@ -45,7 +45,9 @@ def main() -> None:
     ns = ap.parse_args()
 
     try:
-        root = Path(load_config(ns.config)["output_dir"])
+        with warnings.catch_warnings():  # each command warns about the config itself
+            warnings.simplefilter("ignore")
+            root = Experiment.from_config(load_config(ns.config)).output_dir
     except ConfigError as exc:
         print(f"run_study: {exc}", file=sys.stderr)
         sys.exit(2)

@@ -1,7 +1,8 @@
 """Config-driven experiment commands: solve, train, evaluate, compare.
 
-Exit codes: 0 success, 2 input error (config or artifact), 3 numeric failure
-(or a `train` worker process that ended abruptly).
+Exit codes: 0 success, 2 input error (config, artifact, or a file that cannot
+be read or written), 3 numeric failure (or a `train` worker process that ended
+abruptly).
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from . import artifacts, config as cfgmod, dp, evaluate as ev, learners, salmut
 from .artifacts import ArtifactError
 from .config import ConfigError, Experiment
 from .dp import SolverError
-from .model import NoEventError
+from .model import NoEventError, finite
 from .scenarios import rate_segments, trajectory
 
 
-def _load_experiment(config_path, seed, out, scenario, horizon_scale, learner=None) -> Experiment:
-    """The config file overlaid by the command's options, built into an ``Experiment``."""
+def _load_experiment(config_path, seed, out, scenario, horizon_scale, learner) -> Experiment:
+    """The config file overlaid by the command's options, built into an
+    ``Experiment`` whose horizon is then scaled by ``horizon_scale``."""
     ov: dict = {}
     if seed is not None:
         ov["seeds"] = [seed]
@@ -36,25 +38,19 @@ def _load_experiment(config_path, seed, out, scenario, horizon_scale, learner=No
         ov["scenario"] = {"kind": scenario}
     if learner is not None:
         ov["learner"] = {"kind": learner}
-    cfg = cfgmod.load_config(config_path, ov)
-    if horizon_scale is not None:
-        horizon = cfg["learner"]["horizon"] * horizon_scale
-        if not (horizon_scale > 0 and math.isfinite(horizon)):
-            raise ConfigError("--horizon-scale", "must be finite and > 0")
-        cfg["learner"]["horizon"] = max(1, round(horizon))
-    return Experiment.from_config(cfg)
-
-
-def config_option(fn):
-    fn = click.option("--config", "config_path", type=click.Path(), default=None,
-                      help="JSON config file; defaults cover the canonical setup.")(fn)
-    fn = click.option("--seed", type=int, default=None, help="Single seed override.")(fn)
-    fn = click.option("--out", type=click.Path(), default=None, help="Output directory.")(fn)
-    fn = click.option("--scenario", type=click.IntRange(1, 6), default=None,
-                      help="Traffic scenario kind.")(fn)
-    fn = click.option("--horizon-scale", type=float, default=None,
-                      help="Scale the training horizon (change points scale with it).")(fn)
-    return fn
+    exp = Experiment.from_config(cfgmod.load_config(config_path, ov))
+    if horizon_scale is None:
+        return exp
+    # scaled once from_config has checked the horizon
+    horizon = exp.salmut.horizon * horizon_scale
+    if not (horizon_scale > 0 and math.isfinite(horizon)):
+        raise ConfigError("--horizon-scale", "must be finite and > 0")
+    horizon = max(1, round(horizon))
+    return dataclasses.replace(
+        exp, raw={**exp.raw, "learner": {**exp.raw["learner"], "horizon": horizon}},
+        salmut=dataclasses.replace(exp.salmut, horizon=horizon),
+        qlearning=dataclasses.replace(exp.qlearning, horizon=horizon),
+    )
 
 
 @click.group()
@@ -66,82 +62,93 @@ class WorkerError(RuntimeError):
     """A worker process ended without returning its seed's result."""
 
 
-def _run(body) -> None:
-    try:
-        body()
-    except (ConfigError, ArtifactError, FileNotFoundError) as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(2)
-    except SolverError as exc:
-        click.echo(f"numeric failure: {exc} (residual {exc.residual!r})", err=True)
-        sys.exit(3)
-    except NoEventError as exc:
-        click.echo(f"numeric failure: {exc}", err=True)
-        sys.exit(3)
-    except WorkerError as exc:
-        click.echo(f"worker failure: {exc}", err=True)
-        sys.exit(3)
+# every command's options, the overlays and the scale its experiment is built with
+_COMMON_OPTIONS = (
+    click.option("--config", "config_path", type=click.Path(), default=None,
+                 help="JSON config file; defaults cover the canonical setup."),
+    click.option("--seed", type=int, default=None, help="Single seed override."),
+    click.option("--out", type=click.Path(), default=None, help="Output directory."),
+    click.option("--scenario", type=click.IntRange(1, 6), default=None,
+                 help="Traffic scenario kind."),
+    click.option("--horizon-scale", type=float, default=None,
+                 help="Scale the training horizon (change points scale with it)."),
+)
 
 
-@main.command()
-@config_option
-def solve(config_path, seed, out, scenario, horizon_scale):
+def command(*options):
+    """A subcommand ``fn(exp, **options)`` of ``main``.
+
+    It takes the common options, then ``options``; its experiment is built
+    from the config and the overlays (``--learner`` among them, where a
+    command declares it); and every failure ends in one line on stderr and
+    exit 2 (input) or 3 (numeric, or a worker that ended abruptly).
+    """
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def run(config_path, seed, out, scenario, horizon_scale, learner=None, **kwargs):
+            try:
+                exp = _load_experiment(config_path, seed, out, scenario, horizon_scale, learner)
+                fn(exp, **kwargs)
+            except (ConfigError, ArtifactError, OSError) as exc:
+                click.echo(str(exc), err=True)
+                sys.exit(2)
+            except SolverError as exc:
+                click.echo(f"numeric failure: {exc} (residual {exc.residual!r})", err=True)
+                sys.exit(3)
+            except NoEventError as exc:
+                click.echo(f"numeric failure: {exc}", err=True)
+                sys.exit(3)
+            except WorkerError as exc:
+                click.echo(f"worker failure: {exc}", err=True)
+                sys.exit(3)
+
+        for option in (*reversed(options), *_COMMON_OPTIONS):
+            run = option(run)
+        return main.command()(run)
+
+    return decorate
+
+
+@command()
+def solve(exp):
     """Solve the planning problem and write the solution artifact."""
-
-    def body():
-        exp = _load_experiment(config_path, seed, out, scenario, horizon_scale)
-        sol = dp.value_iteration(
-            exp.scenario.initial_aggregate_rate(), exp.chain, **exp.raw["solver"]
-        )
-        out_dir = exp.output_dir / "dp"
-        artifacts.write_json(out_dir / "solution.json", artifacts.solution_to_dict(sol, exp.raw))
-        artifacts.write_json(
-            out_dir / "policy.json",
-            artifacts.policy_artifact("dp", exp.raw, policy=sol.policy.tolist()),
-        )
-        artifacts.write_manifest(out_dir / "manifest.json", "solve", exp.raw, exp.seeds)
-        x0, l0 = exp.eval_config.initial_state
-        click.echo(
-            f"iterations={sol.iterations} residual={sol.residual!r} "
-            f"V({x0},{l0})={float(sol.v[x0, l0])!r}"
-        )
-
-    _run(body)
+    sol = dp.value_iteration(exp.scenario.initial_aggregate_rate(), exp.chain, **exp.raw["solver"])
+    out_dir = exp.output_dir / "dp"
+    artifacts.write_json(out_dir / "solution.json", artifacts.solution_to_dict(sol, exp.raw))
+    artifacts.write_json(out_dir / "policy.json",
+                         artifacts.policy_artifact("dp", exp.raw, policy=sol.policy.tolist()))
+    artifacts.write_manifest(out_dir / "manifest.json", "solve", exp.raw, exp.seeds)
+    x0, l0 = exp.eval_config.initial_state
+    click.echo(f"iterations={sol.iterations} residual={sol.residual!r} "
+               f"V({x0},{l0})={float(sol.v[x0, l0])!r}")
 
 
-@main.command()
-@config_option
-@click.option("--learner", type=click.Choice(["salmut", "qlearning"]), default=None)
-@click.option("--no-periodic-eval", is_flag=True, default=False,
-              help="Skip rollout evaluation at eval points (faster).")
-def train(config_path, seed, out, scenario, horizon_scale, learner, no_periodic_eval):
+@command(
+    click.option("--learner", type=click.Choice(["salmut", "qlearning"]), default=None),
+    click.option("--no-periodic-eval", is_flag=True, default=False,
+                 help="Skip rollout evaluation at eval points (faster)."),
+)
+def train(exp, no_periodic_eval):
     """Train the configured learner for every seed; write logs and artifacts."""
-
-    def body():
-        exp = _load_experiment(config_path, seed, out, scenario, horizon_scale, learner)
-        kind = exp.raw["learner"]["kind"]
-        out_dir = exp.output_dir / kind
-        horizon = exp.raw["learner"]["horizon"]
-        curves = []
-        train_seed = functools.partial(_train_seed, exp, kind, not no_periodic_eval)
-        with _seed_results(train_seed, exp.seeds) as results:
-            for s, (art, log, rows, curve) in zip(exp.seeds, results):
-                seed_dir = out_dir / f"seed_{s}"
-                artifacts.write_json(seed_dir / "policy.json", art)
-                artifacts.log_rows_to_csv(seed_dir / "log.csv", log)
-                artifacts.write_csv(seed_dir / "trajectory.csv", ("step", "lambda", "n_users"),
-                                    rows)
-                if curve is not None:
-                    curves.append(curve)
-                click.echo(f"{kind} seed {s}: done ({horizon} steps)")
-        curve = ev.aggregate_training_curves(curves)
-        if curve:
-            artifacts.write_csv(
-                out_dir / "training_curve.csv", ("step", "median", "q1", "q3"), curve
-            )
-        artifacts.write_manifest(out_dir / "manifest.json", "train", exp.raw, exp.seeds)
-
-    _run(body)
+    kind = exp.raw["learner"]["kind"]
+    out_dir = exp.output_dir / kind
+    horizon = exp.raw["learner"]["horizon"]
+    curves = []
+    train_seed = functools.partial(_train_seed, exp, kind, not no_periodic_eval)
+    with _seed_results(train_seed, exp.seeds) as results:
+        for s, (art, log, rows, curve) in zip(exp.seeds, results):
+            seed_dir = out_dir / f"seed_{s}"
+            artifacts.write_json(seed_dir / "policy.json", art)
+            artifacts.log_rows_to_csv(seed_dir / "log.csv", log)
+            artifacts.write_csv(seed_dir / "trajectory.csv", ("step", "lambda", "n_users"), rows)
+            if curve is not None:
+                curves.append(curve)
+            click.echo(f"{kind} seed {s}: done ({horizon} steps)")
+    curve = ev.aggregate_training_curves(curves)
+    if curve:
+        artifacts.write_csv(out_dir / "training_curve.csv", ("step", "median", "q1", "q3"), curve)
+    artifacts.write_manifest(out_dir / "manifest.json", "train", exp.raw, exp.seeds)
 
 
 def _train_seed(exp: Experiment, kind: str, periodic_eval: bool, s: int):
@@ -250,6 +257,16 @@ def _seed_results(fn, seeds):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
+def _is_action(a) -> bool:
+    return type(a) is int and a in (0, 1)
+
+
+def _is_table(value, entry) -> bool:
+    """Whether ``value`` is a list of lists whose entries all pass ``entry``."""
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(map(entry, row)) for row in value)
+
+
 def _load_policy(path: Path, exp: Experiment) -> tuple[str, np.ndarray]:
     """The kind and action table of the policy artifact at ``path``, which
     must be of ``exp``'s chain and carry a ``policy`` table of 0s and 1s."""
@@ -261,9 +278,7 @@ def _load_policy(path: Path, exp: Experiment) -> tuple[str, np.ndarray]:
     # a null field would leave the table without its source
     if value is None:
         raise ArtifactError(f"{path}: {kind} policy artifact lacks its field 'policy'")
-    if not (isinstance(value, list)
-            and all(isinstance(row, list) and all(type(a) is int and a in (0, 1) for a in row)
-                    for row in value)):
+    if not _is_table(value, _is_action):
         raise ArtifactError(f"{path}: {kind} policy artifact field 'policy' must be a table "
                             "of 0s and 1s")
     try:
@@ -272,65 +287,61 @@ def _load_policy(path: Path, exp: Experiment) -> tuple[str, np.ndarray]:
         raise ArtifactError(f"{path}: {exc}") from None
 
 
-@main.command()
-@config_option
-@click.option("--artifact", "artifact_path", type=click.Path(), default=None,
-              help="Policy artifact to evaluate.")
-@click.option("--check-structure", "structure_path", type=click.Path(), default=None,
-              help="Print monotone-value / threshold-policy verdicts for a solution artifact.")
-@click.option("--curves-from", "curves_dir", type=click.Path(), default=None,
-              help="Aggregate per-seed training logs under DIR into a training curve.")
-def evaluate(config_path, seed, out, scenario, horizon_scale, artifact_path,
-             structure_path, curves_dir):
+def _load_solution(path: Path, exp: Experiment) -> tuple[np.ndarray, np.ndarray]:
+    """The value and policy tables of the solution artifact at ``path``, which
+    must be of ``exp``'s chain and carry both as ``(X+1, L+1)`` tables: ``v``
+    of finite numbers and ``policy`` of 0s and 1s."""
+    sol = artifacts.load_artifact(path, artifacts.SOLUTION_SCHEMA,
+                                  chain_sha=artifacts.chain_hash(exp.raw))
+    rows, cols = exp.chain.params.buffer_capacity + 1, exp.chain.params.cpu_levels + 1
+    for name, entry, entries in (("v", finite, "finite numbers"),
+                                 ("policy", _is_action, "0s and 1s")):
+        table = sol.get(name)
+        if not (_is_table(table, entry) and len(table) == rows
+                and all(len(row) == cols for row in table)):
+            raise ArtifactError(f"{path}: solution artifact field {name!r} must be a "
+                                f"({rows}, {cols}) table of {entries}")
+    return np.array(sol["v"]), np.array(sol["policy"])
+
+
+@command(
+    click.option("--artifact", "artifact_path", type=click.Path(), default=None,
+                 help="Policy artifact to evaluate."),
+    click.option("--check-structure", "structure_path", type=click.Path(), default=None,
+                 help="Print monotone-value / threshold-policy verdicts for a solution artifact."),
+    click.option("--curves-from", "curves_dir", type=click.Path(), default=None,
+                 help="Aggregate per-seed training logs under DIR into a training curve."),
+)
+def evaluate(exp, artifact_path, structure_path, curves_dir):
     """Evaluate a policy artifact, check structure, or aggregate training curves."""
-
-    def body():
-        exp = _load_experiment(config_path, seed, out, scenario, horizon_scale)
-        did_something = False
-        if structure_path is not None:
-            sol = artifacts.load_artifact(Path(structure_path), artifacts.SOLUTION_SCHEMA)
-            v = np.array(sol["v"])
-            policy = np.array(sol["policy"])
-            mono = dp.check_value_monotone(v)
-            thr = dp.check_threshold_structure(policy)
-            click.echo(
-                "value monotone in load: "
-                + ("PASS" if mono.passed else f"FAIL ({len(mono.violations)} violations)")
-            )
-            click.echo(
-                "threshold policy: "
-                + ("PASS" if thr.passed else f"FAIL (first violation {thr.violation})")
-            )
-            did_something = True
-        if curves_dir is not None:
-            rows = _aggregate_curves_from_dir(Path(curves_dir))
-            artifacts.write_csv(
-                Path(curves_dir) / "training_curve.csv",
-                ("step", "median", "q1", "q3"),
-                rows,
-            )
-            click.echo(f"training_curve.csv: {len(rows)} points")
-            did_something = True
-        if artifact_path is not None:
-            kind, policy = _load_policy(Path(artifact_path), exp)
-            lam = exp.scenario.initial_aggregate_rate()
-            report = ev.evaluate(policy, exp.eval_config, lam, exp.chain, seed=exp.seeds[0])
-            out_dir = exp.output_dir / "eval"
-            artifacts.write_json(out_dir / "report.json", {
-                "kind": kind, **dataclasses.asdict(report), "lambda": lam,
-                "config_sha256": artifacts.config_hash(exp.raw),
-            })
-            artifacts.write_manifest(out_dir / "manifest.json", "evaluate", exp.raw, exp.seeds)
-            click.echo(
-                f"{kind}: mean={report.mean!r} median={report.median!r} "
-                f"q1={report.q1!r} q3={report.q3!r}"
-            )
-            did_something = True
-        if not did_something:
-            raise ConfigError("evaluate", "nothing to do: pass --artifact, "
-                                          "--check-structure or --curves-from")
-
-    _run(body)
+    if structure_path is None and curves_dir is None and artifact_path is None:
+        raise ConfigError("evaluate", "nothing to do: pass --artifact, "
+                                      "--check-structure or --curves-from")
+    if structure_path is not None:
+        v, policy = _load_solution(Path(structure_path), exp)
+        mono = dp.check_value_monotone(v)
+        thr = dp.check_threshold_structure(policy)
+        click.echo("value monotone in load: "
+                   + ("PASS" if mono.passed else f"FAIL ({len(mono.violations)} violations)"))
+        click.echo("threshold policy: "
+                   + ("PASS" if thr.passed else f"FAIL (first violation {thr.violation})"))
+    if curves_dir is not None:
+        rows = _aggregate_curves_from_dir(Path(curves_dir))
+        artifacts.write_csv(Path(curves_dir) / "training_curve.csv",
+                            ("step", "median", "q1", "q3"), rows)
+        click.echo(f"training_curve.csv: {len(rows)} points")
+    if artifact_path is not None:
+        kind, policy = _load_policy(Path(artifact_path), exp)
+        lam = exp.scenario.initial_aggregate_rate()
+        report = ev.evaluate(policy, exp.eval_config, lam, exp.chain, seed=exp.seeds[0])
+        out_dir = exp.output_dir / "eval"
+        artifacts.write_json(out_dir / "report.json", {
+            "kind": kind, **dataclasses.asdict(report), "lambda": lam,
+            "config_sha256": artifacts.config_hash(exp.raw),
+        })
+        artifacts.write_manifest(out_dir / "manifest.json", "evaluate", exp.raw, exp.seeds)
+        click.echo(f"{kind}: mean={report.mean!r} median={report.median!r} "
+                   f"q1={report.q1!r} q3={report.q3!r}")
 
 
 def _aggregate_curves_from_dir(root: Path):
@@ -351,13 +362,13 @@ def _aggregate_curves_from_dir(root: Path):
     return ev.aggregate_training_curves(curves)
 
 
-@main.command()
-@config_option
-@click.option("--trace-seed", type=int, default=1234, show_default=True,
-              help="Seed of the shared event trace.")
-@click.option("--trace-length", type=click.IntRange(min=1), default=None,
-              help="Trace length; defaults to the configured horizon.")
-def compare(config_path, seed, out, scenario, horizon_scale, trace_seed, trace_length):
+@command(
+    click.option("--trace-seed", type=click.IntRange(min=0), default=1234, show_default=True,
+                 help="Seed of the shared event trace."),
+    click.option("--trace-length", type=click.IntRange(min=1), default=None,
+                 help="Trace length; defaults to the configured horizon."),
+)
+def compare(exp, trace_seed, trace_length):
     """Run planner, learners and baseline on one shared trace; emit metrics CSVs.
 
     Reads the policy artifacts dp/policy.json (from `solve`) and
@@ -365,77 +376,59 @@ def compare(config_path, seed, out, scenario, horizon_scale, trace_seed, trace_l
     `train`, ``s`` the first seed) under the output directory; the baseline
     comes from the config's learner.baseline.
     """
-
-    def body():
-        exp = _load_experiment(config_path, seed, out, scenario, horizon_scale)
-        root = exp.output_dir
-        seed_dir = f"seed_{exp.seeds[0]}"
-        policies = {kind: _load_policy(root / path, exp)[1] for kind, path in (
-            ("dp", "dp/policy.json"),
-            ("salmut", f"salmut/{seed_dir}/policy.json"),
-            ("qlearning", f"qlearning/{seed_dir}/policy.json"),
-        )}
-        policies["baseline"] = ev.policy_table(
-            exp.chain.params, accept_below=exp.baseline.accept_below
-        )
-
-        horizon = trace_length or exp.raw["learner"]["horizon"]
-        trace = ev.EventTrace.generate(trace_seed, horizon)
-        series = ev.behavioral_compare(policies, exp.scenario, exp.chain, trace, exp.eval_config)
-        out_dir = root / "compare"
-        artifacts.write_csv(
-            out_dir / "behavioral.csv",
-            ("window", "policy", "c_ov", "c_off", "cost_discounted", "cost_undiscounted"),
-            (
-                (w.index, name, w.c_ov, w.c_off, w.cost_discounted, w.cost_undiscounted)
-                for name in sorted(series)
-                for w in series[name].windows
-            ),
-        )
-        artifacts.write_csv(
-            out_dir / "scatter.csv",
-            ("policy", "window", "c_off", "c_ov"),
-            (
-                (name, w.index, w.c_off, w.c_ov)
-                for name in sorted(series)
-                for w in series[name].windows
-            ),
-        )
-        names = sorted(policies)
-        reports = ev.evaluate_batch(
-            [(policies[name], exp.scenario.initial_aggregate_rate(), exp.seeds[0])
-             for name in names],
-            exp.eval_config,
-            exp.chain,
-        )
-        cost_rows = []
-        for name, report in zip(names, reports):
-            cost_rows.append((name, report.mean, report.q1, report.median, report.q3))
-            click.echo(f"{name}: mean={report.mean!r}")
-        artifacts.write_csv(
-            out_dir / "compare_costs.csv",
-            ("policy", "mean", "q1", "median", "q3"),
-            cost_rows,
-        )
-        artifacts.write_json(
-            out_dir / "summary.json",
-            {
-                "trace_seed": trace_seed,
-                "trace_length": horizon,
-                "totals": {
-                    name: {
-                        "c_ov": sum(w.c_ov for w in ps.windows),
-                        "c_off": sum(w.c_off for w in ps.windows),
-                        "trap_step": ps.trap_step,
-                    }
-                    for name, ps in sorted(series.items())
-                },
-                "config_sha256": artifacts.config_hash(exp.raw),
+    root = exp.output_dir
+    seed_dir = f"seed_{exp.seeds[0]}"
+    policies = {kind: _load_policy(root / path, exp)[1] for kind, path in (
+        ("dp", "dp/policy.json"),
+        ("salmut", f"salmut/{seed_dir}/policy.json"),
+        ("qlearning", f"qlearning/{seed_dir}/policy.json"),
+    )}
+    policies["baseline"] = ev.policy_table(exp.chain.params,
+                                           accept_below=exp.baseline.accept_below)
+    horizon = trace_length or exp.raw["learner"]["horizon"]
+    trace = ev.EventTrace.generate(trace_seed, horizon)
+    series = ev.behavioral_compare(policies, exp.scenario, exp.chain, trace, exp.eval_config)
+    out_dir = root / "compare"
+    artifacts.write_csv(
+        out_dir / "behavioral.csv",
+        ("window", "policy", "c_ov", "c_off", "cost_discounted", "cost_undiscounted"),
+        (
+            (w.index, name, w.c_ov, w.c_off, w.cost_discounted, w.cost_undiscounted)
+            for name in sorted(series)
+            for w in series[name].windows
+        ),
+    )
+    artifacts.write_csv(
+        out_dir / "scatter.csv", ("policy", "window", "c_off", "c_ov"),
+        ((name, w.index, w.c_off, w.c_ov) for name in sorted(series) for w in series[name].windows)
+    )
+    names = sorted(policies)
+    lam = exp.scenario.initial_aggregate_rate()
+    reports = ev.evaluate_batch([(policies[name], lam, exp.seeds[0]) for name in names],
+                                exp.eval_config, exp.chain)
+    cost_rows = []
+    for name, report in zip(names, reports):
+        cost_rows.append((name, report.mean, report.q1, report.median, report.q3))
+        click.echo(f"{name}: mean={report.mean!r}")
+    artifacts.write_csv(out_dir / "compare_costs.csv", ("policy", "mean", "q1", "median", "q3"),
+                        cost_rows)
+    artifacts.write_json(
+        out_dir / "summary.json",
+        {
+            "trace_seed": trace_seed,
+            "trace_length": horizon,
+            "totals": {
+                name: {
+                    "c_ov": sum(w.c_ov for w in ps.windows),
+                    "c_off": sum(w.c_off for w in ps.windows),
+                    "trap_step": ps.trap_step,
+                }
+                for name, ps in sorted(series.items())
             },
-        )
-        artifacts.write_manifest(out_dir / "manifest.json", "compare", exp.raw, exp.seeds)
-
-    _run(body)
+            "config_sha256": artifacts.config_hash(exp.raw),
+        },
+    )
+    artifacts.write_manifest(out_dir / "manifest.json", "compare", exp.raw, exp.seeds)
 
 
 if __name__ == "__main__":

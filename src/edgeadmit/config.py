@@ -1,14 +1,16 @@
-"""JSON experiment configuration: schema, defaults, validation.
+"""JSON experiment configuration: schema, defaults, and the built experiment.
 
-Unknown keys are rejected and errors carry the dotted path of the offending
-field.  A section that a dataclass reads (``model``, ``scenario``, ``eval``
-and the three learner sections) takes its keys and defaults from that
-class's fields; ``learner`` holds the run fields ``horizon``, ``eval_every``
-and ``start_state`` once for both learners, with ``SalmutConfig``'s
-defaults.  The defaults reproduce the canonical simulation setup: a 20-slot
-buffer, 21 load levels, 2 cores at rate 3, holding cost 0.12, discount 0.95,
-24 users at per-user rate 0.25, the banded running-cost and penalty tables,
-and the {1: 0.6, 2: 0.4} resource distribution.
+``load_config`` reads a config and merges it over the defaults, rejecting
+unknown keys; ``Experiment.from_config`` checks every value while it builds
+the sections.  Errors carry the dotted path of the offending field.  A
+section that a dataclass reads (``model``, ``scenario``, ``eval`` and the
+three learner sections) takes its keys and defaults from that class's
+fields; ``learner`` holds the run fields ``horizon``, ``eval_every`` and
+``start_state`` once for both learners, with ``SalmutConfig``'s defaults.
+The defaults reproduce the canonical simulation setup: a 20-slot buffer, 21
+load levels, 2 cores at rate 3, holding cost 0.12, discount 0.95, 24 users
+at per-user rate 0.25, the banded running-cost and penalty tables, and the
+{1: 0.6, 2: 0.4} resource distribution.
 """
 
 from __future__ import annotations
@@ -89,7 +91,9 @@ def _merge(base: dict, override: dict, path: str) -> dict:
         here = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(here, "unknown key")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(here, "must be an object")
             out[key] = _merge(base[key], value, here)
         else:
             out[key] = copy.deepcopy(value)
@@ -97,7 +101,11 @@ def _merge(base: dict, override: dict, path: str) -> dict:
 
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> dict:
-    """Defaults, overlaid by a JSON file, overlaid by CLI-style overrides."""
+    """Defaults, overlaid by a JSON file, overlaid by CLI-style overrides.
+
+    This only reads and merges: it rejects unknown keys and non-finite
+    literals, and ``Experiment.from_config`` checks every value.
+    """
     cfg = default_config()
     if path is not None:
 
@@ -109,68 +117,25 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
             return value
 
         try:
-            raw = json.loads(Path(path).read_text(), parse_float=number, parse_constant=number)
+            raw = json.loads(Path(path).read_text(encoding="utf-8"), parse_float=number,
+                             parse_constant=number)
         except FileNotFoundError:
             raise ConfigError(str(path), "file not found")
         except json.JSONDecodeError as exc:
             raise ConfigError(str(path), f"invalid JSON: {exc}")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(str(path), f"cannot read: {exc}")
         if not isinstance(raw, dict):
             raise ConfigError(str(path), "top level must be an object")
         cfg = _merge(cfg, raw, "")
     if overrides:
         cfg = _merge(cfg, overrides, "")
-    validate_config(cfg)
     return cfg
 
 
 def _expect(cond: bool, path: str, message: str) -> None:
     if not cond:
         raise ConfigError(path, message)
-
-
-# the grid has (X + 1) * (L + 1) states and the planner holds several arrays
-# over it, so an unbounded buffer would ask numpy for an unallocatable grid
-MAX_BUFFER_CAPACITY = 10_000
-
-
-def validate_config(cfg: dict) -> None:
-    buffer = cfg["model"]["buffer_capacity"]
-    _expect(type(buffer) is int and 1 <= buffer <= MAX_BUFFER_CAPACITY, "model.buffer_capacity",
-            f"must be an integer in [1, {MAX_BUFFER_CAPACITY}]")
-    levels = cfg["model"]["cpu_levels"]
-    _expect(type(levels) is int and levels >= 1, "model.cpu_levels", "must be an integer >= 1")
-    for name in ("running", "penalty"):
-        table = cfg["costs"][name]
-        _expect(isinstance(table, list) and all(map(finite, table)), f"costs.{name}",
-                "must be a list of finite numbers")
-        _expect(
-            len(table) == levels + 1,
-            f"costs.{name}",
-            f"must have length cpu_levels + 1 = {levels + 1}, got {len(table)}",
-        )
-    _expect(finite(cfg["costs"]["holding"]), "costs.holding", "must be a finite number")
-    pmf = cfg["resources"]["pmf"]
-    _expect(isinstance(pmf, list) and len(pmf) >= 1 and all(map(finite, pmf)),
-            "resources.pmf", "must be a non-empty list of finite numbers")
-    _expect(abs(sum(pmf) - 1.0) <= 1e-12, "resources.pmf", "must sum to 1")
-    _expect(all(p >= 0 for p in pmf), "resources.pmf", "entries must be >= 0")
-    lk = cfg["learner"]["kind"]
-    _expect(lk in ("salmut", "qlearning"), "learner.kind", "must be one of salmut|qlearning")
-    seeds = cfg["seeds"]
-    _expect(
-        isinstance(seeds, list) and seeds and all(type(s) is int and s >= 0 for s in seeds),
-        "seeds",
-        "must be a non-empty list of integers >= 0",
-    )
-    horizon = cfg["learner"]["horizon"]
-    # the learners and the horizon scale compute with the horizon as a float
-    _expect(type(horizon) is int and 1 <= horizon <= 2**53, "learner.horizon",
-            "must be an integer in [1, 2**53]")
-    tol, max_iter = cfg["solver"]["tol"], cfg["solver"]["max_iter"]
-    _expect(finite(tol) and tol > 0, "solver.tol", "must be a number > 0")
-    _expect(type(max_iter) is int and max_iter >= 1, "solver.max_iter", "must be an integer >= 1")
-    _expect(type(cfg["solver"]["self_loop"]) is bool, "solver.self_loop", "must be a boolean")
-    _expect(isinstance(cfg["output_dir"], str), "output_dir", "must be a string")
 
 
 def _wrap(path: str, fn, *args, **kwargs):
@@ -206,15 +171,37 @@ class Experiment:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Experiment":
-        """Build every section and the chain, so each command rejects any malformed one."""
-        c, lrn = cfg["costs"], cfg["learner"]
+        """Build every section and the chain, so each command rejects any malformed one.
+
+        A section's dataclass checks its own fields; the rules that no
+        dataclass holds are checked here, each before its value is first used.
+        """
+        c, lrn, solver = cfg["costs"], cfg["learner"], cfg["solver"]
+        _expect(lrn["kind"] in ("salmut", "qlearning"), "learner.kind",
+                "must be one of salmut|qlearning")
+        seeds = cfg["seeds"]
+        _expect(isinstance(seeds, list) and seeds
+                and all(type(s) is int and s >= 0 for s in seeds),
+                "seeds", "must be a non-empty list of integers >= 0")
+        _expect(finite(solver["tol"]) and solver["tol"] > 0, "solver.tol", "must be a number > 0")
+        _expect(type(solver["max_iter"]) is int and solver["max_iter"] >= 1, "solver.max_iter",
+                "must be an integer >= 1")
+        _expect(type(solver["self_loop"]) is bool, "solver.self_loop", "must be a boolean")
+        _expect(isinstance(cfg["output_dir"], str), "output_dir", "must be a string")
+        params = _wrap("model", ModelParams, **cfg["model"])
+        X, L = params.buffer_capacity, params.cpu_levels
+        for name in ("running", "penalty"):
+            # a table that is no list is CostModel's to refuse
+            if isinstance(c[name], list):
+                _expect(len(c[name]) == L + 1, f"costs.{name}",
+                        f"must have length cpu_levels + 1 = {L + 1}, got {len(c[name])}")
         common = {name: lrn[name] for name in _RUN_FIELDS}
         sc = dict(cfg["scenario"])
         sc["phase_fractions"] = _wrap("scenario.phase_fractions", tuple, sc["phase_fractions"])
         exp = cls(
             raw=cfg,
             chain=ChainTables(
-                _wrap("model", ModelParams, **cfg["model"]),
+                params,
                 _wrap("costs", CostModel, holding=c["holding"], running=c["running"],
                       penalty=c["penalty"], strict=c["strict_monotone"]),
                 _wrap("resources", ResourceDist, pmf=cfg["resources"]["pmf"]),
@@ -224,10 +211,11 @@ class Experiment:
             salmut=_wrap("learner.salmut", SalmutConfig, **common, **lrn["salmut"]),
             qlearning=_wrap("learner.qlearning", QLearningConfig, **common, **lrn["qlearning"]),
             baseline=_wrap("learner.baseline", BaselinePolicy, **lrn["baseline"]),
-            seeds=tuple(cfg["seeds"]),
+            seeds=tuple(seeds),
             output_dir=Path(cfg["output_dir"]),
         )
-        X, L = exp.chain.params.buffer_capacity, exp.chain.params.cpu_levels
+        # the learners and the horizon scale compute with the horizon as a float
+        _expect(exp.salmut.horizon <= 2**53, "learner.horizon", "must be an integer in [1, 2**53]")
         for path, (x, ell) in (("learner.start_state", exp.salmut.start_state),
                                ("eval.initial_state", exp.eval_config.initial_state)):
             _expect(0 <= x <= X and 0 <= ell <= L, path, f"must lie in [0, {X}] x [0, {L}]")

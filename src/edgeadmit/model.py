@@ -49,6 +49,18 @@ def finite(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
+def finite_table(value, name: str) -> np.ndarray:
+    """``value`` as a read-only 1-D float array, else raise: each entry of
+    ``np.asarray(value).tolist()`` must be ``finite``, so a numpy array passes
+    and a bool, a string or a nested list does not."""
+    entries = np.asarray(value).tolist()
+    if not (isinstance(entries, list) and entries and all(map(finite, entries))):
+        raise ValueError(f"{name} must be a non-empty 1-D table of finite numbers")
+    table = np.array(entries, dtype=float)
+    table.setflags(write=False)
+    return table
+
+
 def check_numbers(obj, *names: str, optional: tuple[str, ...] = ()) -> None:
     """Raise unless each field ``names`` of ``obj`` is ``finite`` (or None if in ``optional``)."""
     for name in names + optional:
@@ -71,6 +83,11 @@ class NoEventError(ValueError):
         return type(self), ()
 
 
+# the grid has (X + 1) * (L + 1) states and the planner holds several arrays
+# over it, so an unbounded buffer would ask numpy for an unallocatable grid
+MAX_BUFFER_CAPACITY = 10_000
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Static system parameters.
@@ -91,6 +108,8 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         check_ints(self, 1, "buffer_capacity", "cpu_levels", "cores")
+        if self.buffer_capacity > MAX_BUFFER_CAPACITY:
+            raise ValueError(f"buffer_capacity must be at most {MAX_BUFFER_CAPACITY}")
         check_numbers(self, "service_rate", "discount_beta",
                       optional=("discount_rate", "uniformization_rate"))
         if self.service_rate <= 0:
@@ -141,14 +160,12 @@ class CostModel:
     def __post_init__(self) -> None:
         if type(self.strict) is not bool:
             raise ValueError("strict must be a boolean")
-        run = np.asarray(self.running, dtype=float)
-        pen = np.asarray(self.penalty, dtype=float)
-        if run.ndim != 1 or pen.ndim != 1 or run.shape != pen.shape:
-            raise ValueError("running and penalty must be 1-D tables of equal length")
-        if not (np.isfinite(self.holding) and np.isfinite(run).all() and np.isfinite(pen).all()):
-            raise ValueError("holding, running and penalty must be finite")
-        run.setflags(write=False)
-        pen.setflags(write=False)
+        if not finite(np.asarray(self.holding).tolist()):
+            raise ValueError("holding must be a finite number")
+        run = finite_table(self.running, "running")
+        pen = finite_table(self.penalty, "penalty")
+        if run.shape != pen.shape:
+            raise ValueError("running and penalty must be tables of equal length")
         object.__setattr__(self, "running", run)
         object.__setattr__(self, "penalty", pen)
         problems = []
@@ -174,16 +191,11 @@ class ResourceDist:
     pmf: np.ndarray
 
     def __post_init__(self) -> None:
-        pmf = np.asarray(self.pmf, dtype=float)
-        if pmf.ndim != 1 or len(pmf) == 0:
-            raise ValueError("pmf must be a non-empty 1-D table")
-        if not np.isfinite(pmf).all():
-            raise ValueError("pmf entries must be finite")
+        pmf = finite_table(self.pmf, "pmf")
         if np.any(pmf < 0):
             raise ValueError("pmf entries must be >= 0")
         if abs(pmf.sum() - 1.0) > 1e-12:
             raise ValueError(f"pmf must sum to 1 (got {pmf.sum()!r})")
-        pmf.setflags(write=False)
         object.__setattr__(self, "pmf", pmf)
 
     def support(self):

@@ -65,7 +65,7 @@ def test_malformed_cost_table_names_field(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"costs": {"running": [0.0, 1.0]}}))
     with pytest.raises(ConfigError, match="costs.running"):
-        cfgmod.load_config(path)
+        Experiment.from_config(cfgmod.load_config(path))
 
 
 def test_cli_solve_and_structure_flags(tmp_path):
@@ -86,6 +86,25 @@ def test_cli_solve_and_structure_flags(tmp_path):
     assert check.exit_code == 0
     assert "value monotone in load: FAIL" in check.output
     assert "threshold policy: FAIL" in check.output
+
+
+@pytest.mark.parametrize("v", ["missing", "x", "ragged"])
+def test_cli_check_structure_malformed_value_table_is_input_error(tmp_path, v):
+    runner = CliRunner()
+    out = tmp_path / "runs"
+    assert runner.invoke(main, ["solve", "--out", str(out)]).exit_code == 0
+    sol = json.loads((out / "dp" / "solution.json").read_text())
+    if v == "missing":
+        del sol["v"]
+    else:
+        sol["v"] = v if v == "x" else sol["v"][:-1] + [sol["v"][-1][:-1]]
+    path = tmp_path / "solution.json"
+    path.write_text(json.dumps(sol))
+    result = runner.invoke(main, ["evaluate", "--check-structure", str(path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.output == (f"{path}: solution artifact field 'v' must be a (21, 21) table "
+                             "of finite numbers\n")
 
 
 def test_cli_solve_reports_config_error(tmp_path):
@@ -260,6 +279,7 @@ def test_cli_horizon_scale_must_be_finite_and_positive(tmp_path, scale):
 
 
 def test_cli_compare_trace_length_must_be_positive(tmp_path):
+    # and the trace seed must be >= 0, as a config's seeds must
     runner = CliRunner()
     cfg_path = _desk_config(tmp_path)
     for args in (
@@ -268,11 +288,11 @@ def test_cli_compare_trace_length_must_be_positive(tmp_path):
         ["train", "--config", str(cfg_path), "--learner", "qlearning", "--no-periodic-eval"],
     ):
         assert runner.invoke(main, args).exit_code == 0
-    for length in ("-5", "0"):
-        result = runner.invoke(main, ["compare", "--config", str(cfg_path),
-                                      "--trace-length", length])
+    for flag, value in (("--trace-length", "-5"), ("--trace-length", "0"), ("--trace-seed", "-5")):
+        result = runner.invoke(main, ["compare", "--config", str(cfg_path), flag, value])
         assert result.exit_code == 2, result.output
-        assert "--trace-length" in result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert flag in result.output
         assert not (tmp_path / "runs" / "compare").exists()
 
 
@@ -375,6 +395,13 @@ OVERFLOW = "<1e400>"
     ("learner.qlearning", "decay_n0", 0),
     ("", "output_dir", 5),
     ("learner", "kind", "dp"),
+    # values each dataclass must refuse before from_config reads them
+    ("costs", "running", 5),
+    ("costs", "holding", True),
+    ("resources", "pmf", [True]),
+    ("learner", "horizon", "x"),
+    ("", "model", 5),
+    ("learner", "salmut", 5),
     # tables that meet the monotone hypotheses, so that only the flag is wrong
     pytest.param("", "costs", {"running": [0.0] * 21, "penalty": [1.0] * 21,
                                "strict_monotone": "no"}, id="costs-strict-monotone-no"),
@@ -388,12 +415,30 @@ def test_cli_wrong_config_value_is_input_error(tmp_path, section, field, value):
     cfg_path = tmp_path / "bad.json"
     # json.dumps cannot write 1e400, which json.loads reads as inf
     cfg_path.write_text(json.dumps(cfg).replace(json.dumps(OVERFLOW), "1e400"))
-    for args in (["solve"], ["train", "--no-periodic-eval"]):
+    # train scales the horizon, which it may do only once the horizon is checked
+    for args in (["solve"], ["train", "--no-periodic-eval", "--horizon-scale", "2"]):
         result = CliRunner().invoke(main, [*args, "--config", str(cfg_path)])
         assert result.exit_code == 2, (args, result.output)
         assert isinstance(result.exception, SystemExit), result.exception
         assert "config error at" in result.output
     assert not (tmp_path / "runs").exists()
+
+
+def test_cli_unreadable_config_and_unwritable_output_are_input_errors(tmp_path):
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"output_dir": "r\xe9sultats"}')
+    out_file = tmp_path / "file"
+    out_file.write_text("")
+    for args, message in (
+        (["--config", str(tmp_path)], f"config error at {tmp_path}: cannot read: "),
+        (["--config", str(not_utf8)], f"config error at {not_utf8}: cannot read: "),
+        (["--out", str(out_file)], "Not a directory"),
+    ):
+        result = CliRunner().invoke(main, ["solve", *args])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        [line] = result.output.splitlines()
+        assert message in line
 
 
 def test_cli_compare_missing_artifact_is_file_error(tmp_path):
@@ -406,7 +451,8 @@ def test_cli_compare_missing_artifact_is_file_error(tmp_path):
 
 def test_cli_artifacts_from_another_chain_are_input_errors(tmp_path):
     # artifacts built under one config, read under another whose costs differ:
-    # compare and evaluate --artifact name the artifact and exit 2
+    # compare, evaluate --artifact and evaluate --check-structure name the
+    # artifact and exit 2
     runner = CliRunner()
     cfg_path = _desk_config(tmp_path)
     for args in (
@@ -419,9 +465,11 @@ def test_cli_artifacts_from_another_chain_are_input_errors(tmp_path):
     other.write_text(json.dumps({**json.loads(cfg_path.read_text()), "costs": {"holding": 5.0}}))
     runs = tmp_path / "runs"
     salmut_policy = runs / "salmut" / "seed_0" / "policy.json"
+    solution = runs / "dp" / "solution.json"
     for args, artifact in (
         (["compare"], runs / "dp" / "policy.json"),
         (["evaluate", "--artifact", str(salmut_policy)], salmut_policy),
+        (["evaluate", "--check-structure", str(solution)], solution),
     ):
         result = runner.invoke(main, [*args, "--config", str(other)])
         assert result.exit_code == 2, result.output

@@ -57,6 +57,9 @@ def test_failing_command_ends_the_study_with_its_code(run_study, monkeypatch, ca
 @pytest.mark.parametrize("config, error", [
     ({"modle": {}}, "config error at modle: unknown key"),
     ({"output_dir": 5}, "config error at output_dir: must be a string"),
+    # a config that loads but does not build
+    pytest.param({"model": {"cores": 0}}, "config error at model: cores must be an integer >= 1",
+                 id="model-cores-0"),
 ])
 def test_config_that_does_not_load_ends_the_study_before_any_command(run_study, monkeypatch,
                                                                      capsys, tmp_path,
