@@ -35,9 +35,12 @@ def trace_length(text: str) -> int:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
+    # a bad flag is one line on stderr; the description shows the usage
+    ap = argparse.ArgumentParser(description=__doc__, usage=argparse.SUPPRESS,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--config", default="configs/desk_scale.json")
-    ap.add_argument("--scenarios", type=int, nargs="+", default=[1, 2, 3, 4, 5, 6])
+    ap.add_argument("--scenarios", type=int, nargs="+", choices=range(1, 7), metavar="KIND",
+                    default=[1, 2, 3, 4, 5, 6], help="scenario kinds in 1..6 (default: all)")
     ap.add_argument("--trace-length", type=trace_length, default=None,
                     help="behavioral trace length (default: training horizon)")
     ap.add_argument("--horizon-scale", type=float, default=None,

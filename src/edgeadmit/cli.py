@@ -10,7 +10,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import math
 import os
 import sys
 from pathlib import Path
@@ -28,7 +27,7 @@ from .scenarios import rate_segments, trajectory
 
 def _load_experiment(config_path, seed, out, scenario, horizon_scale, learner) -> Experiment:
     """The config file overlaid by the command's options, built into an
-    ``Experiment`` whose horizon is then scaled by ``horizon_scale``."""
+    ``Experiment`` whose horizon is scaled by ``horizon_scale``."""
     ov: dict = {}
     if seed is not None:
         ov["seeds"] = [seed]
@@ -38,19 +37,7 @@ def _load_experiment(config_path, seed, out, scenario, horizon_scale, learner) -
         ov["scenario"] = {"kind": scenario}
     if learner is not None:
         ov["learner"] = {"kind": learner}
-    exp = Experiment.from_config(cfgmod.load_config(config_path, ov))
-    if horizon_scale is None:
-        return exp
-    # scaled once from_config has checked the horizon
-    horizon = exp.salmut.horizon * horizon_scale
-    if not (horizon_scale > 0 and math.isfinite(horizon)):
-        raise ConfigError("--horizon-scale", "must be finite and > 0")
-    horizon = max(1, round(horizon))
-    return dataclasses.replace(
-        exp, raw={**exp.raw, "learner": {**exp.raw["learner"], "horizon": horizon}},
-        salmut=dataclasses.replace(exp.salmut, horizon=horizon),
-        qlearning=dataclasses.replace(exp.qlearning, horizon=horizon),
-    )
+    return Experiment.from_config(cfgmod.load_config(config_path, ov), horizon_scale)
 
 
 @click.group()
@@ -133,7 +120,6 @@ def train(exp, no_periodic_eval):
     """Train the configured learner for every seed; write logs and artifacts."""
     kind = exp.raw["learner"]["kind"]
     out_dir = exp.output_dir / kind
-    horizon = exp.raw["learner"]["horizon"]
     curves = []
     train_seed = functools.partial(_train_seed, exp, kind, not no_periodic_eval)
     with _seed_results(train_seed, exp.seeds) as results:
@@ -144,7 +130,7 @@ def train(exp, no_periodic_eval):
             artifacts.write_csv(seed_dir / "trajectory.csv", ("step", "lambda", "n_users"), rows)
             if curve is not None:
                 curves.append(curve)
-            click.echo(f"{kind} seed {s}: done ({horizon} steps)")
+            click.echo(f"{kind} seed {s}: done ({exp.run.horizon} steps)")
     curve = ev.aggregate_training_curves(curves)
     if curve:
         artifacts.write_csv(out_dir / "training_curve.csv", ("step", "median", "q1", "q3"), curve)
@@ -155,9 +141,8 @@ def _train_seed(exp: Experiment, kind: str, periodic_eval: bool, s: int):
     """Train ``kind`` on seed ``s``: its policy artifact, log rows (scored at
     their eval points when ``periodic_eval``), trajectory rows and training
     curve (None without periodic eval)."""
-    horizon = exp.raw["learner"]["horizon"]
-    rows = trajectory(exp.scenario, horizon, s)
-    segments = rate_segments(rows, horizon)
+    rows = trajectory(exp.scenario, exp.run.horizon, s)
+    segments = rate_segments(rows, exp.run.horizon)
     if kind == "salmut":
         result = salmut.train(segments, exp.chain, exp.salmut, s)
         art = artifacts.policy_artifact(
@@ -385,7 +370,7 @@ def compare(exp, trace_seed, trace_length):
     )}
     policies["baseline"] = ev.policy_table(exp.chain.params,
                                            accept_below=exp.baseline.accept_below)
-    horizon = trace_length or exp.raw["learner"]["horizon"]
+    horizon = trace_length or exp.run.horizon
     trace = ev.EventTrace.generate(trace_seed, horizon)
     series = ev.behavioral_compare(policies, exp.scenario, exp.chain, trace, exp.eval_config)
     out_dir = root / "compare"

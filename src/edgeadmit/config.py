@@ -5,8 +5,8 @@ unknown keys; ``Experiment.from_config`` checks every value while it builds
 the sections.  Errors carry the dotted path of the offending field.  A
 section that a dataclass reads (``model``, ``scenario``, ``eval`` and the
 three learner sections) takes its keys and defaults from that class's
-fields; ``learner`` holds the run fields ``horizon``, ``eval_every`` and
-``start_state`` once for both learners, with ``SalmutConfig``'s defaults.
+fields; ``learner`` holds ``learners.RunConfig``'s run fields ``horizon``,
+``eval_every`` and ``start_state`` once, and both learner configs inherit them.
 The defaults reproduce the canonical simulation setup: a 20-slot buffer, 21
 load levels, 2 cores at rate 3, holding cost 0.12, discount 0.95, 24 users
 at per-user rate 0.25, the banded running-cost and penalty tables, and the
@@ -18,12 +18,12 @@ from __future__ import annotations
 import copy
 import json
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any
 
 from .evaluate import EvalConfig
-from .learners import BaselinePolicy, QLearningConfig
+from .learners import BaselinePolicy, QLearningConfig, RunConfig
 from .model import ChainTables, CostModel, ModelParams, ResourceDist, finite
 from .salmut import SalmutConfig
 from .scenarios import Scenario
@@ -49,10 +49,6 @@ def default_penalty_table() -> list[float]:
     return [10.0] * 3 + [1.0] * 18
 
 
-# the run fields that `learner` holds once for both learner configs
-_RUN_FIELDS = ("horizon", "eval_every", "start_state")
-
-
 def _defaults(cls, skip=()) -> dict[str, Any]:
     """``cls``'s field defaults by name, tuples as lists, without the fields in ``skip``."""
     return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
@@ -60,7 +56,7 @@ def _defaults(cls, skip=()) -> dict[str, Any]:
 
 
 def default_config() -> dict[str, Any]:
-    salmut = _defaults(SalmutConfig)
+    run = _defaults(RunConfig)
     return {
         "model": _defaults(ModelParams),
         "costs": {
@@ -73,9 +69,9 @@ def default_config() -> dict[str, Any]:
         "scenario": _defaults(Scenario),
         "learner": {
             "kind": "salmut",
-            **{name: salmut.pop(name) for name in _RUN_FIELDS},
-            "salmut": salmut,
-            "qlearning": _defaults(QLearningConfig, skip=_RUN_FIELDS),
+            **run,
+            "salmut": _defaults(SalmutConfig, skip=run),
+            "qlearning": _defaults(QLearningConfig, skip=run),
             "baseline": _defaults(BaselinePolicy),
         },
         "solver": {"tol": 1e-9, "max_iter": 100_000, "self_loop": False},
@@ -163,6 +159,7 @@ class Experiment:
     chain: ChainTables
     scenario: Scenario
     eval_config: EvalConfig
+    run: RunConfig
     salmut: SalmutConfig
     qlearning: QLearningConfig
     baseline: BaselinePolicy
@@ -170,13 +167,21 @@ class Experiment:
     output_dir: Path
 
     @classmethod
-    def from_config(cls, cfg: dict) -> "Experiment":
+    def from_config(cls, cfg: dict, horizon_scale: float | None = None) -> "Experiment":
         """Build every section and the chain, so each command rejects any malformed one.
 
         A section's dataclass checks its own fields; the rules that no
         dataclass holds are checked here, each before its value is first used.
+        A ``horizon_scale`` scales the checked horizon, in ``raw`` and ``run`` alike.
         """
         c, lrn, solver = cfg["costs"], cfg["learner"], cfg["solver"]
+        run = _wrap("learner", RunConfig, **{f.name: lrn[f.name] for f in fields(RunConfig)})
+        if horizon_scale is not None:
+            horizon = run.horizon * horizon_scale
+            _expect(horizon_scale > 0 and finite(horizon), "--horizon-scale",
+                    "must be finite and > 0")
+            run = _wrap("--horizon-scale", replace, run, horizon=max(1, round(horizon)))
+            cfg = {**cfg, "learner": {**lrn, "horizon": run.horizon}}
         _expect(lrn["kind"] in ("salmut", "qlearning"), "learner.kind",
                 "must be one of salmut|qlearning")
         seeds = cfg["seeds"]
@@ -195,7 +200,6 @@ class Experiment:
             if isinstance(c[name], list):
                 _expect(len(c[name]) == L + 1, f"costs.{name}",
                         f"must have length cpu_levels + 1 = {L + 1}, got {len(c[name])}")
-        common = {name: lrn[name] for name in _RUN_FIELDS}
         sc = dict(cfg["scenario"])
         sc["phase_fractions"] = _wrap("scenario.phase_fractions", tuple, sc["phase_fractions"])
         exp = cls(
@@ -208,15 +212,15 @@ class Experiment:
             ),
             scenario=_wrap("scenario", Scenario, **sc),
             eval_config=_wrap("eval", EvalConfig, **cfg["eval"]),
-            salmut=_wrap("learner.salmut", SalmutConfig, **common, **lrn["salmut"]),
-            qlearning=_wrap("learner.qlearning", QLearningConfig, **common, **lrn["qlearning"]),
+            run=run,
+            salmut=_wrap("learner.salmut", SalmutConfig, **asdict(run), **lrn["salmut"]),
+            qlearning=_wrap("learner.qlearning", QLearningConfig, **asdict(run),
+                            **lrn["qlearning"]),
             baseline=_wrap("learner.baseline", BaselinePolicy, **lrn["baseline"]),
             seeds=tuple(seeds),
             output_dir=Path(cfg["output_dir"]),
         )
-        # the learners and the horizon scale compute with the horizon as a float
-        _expect(exp.salmut.horizon <= 2**53, "learner.horizon", "must be an integer in [1, 2**53]")
-        for path, (x, ell) in (("learner.start_state", exp.salmut.start_state),
+        for path, (x, ell) in (("learner.start_state", run.start_state),
                                ("eval.initial_state", exp.eval_config.initial_state)):
             _expect(0 <= x <= X and 0 <= ell <= L, path, f"must lie in [0, {X}] x [0, {L}]")
         tau = exp.salmut.initial_tau

@@ -37,17 +37,34 @@ def policy_hash(arr: np.ndarray) -> str:
     return hashlib.sha1(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
 
 
+@dataclass(frozen=True, kw_only=True)
+class RunConfig:
+    """Both learners' run: ``horizon`` steps from ``start_state``, logged every ``eval_every``."""
+
+    horizon: int = 1_000_000
+    eval_every: int = 1000
+    start_state: tuple[int, int] = (0, 0)
+
+    def __post_init__(self) -> None:
+        freeze_pair(self, "start_state")
+        check_ints(self, 1, "horizon", "eval_every")
+        # the learners and the horizon scale compute with the horizon as a float
+        if self.horizon > 2**53:
+            raise ValueError("horizon must be an integer in [1, 2**53]")
+
+
 def arrival_loop(
     segments: list[tuple[int, int, float]],
     chain: ChainTables,
-    config,
+    config: RunConfig,
     seed: int,
     act: Callable[[int, int, int], int],
     update: Callable[[int, int, int, float, int, int, int], tuple[float, float] | None],
     snapshot: Callable[[], tuple[np.ndarray, np.ndarray]],
 ) -> tuple[list[LogRow], list[tuple[float, np.ndarray]], int]:
-    """Run ``config.horizon`` steps from ``config.start_state``, learning at arrivals.
+    """Run the steps of ``segments`` from ``config.start_state``, learning at arrivals.
 
+    Of ``config``, a ``RunConfig``, it reads ``start_state`` and ``eval_every``.
     ``segments`` are the ``scenarios.rate_segments`` of the scenario's
     trajectory over ``config.horizon``, the only form of the rate a trainer
     takes.  ``act(x, ell, n)`` is ``StepKernel.step``'s ``decide``: it picks
@@ -132,7 +149,7 @@ class BaselinePolicy:
 
 
 @dataclass(frozen=True)
-class QLearningConfig:
+class QLearningConfig(RunConfig):
     """Step sizes and exploration for the tabular learner.
 
     The defaults are calibrated for desk-scale convergence: a decaying rate
@@ -150,11 +167,9 @@ class QLearningConfig:
     epsilon_start: float = 0.2
     epsilon_end: float = 0.2
     epsilon_decay_fraction: float = 0.5
-    horizon: int = 1_000_000
-    eval_every: int = 1000
-    start_state: tuple[int, int] = (0, 0)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         check_numbers(self, "rate", "decay_n0", "decay_kappa", "epsilon_start", "epsilon_end",
                       "epsilon_decay_fraction")
         if not 0.0 < self.rate <= 1.0:
@@ -171,8 +186,6 @@ class QLearningConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if not 0.0 < self.epsilon_decay_fraction <= 1.0:
             raise ValueError("epsilon_decay_fraction must lie in (0, 1]")
-        freeze_pair(self, "start_state")
-        check_ints(self, 1, "horizon", "eval_every")
 
     def epsilon_at(self, n: int) -> float:
         ramp = self.epsilon_decay_fraction * self.horizon

@@ -35,8 +35,8 @@ import numpy as np
 
 from . import rng as rngmod
 from .evaluate import policy_table
-from .learners import LogRow, arrival_loop
-from .model import ChainTables, check_ints, check_numbers, freeze_pair
+from .learners import LogRow, RunConfig, arrival_loop
+from .model import ChainTables, check_numbers
 
 
 def _sigmoid(z: float) -> float:
@@ -79,7 +79,7 @@ def bias_correction(beta: float) -> tuple[array, Callable[[int], float] | None]:
 
 
 @dataclass(frozen=True)
-class SalmutConfig:
+class SalmutConfig(RunConfig):
     temperature: float = 5.0
     mode: str = "adam"                  # "adam" | "decay"
     critic_rate: float | None = None    # default depends on mode
@@ -92,9 +92,6 @@ class SalmutConfig:
     decay_kappa_critic: float = 0.6
     decay_kappa_actor: float = 1.0
     initial_tau: float | None = None    # None: uniform random per coordinate
-    horizon: int = 1_000_000
-    eval_every: int = 1000
-    start_state: tuple[int, int] = (0, 0)
     paper_literal_sign: bool = False
 
     # mode-specific base rates: the experimental setup uses small constant
@@ -104,6 +101,7 @@ class SalmutConfig:
     _DECAY_RATES = (1.0, 0.1)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         check_numbers(self, "temperature", "adam_beta1", "adam_beta2", "critic_epsilon",
                       "actor_epsilon", "decay_n0", "decay_kappa_critic", "decay_kappa_actor",
                       optional=("critic_rate", "actor_rate", "initial_tau"))
@@ -115,8 +113,6 @@ class SalmutConfig:
             raise ValueError("paper_literal_sign must be a boolean")
         if self.mode not in ("adam", "decay"):
             raise ValueError("mode must be 'adam' or 'decay'")
-        freeze_pair(self, "start_state")
-        check_ints(self, 1, "horizon", "eval_every")
         b1, b2 = self.rates()
         if b1 <= 0 or b2 <= 0:
             raise ValueError("learning rates must be > 0")

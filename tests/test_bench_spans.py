@@ -1,5 +1,6 @@
 """The benchmark's span hooks find every name they patch in the package."""
 
+import dataclasses
 import importlib.util
 import inspect
 import re
@@ -39,3 +40,7 @@ def test_bench_spans_bound_parameters_exist():
         assert all(name in params for name in names), (fn.__qualname__, names)
     read = set(re.findall(r'\ba\["(\w+)"\]', SPANS.read_text()))
     assert read == {name for names in bound.values() for name in names}
+    # and it reads the trainers' ``config.horizon``, a field of both learner configs
+    assert 'a["config"].horizon' in SPANS.read_text()
+    for cls in (salmut.SalmutConfig, learners.QLearningConfig):
+        assert "horizon" in {f.name for f in dataclasses.fields(cls)}, cls.__name__

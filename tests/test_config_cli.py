@@ -278,6 +278,19 @@ def test_cli_horizon_scale_must_be_finite_and_positive(tmp_path, scale):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("scale", ["1e10", "1e300"])
+def test_cli_scaled_horizon_above_2_53_is_input_error(tmp_path, scale):
+    # the scaled horizon meets the configured one's cap
+    result = CliRunner().invoke(
+        main, ["solve", "--out", str(tmp_path / "runs"), "--horizon-scale", scale]
+    )
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == ("config error at --horizon-scale: "
+                             "horizon must be an integer in [1, 2**53]\n")
+    assert not (tmp_path / "runs").exists()
+
+
 def test_cli_compare_trace_length_must_be_positive(tmp_path):
     # and the trace seed must be >= 0, as a config's seeds must
     runner = CliRunner()
@@ -415,12 +428,18 @@ def test_cli_wrong_config_value_is_input_error(tmp_path, section, field, value):
     cfg_path = tmp_path / "bad.json"
     # json.dumps cannot write 1e400, which json.loads reads as inf
     cfg_path.write_text(json.dumps(cfg).replace(json.dumps(OVERFLOW), "1e400"))
+    # the error names the section, the field or, for a literal that
+    # load_config refuses, the file
+    where = ".".join(filter(None, (section, field)))
+    named = {section or where, where, str(cfg_path)}
     # train scales the horizon, which it may do only once the horizon is checked
     for args in (["solve"], ["train", "--no-periodic-eval", "--horizon-scale", "2"]):
         result = CliRunner().invoke(main, [*args, "--config", str(cfg_path)])
         assert result.exit_code == 2, (args, result.output)
         assert isinstance(result.exception, SystemExit), result.exception
-        assert "config error at" in result.output
+        assert "config error at " in result.output
+        path = result.output.split("config error at ", 1)[1].split(": ", 1)[0]
+        assert path in named, (args, result.output)
     assert not (tmp_path / "runs").exists()
 
 

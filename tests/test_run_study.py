@@ -38,6 +38,22 @@ def test_trace_length_below_one_is_rejected_at_parse_time(run_study, monkeypatch
     assert run_study.calls == []
 
 
+@pytest.mark.parametrize("kinds", [["9"], ["1", "0"], ["x"]])
+def test_scenario_outside_1_to_6_is_rejected_at_parse_time(run_study, monkeypatch, capsys,
+                                                          tmp_path, kinds):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output_dir": str(tmp_path / "runs")}))
+    monkeypatch.setattr(sys, "argv", ["run_study.py", "--config", str(cfg), "--scenarios", *kinds])
+    run_study.exit_codes = [2]  # as `solve --scenario 9` would exit
+    with pytest.raises(SystemExit) as exit_info:
+        run_study.main()
+    assert exit_info.value.code == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert "argument --scenarios: invalid" in line
+    assert run_study.calls == []
+    assert not (tmp_path / "runs").exists()
+
+
 def test_failing_command_ends_the_study_with_its_code(run_study, monkeypatch, capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"output_dir": str(tmp_path / "runs")}))
