@@ -2,12 +2,12 @@
 
 The package is organised by layer:
 
-- ``model``: states, actions, costs and the uniformized single-step simulator
+- ``model``: states, actions, costs, the uniformized chain and its step, policy tables
 - ``scenarios``: time-varying traffic (six scenario kinds)
 - ``dp``: value iteration, policy extraction, structural checks
 - ``salmut``: two-timescale threshold actor-critic
 - ``learners``: tabular Q-learning and the static baseline
-- ``evaluate``: policy tables, discounted-cost rollouts and behavioral metrics
+- ``evaluate``: discounted-cost rollouts and behavioral metrics
 - ``config`` / ``cli``: JSON-config driven experiment entry points
 """
 

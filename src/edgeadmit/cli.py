@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import click
@@ -21,13 +22,14 @@ from . import artifacts, config as cfgmod, dp, evaluate as ev, learners, salmut
 from .artifacts import ArtifactError
 from .config import ConfigError, Experiment
 from .dp import SolverError
-from .model import NoEventError, finite
+from .model import NoEventError, finite, policy_table
 from .scenarios import rate_segments, trajectory
 
 
 def _load_experiment(config_path, seed, out, scenario, horizon_scale, learner) -> Experiment:
     """The config file overlaid by the command's options, built into an
-    ``Experiment`` whose horizon is scaled by ``horizon_scale``."""
+    ``Experiment`` whose horizon is scaled by ``horizon_scale``; each config
+    warning is one line on stderr, with no line of source."""
     ov: dict = {}
     if seed is not None:
         ov["seeds"] = [seed]
@@ -37,7 +39,10 @@ def _load_experiment(config_path, seed, out, scenario, horizon_scale, learner) -
         ov["scenario"] = {"kind": scenario}
     if learner is not None:
         ov["learner"] = {"kind": learner}
-    return Experiment.from_config(cfgmod.load_config(config_path, ov), horizon_scale)
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, category, *_: click.echo(
+            f"{category.__name__}: {message}", err=True)
+        return Experiment.from_config(cfgmod.load_config(config_path, ov), horizon_scale)
 
 
 @click.group()
@@ -67,8 +72,9 @@ def command(*options):
 
     It takes the common options, then ``options``; its experiment is built
     from the config and the overlays (``--learner`` among them, where a
-    command declares it); and every failure ends in one line on stderr and
-    exit 2 (input) or 3 (numeric, or a worker that ended abruptly).
+    command declares it); and each config warning and every failure is one
+    line on stderr, a failure with exit 2 (input) or 3 (numeric, or a worker
+    that ended abruptly).
     """
 
     def decorate(fn):
@@ -148,7 +154,7 @@ def _train_seed(exp: Experiment, kind: str, periodic_eval: bool, s: int):
         art = artifacts.policy_artifact(
             "salmut", exp.raw, seed=s,
             tau=result.tau.tolist(), temperature=exp.salmut.temperature,
-            policy=ev.policy_table(exp.chain.params, tau=result.tau).tolist(),
+            policy=policy_table(exp.chain.params, tau=result.tau).tolist(),
         )
     else:
         result = learners.qlearning_train(segments, exp.chain, exp.qlearning, s)
@@ -267,7 +273,7 @@ def _load_policy(path: Path, exp: Experiment) -> tuple[str, np.ndarray]:
         raise ArtifactError(f"{path}: {kind} policy artifact field 'policy' must be a table "
                             "of 0s and 1s")
     try:
-        return kind, ev.policy_table(exp.chain.params, actions=value)
+        return kind, policy_table(exp.chain.params, actions=value)
     except ValueError as exc:
         raise ArtifactError(f"{path}: {exc}") from None
 
@@ -368,8 +374,7 @@ def compare(exp, trace_seed, trace_length):
         ("salmut", f"salmut/{seed_dir}/policy.json"),
         ("qlearning", f"qlearning/{seed_dir}/policy.json"),
     )}
-    policies["baseline"] = ev.policy_table(exp.chain.params,
-                                           accept_below=exp.baseline.accept_below)
+    policies["baseline"] = policy_table(exp.chain.params, accept_below=exp.baseline.accept_below)
     horizon = trace_length or exp.run.horizon
     trace = ev.EventTrace.generate(trace_seed, horizon)
     series = ev.behavioral_compare(policies, exp.scenario, exp.chain, trace, exp.eval_config)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Action, ChainTables
+from .model import Action, ChainTables, Event, policy_table
 
 
 class SolverError(RuntimeError):
@@ -68,19 +68,19 @@ def q_tables(chain: ChainTables, lam: float, v: np.ndarray, self_loop: bool) -> 
     """One Bellman sweep from the value ``v``: Q-values by ``(x, ell, action)``.
 
     The expectations over the resource size gather from the flat ``v``
-    along ``chain.succ``.
+    along ``chain.succ``; a departure costs what an accepted arrival does.
     """
     beta = chain.params.discount_beta
     v = v.ravel()
     ev_up = np.zeros_like(v)
     ev_dn = np.zeros_like(v)
     for r, p in chain.rd.support():
-        ev_up += p * v[chain.succ[:, 2, r - 1]]
-        ev_dn += p * v[chain.succ[:, 0, r - 1]]
+        ev_up += p * v[chain.succ[:, Event.ACCEPTED, r - 1]]
+        ev_dn += p * v[chain.succ[:, Event.DEPARTURE, r - 1]]
     d = chain.arrival_p(lam)
     q = np.empty(v.shape + (2,))
-    q[:, 0] = chain.stay_cost + beta * (d * ev_up + (1.0 - d) * ev_dn)
-    q[:, 1] = chain.offload_cost + beta * (1.0 - d) * ev_dn
+    q[:, 0] = chain.cost[:, Event.ACCEPTED] + beta * (d * ev_up + (1.0 - d) * ev_dn)
+    q[:, 1] = chain.cost[:, Event.OFFLOADED] + beta * (1.0 - d) * ev_dn
     if self_loop:
         q[:, 1] += beta * d * v
     return q.reshape(chain.params.buffer_capacity + 1, chain.params.cpu_levels + 1, 2)
@@ -91,13 +91,6 @@ def admissible_min(q: np.ndarray) -> np.ndarray:
     v = q.min(axis=2)
     v[-1, :] = q[-1, :, 1]
     return v
-
-
-def greedy_policy(q: np.ndarray, buffer_capacity: int) -> np.ndarray:
-    """Argmin policy, ties toward accept; forced offload at the full buffer."""
-    policy = (q[:, :, 1] < q[:, :, 0]).astype(np.int8)
-    policy[buffer_capacity, :] = Action.OFFLOAD
-    return policy
 
 
 def value_iteration(
@@ -131,7 +124,7 @@ def value_iteration(
             return Solution(
                 v=v_final,
                 q=q,
-                policy=greedy_policy(q, X),
+                policy=policy_table(chain.params, actions=q[..., 1] < q[..., 0]),
                 iterations=it,
                 residual=residual,
                 tol=tol,

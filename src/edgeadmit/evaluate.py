@@ -1,7 +1,9 @@
 """Policy evaluation: discounted-cost rollouts and behavioral metrics.
 
-A policy is an ``(X+1, L+1)`` int8 action table (``policy_table``), 1 meaning
-offload.  Every simulator here runs on the command's one ``model.ChainTables``.
+A policy is an ``(X+1, L+1)`` int8 action table (``model.policy_table``), 1
+meaning offload.  Every simulator here runs on the command's one
+``model.ChainTables``: the scalar loops through its ``step``, the numpy
+lanes on its tables.
 Rollouts freeze the arrival rate at its value when evaluation starts, so a
 policy is always measured against the traffic it currently faces;
 ``evaluate_batch`` steps the rollouts of many policies together as
@@ -23,9 +25,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .model import (
-    Action, ChainTables, ModelParams, NoEventError, StepKernel, check_ints, freeze_pair,
-)
+from .model import ChainTables, Event, NoEventError, check_ints, freeze_pair
 from .scenarios import Scenario, rate_segments, trajectory
 
 
@@ -76,41 +76,6 @@ class EvalReport:
 
 
 # ---------------------------------------------------------------------------
-# policies
-
-
-def policy_table(
-    params: ModelParams,
-    *,
-    tau: np.ndarray | None = None,
-    actions: np.ndarray | None = None,
-    accept_below: int | None = None,
-) -> np.ndarray:
-    """A deterministic policy as an ``(X+1, L+1)`` int8 action table, 1 = offload.
-
-    Built from one of three sources: a real threshold vector ``tau`` (accept
-    iff ``ell <= floor(tau[x])``), an action table ``actions`` (planner output
-    or greedy Q extraction), or the baseline's ``accept_below`` (accept iff
-    ``ell < accept_below``; 0 offloads every arrival).  Row ``X`` always
-    offloads: a full buffer cannot accept.
-    """
-    X, L = params.buffer_capacity, params.cpu_levels
-    shape = (X + 1, L + 1)
-    ell = np.arange(L + 1)
-    if tau is not None:
-        offload = ell > np.floor(np.asarray(tau, dtype=float))[:, None]
-    elif actions is not None:
-        offload = np.asarray(actions) != Action.ACCEPT
-    else:
-        offload = np.broadcast_to(ell >= accept_below, shape)
-    if offload.shape != shape:
-        raise ValueError(f"policy table shape {offload.shape} does not match {shape}")
-    table = offload.astype(np.int8)
-    table[X] = 1
-    return table
-
-
-# ---------------------------------------------------------------------------
 # rollouts
 
 
@@ -123,7 +88,7 @@ def _windows(
     window: int,
     overload_level: int,
 ) -> tuple[float, list[MetricsWindow], int | None]:
-    """Step ``table`` through the chain's ``StepKernel`` over ``(start, stop, lam)`` segments.
+    """Step ``table`` through ``chain.step`` over ``(start, stop, lam)`` segments.
 
     The segments tile ``0..horizon`` in order, and steps ``start..stop-1``
     run at rate ``lam``.  ``draws(start, stop)`` yields one
@@ -138,9 +103,9 @@ def _windows(
     A trapped state is absorbing while ``lam > 0``: ``delta(0) = 1``, so every
     event is an arrival, offloaded at the same cost.  From the trap step to
     the stop of each segment with ``lam > 0`` the loop calls neither the
-    kernel nor ``draws`` and applies the same float operations in the same
-    order, so every window is the kernel's bit for bit.  A segment with
-    ``lam == 0`` goes back to the kernel, which raises ``NoEventError`` at
+    step nor ``draws`` and applies the same float operations in the same
+    order, so every window is the step's bit for bit.  A segment with
+    ``lam == 0`` goes back to the step, which raises ``NoEventError`` at
     its first step.  Once ``disc * beta == disc`` (``disc`` sticks at the
     smallest subnormal and never reaches 0.0 for ``beta`` > 0.5) and a step
     no longer moves ``total``, every full window is the same, so it is
@@ -152,8 +117,7 @@ def _windows(
     def decide(x: int, ell: int, n: int) -> int:
         return offloads[x][ell]
 
-    kernel = StepKernel(chain)
-    step = kernel.step
+    step = chain.step
     beta = chain.params.discount_beta
     x, ell = initial_state
     total = 0.0
@@ -192,7 +156,7 @@ def _windows(
         t = w_index * window + w_fill
         if trap_step is None:
             trap_step = t
-        cost = kernel.offload_cost[0][ell]
+        cost = float(chain.cost[ell, Event.OFFLOADED])  # state (0, ell) is s = ell
         over = ell >= overload_level
         while t < stop:
             n = min(window - w_fill, stop - t)
@@ -247,7 +211,7 @@ def rollout(
     """Simulate ``horizon`` uniformized steps of ``table`` under a frozen arrival rate.
 
     This is the one-lane reference for ``rollout_costs``.  It steps through
-    ``StepKernel`` with both draws from ``rng``: an event draw per step when
+    ``chain.step`` with both draws from ``rng``: an event draw per step when
     ``lam > 0``, then a resource draw unless the arrival is offloaded.  A
     trapped rollout draws nothing more (see ``_windows``).
     """
@@ -287,16 +251,14 @@ def rollout_costs(
     n, horizon = cfg.n_rollouts, cfg.rollout_length
     L = chain.params.cpu_levels
     beta = chain.params.discount_beta
-    states = len(chain.busy)
-    n_r = chain.succ.shape[2]
+    states, events, n_r = chain.succ.shape
     x0, ell0 = cfg.initial_state
-    # by 3 * s + event, the event 0 a departure, 1 an offloaded arrival and
-    # 2 an accepted one: the step cost, and whether a resource is drawn
-    step_cost = np.stack(
-        [chain.stay_cost, chain.offload_cost, chain.stay_cost], axis=1
-    ).ravel()
-    draws_resource = np.tile([1, 0, 1], states)
-    after = chain.succ.ravel()
+    # a lane sits at row i = events * s + e of the chain's event tables, its
+    # state's departure row until an arrival moves it to the arrival's: by row,
+    # the step cost, the resource draw and (at i * n_r + j) the next departure row
+    step_cost = chain.cost.ravel()
+    draws_resource = np.tile(np.arange(events) != Event.OFFLOADED, states).astype(np.intp)
+    after = events * chain.succ.ravel() + Event.DEPARTURE
     # a step takes at most two draws, so a full block lasts half as many steps
     width = min(BLOCK_DRAWS, 2 * horizon)
     chunk = width // 2
@@ -312,15 +274,16 @@ def rollout_costs(
         p0 = first // n
         local = np.arange(first, first + m) // n - p0
         here = points[p0:p0 + local[-1] + 1]
-        # per point, by state: the arrival probability (-1 at lam <= 0, where
-        # no draw is an arrival) and the event an arrival is under its table
-        arrival_p, arrival_event = [], []
+        # per point, by row: the arrival probability (-1 at lam <= 0: no draw
+        # is an arrival) and an arrival's move from the departure row
+        arrival_p, arrival_move = [], []
         for table, lam, _ in here:
             arrival_p.append(chain.arrival_p(lam) if lam > 0.0 else np.full(states, -1.0))
-            arrival_event.append(2 - (np.asarray(table).ravel() != 0))
-        arrival_p = np.concatenate(arrival_p)
-        arrival_event = np.concatenate(arrival_event)
-        base = local * states
+            event = np.where(np.asarray(table).ravel() != 0, Event.OFFLOADED, Event.ACCEPTED)
+            arrival_move.append(event - Event.DEPARTURE)
+        arrival_p = np.repeat(np.concatenate(arrival_p), events)
+        arrival_move = np.repeat(np.concatenate(arrival_move), events)
+        base = local * states * events
         lams = np.array([lam for _, lam, _ in here])[local]
         event_draws = (lams > 0.0).astype(np.intp)
         idle = np.flatnonzero(lams == 0.0)
@@ -329,7 +292,7 @@ def rollout_costs(
 
         row_start = np.arange(m) * width
         cursor = row_start + width
-        s = np.full(m, x0 * (L + 1) + ell0)
+        i = np.full(m, events * (x0 * (L + 1) + ell0) + Event.DEPARTURE)
         total = np.zeros(m)
         disc = 1.0
         for t in range(0, horizon, chunk):
@@ -339,16 +302,16 @@ def rollout_costs(
                 gen.random(out=row[width - used:])
             cursor = row_start.copy()
             for _ in range(min(chunk, horizon - t)):
-                if idle.size and (s[idle] <= L).any():  # some idle lane at x == 0
+                if idle.size and (i[idle] < events * (L + 1)).any():  # an idle lane at x == 0
                     raise NoEventError()
-                g = base + s
-                e3 = 3 * s + (flat[cursor] <= arrival_p[g]) * arrival_event[g]
-                total += disc * step_cost[e3]
+                g = base + i
+                i += (flat[cursor] <= arrival_p[g]) * arrival_move[g]
+                total += disc * step_cost[i]
                 disc *= beta
                 cursor += event_draws
                 size = np.searchsorted(chain.cdf, flat[cursor], side="right")
-                s = after[e3 * n_r + size]
-                cursor += draws_resource[e3]
+                cursor += draws_resource[i]
+                i = after[i * n_r + size]
         out[first:first + m] = total
         del gens  # so that two batches' generators are never held at once
     return out.reshape(len(points), n)

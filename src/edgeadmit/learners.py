@@ -1,7 +1,7 @@
 """The shared learner loop, tabular Q-learning and the static-threshold baseline.
 
 Both learners run ``arrival_loop``: it walks the rate segments, steps the
-command's one chain through ``model.StepKernel``, counts arrivals and keeps
+command's one chain through ``chain.step``, counts arrivals and keeps
 the update diagnostics, the periodic log and the eval points.  A learner
 supplies only its action rule, its update and its snapshot.
 """
@@ -15,8 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import rng as rngmod
-from .dp import greedy_policy
-from .model import ChainTables, StepKernel, check_ints, check_numbers, freeze_pair
+from .model import ChainTables, check_ints, check_numbers, freeze_pair, policy_table
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -67,7 +66,7 @@ def arrival_loop(
     Of ``config``, a ``RunConfig``, it reads ``start_state`` and ``eval_every``.
     ``segments`` are the ``scenarios.rate_segments`` of the scenario's
     trajectory over ``config.horizon``, the only form of the rate a trainer
-    takes.  ``act(x, ell, n)`` is ``StepKernel.step``'s ``decide``: it picks
+    takes.  ``act(x, ell, n)`` is ``chain.step``'s ``decide``: it picks
     the action at an arrival, and at a full buffer it returns 1 (offload)
     without drawing.  After each arrival,
     ``update(x, ell, a, cost, x', ell', n)`` learns from the transition and
@@ -83,7 +82,7 @@ def arrival_loop(
     """
     X, L = chain.params.buffer_capacity, chain.params.cpu_levels
     eval_every = config.eval_every
-    step = StepKernel(chain).step
+    step = chain.step
     event_u = rngmod.block_uniforms(rngmod.substream(seed, "events"))
     resource_u = rngmod.block_uniforms(rngmod.substream(seed, "resources"))
     x, ell = config.start_state
@@ -132,7 +131,7 @@ def arrival_loop(
 @dataclass
 class QLearningResult:
     q: np.ndarray
-    policy: np.ndarray  # greedy extraction, same tie rule as the planner
+    policy: np.ndarray  # greedy policy_table of q, ties to accept as in the planner
     log: list[LogRow]
     evals: list[tuple[float, np.ndarray]]  # (lam, greedy table) per log row
     arrivals: int
@@ -239,9 +238,9 @@ def qlearning_train(
         return td, change
 
     def snapshot():
-        table = greedy_policy(np.array(q), X)
+        q_out = np.array(q)
+        table = policy_table(chain.params, actions=q_out[..., 1] < q_out[..., 0])
         return table, table
 
     out = arrival_loop(segments, chain, config, seed, act, update, snapshot)
-    q_out = np.array(q)
-    return QLearningResult(q_out, greedy_policy(q_out, X), *out)
+    return QLearningResult(np.array(q), snapshot()[0], *out)

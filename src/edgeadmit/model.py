@@ -1,11 +1,13 @@
-"""Model layer: states, costs, the chain's tables and its one-step simulator.
+"""Model layer: states, costs, the chain and its one-step simulator, and policy tables.
 
 A command builds its chain once, a ``ChainTables`` over ``(params, cm, rd)``
 made in ``config.Experiment.from_config``, and every solver and simulator
-reads that one value.  The system is a finite queue (length ``x``, capacity
-``X``) feeding ``k`` cores whose joint load is discretized to ``ell`` in
-``0..L``.  Uniformizing the continuous-time chain gives a discrete chain in
-which, from state ``(x, ell)``, the next event is an arrival with probability
+reads that one value: its tables by ``Event``, or its scalar ``step``.  A
+policy is an ``(X+1, L+1)`` int8 action table made by ``policy_table``.  The
+system is a finite queue (length ``x``, capacity ``X``) feeding ``k`` cores
+whose joint load is discretized to ``ell`` in ``0..L``.  Uniformizing the
+continuous-time chain gives a discrete chain in which, from state
+``(x, ell)``, the next event is an arrival with probability
 ``delta(x) = lam / (lam + min(x, k) * mu)`` and a departure otherwise.  Costs
 are per uniformized step; the continuous-time scale factor is assumed
 absorbed into the cost tables.
@@ -14,6 +16,7 @@ absorbed into the cost tables.
 from __future__ import annotations
 
 import enum
+import functools
 import sys
 import warnings
 from bisect import bisect_right
@@ -203,16 +206,26 @@ class ResourceDist:
         return [(r + 1, float(p)) for r, p in enumerate(self.pmf) if p > 0.0]
 
 
+class Event:
+    """A step's event, the ``e`` of the chain's ``cost[s, e]`` and ``succ[s, e, j]``: plain
+    ints, not an enum, whose member lookups would slow the planner's sweep."""
+
+    DEPARTURE = 0
+    OFFLOADED = 1  # an arrival the policy offloads: the state stays, no resource is drawn
+    ACCEPTED = 2
+
+
 class ChainTables:
     """The chain's transition rule as tables over flat states ``s = x * (L + 1) + ell``.
 
-    ``busy`` is the service rate ``min(x, k) * mu``, ``stay_cost`` the step
-    cost ``h * max(x - k, 0) + c(ell)`` and ``offload_cost`` adds ``p(ell)``.
-    ``succ[s, e, j]`` is the next state after event ``e`` (0 a departure, 1
-    an offloaded arrival, 2 an accepted one) with resource index
-    ``j = searchsorted(cdf, u, side="right")``, one past the support included.
-    Only here are the queue and load clamped to ``0..X`` and ``0..L``.
-    The ingredients stay attributes: ``params``, ``cm`` and ``rd``.
+    ``busy`` is the service rate ``min(x, k) * mu``.  By ``Event`` ``e``,
+    ``cost[s, e]`` is the step cost ``h * max(x - k, 0) + c(ell)``, plus
+    ``p(ell)`` for an offloaded arrival, and ``succ[s, e, j]`` the next state
+    with resource index ``j = searchsorted(cdf, u, side="right")``, one past
+    the support included.  Only here are the queue and load clamped to
+    ``0..X`` and ``0..L``.  The tables are read-only: every simulator shares
+    them, and ``step`` copies them.  The ingredients stay attributes:
+    ``params``, ``cm`` and ``rd``.
     """
 
     def __init__(self, params: ModelParams, cm: CostModel, rd: ResourceDist):
@@ -223,15 +236,18 @@ class ChainTables:
         states = np.arange((X + 1) * (L + 1))
         xs, ls = np.divmod(states, L + 1)
         self.busy = np.minimum(xs, k) * params.service_rate
-        self.stay_cost = cm.holding * np.maximum(xs - k, 0) + cm.running[ls]
-        self.offload_cost = self.stay_cost + cm.penalty[ls]
+        stay = cm.holding * np.maximum(xs - k, 0) + cm.running[ls]
         self.cdf = np.cumsum(rd.pmf)
         r = np.arange(1, len(self.cdf) + 2)
+        # the columns in Event order: departure, offloaded arrival, accepted arrival
+        self.cost = np.stack([stay, stay + cm.penalty[ls], stay], axis=1)
         self.succ = np.stack([
             np.maximum(xs - 1, 0)[:, None] * (L + 1) + np.maximum(ls[:, None] - r, 0),
             np.repeat(states[:, None], len(r), axis=1),
             np.minimum(xs + 1, X)[:, None] * (L + 1) + np.minimum(ls[:, None] + r, L),
         ], axis=1)
+        for table in (self.busy, self.cdf, self.cost, self.succ):
+            table.setflags(write=False)
 
     def arrival_p(self, lam: float) -> np.ndarray:
         """Probability that the next event is an arrival, ``lam / (lam + busy)``."""
@@ -241,40 +257,12 @@ class ChainTables:
             raise NoEventError()
         return lam / (lam + self.busy)
 
+    @functools.cached_property
+    def step(self) -> Callable[..., tuple[int, int, int | None, float]]:
+        """The chain's one transition rule, sampled a step at a time.
 
-class StepKernel:
-    """The chain's one transition rule, sampled a step at a time.
-
-    Built from a ``ChainTables`` as nested lists of Python numbers: a step
-    only looks up its successor and cost, and the resource index comes from
-    ``bisect_right`` on the cdf list, which equals
-    ``np.searchsorted(cdf, u, side="right")``, so a step does no numpy work.
-    """
-
-    def __init__(self, chain: ChainTables):
-        shape = (chain.params.buffer_capacity + 1, chain.params.cpu_levels + 1)
-        self.busy = chain.busy[:: shape[1]].tolist()
-        self.stay_cost = chain.stay_cost.reshape(shape).tolist()
-        self.offload_cost = chain.offload_cost.reshape(shape).tolist()
-        # successors by [x][ell][j], as one shared (x', ell') tuple per state
-        pair = [divmod(s, shape[1]) for s in range(len(chain.succ))]
-        succ = chain.succ.reshape(shape + chain.succ.shape[1:]).tolist()
-        self.down = [[[pair[s] for s in cell[0]] for cell in row] for row in succ]
-        self.up = [[[pair[s] for s in cell[2]] for cell in row] for row in succ]
-        self.cdf = chain.cdf.tolist()
-
-    def step(
-        self,
-        x: int,
-        ell: int,
-        lam: float,
-        decide: Callable[[int, int, int], int],
-        n: int,
-        event_u: Callable[[], float],
-        resource_u: Callable[[], float],
-    ) -> tuple[int, int, int | None, float]:
-        """One transition from ``(x, ell)``: ``(x', ell', action, cost)``.
-
+        ``step(x, ell, lam, decide, n, event_u, resource_u)`` makes one
+        transition from ``(x, ell)`` and returns ``(x', ell', action, cost)``.
         ``event_u`` and ``resource_u`` return the next uniform of their
         streams.  The event is drawn only when ``lam > 0``, and it is an
         arrival iff the draw is at most ``delta(x)``.  ``decide(x, ell, n)``
@@ -285,15 +273,67 @@ class StepKernel:
         a full buffer leaves ``x`` at ``X``; forcing an offload there is the
         job of ``decide``: a learner's ``act`` returns 1 at ``x == X``, and a
         ``policy_table`` offloads in its row ``X``.
+
+        Built on first use, once per chain, as nested lists of Python numbers:
+        a step does no numpy work, and its resource index, ``bisect_right`` on
+        the cdf list, equals ``np.searchsorted(cdf, u, side="right")``.
         """
-        busy = self.busy[x]
-        if lam == 0.0 and busy == 0.0:
-            raise NoEventError()
-        if lam > 0.0 and event_u() <= lam / (lam + busy):
-            a = decide(x, ell, n)
-            if a:
-                return x, ell, a, self.offload_cost[x][ell]
-            nx, nl = self.up[x][ell][bisect_right(self.cdf, resource_u())]
-            return nx, nl, a, self.stay_cost[x][ell]
-        nx, nl = self.down[x][ell][bisect_right(self.cdf, resource_u())]
-        return nx, nl, None, self.stay_cost[x][ell]
+        # the tables as nested lists by [e][x][ell], the successors by [e][x][ell][j]
+        shape = (self.cost.shape[1], self.params.buffer_capacity + 1, self.params.cpu_levels + 1)
+        cost = self.cost.T.reshape(shape).tolist()
+        succ = self.succ.transpose(1, 0, 2).reshape(shape + (-1,)).tolist()
+        depart_cost, offload_cost, accept_cost = (
+            cost[Event.DEPARTURE], cost[Event.OFFLOADED], cost[Event.ACCEPTED])
+        # one shared (x', ell') tuple per state
+        pair = [divmod(s, shape[2]) for s in range(len(self.succ))]
+        down, up = ([[[pair[s] for s in cell] for cell in row] for row in succ[e]]
+                    for e in (Event.DEPARTURE, Event.ACCEPTED))
+        busy = self.busy[:: shape[2]].tolist()
+        cdf = self.cdf.tolist()
+
+        def step(x, ell, lam, decide, n, event_u, resource_u):
+            rate = busy[x]
+            if lam == 0.0 and rate == 0.0:
+                raise NoEventError()
+            if lam > 0.0 and event_u() <= lam / (lam + rate):
+                a = decide(x, ell, n)
+                if a:
+                    return x, ell, a, offload_cost[x][ell]
+                nx, nl = up[x][ell][bisect_right(cdf, resource_u())]
+                return nx, nl, a, accept_cost[x][ell]
+            nx, nl = down[x][ell][bisect_right(cdf, resource_u())]
+            return nx, nl, None, depart_cost[x][ell]
+
+        return step
+
+
+def policy_table(
+    params: ModelParams,
+    *,
+    tau: np.ndarray | None = None,
+    actions: np.ndarray | None = None,
+    accept_below: int | None = None,
+) -> np.ndarray:
+    """A deterministic policy as an ``(X+1, L+1)`` int8 action table, 1 = offload.
+
+    Built from one of three sources: a real threshold vector ``tau`` (accept
+    iff ``ell <= floor(tau[x])``), an action table ``actions`` (planner output,
+    or the greedy ``q[..., 1] < q[..., 0]`` of Q-values, ties to accept), or
+    the baseline's ``accept_below`` (accept iff ``ell < accept_below``; 0
+    offloads every arrival).  Row ``X`` always offloads: a full buffer cannot
+    accept.
+    """
+    X, L = params.buffer_capacity, params.cpu_levels
+    shape = (X + 1, L + 1)
+    ell = np.arange(L + 1)
+    if tau is not None:
+        offload = ell > np.floor(np.asarray(tau, dtype=float))[:, None]
+    elif actions is not None:
+        offload = np.asarray(actions) != Action.ACCEPT
+    else:
+        offload = np.broadcast_to(ell >= accept_below, shape)
+    if offload.shape != shape:
+        raise ValueError(f"policy table shape {offload.shape} does not match {shape}")
+    table = offload.astype(np.int8)
+    table[X] = 1
+    return table

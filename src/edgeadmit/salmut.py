@@ -34,9 +34,8 @@ from typing import Callable
 import numpy as np
 
 from . import rng as rngmod
-from .evaluate import policy_table
 from .learners import LogRow, RunConfig, arrival_loop
-from .model import ChainTables, check_numbers
+from .model import ChainTables, check_numbers, policy_table
 
 
 def _sigmoid(z: float) -> float:

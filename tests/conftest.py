@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import pytest
@@ -58,6 +59,22 @@ def segments():
         return rate_segments(trajectory(scenario, horizon, seed), horizon)
 
     return build
+
+
+@pytest.fixture
+def step_builds(monkeypatch) -> list[ChainTables]:
+    """The chains whose ``step`` is built while the test runs, once per build."""
+    built = []
+    build = ChainTables.__dict__["step"].func
+
+    def counting_build(self):
+        built.append(self)
+        return build(self)
+
+    step = functools.cached_property(counting_build)
+    step.__set_name__(ChainTables, "step")
+    monkeypatch.setattr(ChainTables, "step", step)
+    return built
 
 
 @pytest.fixture(autouse=True)

@@ -4,7 +4,7 @@ Nothing here reuses the solver's sweep machinery: one-step distributions
 are enumerated outcome by outcome, policies are evaluated by solving the
 linear fixed-point system directly, and optima are found by enumerating
 every admissible deterministic stationary policy.  The uses of the
-simulator's step are the plain loops over ``StepKernel.step`` that the
+simulator's step are the plain loops over ``ChainTables.step`` that the
 fast paths must equal: ``windowed_replay`` for the windowed loop's trap
 fast-forward, and ``reference_salmut_train`` and
 ``reference_qlearning_train``, built from one helper call per learning
@@ -23,13 +23,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from edgeadmit import rng as rngmod
-from edgeadmit.dp import greedy_policy
-from edgeadmit.evaluate import MetricsWindow, policy_table
+from edgeadmit.evaluate import MetricsWindow
 from edgeadmit.learners import (
     LogRow, QLearningConfig, QLearningResult, policy_hash,
 )
 from edgeadmit.model import (
-    Action, ChainTables, CostModel, ModelParams, NoEventError, ResourceDist, StepKernel,
+    Action, ChainTables, CostModel, ModelParams, NoEventError, ResourceDist, policy_table,
 )
 from edgeadmit.salmut import SalmutConfig, TrainResult, _sigmoid, bias_correction
 from edgeadmit.scenarios import Scenario
@@ -273,14 +272,13 @@ def windowed_replay(
     window: int = 1000,
     overload_level: int = 18,
 ) -> tuple[float, list[MetricsWindow], int | None]:
-    """Every step through ``StepKernel.step``, with no trap fast-forward.
+    """Every step through ``chain.step``, with no trap fast-forward.
 
     ``draws`` yields ``(lam, event_u, resource_u)`` per step.  Returns the
     discounted total, the per-window metrics and the first step that starts
     at ``x = 0`` in a state ``table`` offloads from with ``lam > 0`` (None if
     none does).
     """
-    kernel = StepKernel(chain)
     offloads = np.asarray(table).tolist()
     beta = chain.params.discount_beta
     x, ell = initial_state
@@ -292,7 +290,7 @@ def windowed_replay(
     for t, (lam, event_u, resource_u) in enumerate(draws):
         if trap_step is None and x == 0 and offloads[0][ell] and lam > 0.0:
             trap_step = t
-        x, ell, a, incurred = kernel.step(
+        x, ell, a, incurred = chain.step(
             x, ell, lam, lambda x, ell, n: offloads[x][ell], 0, event_u, resource_u
         )
         w_off += bool(a)
@@ -313,7 +311,7 @@ def windowed_replay(
 
 
 # SALMUT's per-arrival steps one helper call each, and the two trainers'
-# loops built from them over ``StepKernel.step``: the references the fused
+# loops built from them over ``chain.step``: the references the fused
 # trainers must equal bit for bit
 
 
@@ -460,7 +458,7 @@ def _reference_arrival_loop(
     """``learners.arrival_loop`` with a ``decide`` wrapper that forces the offload at ``X``."""
     X, L = chain.params.buffer_capacity, chain.params.cpu_levels
     eval_every = config.eval_every
-    step = StepKernel(chain).step
+    step = chain.step
     event_u = rngmod.block_uniforms(rngmod.substream(seed, "events"))
     resource_u = rngmod.block_uniforms(rngmod.substream(seed, "resources"))
     x, ell = config.start_state
@@ -587,9 +585,9 @@ def reference_qlearning_train(
         return td, rate * td
 
     def snapshot():
-        table = greedy_policy(np.array(q), X)
+        q_out = np.array(q)
+        table = policy_table(chain.params, actions=q_out[..., 1] < q_out[..., 0])
         return table, table
 
     out = _reference_arrival_loop(segments, chain, config, seed, act, update, snapshot)
-    q_out = np.array(q)
-    return QLearningResult(q_out, greedy_policy(q_out, X), *out)
+    return QLearningResult(np.array(q), snapshot()[0], *out)

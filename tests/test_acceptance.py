@@ -44,7 +44,6 @@ from edgeadmit.evaluate import (
     EventTrace,
     behavioral_compare,
     evaluate,
-    policy_table,
 )
 from edgeadmit.learners import BaselinePolicy, QLearningConfig, qlearning_train
 from edgeadmit.model import (
@@ -53,7 +52,7 @@ from edgeadmit.model import (
     CostModel,
     ModelParams,
     ResourceDist,
-    StepKernel,
+    policy_table,
 )
 from edgeadmit.rng import substream
 from edgeadmit.salmut import SalmutConfig, train
@@ -293,13 +292,13 @@ def test_criterion_6_simulator_fidelity(canonical_params, canonical_resources, c
     pairs += [(State(3, 19), Action.ACCEPT), (State(20, 19), Action.ACCEPT)]
     n = 100_000
     worst_z = 0.0
-    # the one kernel the trainers, rollouts and the shared-trace comparison run
-    kernel = StepKernel(canonical_chain)
+    # the one step the trainers, rollouts and the shared-trace comparison run
+    step = canonical_chain.step
     for i, (state, action) in enumerate(pairs):
         rng = substream(700 + i, "fidelity")
         counts: dict[State, int] = {}
         for _ in range(n):
-            nx, nl, _, _ = kernel.step(
+            nx, nl, _, _ = step(
                 state.x, state.ell, LAM, lambda *_: action, 0, rng.random, rng.random
             )
             nxt = State(nx, nl)
@@ -429,14 +428,13 @@ def test_criterion_9_overload_dominance(behavioral_totals):
 
 
 def _replay_until_trapped(policy, scenario, trace, chain):
-    """Replay ``behavioral_compare``'s trajectory for one policy with ``StepKernel.step``.
+    """Replay ``behavioral_compare``'s trajectory for one policy with ``chain.step``.
 
     Returns the first step at which the policy sits at ``x = 0`` in a state it
     offloads from (None if it never does) and its per-step offload flags up
     to that step.  Such a state is absorbing while the arrival rate is
     positive: ``delta(0) = 1``, so every event is an offloaded arrival.
     """
-    kernel = StepKernel(chain)
     x, ell = 0, 0
     offloads = []
     # step t reads the trace's t-th event and resource draws
@@ -446,7 +444,7 @@ def _replay_until_trapped(policy, scenario, trace, chain):
         )
         if x == 0 and action == Action.OFFLOAD:
             return t, offloads
-        x, ell, a, _ = kernel.step(x, ell, lam, lambda *_: action, t, event_u, resource_u)
+        x, ell, a, _ = chain.step(x, ell, lam, lambda *_: action, t, event_u, resource_u)
         offloads.append(a == Action.OFFLOAD)
     return None, offloads
 

@@ -12,8 +12,7 @@ from edgeadmit import cli, config as cfgmod, evaluate as evaluate_module, learne
 from edgeadmit.artifacts import chain_hash
 from edgeadmit.cli import _load_policy, main
 from edgeadmit.config import ConfigError, Experiment
-from edgeadmit.dp import greedy_policy
-from edgeadmit.model import ChainTables, ModelParams
+from edgeadmit.model import ChainTables, ModelParams, policy_table
 from edgeadmit.scenarios import Scenario
 
 from oracles import trace_draws, windowed_replay
@@ -506,8 +505,10 @@ def test_cli_artifacts_from_another_chain_are_input_errors(tmp_path):
                              f"model, costs and resources ({_chain_sha(cfg_path)})\n")
 
 
-def test_cli_commands_build_the_chain_once(tmp_path, monkeypatch):
-    # one ChainTables per command: train's two seeds run in this process
+def test_cli_commands_build_the_chain_once(tmp_path, monkeypatch, step_builds):
+    # one ChainTables per command: train's two seeds run in this process; and
+    # its step at most once, by the commands that step it (the rollouts of
+    # evaluate run on its tables)
     built = []
     init = ChainTables.__init__
 
@@ -519,12 +520,15 @@ def test_cli_commands_build_the_chain_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
     cfg_path = _desk_config(tmp_path)
     dp_policy = str(tmp_path / "runs" / "dp" / "policy.json")
-    for args in (["solve"], ["train", "--learner", "salmut"], ["train", "--learner", "qlearning"],
-                 ["compare"], ["evaluate", "--artifact", dp_policy]):
+    for args, steps in ((["solve"], 0), (["train", "--learner", "salmut"], 1),
+                        (["train", "--learner", "qlearning"], 1), (["compare"], 1),
+                        (["evaluate", "--artifact", dp_policy], 0)):
         built.clear()
+        step_builds.clear()
         result = CliRunner().invoke(main, [*args, "--config", str(cfg_path)])
         assert result.exit_code == 0, result.output
         assert len(built) == 1, args
+        assert len(step_builds) == steps, args
 
 
 def test_cli_compare_end_to_end(tmp_path):
@@ -560,8 +564,7 @@ def test_cli_compare_end_to_end(tmp_path):
     trace = evaluate_module.EventTrace.generate(1234, 2000)
     runs = tmp_path / "runs"
     tables = {
-        "baseline": evaluate_module.policy_table(exp.chain.params,
-                                                 accept_below=exp.baseline.accept_below),
+        "baseline": policy_table(exp.chain.params, accept_below=exp.baseline.accept_below),
     }
     for path in (runs / "dp", runs / "salmut" / "seed_0", runs / "qlearning" / "seed_0"):
         kind, tables[kind] = _load_policy(path / "policy.json", exp)
@@ -608,9 +611,10 @@ def test_cli_policy_artifacts_carry_their_action_tables(tmp_path):
     assert json.loads((runs / "dp" / "policy.json").read_text())["policy"] == sol["policy"]
     for s in exp.seeds:
         art = json.loads((runs / "salmut" / f"seed_{s}" / "policy.json").read_text())
-        assert art["policy"] == evaluate_module.policy_table(params, tau=art["tau"]).tolist()
+        assert art["policy"] == policy_table(params, tau=art["tau"]).tolist()
         art = json.loads((runs / "qlearning" / f"seed_{s}" / "policy.json").read_text())
-        greedy = greedy_policy(np.array(art["q"]), params.buffer_capacity)
+        q = np.array(art["q"])
+        greedy = policy_table(params, actions=q[..., 1] < q[..., 0])
         assert art["policy"] == greedy.tolist()
     salmut_path = runs / "salmut" / "seed_0" / "policy.json"
     result = runner.invoke(main, ["evaluate", "--config", str(cfg_path),
@@ -619,7 +623,7 @@ def test_cli_policy_artifacts_carry_their_action_tables(tmp_path):
     report = json.loads((runs / "eval" / "report.json").read_text())
     tau = json.loads(salmut_path.read_text())["tau"]
     lam = exp.scenario.initial_aggregate_rate()
-    expected = evaluate_module.evaluate(evaluate_module.policy_table(params, tau=tau),
+    expected = evaluate_module.evaluate(policy_table(params, tau=tau),
                                         exp.eval_config, lam, exp.chain, seed=exp.seeds[0])
     assert (report["kind"], report["mean"]) == ("salmut", expected.mean)
 

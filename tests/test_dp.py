@@ -7,12 +7,13 @@ from edgeadmit.dp import (
     admissible_min,
     check_threshold_structure,
     check_value_monotone,
-    greedy_policy,
     q_tables,
     value_iteration,
     SolverError,
 )
-from edgeadmit.model import Action, ChainTables, CostModel, ModelParams, ResourceDist
+from edgeadmit.model import (
+    Action, ChainTables, CostModel, ModelParams, ResourceDist, policy_table,
+)
 
 from oracles import delta, enumerate_optimal, recursion_policy_value
 
@@ -202,7 +203,8 @@ def test_oracle_equivalence_small_instances(levels, self_loop):
 
 def test_greedy_policy_tie_breaks_accept():
     q = np.zeros((3, 2, 2))
-    policy = greedy_policy(q, buffer_capacity=2)
+    params = ModelParams(buffer_capacity=2, cpu_levels=1)
+    policy = policy_table(params, actions=q[..., 1] < q[..., 0])
     assert np.all(policy[:2] == Action.ACCEPT)
     assert np.all(policy[2] == Action.OFFLOAD)
 

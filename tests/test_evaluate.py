@@ -13,11 +13,11 @@ from edgeadmit.evaluate import (
     behavioral_compare,
     evaluate,
     evaluate_batch,
-    policy_table,
     rollout,
     rollout_costs,
 )
-from edgeadmit.model import Action, ChainTables, CostModel, NoEventError
+from edgeadmit.learners import QLearningConfig, qlearning_train
+from edgeadmit.model import Action, ChainTables, CostModel, NoEventError, policy_table
 from edgeadmit.rng import substream
 from edgeadmit.scenarios import Scenario, trajectory
 
@@ -472,6 +472,22 @@ def test_compare_trap_then_no_arrivals_raises_at_the_plain_step(
             assert series == expected
             assert series["all_offload"].trap_step is not None or horizon < 3
     assert raised == list(range(9, 15))
+
+
+def test_chain_step_is_built_once(
+    step_builds, canonical_params, canonical_costs, canonical_resources, segments
+):
+    # the planner reads the chain's tables alone; a 4-policy comparison and a
+    # trainer's arrival loop then share the one step the chain builds
+    chain = ChainTables(canonical_params, canonical_costs, canonical_resources)
+    value_iteration(6.0, chain)
+    assert step_builds == []
+    policies = {f"below_{b}": policy_table(canonical_params, accept_below=b)
+                for b in (0, 10, 18, 21)}
+    behavioral_compare(policies, Scenario(kind=1), chain, EventTrace.generate(3, 3000),
+                       EvalConfig())
+    qlearning_train(segments(Scenario(kind=1), 3000, 3), chain, QLearningConfig(horizon=3000), 3)
+    assert len(step_builds) == 1 and step_builds[0] is chain
 
 
 def test_threshold_policy_greedy_rounding(canonical_params):

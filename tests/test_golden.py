@@ -19,9 +19,9 @@ from edgeadmit.evaluate import (
     EventTrace,
     behavioral_compare,
     evaluate,
-    policy_table,
 )
 from edgeadmit.learners import QLearningConfig, qlearning_train
+from edgeadmit.model import policy_table
 from edgeadmit.salmut import SalmutConfig, train
 from edgeadmit.scenarios import Scenario, trajectory
 

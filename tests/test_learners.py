@@ -3,10 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from edgeadmit.dp import greedy_policy, value_iteration
-from edgeadmit.evaluate import policy_table
+from edgeadmit.dp import value_iteration
 from edgeadmit.learners import QLearningConfig, policy_hash, qlearning_train
-from edgeadmit.model import Action
+from edgeadmit.model import Action, policy_table
 from edgeadmit.rng import BLOCK, block_uniforms, substream
 from edgeadmit.salmut import SalmutConfig, train
 from edgeadmit.scenarios import Scenario
@@ -103,7 +102,7 @@ def test_greedy_matches_dp_policy_when_preloaded(canonical_params, canonical_cha
     # epsilon = 0 with the planner's q preloaded: greedy extraction equals the
     # planner's policy exactly (same argmin and tie rule)
     sol = value_iteration(6.0, canonical_chain, tol=1e-9)
-    extracted = greedy_policy(sol.q, canonical_params.buffer_capacity)
+    extracted = policy_table(canonical_params, actions=sol.q[..., 1] < sol.q[..., 0])
     assert np.array_equal(extracted, sol.policy)
 
 

@@ -14,7 +14,6 @@ from edgeadmit.model import (
     ModelParams,
     NoEventError,
     ResourceDist,
-    StepKernel,
 )
 from edgeadmit.rng import substream
 
@@ -148,21 +147,20 @@ def test_transition_pmf_sums_to_one_within_bounds(x, ell, action, lam, p1):
         assert 0 <= s.x <= 20 and 0 <= s.ell <= 20
 
 
-def kernel_step(kernel, state, action, lam, draw):
-    """``StepKernel.step`` taking ``action`` at an arrival, both draws from ``draw``.
+def take_step(chain, state, action, lam, draw):
+    """``chain.step`` taking ``action`` at an arrival, both draws from ``draw``.
 
     Returns the next state, the action taken (None at a departure) and the cost.
     """
-    x, ell, a, incurred = kernel.step(state.x, state.ell, lam, lambda *_: action, 0, draw, draw)
+    x, ell, a, incurred = chain.step(state.x, state.ell, lam, lambda *_: action, 0, draw, draw)
     return State(x, ell), a, incurred
 
 
 def test_step_first_draw_trace(canonical_chain):
     # empty system: the event must be an arrival; accept consumes one
     # resource draw and moves up accordingly
-    kernel = StepKernel(canonical_chain)
     rng = substream(7, "events-test")
-    nxt, a, incurred = kernel_step(kernel, State(0, 0), Action.ACCEPT, 6.0, rng.random)
+    nxt, a, incurred = take_step(canonical_chain, State(0, 0), Action.ACCEPT, 6.0, rng.random)
     assert a is Action.ACCEPT
     assert incurred == 0.0
     assert nxt in (State(1, 1), State(1, 2))
@@ -171,25 +169,22 @@ def test_step_first_draw_trace(canonical_chain):
 def test_step_traced_sample(canonical_chain):
     # event draw u = 0.3 <= delta(0) = 1 gives an arrival; the next draw
     # 0.5 < 0.6 selects resource size 1, landing at (1, 1)
-    kernel = StepKernel(canonical_chain)
     draw = iter([0.3, 0.5]).__next__
-    assert kernel_step(kernel, State(0, 0), Action.ACCEPT, 6.0, draw) == (
+    assert take_step(canonical_chain, State(0, 0), Action.ACCEPT, 6.0, draw) == (
         State(1, 1), Action.ACCEPT, 0.0
     )
 
 
 def test_step_boundary_draw_is_arrival(canonical_chain):
     # u exactly equal to delta counts as an arrival
-    kernel = StepKernel(canonical_chain)
-    nxt, a, _ = kernel_step(kernel, State(2, 5), Action.OFFLOAD, 6.0, iter([0.5]).__next__)
+    nxt, a, _ = take_step(canonical_chain, State(2, 5), Action.OFFLOAD, 6.0, iter([0.5]).__next__)
     assert a is Action.OFFLOAD
     assert nxt == State(2, 5)
 
 
 def test_step_offload_identity_and_penalty(canonical_chain):
-    kernel = StepKernel(canonical_chain)
     rng = substream(7, "events-test")
-    nxt, a, incurred = kernel_step(kernel, State(0, 0), Action.OFFLOAD, 6.0, rng.random)
+    nxt, a, incurred = take_step(canonical_chain, State(0, 0), Action.OFFLOAD, 6.0, rng.random)
     assert a is Action.OFFLOAD
     assert nxt == State(0, 0)
     assert incurred == pytest.approx(10.0)  # idle-load offload penalty
@@ -197,9 +192,8 @@ def test_step_offload_identity_and_penalty(canonical_chain):
 
 def test_step_departure_charges_no_penalty(canonical_chain):
     # lam = 0 with a busy server: departures only
-    kernel = StepKernel(canonical_chain)
     rng = substream(3, "events-test")
-    nxt, a, incurred = kernel_step(kernel, State(5, 10), Action.OFFLOAD, 0.0, rng.random)
+    nxt, a, incurred = take_step(canonical_chain, State(5, 10), Action.OFFLOAD, 0.0, rng.random)
     assert a is None
     assert incurred == pytest.approx(0.12 * 3 - 0.2)
     assert nxt.x == 4 and nxt.ell in (8, 9)
@@ -220,11 +214,10 @@ def test_step_frequencies_match_pmf(
 ):
     lam = 6.0
     n = 20_000
-    kernel = StepKernel(canonical_chain)
     rng = substream(seed, "events-mc")
     counts: dict[State, int] = {}
     for _ in range(n):
-        nxt, _, _ = kernel_step(kernel, state, action, lam, rng.random)
+        nxt, _, _ = take_step(canonical_chain, state, action, lam, rng.random)
         counts[nxt] = counts.get(nxt, 0) + 1
     pmf = transition_pmf(state, action, lam, canonical_params, canonical_resources)
     assert set(counts) <= set(pmf)
@@ -238,10 +231,9 @@ def test_step_event_frequency_matches_delta(canonical_params, canonical_chain):
     lam, state = 6.0, State(2, 5)
     d = delta(state.x, lam, canonical_params)
     n = 20_000
-    kernel = StepKernel(canonical_chain)
     rng = substream(20, "events-mc")
     arrivals = sum(
-        kernel_step(kernel, state, Action.ACCEPT, lam, rng.random)[1] is not None
+        take_step(canonical_chain, state, Action.ACCEPT, lam, rng.random)[1] is not None
         for _ in range(n)
     )
     sigma = (n * d * (1 - d)) ** 0.5
@@ -263,7 +255,7 @@ def test_step_clamps_every_state_and_boundary_draw(lam):
         holding=0.5, running=[0.0, 0.1, 0.2, 0.3, 5.0], penalty=[2.0, 2.0, 1.0, 1.0, 1.0]
     )
     rd = ResourceDist(pmf=[0.5, 0.0, 0.5])  # size 2 has probability zero
-    kernel = StepKernel(ChainTables(params, cm, rd))
+    chain = ChainTables(params, cm, rd)
     X, L, k = 3, 4, 2
     cdf = np.cumsum(rd.pmf)
     resource_draws = sorted(
@@ -273,7 +265,7 @@ def test_step_clamps_every_state_and_boundary_draw(lam):
     for x, ell, action in itertools.product(range(X + 1), range(L + 1), Action):
         if lam == 0.0 and x == 0:
             with pytest.raises(NoEventError):
-                kernel.step(x, ell, lam, lambda *_: action, 0, _no_draw, _no_draw)
+                chain.step(x, ell, lam, lambda *_: action, 0, _no_draw, _no_draw)
             continue
         support = transition_pmf(State(x, ell), action, lam, params, rd)
         stay = cm.holding * max(x - k, 0) + cm.running[ell]
@@ -286,7 +278,7 @@ def test_step_clamps_every_state_and_boundary_draw(lam):
             r = next(r for r, c in enumerate(cdf, start=1) if u < c)
             event_u = _no_draw if z is None else iter([z]).__next__
             resource_u = iter([u]).__next__
-            got = kernel.step(x, ell, lam, lambda *_: action, 0, event_u, resource_u)
+            got = chain.step(x, ell, lam, lambda *_: action, 0, event_u, resource_u)
             if z is not None and z <= d:
                 if action == Action.OFFLOAD:
                     want = (x, ell, action, stay + cm.penalty[ell])
@@ -305,6 +297,14 @@ def test_step_clamps_every_state_and_boundary_draw(lam):
     assert 0 in xs and 0 in ells
     if lam > 0.0:
         assert X in xs and L in ells
+
+
+def test_chain_tables_are_read_only(canonical_chain):
+    # every simulator shares the one chain, and its step holds a copy of them
+    for name in ("busy", "cdf", "cost", "succ"):
+        table = getattr(canonical_chain, name)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = table[0]
 
 
 def test_model_params_beta_consistency():

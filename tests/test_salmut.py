@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from edgeadmit.model import Action, ChainTables, CostModel, StepKernel
+from edgeadmit.model import Action, ChainTables, CostModel
 from edgeadmit.rng import substream
 from edgeadmit.salmut import SalmutConfig, bias_correction, train
 from edgeadmit.scenarios import Scenario
@@ -336,8 +336,6 @@ def test_gradient_estimate_unbiasedness_self_consistency(canonical_params, canon
     temp = 1.0
     lam = 6.0
 
-    kernel = StepKernel(canonical_chain)
-
     def run(seed, n_steps):
         events = substream(seed, "ubias-events").random
         resources = substream(seed, "ubias-resources").random
@@ -352,7 +350,7 @@ def test_gradient_estimate_unbiasedness_self_consistency(canonical_params, canon
 
         x, ell = 0, 0
         for n in range(n_steps):
-            x, ell, _, _ = kernel.step(x, ell, lam, decide, n, events, resources)
+            x, ell, _, _ = canonical_chain.step(x, ell, lam, decide, n, events, resources)
         return visits
     per_cell = np.zeros((21, 21))
     for x in range(21):

@@ -167,6 +167,20 @@ def test_cli_train_pool_warns_once(tmp_path):
     assert proc.stdout.splitlines() == [f"salmut seed {s}: done (1000 steps)" for s in (0, 1)]
 
 
+def test_cli_config_warning_is_one_stderr_line(tmp_path):
+    # the category and the message, without a line of the program's source
+    code = "from edgeadmit import cli; cli.main()"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "solve", "--out", str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "CostTableWarning: config warning at costs: running cost is not weakly increasing in "
+        "load; running + penalty is not weakly increasing in load"
+    ]
+
+
 def _alive(pid: int) -> bool:
     try:
         state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
