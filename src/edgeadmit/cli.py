@@ -23,7 +23,7 @@ from .artifacts import ArtifactError
 from .config import ConfigError, Experiment
 from .dp import SolverError
 from .model import NoEventError, finite, policy_table
-from .scenarios import rate_segments, trajectory
+from .scenarios import PopulationError, rate_segments, trajectory
 
 
 def _load_experiment(config_path, seed, out, scenario, horizon_scale, learner) -> Experiment:
@@ -83,7 +83,7 @@ def command(*options):
             try:
                 exp = _load_experiment(config_path, seed, out, scenario, horizon_scale, learner)
                 fn(exp, **kwargs)
-            except (ConfigError, ArtifactError, OSError) as exc:
+            except (ConfigError, ArtifactError, PopulationError, OSError) as exc:
                 click.echo(str(exc), err=True)
                 sys.exit(2)
             except SolverError as exc:

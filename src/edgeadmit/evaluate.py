@@ -18,6 +18,7 @@ fast-forwards a policy trapped at ``x = 0`` to each segment's stop.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
@@ -83,7 +84,7 @@ def _windows(
     chain: ChainTables,
     table: np.ndarray,
     segments: Iterable[tuple[int, int, float]],
-    draws: Callable[[int, int], Iterable[tuple[Callable[[], float], Callable[[], float]]]],
+    draws: Callable[[int, int], Iterable[tuple[Callable[[], float], Callable[[], int]]]],
     initial_state: tuple[int, int],
     window: int,
     overload_level: int,
@@ -92,7 +93,8 @@ def _windows(
 
     The segments tile ``0..horizon`` in order, and steps ``start..stop-1``
     run at rate ``lam``.  ``draws(start, stop)`` yields one
-    ``(event_u, resource_u)`` per step from ``start`` to ``stop - 1``.
+    ``(event_u, resource_j)`` per step from ``start`` to ``stop - 1``, the
+    step's event uniform and resource index draws.
     Costs are discounted at the chain's ``discount_beta``.
     Returns the discounted total, the per-window metrics and the trap step:
     the first step that starts at ``x = 0`` in a state the table offloads
@@ -129,10 +131,10 @@ def _windows(
     trap_step = None
 
     for start, stop, lam in segments:
-        for event_u, resource_u in draws(start, stop):
+        for event_u, resource_j in draws(start, stop):
             if not x and trapped[ell] and lam > 0.0:
                 break
-            x, ell, a, incurred = step(x, ell, lam, decide, 0, event_u, resource_u)
+            x, ell, a, incurred = step(x, ell, lam, decide, 0, event_u, resource_j)
             if a:
                 w_off += 1
             discounted = disc * incurred
@@ -212,12 +214,18 @@ def rollout(
 
     This is the one-lane reference for ``rollout_costs``.  It steps through
     ``chain.step`` with both draws from ``rng``: an event draw per step when
-    ``lam > 0``, then a resource draw unless the arrival is offloaded.  A
-    trapped rollout draws nothing more (see ``_windows``).
+    ``lam > 0``, then a resource draw unless the arrival is offloaded, whose
+    index is where it falls in the chain's ``cdf``.  A trapped rollout draws
+    nothing more (see ``_windows``).
     """
+    cdf = chain.cdf.tolist()
+
+    def resource_j() -> int:
+        return bisect_right(cdf, rng.random())
+
     total, windows, _ = _windows(
         chain, table, [(0, horizon, lam)],
-        lambda start, stop: itertools.repeat((rng.random, rng.random), stop - start),
+        lambda start, stop: itertools.repeat((rng.random, resource_j), stop - start),
         initial_state, window, overload_level,
     )
     return RolloutResult(discounted_cost=total, windows=tuple(windows))
@@ -372,8 +380,10 @@ class EventTrace:
 # trace steps converted to Python lists at a time: the whole trace as lists
 # would cost tens of megabytes at long horizons
 _CHUNK = 4096
-# a float's bound ``__float__``: a zero-argument callable returning that float
+# a float's bound ``__float__`` and an int's bound ``__index__``: zero-argument
+# callables returning that number
 _constant_draw = attrgetter("__float__")
+_constant_index = attrgetter("__index__")
 
 
 def behavioral_compare(
@@ -391,15 +401,17 @@ def behavioral_compare(
     the rate ``lam`` of the ``rate_segments`` segment that holds step t; the
     threshold is state-dependent, so trajectories diverge across policies
     while consuming identical randomness.  Each policy runs ``rollout``'s
-    loop; at step t the event draw returns ``z_t`` and the resource draw
-    ``u_t``, so a step that skips a draw shifts no later one.
+    loop; at step t the event draw returns ``z_t`` and the resource draw the
+    index of ``u_t`` in the chain's ``cdf``, so a step that skips a draw
+    shifts no later one.  The indices are found once per trace.
     """
+    indices = np.searchsorted(chain.cdf, trace.resource_u, side="right")
 
     def chunk(start: int, stop: int):
         steps = slice(start, min(start + _CHUNK, stop))
         return zip(
             map(_constant_draw, trace.z[steps].tolist()),
-            map(_constant_draw, trace.resource_u[steps].tolist()),
+            map(_constant_index, indices[steps].tolist()),
         )
 
     def draws(start: int, stop: int):

@@ -76,15 +76,15 @@ def arrival_loop(
     ``snapshot()[0]`` and empty ``eval_*`` fields, and the eval point
     ``(lam, snapshot()[1])`` goes into the eval list, the rate and the
     ``(X+1, L+1)`` policy table to score for that row; the table must be a
-    fresh array.  Events and resource sizes come from the ``events`` and
-    ``resources`` substreams of ``seed``, drawn in blocks.  Returns the log,
-    the eval points and the arrival count.
+    fresh array.  Event uniforms and resource indices come from the
+    ``events`` and ``resources`` substreams of ``seed``, drawn in blocks.
+    Returns the log, the eval points and the arrival count.
     """
     X, L = chain.params.buffer_capacity, chain.params.cpu_levels
     eval_every = config.eval_every
     step = chain.step
     event_u = rngmod.block_uniforms(rngmod.substream(seed, "events"))
-    resource_u = rngmod.block_uniforms(rngmod.substream(seed, "resources"))
+    resource_j = rngmod.block_indices(rngmod.substream(seed, "resources"), chain.cdf)
     x, ell = config.start_state
     if not (0 <= x <= X and 0 <= ell <= L):
         raise ValueError("start_state out of bounds")
@@ -100,7 +100,7 @@ def arrival_loop(
         while start < stop:
             end = min(stop, start - start % eval_every + eval_every)
             for n in range(start, end):
-                nx, nl, a, incurred = step(x, ell, lam, act, n, event_u, resource_u)
+                nx, nl, a, incurred = step(x, ell, lam, act, n, event_u, resource_j)
                 if a is not None:
                     arrivals += 1
                     diag = update(x, ell, a, incurred, nx, nl, n)
@@ -208,9 +208,8 @@ def qlearning_train(
     """
     X, L = chain.params.buffer_capacity, chain.params.cpu_levels
     beta = chain.params.discount_beta
-    # scalar draws: random() and integers(0, 2) interleave on this stream
-    act_rng = rngmod.substream(seed, "exploration")
-    explore_u, coin = act_rng.random, act_rng.integers
+    # random() and integers(0, 2) of one stream, interleaved, drawn in blocks
+    explore_u, coin = rngmod.exploration_draws(rngmod.substream(seed, "exploration"))
     epsilon_at = config.epsilon_at
     # Python floats, q[x][ell][a], until returned
     q = [[[0.0, 0.0] for _ in range(L + 1)] for _ in range(X + 1)]
@@ -223,7 +222,7 @@ def qlearning_train(
         if x == X:
             return 1
         if explore_u() < epsilon_at(n):
-            return int(coin(0, 2))
+            return coin()
         cell = q[x][ell]
         return 0 if cell[0] <= cell[1] else 1
 

@@ -19,7 +19,6 @@ import enum
 import functools
 import sys
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -89,6 +88,9 @@ class NoEventError(ValueError):
 # the grid has (X + 1) * (L + 1) states and the planner holds several arrays
 # over it, so an unbounded buffer would ask numpy for an unallocatable grid
 MAX_BUFFER_CAPACITY = 10_000
+# a drifting population that keeps spawning doubles each period; past this
+# many users ``scenarios.trajectory`` stops instead of filling memory
+MAX_POPULATION = 100_000
 
 
 @dataclass(frozen=True)
@@ -221,11 +223,12 @@ class ChainTables:
     ``busy`` is the service rate ``min(x, k) * mu``.  By ``Event`` ``e``,
     ``cost[s, e]`` is the step cost ``h * max(x - k, 0) + c(ell)``, plus
     ``p(ell)`` for an offloaded arrival, and ``succ[s, e, j]`` the next state
-    with resource index ``j = searchsorted(cdf, u, side="right")``, one past
-    the support included.  Only here are the queue and load clamped to
-    ``0..X`` and ``0..L``.  The tables are read-only: every simulator shares
-    them, and ``step`` copies them.  The ingredients stay attributes:
-    ``params``, ``cm`` and ``rd``.
+    with resource index ``j``, where a resource uniform ``u`` falls in the
+    ``cdf``: ``j = searchsorted(cdf, u, side="right")``, one past the support
+    included.  Only here are the queue and load clamped to ``0..X`` and
+    ``0..L``.  The tables are read-only: every simulator shares them, and
+    ``step`` copies them.  The ingredients stay attributes: ``params``,
+    ``cm`` and ``rd``.
     """
 
     def __init__(self, params: ModelParams, cm: CostModel, rd: ResourceDist):
@@ -261,11 +264,12 @@ class ChainTables:
     def step(self) -> Callable[..., tuple[int, int, int | None, float]]:
         """The chain's one transition rule, sampled a step at a time.
 
-        ``step(x, ell, lam, decide, n, event_u, resource_u)`` makes one
+        ``step(x, ell, lam, decide, n, event_u, resource_j)`` makes one
         transition from ``(x, ell)`` and returns ``(x', ell', action, cost)``.
-        ``event_u`` and ``resource_u`` return the next uniform of their
-        streams.  The event is drawn only when ``lam > 0``, and it is an
-        arrival iff the draw is at most ``delta(x)``.  ``decide(x, ell, n)``
+        ``event_u`` returns the next event uniform, and ``resource_j`` the
+        next resource index ``j`` of ``succ`` (``rng.block_indices`` draws
+        them in blocks).  The event is drawn only when ``lam > 0``, and it is
+        an arrival iff the draw is at most ``delta(x)``.  ``decide(x, ell, n)``
         is called only at an arrival; a truthy action offloads.  The resource
         is drawn unless the arrival is offloaded.  The action is None at a
         departure, which incurs the accept-cost of the current state: no
@@ -275,8 +279,7 @@ class ChainTables:
         ``policy_table`` offloads in its row ``X``.
 
         Built on first use, once per chain, as nested lists of Python numbers:
-        a step does no numpy work, and its resource index, ``bisect_right`` on
-        the cdf list, equals ``np.searchsorted(cdf, u, side="right")``.
+        a step does no numpy work.
         """
         # the tables as nested lists by [e][x][ell], the successors by [e][x][ell][j]
         shape = (self.cost.shape[1], self.params.buffer_capacity + 1, self.params.cpu_levels + 1)
@@ -289,9 +292,8 @@ class ChainTables:
         down, up = ([[[pair[s] for s in cell] for cell in row] for row in succ[e]]
                     for e in (Event.DEPARTURE, Event.ACCEPTED))
         busy = self.busy[:: shape[2]].tolist()
-        cdf = self.cdf.tolist()
 
-        def step(x, ell, lam, decide, n, event_u, resource_u):
+        def step(x, ell, lam, decide, n, event_u, resource_j):
             rate = busy[x]
             if lam == 0.0 and rate == 0.0:
                 raise NoEventError()
@@ -299,9 +301,9 @@ class ChainTables:
                 a = decide(x, ell, n)
                 if a:
                     return x, ell, a, offload_cost[x][ell]
-                nx, nl = up[x][ell][bisect_right(cdf, resource_u())]
+                nx, nl = up[x][ell][resource_j()]
                 return nx, nl, a, accept_cost[x][ell]
-            nx, nl = down[x][ell][bisect_right(cdf, resource_u())]
+            nx, nl = down[x][ell][resource_j()]
             return nx, nl, None, depart_cost[x][ell]
 
         return step

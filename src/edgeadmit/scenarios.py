@@ -21,8 +21,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import rng as rngmod
-from .model import check_ints, check_numbers
+from .model import MAX_POPULATION, check_ints, check_numbers
+
+# user draws per ``rng.user_uniforms`` call, at most (one step's users are
+# never split): it bounds the call's memory
+DRAW_BLOCK = 2**16
+
+
+class PopulationError(ValueError):
+    """A drifting population outgrew ``MAX_POPULATION``."""
 
 
 @dataclass(frozen=True)
@@ -100,49 +110,83 @@ def event_steps(scenario: Scenario, horizon: int) -> list[int]:
     return sorted(s for s in steps if 0 < s < horizon)
 
 
+def _user_draws(seed: int, uids: list[int], draws: list[tuple[str, int]]):
+    """Per ``(domain, step)`` of ``draws``, the list of ``uids``' user uniforms.
+
+    The draws are computed by ``rng.user_uniforms``, up to ``DRAW_BLOCK`` at a
+    time, and yielded in order.
+    """
+    width = max(1, DRAW_BLOCK // max(1, len(uids)))
+    column = np.array(uids, dtype=np.int64)[:, None]
+    for i in range(0, len(draws), width):
+        domains, steps = zip(*draws[i:i + width])
+        yield from rngmod.user_uniforms(seed, domains, column, steps).T.tolist()
+
+
 def trajectory(scenario: Scenario, horizon: int, seed: int) -> list[tuple[int, float, int]]:
     """Change-point rows (step, aggregate rate, population size).
 
     Row 0 is always present; later rows appear only when the rate or the
     population changes, which keeps exports compact at long horizons.  Each
     of the ``event_steps`` applies its rate switch, then its toggles, then
-    its population draws; no other step can change the state.
+    its population draws; no other step can change the state.  The users
+    change only at population steps, so a period's draws, up to and
+    including its population step, are made together before the period is
+    applied.  A population above ``MAX_POPULATION`` at the start of a period
+    raises ``PopulationError``.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    sc, uniform = scenario, rngmod.user_uniform
+    sc = scenario
     phase1, phase2, toggle, pop = _schedule(sc, horizon)
     # (user id, on the high rate tier), always in the same order, so that
     # equal populations sum to equal rates
-    users = [(uid, sc.rate_toggles and uniform(seed, "scenario-init", uid, 0) < 0.5)
-             for uid in range(sc.n_users)]
+    high = [False] * sc.n_users
+    if sc.rate_toggles:
+        draws = rngmod.user_uniforms(seed, "scenario-init", np.arange(sc.n_users), 0)
+        high = (draws < 0.5).tolist()
+    users = list(enumerate(high))
     next_uid = sc.n_users
 
     def rate() -> float:
         return sum(sc.lambda_high if hi else sc.lambda_low for _, hi in users)
 
     rows = [(0, rate(), len(users))]
+    # the periods: the event steps up to and including each population step
+    periods: list[list[int]] = [[]]
     for s in event_steps(sc, horizon):
-        if sc.rate_switches and s in (phase1, phase2):
-            users = [(uid, s == phase1) for uid, _ in users]
-        if sc.rate_toggles and s % toggle == 0:
-            users = [(uid, hi != (uniform(seed, "scenario-toggle", uid, s) < sc.toggle_prob))
-                     for uid, hi in users]
+        periods[-1].append(s)
         if sc.population_drifts and s % pop == 0:
-            kept = []
-            for uid, hi in users:
-                u = uniform(seed, "scenario-pop", uid, s)
-                if u < sc.leave_prob:
-                    continue
-                kept.append((uid, hi))
-                if u >= 1.0 - sc.add_prob:
-                    # the new device inherits its owner's current rate tier
-                    kept.append((next_uid, hi))
-                    next_uid += 1
-            users = kept
-        lam = rate()
-        if lam != rows[-1][1] or len(users) != rows[-1][2]:
-            rows.append((s, lam, len(users)))
+            periods.append([])
+    for period in filter(None, periods):
+        if len(users) > MAX_POPULATION:
+            raise PopulationError(
+                f"config error at scenario: the population reached {len(users)} users "
+                f"by step {period[0]}, above the cap of {MAX_POPULATION}")
+        draws = [("scenario-toggle", s) for s in period if sc.rate_toggles and s % toggle == 0]
+        if sc.population_drifts and period[-1] % pop == 0:
+            draws.append(("scenario-pop", period[-1]))
+        columns = _user_draws(seed, [uid for uid, _ in users], draws)
+        for s in period:
+            if sc.rate_switches and s in (phase1, phase2):
+                users = [(uid, s == phase1) for uid, _ in users]
+            if sc.rate_toggles and s % toggle == 0:
+                users = [(uid, hi != (u < sc.toggle_prob))
+                         for (uid, hi), u in zip(users, next(columns))]
+            if sc.population_drifts and s % pop == 0:
+                kept = []
+                for (uid, hi), u in zip(users, next(columns)):
+                    if u < sc.leave_prob:
+                        continue
+                    kept.append((uid, hi))
+                    if u >= 1.0 - sc.add_prob:
+                        # the new device inherits its owner's current rate tier
+                        kept.append((next_uid, hi))
+                        next_uid += 1
+                users = kept
+            lam = rate()
+            if lam != rows[-1][1] or len(users) != rows[-1][2]:
+                rows.append((s, lam, len(users)))
     return rows
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -257,11 +258,22 @@ def scenario_rates(scenario: Scenario, horizon: int, seed: int):
         yield sum(hi_rate if hi else lo for _, hi in users), len(users)
 
 
-def trace_draws(scenario, trace):
-    """``(lam, event_u, resource_u)`` per step of a shared trace, ``lam`` from ``scenario_rates``."""
+def resource_indices(chain: ChainTables, uniform: Callable[[], float]) -> Callable[[], int]:
+    """``chain.step``'s resource draw from a uniform one: where ``uniform()`` falls
+    in the chain's cdf, by ``bisect_right``."""
+    cdf = chain.cdf.tolist()
+    return lambda: bisect_right(cdf, uniform())
+
+
+def trace_draws(scenario, trace, chain):
+    """``(lam, event_u, resource_j)`` per step of a shared trace, ``lam`` from
+    ``scenario_rates`` and ``resource_j`` where the step's resource uniform falls
+    in the chain's cdf, by ``bisect_right``."""
     rates = scenario_rates(scenario, len(trace.z), trace.seed)
+    cdf = chain.cdf.tolist()
     for (lam, _), z, u in zip(rates, trace.z.tolist(), trace.resource_u.tolist()):
-        yield lam, (lambda z=z: z), (lambda u=u: u)
+        j = bisect_right(cdf, u)
+        yield lam, (lambda z=z: z), (lambda j=j: j)
 
 
 def windowed_replay(
@@ -274,7 +286,7 @@ def windowed_replay(
 ) -> tuple[float, list[MetricsWindow], int | None]:
     """Every step through ``chain.step``, with no trap fast-forward.
 
-    ``draws`` yields ``(lam, event_u, resource_u)`` per step.  Returns the
+    ``draws`` yields ``(lam, event_u, resource_j)`` per step.  Returns the
     discounted total, the per-window metrics and the first step that starts
     at ``x = 0`` in a state ``table`` offloads from with ``lam > 0`` (None if
     none does).
@@ -287,11 +299,11 @@ def windowed_replay(
     w_disc = w_undisc = 0.0
     w_ov = w_off = w_fill = 0
     trap_step = None
-    for t, (lam, event_u, resource_u) in enumerate(draws):
+    for t, (lam, event_u, resource_j) in enumerate(draws):
         if trap_step is None and x == 0 and offloads[0][ell] and lam > 0.0:
             trap_step = t
         x, ell, a, incurred = chain.step(
-            x, ell, lam, lambda x, ell, n: offloads[x][ell], 0, event_u, resource_u
+            x, ell, lam, lambda x, ell, n: offloads[x][ell], 0, event_u, resource_j
         )
         w_off += bool(a)
         discounted = disc * incurred
@@ -460,7 +472,8 @@ def _reference_arrival_loop(
     eval_every = config.eval_every
     step = chain.step
     event_u = rngmod.block_uniforms(rngmod.substream(seed, "events"))
-    resource_u = rngmod.block_uniforms(rngmod.substream(seed, "resources"))
+    resource_j = resource_indices(
+        chain, rngmod.block_uniforms(rngmod.substream(seed, "resources")))
     x, ell = config.start_state
     if not (0 <= x <= X and 0 <= ell <= L):
         raise ValueError("start_state out of bounds")
@@ -476,7 +489,7 @@ def _reference_arrival_loop(
     arrivals = 0
     for start, stop, lam in segments:
         for n in range(start, stop):
-            nx, nl, a, incurred = step(x, ell, lam, decide, n, event_u, resource_u)
+            nx, nl, a, incurred = step(x, ell, lam, decide, n, event_u, resource_j)
             if a is not None:
                 arrivals += 1
                 diag = update(x, ell, a, incurred, nx, nl, n)

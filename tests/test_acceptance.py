@@ -60,7 +60,7 @@ from edgeadmit.scenarios import Scenario
 
 from oracles import (
     State, accept_probability, enumerate_optimal, f_gradient, recursion_policy_value,
-    relative_gap, trace_draws, transition_pmf,
+    relative_gap, resource_indices, trace_draws, transition_pmf,
 )
 
 LAM = 6.0
@@ -296,10 +296,11 @@ def test_criterion_6_simulator_fidelity(canonical_params, canonical_resources, c
     step = canonical_chain.step
     for i, (state, action) in enumerate(pairs):
         rng = substream(700 + i, "fidelity")
+        resource_j = resource_indices(canonical_chain, rng.random)
         counts: dict[State, int] = {}
         for _ in range(n):
             nx, nl, _, _ = step(
-                state.x, state.ell, LAM, lambda *_: action, 0, rng.random, rng.random
+                state.x, state.ell, LAM, lambda *_: action, 0, rng.random, resource_j
             )
             nxt = State(nx, nl)
             counts[nxt] = counts.get(nxt, 0) + 1
@@ -438,13 +439,13 @@ def _replay_until_trapped(policy, scenario, trace, chain):
     x, ell = 0, 0
     offloads = []
     # step t reads the trace's t-th event and resource draws
-    for t, (lam, event_u, resource_u) in enumerate(trace_draws(scenario, trace)):
+    for t, (lam, event_u, resource_j) in enumerate(trace_draws(scenario, trace, chain)):
         action = (
             Action.OFFLOAD if x == chain.params.buffer_capacity else Action(int(policy[x, ell]))
         )
         if x == 0 and action == Action.OFFLOAD:
             return t, offloads
-        x, ell, a, _ = chain.step(x, ell, lam, lambda *_: action, t, event_u, resource_u)
+        x, ell, a, _ = chain.step(x, ell, lam, lambda *_: action, t, event_u, resource_j)
         offloads.append(a == Action.OFFLOAD)
     return None, offloads
 

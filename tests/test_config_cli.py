@@ -12,7 +12,7 @@ from edgeadmit import cli, config as cfgmod, evaluate as evaluate_module, learne
 from edgeadmit.artifacts import chain_hash
 from edgeadmit.cli import _load_policy, main
 from edgeadmit.config import ConfigError, Experiment
-from edgeadmit.model import ChainTables, ModelParams, policy_table
+from edgeadmit.model import MAX_POPULATION, ChainTables, ModelParams, policy_table
 from edgeadmit.scenarios import Scenario
 
 from oracles import trace_draws, windowed_replay
@@ -571,7 +571,7 @@ def test_cli_compare_end_to_end(tmp_path):
     totals = json.loads((out / "summary.json").read_text())["totals"]
     for name, table in tables.items():
         _, _, trap_step = windowed_replay(
-            table, trace_draws(exp.scenario, trace), exp.chain, exp.eval_config.initial_state,
+            table, trace_draws(exp.scenario, trace, exp.chain), exp.chain, exp.eval_config.initial_state,
         )
         assert totals[name]["trap_step"] == trap_step, name
         assert set(totals[name]) == {"c_ov", "c_off", "trap_step"}
@@ -657,6 +657,26 @@ def test_cli_train_population_extinction_is_numeric_failure(tmp_path):
     assert result.exit_code == 3, result.output
     assert isinstance(result.exception, SystemExit)
     assert "numeric failure: no event possible" in result.output
+
+
+def test_cli_train_runaway_population_is_input_error(tmp_path):
+    # every user spawns a device at every step, so the population doubles
+    # each step: past MAX_POPULATION users train stops with one line
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "scenario": {"kind": 4, "leave_prob": 0.0, "stay_prob": 0.0, "add_prob": 1.0,
+                     "population_period_fraction": 0.001},
+        "learner": {"horizon": 60},
+        "seeds": [0],
+        "output_dir": str(tmp_path / "runs"),
+    }))
+    result = CliRunner().invoke(main, ["train", "--config", str(cfg), "--no-periodic-eval"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == (
+        f"config error at scenario: the population reached {24 * 2**13} users by step 14, "
+        f"above the cap of {MAX_POPULATION}\n"
+    )
 
 
 def test_cli_evaluate_wrong_schema_is_input_error(tmp_path):

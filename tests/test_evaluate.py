@@ -21,7 +21,9 @@ from edgeadmit.model import Action, ChainTables, CostModel, NoEventError, policy
 from edgeadmit.rng import substream
 from edgeadmit.scenarios import Scenario, trajectory
 
-from oracles import relative_gap, simulated_policy_value, trace_draws, windowed_replay
+from oracles import (
+    relative_gap, resource_indices, simulated_policy_value, trace_draws, windowed_replay,
+)
 
 
 def test_rollout_single_departure_step(canonical_params, canonical_chain):
@@ -356,7 +358,7 @@ def _replayed(policies, scenario, chain, trace, **kwargs) -> dict:
     series = {}
     for name, table in policies.items():
         _, windows, trap_step = windowed_replay(
-            table, trace_draws(scenario, trace), chain, **kwargs
+            table, trace_draws(scenario, trace, chain), chain, **kwargs
         )
         series[name] = PolicySeries(tuple(windows), trap_step)
     return series
@@ -373,6 +375,18 @@ def test_compare_trapped_from_the_first_step(canonical_params, canonical_chain):
     [only] = series.values()
     assert only.trap_step == 0
     assert len(only.windows) == 21 and only.windows[-1].c_off == 500
+
+
+def test_compare_resource_draws_on_the_cdf_entries(canonical_params, canonical_chain):
+    # a resource draw equal to a cdf entry takes the next size, as bisect_right
+    # does in the plain replay; just below the entry it takes that entry's size
+    cdf = canonical_chain.cdf.tolist()
+    on_entries = sorted({u for c in cdf for u in (c, float(np.nextafter(c, 0.0)))})
+    trace = EventTrace.generate(5, 5000)
+    trace = EventTrace(trace.seed, trace.z, np.resize(on_entries, len(trace.z)))
+    args = ({"baseline": policy_table(canonical_params, accept_below=18)}, Scenario(kind=3),
+            canonical_chain, trace)
+    assert behavioral_compare(*args, EvalConfig()) == _replayed(*args)
 
 
 # (costs, table at x = 0): a trap at a positive cost (the canonical tables,
@@ -419,9 +433,8 @@ def test_rollout_fast_forward_equals_plain_replay(canonical_params, canonical_ch
     ):
         rr = rollout(table, 6.0, *args, horizon=horizon, rng=substream(3, "ff"))
         rng = substream(3, "ff")
-        total, windows, _ = windowed_replay(
-            table, itertools.repeat((6.0, rng.random, rng.random), horizon), *args
-        )
+        draws = (6.0, rng.random, resource_indices(canonical_chain, rng.random))
+        total, windows, _ = windowed_replay(table, itertools.repeat(draws, horizon), *args)
         assert (rr.discounted_cost, rr.windows) == (total, tuple(windows))
 
 

@@ -17,7 +17,7 @@ from edgeadmit.model import (
 )
 from edgeadmit.rng import substream
 
-from oracles import State, delta, transition_pmf
+from oracles import State, delta, resource_indices, transition_pmf
 
 
 def step_costs(chain, lam=6.0) -> np.ndarray:
@@ -148,11 +148,13 @@ def test_transition_pmf_sums_to_one_within_bounds(x, ell, action, lam, p1):
 
 
 def take_step(chain, state, action, lam, draw):
-    """``chain.step`` taking ``action`` at an arrival, both draws from ``draw``.
+    """``chain.step`` taking ``action`` at an arrival, both draws from ``draw``:
+    the event uniform, and the uniform whose ``resource_indices`` is the resource.
 
     Returns the next state, the action taken (None at a departure) and the cost.
     """
-    x, ell, a, incurred = chain.step(state.x, state.ell, lam, lambda *_: action, 0, draw, draw)
+    x, ell, a, incurred = chain.step(
+        state.x, state.ell, lam, lambda *_: action, 0, draw, resource_indices(chain, draw))
     return State(x, ell), a, incurred
 
 
@@ -277,8 +279,8 @@ def test_step_clamps_every_state_and_boundary_draw(lam):
         for z, u in itertools.product(event_draws, resource_draws):
             r = next(r for r, c in enumerate(cdf, start=1) if u < c)
             event_u = _no_draw if z is None else iter([z]).__next__
-            resource_u = iter([u]).__next__
-            got = chain.step(x, ell, lam, lambda *_: action, 0, event_u, resource_u)
+            resource_j = resource_indices(chain, iter([u]).__next__)
+            got = chain.step(x, ell, lam, lambda *_: action, 0, event_u, resource_j)
             if z is not None and z <= d:
                 if action == Action.OFFLOAD:
                     want = (x, ell, action, stay + cm.penalty[ell])

@@ -19,6 +19,7 @@ from oracles import (
     f_gradient,
     gradient_estimate,
     moment_arrays,
+    resource_indices,
 )
 
 
@@ -338,7 +339,7 @@ def test_gradient_estimate_unbiasedness_self_consistency(canonical_params, canon
 
     def run(seed, n_steps):
         events = substream(seed, "ubias-events").random
-        resources = substream(seed, "ubias-resources").random
+        resources = resource_indices(canonical_chain, substream(seed, "ubias-resources").random)
         act = substream(seed, "ubias-actions")
         visits = []
 

@@ -55,6 +55,18 @@ def test_phase_boundaries_scale_with_horizon():
         assert event_steps(Scenario(kind=2), horizon) == steps[1:]
 
 
+def _patch_user_draws(monkeypatch, draw):
+    """Make ``rng.user_uniforms`` apply the scalar ``draw(seed, domain, uid, step)``
+    to each element of its broadcast arguments."""
+
+    def user_uniforms(seed, domain, uids, steps):
+        arrays = np.broadcast_arrays(np.asarray(domain), np.asarray(uids), np.asarray(steps))
+        keys = zip(*(a.ravel().tolist() for a in arrays))
+        return np.array([draw(seed, *key) for key in keys], dtype=float).reshape(arrays[0].shape)
+
+    monkeypatch.setattr(rngmod, "user_uniforms", user_uniforms)
+
+
 def test_s3_forced_toggle_flips_every_user(monkeypatch):
     calls = []
 
@@ -62,7 +74,7 @@ def test_s3_forced_toggle_flips_every_user(monkeypatch):
         calls.append((domain, uid, step))
         return 0.0
 
-    monkeypatch.setattr(rngmod, "user_uniform", zero_draw)
+    _patch_user_draws(monkeypatch, zero_draw)
     rows = trajectory(Scenario(kind=3), 1000, seed=9)
     # draw 0.0 < 0.5 puts every user on the high tier initially; every draw
     # lies below the toggle probability, so every user flips at each toggle
@@ -71,8 +83,9 @@ def test_s3_forced_toggle_flips_every_user(monkeypatch):
         (s, pytest.approx(24 * (0.25 if s % 20 else 0.375)), 24) for s in range(10, 1000, 10)
     ]
     assert calls[:24] == [("scenario-init", uid, 0) for uid in range(24)]
-    assert calls[24:48] == [("scenario-toggle", uid, 10) for uid in range(24)]
-    assert len(calls) == 24 * 100
+    assert sorted(calls[24:], key=lambda call: call[::-1]) == [
+        ("scenario-toggle", uid, s) for s in range(10, 1000, 10) for uid in range(24)
+    ]
 
 
 def test_s4_population_mean_preserved():
@@ -95,7 +108,7 @@ def test_s4_spawned_device_inherits_tier(monkeypatch):
             return 0.99  # user 0 spawns a device at every population step
         return 0.5  # no toggle, no departure, no spawn
 
-    monkeypatch.setattr(rngmod, "user_uniform", draw)
+    _patch_user_draws(monkeypatch, draw)
     scenario = Scenario(kind=6)  # toggling + population drift
     rows = trajectory(scenario, 100, seed=11)
     # population steps every 10 steps: each adds one high-tier device
