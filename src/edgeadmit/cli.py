@@ -1,8 +1,8 @@
 """Config-driven experiment commands: solve, train, evaluate, compare.
 
-Exit codes: 0 success, 2 input error (config, artifact, or a file that cannot
-be read or written), 3 numeric failure (or a `train` worker process that ended
-abruptly).
+Exit codes: 0 success, 2 input error (config, artifact, a file that cannot
+be read or written, or a size too large to allocate), 3 numeric failure (or
+a `train` worker process that ended abruptly).
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ def command(*options):
     It takes the common options, then ``options``; its experiment is built
     from the config and the overlays (``--learner`` among them, where a
     command declares it); and each config warning and every failure is one
-    line on stderr, a failure with exit 2 (input) or 3 (numeric, or a worker
-    that ended abruptly).
+    line on stderr, a failure with exit 2 (input, or a size this host cannot
+    allocate) or 3 (numeric, or a worker that ended abruptly).
     """
 
     def decorate(fn):
@@ -85,6 +85,9 @@ def command(*options):
                 fn(exp, **kwargs)
             except (ConfigError, ArtifactError, PopulationError, OSError) as exc:
                 click.echo(str(exc), err=True)
+                sys.exit(2)
+            except MemoryError as exc:  # a size asked for that this host cannot hold
+                click.echo(f"out of memory: {exc}", err=True)
                 sys.exit(2)
             except SolverError as exc:
                 click.echo(f"numeric failure: {exc} (residual {exc.residual!r})", err=True)
@@ -356,7 +359,7 @@ def _aggregate_curves_from_dir(root: Path):
 @command(
     click.option("--trace-seed", type=click.IntRange(min=0), default=1234, show_default=True,
                  help="Seed of the shared event trace."),
-    click.option("--trace-length", type=click.IntRange(min=1), default=None,
+    click.option("--trace-length", type=click.IntRange(1, learners.MAX_HORIZON), default=None,
                  help="Trace length; defaults to the configured horizon."),
 )
 def compare(exp, trace_seed, trace_length):

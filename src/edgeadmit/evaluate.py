@@ -11,8 +11,9 @@ numpy lanes, and ``evaluate`` is its one-policy call.  The behavioral
 comparison instead replays a shared event trace against an evolving
 scenario: every policy consumes the same uniform draws, so differences in
 overload entries and offload counts are attributable to the policies alone.
-Both run one windowed loop over ``(start, stop, lam)`` rate segments, which
-fast-forwards a policy trapped at ``x = 0`` to each segment's stop.
+Its loop steps each policy over ``(start, stop, lam)`` rate segments in
+metric windows and fast-forwards a policy trapped at ``x = 0`` to each
+segment's stop; ``rollout`` is the plain step loop that every lane equals.
 """
 
 from __future__ import annotations
@@ -54,12 +55,6 @@ class MetricsWindow:
 
 
 @dataclass(frozen=True)
-class RolloutResult:
-    discounted_cost: float
-    windows: tuple[MetricsWindow, ...]
-
-
-@dataclass(frozen=True)
 class PolicySeries:
     """One policy's shared-trace windows and the step its trajectory is trapped at."""
 
@@ -80,126 +75,6 @@ class EvalReport:
 # rollouts
 
 
-def _windows(
-    chain: ChainTables,
-    table: np.ndarray,
-    segments: Iterable[tuple[int, int, float]],
-    draws: Callable[[int, int], Iterable[tuple[Callable[[], float], Callable[[], int]]]],
-    initial_state: tuple[int, int],
-    window: int,
-    overload_level: int,
-) -> tuple[float, list[MetricsWindow], int | None]:
-    """Step ``table`` through ``chain.step`` over ``(start, stop, lam)`` segments.
-
-    The segments tile ``0..horizon`` in order, and steps ``start..stop-1``
-    run at rate ``lam``.  ``draws(start, stop)`` yields one
-    ``(event_u, resource_j)`` per step from ``start`` to ``stop - 1``, the
-    step's event uniform and resource index draws.
-    Costs are discounted at the chain's ``discount_beta``.
-    Returns the discounted total, the per-window metrics and the trap step:
-    the first step that starts at ``x = 0`` in a state the table offloads
-    from, with ``lam > 0``, or None.
-    ``rollout`` and ``behavioral_compare`` both run this loop; they differ
-    only in where the rate segments and the uniforms come from.
-
-    A trapped state is absorbing while ``lam > 0``: ``delta(0) = 1``, so every
-    event is an arrival, offloaded at the same cost.  From the trap step to
-    the stop of each segment with ``lam > 0`` the loop calls neither the
-    step nor ``draws`` and applies the same float operations in the same
-    order, so every window is the step's bit for bit.  A segment with
-    ``lam == 0`` goes back to the step, which raises ``NoEventError`` at
-    its first step.  Once ``disc * beta == disc`` (``disc`` sticks at the
-    smallest subnormal and never reaches 0.0 for ``beta`` > 0.5) and a step
-    no longer moves ``total``, every full window is the same, so it is
-    computed once.
-    """
-    offloads = np.asarray(table).tolist()
-    trapped = offloads[0]
-
-    def decide(x: int, ell: int, n: int) -> int:
-        return offloads[x][ell]
-
-    step = chain.step
-    beta = chain.params.discount_beta
-    x, ell = initial_state
-    total = 0.0
-    disc = 1.0
-    windows: list[MetricsWindow] = []
-    w_disc = w_undisc = 0.0
-    w_ov = w_off = 0
-    w_index = w_fill = 0
-    trap_step = None
-
-    for start, stop, lam in segments:
-        for event_u, resource_j in draws(start, stop):
-            if not x and trapped[ell] and lam > 0.0:
-                break
-            x, ell, a, incurred = step(x, ell, lam, decide, 0, event_u, resource_j)
-            if a:
-                w_off += 1
-            discounted = disc * incurred
-            total += discounted
-            w_disc += discounted
-            w_undisc += incurred
-            if ell >= overload_level:
-                w_ov += 1
-            disc *= beta
-            w_fill += 1
-            if w_fill == window:
-                windows.append(MetricsWindow(w_index, w_disc, w_undisc, w_ov, w_off))
-                w_index += 1
-                w_disc = w_undisc = 0.0
-                w_ov = w_off = 0
-                w_fill = 0
-        else:
-            continue
-
-        # trapped at step t, up to the segment's stop
-        t = w_index * window + w_fill
-        if trap_step is None:
-            trap_step = t
-        cost = float(chain.cost[ell, Event.OFFLOADED])  # state (0, ell) is s = ell
-        over = ell >= overload_level
-        while t < stop:
-            n = min(window - w_fill, stop - t)
-            if n == window and disc * beta == disc and total + disc * cost == total:
-                # neither disc nor total moves again: the full windows left are all this one
-                repeats = (stop - t) // window
-                discounted = disc * cost
-                for _ in range(window):
-                    w_disc += discounted
-                    w_undisc += cost
-                windows.extend(
-                    MetricsWindow(w_index + i, w_disc, w_undisc, window if over else 0, window)
-                    for i in range(repeats)
-                )
-                w_index += repeats
-                w_disc = w_undisc = 0.0
-                t += repeats * window
-                continue
-            for _ in range(n):
-                discounted = disc * cost
-                total += discounted
-                w_disc += discounted
-                w_undisc += cost
-                disc *= beta
-            w_off += n
-            if over:
-                w_ov += n
-            w_fill += n
-            t += n
-            if w_fill == window:
-                windows.append(MetricsWindow(w_index, w_disc, w_undisc, w_ov, w_off))
-                w_index += 1
-                w_disc = w_undisc = 0.0
-                w_ov = w_off = 0
-                w_fill = 0
-
-    if w_fill:
-        windows.append(MetricsWindow(w_index, w_disc, w_undisc, w_ov, w_off))
-    return total, windows, trap_step
-
-
 def rollout(
     table: np.ndarray,
     lam: float,
@@ -207,28 +82,32 @@ def rollout(
     horizon: int,
     rng: np.random.Generator,
     initial_state: tuple[int, int] = (0, 0),
-    window: int = 1000,
-    overload_level: int = 18,
-) -> RolloutResult:
-    """Simulate ``horizon`` uniformized steps of ``table`` under a frozen arrival rate.
+) -> float:
+    """Discounted cost of ``horizon`` uniformized steps of ``table`` at a frozen rate.
 
-    This is the one-lane reference for ``rollout_costs``.  It steps through
-    ``chain.step`` with both draws from ``rng``: an event draw per step when
+    The one-lane reference for ``rollout_costs``: every step goes through
+    ``chain.step`` with both draws from ``rng``, an event draw per step when
     ``lam > 0``, then a resource draw unless the arrival is offloaded, whose
-    index is where it falls in the chain's ``cdf``.  A trapped rollout draws
-    nothing more (see ``_windows``).
+    index is where it falls in the chain's ``cdf``.
     """
+    offloads = np.asarray(table).tolist()
     cdf = chain.cdf.tolist()
 
     def resource_j() -> int:
         return bisect_right(cdf, rng.random())
 
-    total, windows, _ = _windows(
-        chain, table, [(0, horizon, lam)],
-        lambda start, stop: itertools.repeat((rng.random, resource_j), stop - start),
-        initial_state, window, overload_level,
-    )
-    return RolloutResult(discounted_cost=total, windows=tuple(windows))
+    def decide(x: int, ell: int, n: int) -> int:
+        return offloads[x][ell]
+
+    step = chain.step
+    beta = chain.params.discount_beta
+    x, ell = initial_state
+    total, disc = 0.0, 1.0
+    for _ in range(horizon):
+        x, ell, _, incurred = step(x, ell, lam, decide, 0, rng.random, resource_j)
+        total += disc * incurred
+        disc *= beta
+    return total
 
 
 # Lanes stepped together in one array, and the uniforms each lane holds at
@@ -386,6 +265,103 @@ _constant_draw = attrgetter("__float__")
 _constant_index = attrgetter("__index__")
 
 
+def _windows(
+    chain: ChainTables,
+    table: np.ndarray,
+    segments: Iterable[tuple[int, int, float]],
+    draws: Callable[[int, int], Iterable[tuple[Callable[[], float], Callable[[], int]]]],
+    cfg: EvalConfig,
+) -> tuple[list[MetricsWindow], int | None]:
+    """Step ``table`` through ``chain.step`` over ``(start, stop, lam)`` segments.
+
+    ``behavioral_compare``'s loop.  The segments tile ``0..horizon`` in
+    order, and steps ``start..stop-1`` run at rate ``lam``.  ``draws(start, stop)`` yields one ``(event_u, resource_j)``
+    per step from ``start`` to ``stop - 1``, the step's event uniform and
+    resource index draws.  ``cfg`` gives the initial state, the window and the
+    overload level; costs are discounted at the chain's ``discount_beta``.
+    Returns the per-window metrics and the trap step: the first step that
+    starts at ``x = 0`` in a state the table offloads from, with
+    ``lam > 0``, or None.
+
+    A trapped state is absorbing while ``lam > 0``: ``delta(0) = 1``, so every
+    event is an arrival, offloaded at the same cost.  From the trap step to
+    the stop of each segment with ``lam > 0`` the loop calls neither the
+    step nor ``draws`` and applies the same float operations in the same
+    order, so every window is the step's bit for bit.  A segment with
+    ``lam == 0`` goes back to the step, which raises ``NoEventError`` at
+    its first step.  Once ``disc * beta == disc`` (``disc`` sticks at the
+    smallest subnormal and never reaches 0.0 for ``beta`` > 0.5), every full
+    window is the same, so it is computed once and repeated.
+    """
+    offloads = np.asarray(table).tolist()
+    trapped = offloads[0]
+
+    def decide(x: int, ell: int, n: int) -> int:
+        return offloads[x][ell]
+
+    step = chain.step
+    beta = chain.params.discount_beta
+    window, overload_level = cfg.window, cfg.overload_level
+    x, ell = cfg.initial_state
+    disc = 1.0
+    windows: list[MetricsWindow] = []
+    w_disc = w_undisc = 0.0
+    w_ov = w_off = w_index = w_fill = 0
+    trap_step = None
+
+    for start, stop, lam in segments:
+        for event_u, resource_j in draws(start, stop):
+            if not x and trapped[ell] and lam > 0.0:
+                break
+            x, ell, a, incurred = step(x, ell, lam, decide, 0, event_u, resource_j)
+            if a:
+                w_off += 1
+            w_disc += disc * incurred
+            w_undisc += incurred
+            if ell >= overload_level:
+                w_ov += 1
+            disc *= beta
+            w_fill += 1
+            if w_fill == window:
+                windows.append(MetricsWindow(w_index, w_disc, w_undisc, w_ov, w_off))
+                w_index += 1
+                w_disc = w_undisc = 0.0
+                w_ov = w_off = w_fill = 0
+        else:
+            continue
+
+        # trapped at step t, up to the segment's stop
+        t = w_index * window + w_fill
+        if trap_step is None:
+            trap_step = t
+        cost = float(chain.cost[ell, Event.OFFLOADED])  # state (0, ell) is s = ell
+        over = ell >= overload_level
+        while t < stop:
+            n = min(window - w_fill, stop - t)
+            # a full window once disc no longer moves: the full windows left are all this one
+            repeats = (stop - t) // window if n == window and disc * beta == disc else 1
+            for _ in range(n):
+                w_disc += disc * cost
+                w_undisc += cost
+                disc *= beta
+            w_off += n
+            if over:
+                w_ov += n
+            w_fill += n
+            t += n
+            if w_fill == window:
+                windows.extend(MetricsWindow(w_index + i, w_disc, w_undisc, w_ov, w_off)
+                               for i in range(repeats))
+                w_index += repeats
+                t += (repeats - 1) * window
+                w_disc = w_undisc = 0.0
+                w_ov = w_off = w_fill = 0
+
+    if w_fill:
+        windows.append(MetricsWindow(w_index, w_disc, w_undisc, w_ov, w_off))
+    return windows, trap_step
+
+
 def behavioral_compare(
     policies: dict[str, np.ndarray],
     scenario: Scenario,
@@ -400,10 +376,10 @@ def behavioral_compare(
     The event at step t is an arrival iff ``z_t <= lam / (lam + busy)``, at
     the rate ``lam`` of the ``rate_segments`` segment that holds step t; the
     threshold is state-dependent, so trajectories diverge across policies
-    while consuming identical randomness.  Each policy runs ``rollout``'s
-    loop; at step t the event draw returns ``z_t`` and the resource draw the
-    index of ``u_t`` in the chain's ``cdf``, so a step that skips a draw
-    shifts no later one.  The indices are found once per trace.
+    while consuming identical randomness.  Each policy runs ``_windows``
+    over ``chain.step``; at step t the event draw returns ``z_t`` and the
+    resource draw the index of ``u_t`` in the chain's ``cdf``, so a step that
+    skips a draw shifts no later one.  The indices are found once per trace.
     """
     indices = np.searchsorted(chain.cdf, trace.resource_u, side="right")
 
@@ -421,9 +397,7 @@ def behavioral_compare(
     segments = rate_segments(trajectory(scenario, horizon, trace.seed), horizon)
     series = {}
     for name, table in policies.items():
-        _, windows, trap_step = _windows(
-            chain, table, segments, draws, cfg.initial_state, cfg.window, cfg.overload_level,
-        )
+        windows, trap_step = _windows(chain, table, segments, draws, cfg)
         series[name] = PolicySeries(tuple(windows), trap_step)
     return series
 

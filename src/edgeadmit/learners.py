@@ -36,6 +36,11 @@ def policy_hash(arr: np.ndarray) -> str:
     return hashlib.sha1(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
 
 
+# the learners and the horizon scale compute with the horizon as a float,
+# exact for every integer up to this; a compare trace is held to it too
+MAX_HORIZON = 2**53
+
+
 @dataclass(frozen=True, kw_only=True)
 class RunConfig:
     """Both learners' run: ``horizon`` steps from ``start_state``, logged every ``eval_every``."""
@@ -47,8 +52,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         freeze_pair(self, "start_state")
         check_ints(self, 1, "horizon", "eval_every")
-        # the learners and the horizon scale compute with the horizon as a float
-        if self.horizon > 2**53:
+        if self.horizon > MAX_HORIZON:
             raise ValueError("horizon must be an integer in [1, 2**53]")
 
 

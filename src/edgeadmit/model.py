@@ -88,8 +88,9 @@ class NoEventError(ValueError):
 # the grid has (X + 1) * (L + 1) states and the planner holds several arrays
 # over it, so an unbounded buffer would ask numpy for an unallocatable grid
 MAX_BUFFER_CAPACITY = 10_000
-# a drifting population that keeps spawning doubles each period; past this
-# many users ``scenarios.trajectory`` stops instead of filling memory
+# the most users a scenario may start with; a drifting population that keeps
+# spawning doubles each period, and past this many ``scenarios.trajectory``
+# stops instead of filling memory
 MAX_POPULATION = 100_000
 
 

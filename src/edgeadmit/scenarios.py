@@ -56,6 +56,8 @@ class Scenario:
                       "stay_prob", "add_prob")
         if self.kind not in range(1, 7):
             raise ValueError("scenario kind must be 1..6")
+        if self.n_users > MAX_POPULATION:
+            raise ValueError(f"n_users must be at most {MAX_POPULATION}")
         if not 0 <= self.lambda_low <= self.lambda_high:
             raise ValueError("need 0 <= lambda_low <= lambda_high")
         for name in ("toggle_prob", "leave_prob", "stay_prob", "add_prob"):

@@ -300,12 +300,22 @@ def test_cli_compare_trace_length_must_be_positive(tmp_path):
         ["train", "--config", str(cfg_path), "--learner", "qlearning", "--no-periodic-eval"],
     ):
         assert runner.invoke(main, args).exit_code == 0
-    for flag, value in (("--trace-length", "-5"), ("--trace-length", "0"), ("--trace-seed", "-5")):
+    for flag, value in (("--trace-length", "-5"), ("--trace-length", "0"),
+                        ("--trace-length", str(2**53 + 1)), ("--trace-seed", "-5")):
         result = runner.invoke(main, ["compare", "--config", str(cfg_path), flag, value])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit), result.exception
         assert flag in result.output
         assert not (tmp_path / "runs" / "compare").exists()
+    # the longest trace passes the parse, and its 64 PiB of draws is refused
+    # at once: one line, and nothing written
+    result = runner.invoke(main, ["compare", "--config", str(cfg_path),
+                                  "--trace-length", str(2**53)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    [line] = result.output.splitlines()
+    assert line.startswith("out of memory: ")
+    assert not (tmp_path / "runs" / "compare").exists()
 
 
 @pytest.mark.parametrize("learner", ["salmut", "qlearning"])
@@ -417,6 +427,8 @@ OVERFLOW = "<1e400>"
     # tables that meet the monotone hypotheses, so that only the flag is wrong
     pytest.param("", "costs", {"running": [0.0] * 21, "penalty": [1.0] * 21,
                                "strict_monotone": "no"}, id="costs-strict-monotone-no"),
+    # more users than a drifting population may reach, on a constant scenario
+    ("scenario", "n_users", 100_001),
 ])
 def test_cli_wrong_config_value_is_input_error(tmp_path, section, field, value):
     cfg = json.loads(_desk_config(tmp_path).read_text())

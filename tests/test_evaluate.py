@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -21,24 +19,22 @@ from edgeadmit.model import Action, ChainTables, CostModel, NoEventError, policy
 from edgeadmit.rng import substream
 from edgeadmit.scenarios import Scenario, trajectory
 
-from oracles import (
-    relative_gap, resource_indices, simulated_policy_value, trace_draws, windowed_replay,
-)
+from oracles import relative_gap, simulated_policy_value, trace_draws, windowed_replay
 
 
 def test_rollout_single_departure_step(canonical_params, canonical_chain):
     # lam = 0 with a busy server: the only possible event is a departure, so
-    # the policy is irrelevant and the cost is the one-step accept cost
-    rr = rollout(
-        policy_table(canonical_params, accept_below=0),
-        0.0,
-        canonical_chain,
-        horizon=1,
-        rng=substream(0, "r"),
-        initial_state=(5, 10),
-    )
-    assert rr.discounted_cost == pytest.approx(0.12 * 3 - 0.2)
-    assert [w.c_off for w in rr.windows] == [0]
+    # the policy is irrelevant and the cost is the one-step accept cost, in
+    # rollout and in the one window of a one-step comparison without users
+    table = policy_table(canonical_params, accept_below=0)
+    cost = rollout(table, 0.0, canonical_chain, horizon=1, rng=substream(0, "r"),
+                   initial_state=(5, 10))
+    assert cost == pytest.approx(0.12 * 3 - 0.2)
+    series = behavioral_compare({"all_offload": table}, Scenario(kind=1, n_users=0),
+                                canonical_chain, EventTrace.generate(0, 1),
+                                EvalConfig(initial_state=(5, 10)))
+    [only] = series["all_offload"].windows
+    assert (only.cost_discounted, only.c_off) == (cost, 0)
 
 
 def test_rollout_deterministic_given_stream(canonical_params, canonical_chain):
@@ -52,45 +48,6 @@ def test_rollout_deterministic_given_stream(canonical_params, canonical_chain):
     a = rollout(policy, rng=substream(5, "roll"), **kwargs)
     b = rollout(policy, rng=substream(5, "roll"), **kwargs)
     assert a == b
-
-
-def test_rollout_all_offload_counts_every_arrival(canonical_params, canonical_chain):
-    # from the empty state an all-offload policy pins the chain at (0,0)
-    # where every event is an arrival, so c_off equals the horizon
-    rr = rollout(
-        policy_table(canonical_params, accept_below=0),
-        6.0,
-        canonical_chain,
-        horizon=400,
-        rng=substream(8, "roll"),
-    )
-    assert [w.c_off for w in rr.windows] == [400]
-    assert rr.windows[0].c_ov == 0
-
-
-def test_rollout_windows_partition_costs(canonical_params, canonical_chain):
-    policy = policy_table(canonical_params, tau=np.full(21, 12.0))
-    rr = rollout(
-        policy,
-        6.0,
-        canonical_chain,
-        horizon=2500,
-        rng=substream(2, "roll"),
-        window=1000,
-    )
-    assert [w.index for w in rr.windows] == [0, 1, 2]
-    assert sum(w.cost_discounted for w in rr.windows) == pytest.approx(rr.discounted_cost)
-    # undiscounted window sums add up to the undiscounted trace total
-    total_undisc = sum(w.cost_undiscounted for w in rr.windows)
-    rr_again = rollout(
-        policy,
-        6.0,
-        canonical_chain,
-        horizon=2500,
-        rng=substream(2, "roll"),
-        window=2500,
-    )
-    assert total_undisc == pytest.approx(rr_again.windows[0].cost_undiscounted, rel=1e-6)
 
 
 def _tables(chain) -> dict:
@@ -111,7 +68,7 @@ def _reference_costs(table, cfg, lam, chain, seed) -> list:
         rollout(
             table, lam, chain, cfg.rollout_length, substream(seed, f"rollout-{i}"),
             initial_state=cfg.initial_state,
-        ).discounted_cost
+        )
         for i in range(cfg.n_rollouts)
     ]
 
@@ -374,7 +331,26 @@ def test_compare_trapped_from_the_first_step(canonical_params, canonical_chain):
     assert series == _replayed(*args)
     [only] = series.values()
     assert only.trap_step == 0
-    assert len(only.windows) == 21 and only.windows[-1].c_off == 500
+    # pinned at (0, 0), where every event is an arrival: every step offloads
+    assert [w.c_off for w in only.windows] == [1000] * 20 + [500]
+    assert not any(w.c_ov for w in only.windows)
+
+
+def test_compare_windows_partition_costs(canonical_params, canonical_chain):
+    # the windows tile the trace: their discounted costs add up to the plain
+    # replay's discounted total, and their undiscounted costs to the one
+    # window of the same trace compared in a single window
+    table = policy_table(canonical_params, tau=np.full(21, 12.0))
+    scenario, trace = Scenario(kind=1), EventTrace.generate(2, 2500)
+    args = ({"tau_12": table}, scenario, canonical_chain, trace)
+    windows = behavioral_compare(*args, EvalConfig(window=1000))["tau_12"].windows
+    assert [w.index for w in windows] == [0, 1, 2]
+    total, _, _ = windowed_replay(table, trace_draws(scenario, trace, canonical_chain),
+                                  canonical_chain)
+    assert sum(w.cost_discounted for w in windows) == pytest.approx(total)
+    [whole] = behavioral_compare(*args, EvalConfig(window=2500))["tau_12"].windows
+    assert sum(w.cost_undiscounted for w in windows) == pytest.approx(
+        whole.cost_undiscounted, rel=1e-6)
 
 
 def test_compare_resource_draws_on_the_cdf_entries(canonical_params, canonical_chain):
@@ -410,32 +386,18 @@ def test_compare_fast_forward_equals_plain_replay(
         band = np.zeros((21, 21), dtype=int)
         band[0, 6:18] = 1
         policies = {"band": policy_table(canonical_params, actions=band)}
-    # window 1000 does not divide the trace, so the last window is partial
-    args = (policies, Scenario(kind=1), ChainTables(canonical_params, costs, canonical_resources),
-            EventTrace.generate(0, 20_500))
-    series = behavioral_compare(*args, EvalConfig())
-    assert series == _replayed(*args)
-    for ps in series.values():
-        # trapped inside a window, early enough for the repeated full windows
-        assert 0 < ps.trap_step < 14_000 and ps.trap_step % 1000
-        assert (ps.windows[-1].cost_undiscounted > 0) == (sign == "positive")
-
-
-def test_rollout_fast_forward_equals_plain_replay(canonical_params, canonical_chain):
-    # rollout's rate is one constant: its total, which the repeated full
-    # windows must leave alone, equals the plain loop's too.  The last window
-    # is half full, or one step short of full.
-    args = (canonical_chain,)
-    for table, horizon in itertools.product(
-        (policy_table(canonical_params, accept_below=0),
-         policy_table(canonical_params, accept_below=18)),
-        (20_500, 20_999),
-    ):
-        rr = rollout(table, 6.0, *args, horizon=horizon, rng=substream(3, "ff"))
-        rng = substream(3, "ff")
-        draws = (6.0, rng.random, resource_indices(canonical_chain, rng.random))
-        total, windows, _ = windowed_replay(table, itertools.repeat(draws, horizon), *args)
-        assert (rr.discounted_cost, rr.windows) == (total, tuple(windows))
+    chain = ChainTables(canonical_params, costs, canonical_resources)
+    # window 1000 does not divide the trace, so the last window is half full,
+    # or one step short of full: one repeated full window too many shows there
+    for length in (20_500, 20_999):
+        args = (policies, Scenario(kind=1), chain, EventTrace.generate(0, length))
+        series = behavioral_compare(*args, EvalConfig())
+        assert series == _replayed(*args)
+        for ps in series.values():
+            # trapped inside a window, early enough for the repeated full windows
+            assert 0 < ps.trap_step < 14_000 and ps.trap_step % 1000
+            assert len(ps.windows) == 21
+            assert (ps.windows[-1].cost_undiscounted > 0) == (sign == "positive")
 
 
 @pytest.mark.parametrize("kind", [2, 3, 6])
@@ -538,7 +500,7 @@ def test_rollout_mean_matches_exact_policy_value(
             canonical_chain,
             horizon=1000,
             rng=substream(100 + i, "mc"),
-        ).discounted_cost
+        )
         for i in range(200)
     ]
     mean = np.mean(costs)
