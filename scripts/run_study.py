@@ -15,6 +15,7 @@ import sys
 import warnings
 
 from edgeadmit.config import ConfigError, Experiment, load_config
+from edgeadmit.learners import MAX_HORIZON
 
 
 def run(args: list[str]) -> None:
@@ -29,8 +30,8 @@ def run(args: list[str]) -> None:
 
 def trace_length(text: str) -> int:
     length = int(text)
-    if length < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {length}")
+    if not 1 <= length <= MAX_HORIZON:  # as `compare --trace-length` bounds it
+        raise argparse.ArgumentTypeError(f"must be in [1, 2**53], got {length}")
     return length
 
 

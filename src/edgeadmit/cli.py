@@ -11,6 +11,8 @@ import contextlib
 import dataclasses
 import functools
 import os
+import pickle
+import signal
 import sys
 import warnings
 from pathlib import Path
@@ -189,19 +191,11 @@ def _cpu_count() -> int:
         return 1
 
 
-# a worker's ``fn``, set by ``_init_worker`` in the worker process
-_worker_fn = None
-
-
-def _init_worker(parent: int, fn) -> None:
-    """Worker initializer: keep ``fn`` for ``_run_seed``, and ask Linux to kill
-    this worker when the command's process dies, so that a killed command
-    leaves no worker behind."""
+def _init_worker(parent: int) -> None:
+    """Ask Linux to kill this worker when the command's process dies, so that
+    a killed command leaves no worker behind."""
     import ctypes
-    import signal
 
-    global _worker_fn
-    _worker_fn = fn
     prctl = ctypes.CDLL(None).prctl
     prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
     prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
@@ -209,9 +203,34 @@ def _init_worker(parent: int, fn) -> None:
         os._exit(1)
 
 
-def _run_seed(s: int):
-    """A worker's task: its ``fn`` on seed ``s``."""
-    return _worker_fn(s)
+def _work(parent: int, fn, seeds, fd: int) -> None:
+    """A worker's life: ``fn`` on each seed in order, each outcome pickled to
+    ``fd`` as ``(True, result)`` or ``(False, exception)``, up to the first
+    failure."""
+    _init_worker(parent)
+    with open(fd, "wb") as pipe:
+        for s in seeds:
+            try:
+                outcome = (True, fn(s))
+            except Exception as exc:
+                outcome = (False, exc)
+            pipe.write(pickle.dumps(outcome))  # whole, or not at all if it cannot pickle
+            pipe.flush()
+            if not outcome[0]:
+                return
+
+
+def _gather(pipes, count: int):
+    """``count`` results in seed order: seed ``n`` from the pipe of worker
+    ``n % len(pipes)``; a seed's exception is raised as it comes."""
+    for n in range(count):
+        try:
+            ok, value = pickle.load(pipes[n % len(pipes)])
+        except (EOFError, pickle.UnpicklingError):  # the pipe's end, or a result cut short
+            raise WorkerError("a worker process training a seed ended abruptly") from None
+        if not ok:
+            raise value
+        yield value
 
 
 @contextlib.contextmanager
@@ -220,35 +239,42 @@ def _seed_results(fn, seeds):
 
     With more than one seed and more than one CPU, the seeds run in forked
     worker processes, one per CPU up to one per seed; else in this process.
-    Seeds draw only from their own substreams, so a seed's result is the
-    same either way.  When a seed fails, the queued ones are cancelled and
-    the running ones joined before the error reaches the caller.
+    Worker ``w`` runs ``seeds[w::workers]`` in order and sends each outcome
+    down its own pipe, pickled.  Forked, a worker starts with numpy, this
+    package and ``fn`` with the experiment it holds, so nothing is sent to
+    it; the command runs no thread that a fork could cut.  Seeds draw only
+    from their own substreams, so a seed's result is the same either way.
+    When a seed fails or a worker ends without its result, every worker is
+    killed and reaped before the error reaches the caller; every worker is
+    reaped in any case, so none is left running.
     """
     workers = min(len(seeds), _cpu_count())
     if workers == 1:
         yield map(fn, seeds)
         return
-    # imported here, so that a command that starts no pool does not pay for them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    # forked, the workers start with numpy and this package imported; spawned
-    # ones would import them again, which costs about a seed's work at a
-    # small horizon.  The command runs no thread of its own, and the
-    # executor starts its manager thread after it has forked the workers.
-    # A forked worker inherits its initializer's arguments unpickled, so
-    # ``fn`` and the experiment it holds reach it without a copy, and each
-    # task carries only its seed.
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_init_worker, initargs=(os.getpid(), fn))
+    parent, children, pipes = os.getpid(), [], []
     try:
-        futures = [pool.submit(_run_seed, s) for s in seeds]
-        yield (f.result() for f in futures)
-    except BrokenProcessPool:
-        raise WorkerError("a worker process training a seed ended abruptly") from None
+        for w in range(workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker: it never returns into the command's code
+                code = 1
+                try:
+                    os.close(read)
+                    _work(parent, fn, seeds[w::workers], write)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children.append(pid)
+            os.close(write)
+            pipes.append(open(read, "rb"))
+        yield _gather(pipes, len(seeds))
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
 
 
 def _is_action(a) -> bool:

@@ -112,8 +112,8 @@ def rollout(
 
 # Lanes stepped together in one array, and the uniforms each lane holds at
 # a time.  A draw takes 8 bytes and a lane's generator about 1.7 KB, so a
-# full batch holds about 1.2 MB: both constants bound evaluation's memory.
-BATCH_LANES = 300
+# full batch holds about 2 MB: both constants bound evaluation's memory.
+BATCH_LANES = 500
 BLOCK_DRAWS = 280
 
 
@@ -125,15 +125,25 @@ def rollout_costs(
     """Discounted cost of each rollout of each ``(table, lam, seed)`` point.
 
     Returns a ``(len(points), n_rollouts)`` array.  Lane ``i`` of a point is
-    ``rollout`` on ``substream(seed, f"rollout-{i}")``, and all lanes of all
-    points step together as numpy lanes, ``BATCH_LANES`` at a time, so a
-    call holds one batch of lanes however many points it scores.  A lane
-    reads its uniforms through its own cursor in the order ``rollout`` draws
-    them; they come in blocks of ``BLOCK_DRAWS``, refilled from the lane's
-    own generator, and ``random(k)`` twice returns what ``random(2 * k)``
-    returns once.  Every lane applies the same floating-point operations as
-    ``rollout``, with the same scalar discount, so each lane's cost equals
-    ``rollout``'s bit for bit.
+    ``rollout`` on ``substream(seed, f"rollout-{i}")`` (seeded together by
+    ``rng.substreams``), and all lanes of all points step together as numpy
+    lanes, ``BATCH_LANES`` at a time, so a call holds one batch of lanes
+    however many points it scores.  A lane reads its uniforms through its
+    own cursor in the order ``rollout`` draws them; they come in blocks of
+    ``BLOCK_DRAWS``, refilled from the lane's own generator, and
+    ``random(k)`` twice returns what ``random(2 * k)`` returns once.  Every
+    lane applies the same floating-point operations as ``rollout``, with
+    the same scalar discount, until its total settles, so each lane's cost
+    equals ``rollout``'s bit for bit.
+
+    A lane with ``lam > 0`` settles, and stops stepping, at the first refill
+    where ``disc * max|cost| * (1 + 2**-52) < spacing(|total|) / 4``: every
+    later term ``disc_t * cost`` (``disc_t <= disc``) is then smaller than
+    half the gap to the total's nearest float on either side (below a power
+    of two the gap halves), so under round-to-nearest no later addition
+    changes the total.  The rule never holds at ``total == 0``.  A lane
+    with ``lam == 0`` never settles, since it may still raise
+    ``NoEventError``.
     """
     n, horizon = cfg.n_rollouts, cfg.rollout_length
     L = chain.params.cpu_levels
@@ -146,6 +156,8 @@ def rollout_costs(
     step_cost = chain.cost.ravel()
     draws_resource = np.tile(np.arange(events) != Event.OFFLOADED, states).astype(np.intp)
     after = events * chain.succ.ravel() + Event.DEPARTURE
+    # a bound on every term a lane adds from a discount disc on: disc * settle
+    settle = float(np.abs(step_cost).max()) * (1.0 + 2.0**-52)
     # a step takes at most two draws, so a full block lasts half as many steps
     width = min(BLOCK_DRAWS, 2 * horizon)
     chunk = width // 2
@@ -170,24 +182,40 @@ def rollout_costs(
             arrival_move.append(event - Event.DEPARTURE)
         arrival_p = np.repeat(np.concatenate(arrival_p), events)
         arrival_move = np.repeat(np.concatenate(arrival_move), events)
+        seeds, names = zip(*((points[p][2], f"rollout-{i}")
+                             for p, i in map(divmod, batch, itertools.repeat(n))))
+        gens = rngmod.substreams(seeds, names)
+
+        # by lane, compacted as lanes settle: its index in the batch, its
+        # block's row before the last compaction and the draws read from it
+        lane = np.arange(m)
+        src = lane
+        used = np.full(m, width)
         base = local * states * events
         lams = np.array([lam for _, lam, _ in here])[local]
         event_draws = (lams > 0.0).astype(np.intp)
         idle = np.flatnonzero(lams == 0.0)
-        gens = [rngmod.substream(points[p][2], f"rollout-{i}")
-                for p, i in map(divmod, batch, itertools.repeat(n))]
-
-        row_start = np.arange(m) * width
-        cursor = row_start + width
         i = np.full(m, events * (x0 * (L + 1) + ell0) + Event.DEPARTURE)
         total = np.zeros(m)
         disc = 1.0
         for t in range(0, horizon, chunk):
-            # keep each lane's unread draws and fill the row up behind them
-            for row, gen, used in zip(u, gens, (cursor - row_start).tolist()):
-                row[:width - used] = row[used:]
-                gen.random(out=row[width - used:])
-            cursor = row_start.copy()
+            final = (disc * settle < np.spacing(np.abs(total)) / 4) & (lams > 0.0)
+            if final.any():
+                out[first + lane[final]] = total[final]
+                src = np.flatnonzero(~final)
+                lane, used, base, lams, event_draws, i, total = (
+                    a[src] for a in (lane, used, base, lams, event_draws, i, total))
+                gens = [gens[k] for k in src.tolist()]
+                idle = np.flatnonzero(lams == 0.0)
+                if not lane.size:
+                    break
+            # keep each lane's unread draws, moved up to its new row, and fill
+            # the row up behind them: a lane's new row is never after its old one
+            for row, old, gen, k in zip(u, src.tolist(), gens, used.tolist()):
+                row[:width - k] = u[old, k:]
+                gen.random(out=row[width - k:])
+            src = np.arange(lane.size)
+            cursor = src * width
             for _ in range(min(chunk, horizon - t)):
                 if idle.size and (i[idle] < events * (L + 1)).any():  # an idle lane at x == 0
                     raise NoEventError()
@@ -199,7 +227,8 @@ def rollout_costs(
                 size = np.searchsorted(chain.cdf, flat[cursor], side="right")
                 cursor += draws_resource[i]
                 i = after[i * n_r + size]
-        out[first:first + m] = total
+            used = cursor - src * width
+        out[first + lane] = total
         del gens  # so that two batches' generators are never held at once
     return out.reshape(len(points), n)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edgeadmit import evaluate as evaluate_module
+from edgeadmit import evaluate as evaluate_module, rng as rngmod
 from edgeadmit.dp import value_iteration
 from edgeadmit.evaluate import (
     EvalConfig,
@@ -15,7 +15,9 @@ from edgeadmit.evaluate import (
     rollout_costs,
 )
 from edgeadmit.learners import QLearningConfig, qlearning_train
-from edgeadmit.model import Action, ChainTables, CostModel, NoEventError, policy_table
+from edgeadmit.model import (
+    Action, ChainTables, CostModel, ModelParams, NoEventError, ResourceDist, policy_table,
+)
 from edgeadmit.rng import substream
 from edgeadmit.scenarios import Scenario, trajectory
 
@@ -167,6 +169,91 @@ def test_batch_with_idle_point_raises_exactly_when_alone(
     with pytest.raises(NoEventError):
         rollout_costs(points, cfg, *args)
     rollout_costs(points[::2], cfg, *args)
+
+
+class _CountedRefills:
+    """A lane's generator that counts the block refills it serves."""
+
+    def __init__(self, gen):
+        self.gen, self.refills = gen, 0
+
+    def random(self, *args, **kwargs):
+        self.refills += 1
+        return self.gen.random(*args, **kwargs)
+
+
+def _count_refills(monkeypatch) -> list:
+    """Make ``rollout_costs`` seed counting generators; returns them, lane by lane."""
+    lanes = []
+    substreams = rngmod.substreams
+
+    def counted(seeds, names):
+        gens = [_CountedRefills(gen) for gen in substreams(seeds, names)]
+        lanes.extend(gens)
+        return gens
+
+    monkeypatch.setattr(rngmod, "substreams", counted)
+    return lanes
+
+
+def _crossing_chain():
+    # a running cost down to -3, whose size no positive cost reaches, and a
+    # holding cost that starts a full system above 0: totals end either side
+    costs = CostModel(holding=0.03, running=np.linspace(-3.0, 0.2, 21), penalty=np.full(21, 0.1))
+    return ChainTables(ModelParams(discount_beta=0.9), costs, ResourceDist(pmf=[0.6, 0.4]))
+
+
+@pytest.mark.parametrize("case", ["beta-0.95", "beta-0.5", "negative-costs"])
+def test_settled_lanes_equal_scalar_rollout_exactly(case, monkeypatch, canonical_costs,
+                                                    canonical_chain):
+    # a lane stops stepping once no later term can move its total: where many
+    # lanes stop early, every cost is still the scalar rollout's, bit for bit;
+    # a 10-draw block checks the lanes every 5 steps
+    chain, cfg, block = {
+        "beta-0.95": (canonical_chain, EvalConfig(rollout_length=1000, n_rollouts=8), None),
+        "beta-0.5": (ChainTables(ModelParams(discount_beta=0.5), canonical_costs,
+                                 canonical_chain.rd),
+                     EvalConfig(rollout_length=200, n_rollouts=8), 10),
+        "negative-costs": (_crossing_chain(),
+                           EvalConfig(rollout_length=600, n_rollouts=20, initial_state=(20, 20)),
+                           10),
+    }[case]
+    if block is not None:
+        monkeypatch.setattr(evaluate_module, "BLOCK_DRAWS", block)
+    points = [(table, lam, 7) for table in _tables(canonical_chain).values() for lam in (6.0, 9.0)]
+    lanes = _count_refills(monkeypatch)
+    costs = rollout_costs(points, cfg, chain)
+    for (table, lam, seed), lane_costs in zip(points, costs):
+        assert lane_costs.tolist() == _reference_costs(table, cfg, lam, chain, seed=seed)
+    chunk = min(evaluate_module.BLOCK_DRAWS, 2 * cfg.rollout_length) // 2
+    refills = np.array([gen.refills for gen in lanes])
+    settled = refills < -(-cfg.rollout_length // chunk)
+    assert settled.mean() > 0.5
+    if case == "negative-costs":
+        totals = costs.ravel()
+        assert (totals < 0).any() and (totals > 0).any()
+        assert settled[totals < 0].any() and settled[totals > 0].any()
+
+
+def test_idle_lane_never_settles(monkeypatch, canonical_costs, canonical_resources):
+    # at beta = 0.1 a total settles within 20 steps, before a lam = 0 lane's
+    # queue empties from a full buffer: that lane still steps on, and raises
+    # at 21 steps, alone or beside a lane that settles
+    monkeypatch.setattr(evaluate_module, "BLOCK_DRAWS", 2)  # a check at every step
+    params = ModelParams(discount_beta=0.1)
+    chain = ChainTables(params, canonical_costs, canonical_resources)
+    table = policy_table(params, accept_below=18)
+    points = [(table, 0.0, 2), (table, 6.0, 1)]
+    cfg = EvalConfig(rollout_length=20, n_rollouts=3, initial_state=(20, 20))
+    lanes = _count_refills(monkeypatch)
+    costs = rollout_costs(points, cfg, chain)
+    for (table, lam, seed), lane_costs in zip(points, costs):
+        assert lane_costs.tolist() == _reference_costs(table, cfg, lam, chain, seed=seed)
+    assert [gen.refills < 20 for gen in lanes] == [False] * 3 + [True] * 3
+    cfg = EvalConfig(rollout_length=21, n_rollouts=3, initial_state=(20, 20))
+    for batch in (points[:1], points):
+        with pytest.raises(NoEventError):
+            rollout_costs(batch, cfg, chain)
 
 
 def test_evaluate_constant_cost_geometric_sum(canonical_params, canonical_resources):

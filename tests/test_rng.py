@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from edgeadmit import rng as rngmod
-from edgeadmit.rng import BLOCK, block_indices, exploration_draws, substream, user_uniforms
+from edgeadmit.rng import (
+    BLOCK, block_indices, exploration_draws, substream, substreams, user_uniforms,
+)
 
 DOMAINS = ("scenario-init", "scenario-toggle", "scenario-pop")
 EDGES = (0, 2**31, 2**32 - 1)
@@ -67,6 +69,24 @@ def test_user_uniforms_broadcast_a_users_by_draws_grid():
     assert grid.tolist() == [[rngmod.user_uniform(11, d, u, s) for d, s in draws]
                              for u in range(24)]
     assert user_uniforms(11, "scenario-pop", np.arange(0)[:, None], [3, 4]).shape == (0, 2)
+
+
+def test_substreams_equal_substream_draw_for_draw():
+    # random seeds of one word, and the edges of one to five entropy words:
+    # 2**32 - 1 and 2**32 (one and two seed words), 2**64 - 1 and 2**64 (two
+    # and three), 2**96 (four seed words and the name's CRC: the fallback)
+    names = [f"rollout-{i}" for i in range(100)]
+    random_seeds = np.random.default_rng(26).integers(0, 2**32, len(names)).tolist()
+    edges = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 - 1, 2**96]
+    pairs = list(zip(random_seeds, names)) + [(s, n) for s in edges for n in names[::9]]
+    seeds, lane_names = zip(*pairs)
+    gens = substreams(seeds, lane_names)
+    assert len(gens) == len(pairs)
+    for gen, (seed, name) in zip(gens, pairs):
+        assert gen.random(2000).tolist() == substream(seed, name).random(2000).tolist(), seed
+    assert substreams([], []) == []
+    with pytest.raises(ValueError):
+        substreams([3, -1], ["rollout-0", "rollout-1"])
 
 
 def test_exploration_draws_equal_a_generator_interleaved():

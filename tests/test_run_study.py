@@ -38,6 +38,22 @@ def test_trace_length_below_one_is_rejected_at_parse_time(run_study, monkeypatch
     assert run_study.calls == []
 
 
+def test_trace_length_above_the_horizon_cap_is_rejected_at_parse_time(run_study, monkeypatch,
+                                                                      capsys, tmp_path):
+    # compare would refuse it, but only after solve and both trains had run
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output_dir": str(tmp_path / "runs")}))
+    monkeypatch.setattr(sys, "argv", ["run_study.py", "--config", str(cfg),
+                                      "--trace-length", str(2**53 + 1)])
+    with pytest.raises(SystemExit) as exit_info:
+        run_study.main()
+    assert exit_info.value.code == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.endswith(f"argument --trace-length: must be in [1, 2**53], got {2**53 + 1}")
+    assert run_study.calls == []
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("kinds", [["9"], ["1", "0"], ["x"]])
 def test_scenario_outside_1_to_6_is_rejected_at_parse_time(run_study, monkeypatch, capsys,
                                                           tmp_path, kinds):

@@ -1,9 +1,9 @@
 """`train` runs its seeds in worker processes: same bytes, clean failures."""
 
 import json
-import multiprocessing
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 import time
@@ -60,6 +60,12 @@ def _tree(root: Path) -> dict:
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def _assert_no_children():
+    # every worker was reaped: this process has no child left, running or not
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("flags", [[], ["--no-periodic-eval"]])
 def test_cli_train_pool_writes_the_serial_bytes(tmp_path, monkeypatch, flags):
     cfg_path = _train_config(tmp_path, [0, 1, 2])
@@ -79,7 +85,7 @@ def test_cli_train_pool_writes_the_serial_bytes(tmp_path, monkeypatch, flags):
     assert outputs[1].splitlines()[-3:] == [
         f"salmut seed {s}: done (3000 steps)" for s in (0, 1, 2)
     ]
-    assert multiprocessing.active_children() == []
+    _assert_no_children()
 
 
 def test_cli_train_pool_seed_failure_is_one_line_exit_3(tmp_path, monkeypatch):
@@ -97,29 +103,35 @@ def test_cli_train_pool_seed_failure_is_one_line_exit_3(tmp_path, monkeypatch):
     assert result.output.strip().splitlines() == [
         "numeric failure: no event possible: lam == 0 and empty queue"
     ]
-    assert multiprocessing.active_children() == []
+    _assert_no_children()
 
 
 def test_cli_train_pool_tasks_carry_only_the_seed(tmp_path, monkeypatch):
-    # the forked workers inherit the experiment, so a task pickles its seed
-    # alone: a few dozen bytes, where the pickled experiment takes tens of KB
-    from concurrent.futures import ProcessPoolExecutor
-
-    _workers(monkeypatch, 2)
-    submitted = []
-    submit = ProcessPoolExecutor.submit
-
-    def capture(self, fn, /, *args, **kwargs):
-        submitted.append((fn, args, kwargs))
-        return submit(self, fn, *args, **kwargs)
-
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", capture)
+    # the forked workers inherit the experiment, so nothing pickles it: with
+    # pickling refused, two workers still write the serial bytes
     cfg_path = _train_config(tmp_path, [0, 1, 2], horizon=1000)
-    result = CliRunner().invoke(main, ["train", "--config", str(cfg_path), "--no-periodic-eval"])
+    runs, trees = tmp_path / "runs", []
+    args = ["train", "--config", str(cfg_path), "--no-periodic-eval"]
+    _workers(monkeypatch, 1)
+    result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.output
-    assert [args for _, args, _ in submitted] == [(0,), (1,), (2,)]
-    assert all(fn is cli._run_seed and kwargs == {} for fn, _, kwargs in submitted)
-    assert max(len(pickle.dumps(task)) for task in submitted) < 200
+    trees.append(_tree(runs))
+    shutil.rmtree(runs)
+
+    def refuse(self, protocol):
+        raise pickle.PicklingError("an experiment was pickled")
+
+    monkeypatch.setattr(Experiment, "__reduce_ex__", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(pickle.PicklingError):
+            pickle.dumps(Experiment.from_config(cfgmod.load_config(cfg_path)))
+    _workers(monkeypatch, 2)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    trees.append(_tree(runs))
+    assert trees[0] == trees[1]
+    _assert_no_children()
 
 
 def _die(*args):
@@ -137,7 +149,21 @@ def test_cli_train_pool_worker_death_is_one_line_exit_3(tmp_path, monkeypatch):
         "worker failure: a worker process training a seed ended abruptly"
     ]
     assert "Traceback" not in result.output
-    assert multiprocessing.active_children() == []
+    _assert_no_children()
+
+
+def test_cli_import_loads_neither_numpy_random_nor_a_pool_library():
+    # a command's setup time and peak memory are its own process's, and a
+    # command that draws nothing or runs one seed never needs these
+    code = ("import sys, edgeadmit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] "
+            "in ('numpy', 'multiprocessing', 'concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split("'")[1::2]
+    assert "numpy" in loaded
+    assert [m for m in loaded if m.startswith(("numpy.random", "multiprocessing", "concurrent"))] \
+        == []
 
 
 def test_cost_table_warning_names_the_costs_section():
