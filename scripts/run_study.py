@@ -7,11 +7,13 @@ learners, then compare all four policies on shared traces.
     python scripts/run_study.py --config configs/full_scale.json --horizon-scale 0.01
 
 Outputs land under the config's output_dir, one subtree per scenario.
+Each command's wall time is printed after its own output, on stdout.
 """
 
 import argparse
 import subprocess
 import sys
+import time
 import warnings
 
 from edgeadmit.config import ConfigError, Experiment, load_config
@@ -22,7 +24,9 @@ def run(args: list[str]) -> None:
     """Run one CLI command; if it fails, say which and exit with its code."""
     cmd = [sys.executable, "-m", "edgeadmit.cli", *args]
     print("$ " + " ".join(cmd), flush=True)
+    start = time.perf_counter()
     code = subprocess.run(cmd).returncode
+    print(f"  wall {time.perf_counter() - start:.3f} s", flush=True)
     if code:
         print(f"run_study: `edgeadmit {' '.join(args)}` exited {code}", file=sys.stderr)
         sys.exit(code if code > 0 else 128 - code)  # killed by signal -code

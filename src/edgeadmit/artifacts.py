@@ -2,11 +2,13 @@
 
 All writes are whole-file atomic (temp file + rename) and byte-stable:
 floats are serialized with shortest round-trip repr, JSON keys are sorted,
-and nothing time-dependent is recorded.
+and nothing time-dependent is recorded.  A file gets the mode a plain
+``open`` would give it, ``0o666`` less the process's umask.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -31,11 +33,20 @@ class ArtifactError(ValueError):
     chain, a missing field or a policy of another shape."""
 
 
+@functools.cache
+def _file_mode() -> int:
+    """``0o666`` less the umask, read once: reading it means setting it."""
+    umask = os.umask(0o022)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 def _atomic_write(path: Path, data: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fd, _file_mode())  # mkstemp makes the file owner-only
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

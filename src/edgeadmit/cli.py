@@ -3,6 +3,10 @@
 Exit codes: 0 success, 2 input error (config, artifact, a file that cannot
 be read or written, or a size too large to allocate), 3 numeric failure (or
 a `train` worker process that ended abruptly).
+
+``run`` is the process's entry point (``python -m edgeadmit.cli`` and the
+``edgeadmit`` script); ``main``, the click group, is what tests call
+in-process.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import gc
 import os
 import pickle
 import signal
@@ -50,6 +55,22 @@ def _load_experiment(config_path, seed, out, scenario, horizon_scale, learner) -
 @click.group()
 def main():
     """Edge-server admission control: planning, learning, evaluation."""
+
+
+def run() -> None:
+    """The ``edgeadmit`` process's entry point: ``main``, then ``gc.freeze()``.
+
+    A frozen heap is out of the cyclic collector's reach, so the process's
+    exit skips a final collection of memory that the OS takes back anyway
+    (about 20 ms a command).  The atexit handlers and the flushes of stdout
+    and stderr still run, and every output file is closed before ``main``
+    returns.  Tests call ``main`` in-process, where the heap keeps being
+    collected.
+    """
+    try:
+        main()
+    finally:
+        gc.freeze()
 
 
 class WorkerError(RuntimeError):
@@ -451,4 +472,4 @@ def compare(exp, trace_seed, trace_length):
 
 
 if __name__ == "__main__":
-    main()
+    run()

@@ -7,7 +7,9 @@ lanes on its tables.
 Rollouts freeze the arrival rate at its value when evaluation starts, so a
 policy is always measured against the traffic it currently faces;
 ``evaluate_batch`` steps the rollouts of many policies together as
-numpy lanes, and ``evaluate`` is its one-policy call.  The behavioral
+numpy lanes, and ``evaluate`` is its one-policy call; both report the
+mean and the type-7 quartiles of the costs (``quartiles``, numpy's rule
+without ``np.quantile``).  The behavioral
 comparison instead replays a shared event trace against an evolving
 scenario: every policy consumes the same uniform draws, so differences in
 overload entries and offload counts are attributable to the policies alone.
@@ -233,6 +235,29 @@ def rollout_costs(
     return out.reshape(len(points), n)
 
 
+def quartiles(values: Sequence[float]) -> tuple[float, float, float]:
+    """``(q1, median, q3)`` of ``values``, sorted ascending with any NaN last.
+
+    Hyndman and Fan's type 7, numpy's default, computed as
+    ``np.quantile(values, (0.25, 0.5, 0.75))`` computes it, bit for bit: the
+    quantile ``q`` lies at ``v = (n - 1) * q``, between ``a = values[floor(v)]``
+    and the next value ``b``, at ``g = v - floor(v)``, and numpy interpolates
+    from ``b`` when ``g >= 0.5``.  ``np.quantile`` itself would import
+    ``numpy.ma`` on its first call: 10-16 ms in each process that scores.
+    """
+    n = len(values)
+    if values[-1] != values[-1]:  # a NaN makes every quantile NaN, as in numpy
+        return (float(values[-1]),) * 3
+    out = []
+    for q in (0.25, 0.5, 0.75):
+        v = (n - 1) * q
+        lo = int(v)
+        g = v - lo
+        a, b = float(values[lo]), float(values[min(lo + 1, n - 1)])
+        out.append(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
+    return tuple(out)
+
+
 def evaluate_batch(
     points: Sequence[tuple[np.ndarray, float, int]],
     cfg: EvalConfig,
@@ -242,12 +267,12 @@ def evaluate_batch(
     reports = []
     for costs in rollout_costs(points, cfg, chain):
         costs.sort()
-        q1, med, q3 = np.quantile(costs, (0.25, 0.5, 0.75))
+        q1, med, q3 = quartiles(costs)
         reports.append(EvalReport(
             mean=float(costs.mean()),
-            q1=float(q1),
-            median=float(med),
-            q3=float(q3),
+            q1=q1,
+            median=med,
+            q3=q3,
             n_rollouts=cfg.n_rollouts,
         ))
     return reports
@@ -441,6 +466,6 @@ def aggregate_training_curves(
             by_step.setdefault(step, []).append(mean)
     rows = []
     for step in sorted(by_step):
-        q1, med, q3 = np.quantile(np.array(by_step[step]), (0.25, 0.5, 0.75))
-        rows.append((step, float(med), float(q1), float(q3)))
+        q1, med, q3 = quartiles(np.sort(by_step[step]))
+        rows.append((step, med, q1, q3))
     return rows

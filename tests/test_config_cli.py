@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgeadmit import cli, config as cfgmod, evaluate as evaluate_module, learners, salmut
-from edgeadmit.artifacts import chain_hash
+from edgeadmit.artifacts import _file_mode, chain_hash
 from edgeadmit.cli import _load_policy, main
 from edgeadmit.config import ConfigError, Experiment
 from edgeadmit.model import MAX_POPULATION, ChainTables, ModelParams, policy_table
@@ -113,6 +115,24 @@ def test_cli_solve_reports_config_error(tmp_path):
     result = runner.invoke(main, ["solve", "--config", str(bad)])
     assert result.exit_code == 2
     assert "costs.running" in result.output
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_artifacts_get_the_mode_open_would_give(tmp_path, umask):
+    # mkstemp makes owner-only files; an artifact gets 0o666 less the umask
+    old = os.umask(umask)
+    _file_mode.cache_clear()
+    try:
+        result = CliRunner().invoke(main, ["solve", "--out", str(tmp_path / "runs")])
+        (tmp_path / "plain").touch()
+    finally:
+        os.umask(old)
+        _file_mode.cache_clear()
+    assert result.exit_code == 0, result.output
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in (tmp_path / "runs" / "dp").iterdir()}
+    assert modes == dict.fromkeys(["manifest.json", "policy.json", "solution.json"],
+                                  0o666 & ~umask)
+    assert stat.S_IMODE((tmp_path / "plain").stat().st_mode) == 0o666 & ~umask
 
 
 def test_cli_solve_numeric_failure_exit_code(tmp_path):

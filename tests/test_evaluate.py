@@ -11,6 +11,7 @@ from edgeadmit.evaluate import (
     behavioral_compare,
     evaluate,
     evaluate_batch,
+    quartiles,
     rollout,
     rollout_costs,
 )
@@ -606,6 +607,37 @@ def test_aggregate_training_curves():
     assert rows[0][1] == pytest.approx(2.0)  # median of 1, 2, 3
     assert rows[1][0] == 200
     assert rows[1][1] == pytest.approx(4.0)  # median of 3, 5
+    # each step's values, unsorted, give np.quantile's quartiles bit for bit
+    rng = np.random.default_rng(7)
+    logs = [[(step, float(rng.lognormal(0.0, 1.0))) for step in (100, 200)] for _ in range(9)]
+    for step, med, q1, q3 in aggregate_training_curves(logs):
+        values = [mean for log in logs for s, mean in log if s == step]
+        assert (q1, med, q3) == tuple(np.quantile(values, (0.25, 0.5, 0.75)))
+
+
+def _quartile_samples():
+    """Seeded sorted samples of 1 to 300 values: ties, negatives, magnitudes
+    from 1e-5 to 1e5 and right-skewed costs."""
+    rng = np.random.default_rng(2027)
+    for k in range(4000):
+        n = int(rng.integers(1, 301))
+        scale = 10.0 ** rng.uniform(-5, 5)
+        x = (
+            rng.normal(size=n) * scale,
+            rng.integers(-3, 4, size=n) * scale,  # ties
+            rng.lognormal(0.0, 2.0, size=n),
+            rng.uniform(-1, 1, size=n) * 10.0 ** rng.uniform(-5, 5, size=n),
+        )[k % 4]
+        yield np.sort(x)
+
+
+def test_quartiles_equal_numpy_quantile_bit_for_bit():
+    for x in _quartile_samples():
+        expected = np.quantile(x, (0.25, 0.5, 0.75))
+        assert np.array(quartiles(x)).tobytes() == expected.tobytes(), x
+    # a NaN sorts last and makes every quartile NaN, as in numpy
+    x = np.array([1.0, 2.0, 3.0, 4.0, np.nan])
+    assert np.isnan(quartiles(x)).all() and np.isnan(np.quantile(x, (0.25, 0.5, 0.75))).all()
 
 
 def test_relative_gap():

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -84,6 +85,22 @@ def test_failing_command_ends_the_study_with_its_code(run_study, monkeypatch, ca
     out = tmp_path / "runs" / "scenario_3"
     assert line == (f"run_study: `edgeadmit train --config {cfg} --scenario 3 --out {out} "
                     "--learner qlearning` exited 3")
+
+
+def test_each_command_prints_its_wall_time_on_stdout(run_study, monkeypatch, capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output_dir": str(tmp_path / "runs")}))
+    monkeypatch.setattr(sys, "argv", ["run_study.py", "--config", str(cfg), "--scenarios", "2"])
+    run_study.exit_codes = [0] * 5
+    run_study.main()
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert [line.split()[4] for line in lines[0:10:2]] == [
+        "solve", "train", "train", "compare", "evaluate"]
+    assert all(re.fullmatch(r"  wall \d+\.\d{3} s", line) for line in lines[1:10:2])
+    assert lines[10:] == [f"scenario 2: outputs under {tmp_path / 'runs' / 'scenario_2'}"]
+    assert captured.err == ""
+    assert not (tmp_path / "runs").exists()  # no timing goes into the outputs
 
 
 @pytest.mark.parametrize("config, error", [

@@ -1,4 +1,5 @@
-"""`train` runs its seeds in worker processes: same bytes, clean failures."""
+"""`train` runs its seeds in worker processes: same bytes, clean failures.
+A command's process pays for no import and no exit-time work it does not use."""
 
 import json
 import os
@@ -164,6 +165,104 @@ def test_cli_import_loads_neither_numpy_random_nor_a_pool_library():
     assert "numpy" in loaded
     assert [m for m in loaded if m.startswith(("numpy.random", "multiprocessing", "concurrent"))] \
         == []
+
+
+# every command that scores rollouts, run in one process through the pool; each
+# worker marks whether it had numpy.ma when its seed was done
+_NO_NUMPY_MA_CODE = """\
+import os, sys
+from pathlib import Path
+from edgeadmit import cli
+
+marks, cfg, out = Path(sys.argv[1]), sys.argv[2], sys.argv[3]
+cli._cpu_count = lambda: 2
+train_seed = cli._train_seed
+
+def marked(*args):
+    result = train_seed(*args)
+    (marks / f"worker_{os.getpid()}").write_text(str("numpy.ma" in sys.modules))
+    return result
+
+cli._train_seed = marked
+print("numpy.ma test parent", os.getpid())
+for args in (["solve"], ["train", "--learner", "salmut"], ["train", "--learner", "qlearning"],
+             ["compare", "--trace-length", "2000"], ["evaluate", "--curves-from", out + "/salmut"]):
+    cli.main(args=[*args, "--config", cfg], standalone_mode=False)
+    print("numpy.ma after", args[0], "numpy.ma" in sys.modules)
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # np.quantile imports numpy.ma on its first call: about 10 ms and 1.25 MB
+    # in every process that reports quartiles, each pool worker included
+    cfg_path = _train_config(tmp_path, [0, 1], horizon=2000)
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_MA_CODE, str(marks), str(cfg_path),
+         str(tmp_path / "runs")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    parent, *after = [line for line in proc.stdout.splitlines() if line.startswith("numpy.ma")]
+    assert after == [f"numpy.ma after {command} False"
+                     for command in ("solve", "train", "train", "compare", "evaluate")]
+    workers = {path.name: path.read_text() for path in marks.iterdir()}
+    assert len(workers) == 4  # two per train, none of them the parent
+    assert f"worker_{parent.split()[-1]}" not in workers
+    assert set(workers.values()) == {"False"}
+
+
+def _entry_point_cases(tmp_path):
+    """``(args, exit code, stderr lines)`` of a command that succeeds, one
+    with a bad config and one that fails numerically: the default costs'
+    warning is a line, and a failure is one more."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"costs": {"running": [1, 2, 3]}}))
+    extinct = tmp_path / "extinct.json"
+    extinct.write_text(json.dumps({
+        "scenario": {"kind": 4, "n_users": 1, "leave_prob": 1.0, "stay_prob": 0.0,
+                     "add_prob": 0.0},
+        "learner": {"horizon": 5000, "eval_every": 1000},
+        "seeds": [0],
+    }))
+    out = str(tmp_path / "runs")
+    return [(["solve", "--out", out], 0, 1),
+            (["solve", "--config", str(bad), "--out", out], 2, 1),
+            (["train", "--config", str(extinct), "--out", out], 3, 2)]
+
+
+def test_module_entry_point_exits_and_writes_as_main_does(tmp_path):
+    runs = tmp_path / "runs"
+    for args, code, lines in _entry_point_cases(tmp_path):
+        proc = subprocess.run([sys.executable, "-m", "edgeadmit.cli", *args],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+        written = _tree(runs)
+        shutil.rmtree(runs, ignore_errors=True)
+        with warnings.catch_warnings():  # a fresh process warns once
+            warnings.simplefilter("always")
+            result = CliRunner().invoke(main, args)
+        assert (proc.returncode, result.exit_code) == (code, code), proc.stderr
+        assert (proc.stdout, proc.stderr) == (result.stdout, result.stderr)
+        assert _tree(runs) == written
+        assert len(proc.stderr.splitlines()) == lines
+        shutil.rmtree(runs, ignore_errors=True)
+
+
+def test_entry_point_freezes_the_heap_before_the_exit_handlers(tmp_path):
+    # ``python -m edgeadmit.cli`` and the installed ``edgeadmit`` script both run ``cli.run``
+    code = ("import atexit, gc, runpy\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "runpy.run_module('edgeadmit.cli', run_name='__main__', alter_sys=True)\n")
+    for args, exit_code, _ in _entry_point_cases(tmp_path)[:2]:
+        proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+        assert proc.returncode == exit_code, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "frozen True"
+    tomllib = pytest.importorskip("tomllib")
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["scripts"] == {"edgeadmit": "edgeadmit.cli:run"}
 
 
 def test_cost_table_warning_names_the_costs_section():
