@@ -308,14 +308,17 @@ def _is_table(value, entry) -> bool:
         isinstance(row, list) and all(map(entry, row)) for row in value)
 
 
-def _load_policy(path: Path, exp: Experiment) -> tuple[str, np.ndarray]:
-    """The kind and action table of the policy artifact at ``path``, which
-    must be of ``exp``'s chain and carry a ``policy`` table of 0s and 1s."""
+def _load_policy(path: Path, exp: Experiment) -> tuple[str, int | None, np.ndarray]:
+    """The kind, seed (None if it carries none) and action table of the policy
+    artifact at ``path``, which must be of ``exp``'s chain and carry a
+    ``policy`` table of 0s and 1s."""
     art = artifacts.load_artifact(path, artifacts.POLICY_SCHEMA,
                                   chain_sha=artifacts.chain_hash(exp.raw))
-    kind, value = art.get("kind"), art.get("policy")
+    kind, seed, value = art.get("kind"), art.get("seed"), art.get("policy")
     if kind not in ("dp", "salmut", "qlearning"):
         raise ArtifactError(f"{path}: unknown policy kind {kind!r}")
+    if seed is not None and not (type(seed) is int and seed >= 0):
+        raise ArtifactError(f"{path}: policy artifact field 'seed' must be an integer >= 0")
     # a null field would leave the table without its source
     if value is None:
         raise ArtifactError(f"{path}: {kind} policy artifact lacks its field 'policy'")
@@ -323,7 +326,7 @@ def _load_policy(path: Path, exp: Experiment) -> tuple[str, np.ndarray]:
         raise ArtifactError(f"{path}: {kind} policy artifact field 'policy' must be a table "
                             "of 0s and 1s")
     try:
-        return kind, policy_table(exp.chain.params, actions=value)
+        return kind, seed, policy_table(exp.chain.params, actions=value)
     except ValueError as exc:
         raise ArtifactError(f"{path}: {exc}") from None
 
@@ -372,10 +375,13 @@ def evaluate(exp, artifact_path, structure_path, curves_dir):
                             ("step", "median", "q1", "q3"), rows)
         click.echo(f"training_curve.csv: {len(rows)} points")
     if artifact_path is not None:
-        kind, policy = _load_policy(Path(artifact_path), exp)
+        kind, seed, policy = _load_policy(Path(artifact_path), exp)
         lam = exp.scenario.initial_aggregate_rate()
         report = ev.evaluate(policy, exp.eval_config, lam, exp.chain, seed=exp.seeds[0])
-        out_dir = exp.output_dir / "eval"
+        # keyed as the artifacts are, so that scoring several keeps every report
+        out_dir = exp.output_dir / "eval" / kind
+        if seed is not None:
+            out_dir /= f"seed_{seed}"
         artifacts.write_json(out_dir / "report.json", {
             "kind": kind, **dataclasses.asdict(report), "lambda": lam,
             "config_sha256": artifacts.config_hash(exp.raw),
@@ -419,7 +425,7 @@ def compare(exp, trace_seed, trace_length):
     """
     root = exp.output_dir
     seed_dir = f"seed_{exp.seeds[0]}"
-    policies = {kind: _load_policy(root / path, exp)[1] for kind, path in (
+    policies = {kind: _load_policy(root / path, exp)[2] for kind, path in (
         ("dp", "dp/policy.json"),
         ("salmut", f"salmut/{seed_dir}/policy.json"),
         ("qlearning", f"qlearning/{seed_dir}/policy.json"),

@@ -6,10 +6,13 @@ meaning offload.  Every simulator here runs on the command's one
 lanes on its tables.
 Rollouts freeze the arrival rate at its value when evaluation starts, so a
 policy is always measured against the traffic it currently faces;
-``evaluate_batch`` steps the rollouts of many policies together as
-numpy lanes, and ``evaluate`` is its one-policy call; both report the
-mean and the type-7 quartiles of the costs (``quartiles``, numpy's rule
-without ``np.quantile``).  The behavioral
+``evaluate_batch`` steps the rollouts of many policies together as numpy
+lanes, and ``evaluate`` is its one-policy call; both report the mean and
+the type-7 quartiles of the costs (``quartiles``, numpy's rule without
+``np.quantile``).  The lanes (``rollout_costs``) run every point, idle
+ones included, through one step loop over the chain's tables; each block's
+resource indices are found once, and a lane is retired early, bit for bit,
+once its total has settled or it is trapped offloading.  The behavioral
 comparison instead replays a shared event trace against an evolving
 scenario: every policy consumes the same uniform draws, so differences in
 overload entries and offload counts are attributable to the policies alone.
@@ -113,10 +116,49 @@ def rollout(
 
 
 # Lanes stepped together in one array, and the uniforms each lane holds at
-# a time.  A draw takes 8 bytes and a lane's generator about 1.7 KB, so a
-# full batch holds about 2 MB: both constants bound evaluation's memory.
+# a time.  A draw takes 8 bytes, its resource index 1 (for up to 255
+# resource sizes) and a lane's generator about 1.7 KB, so a full batch holds
+# about 2 MB: both constants bound evaluation's memory.
 BATCH_LANES = 500
 BLOCK_DRAWS = 280
+
+
+def _resource_indices(u: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> None:
+    """Write ``searchsorted(cdf, u, side="right")`` into ``out``: for a
+    non-decreasing ``cdf`` that is the number of its entries at most ``u``,
+    summed here one entry at a time, so the cost grows with ``len(cdf)``."""
+    np.greater_equal(u, cdf[0], out=out)
+    for c in cdf[1:]:
+        out += u >= c
+
+
+def _trapped_totals(
+    total: np.ndarray, cost: np.ndarray, disc: float, beta: float,
+    steps: range, settle: float,
+) -> np.ndarray:
+    """The totals of lanes that add ``disc_t * cost`` at every step ``t`` of
+    ``steps``, one chunk of ``steps.step`` at a time, as the step loop adds
+    them: ``np.add.accumulate`` sums each chunk's terms in order, on the
+    discount sequence ``disc *= beta``, and a lane stops at a chunk's start
+    where the settle rule holds."""
+    done = np.empty_like(total)
+    lane = np.arange(len(total))
+    for t in steps:
+        if t != steps.start:
+            final = disc * settle < np.spacing(np.abs(total)) / 4
+            done[lane[final]] = total[final]
+            lane, total, cost = lane[~final], total[~final], cost[~final]
+            if not lane.size:
+                return done
+        k = min(steps.step, steps.stop - t)
+        discs = np.multiply.accumulate(np.concatenate(([disc], np.full(k, beta))))
+        terms = np.empty((len(total), k + 1))
+        terms[:, 0] = total
+        np.multiply(cost[:, None], discs[:k], out=terms[:, 1:])
+        total = np.add.accumulate(terms, axis=1)[:, -1]
+        disc = float(discs[k])
+    done[lane] = total
+    return done
 
 
 def rollout_costs(
@@ -133,31 +175,56 @@ def rollout_costs(
     however many points it scores.  A lane reads its uniforms through its
     own cursor in the order ``rollout`` draws them; they come in blocks of
     ``BLOCK_DRAWS``, refilled from the lane's own generator, and
-    ``random(k)`` twice returns what ``random(2 * k)`` returns once.  Every
-    lane applies the same floating-point operations as ``rollout``, with
-    the same scalar discount, until its total settles, so each lane's cost
-    equals ``rollout``'s bit for bit.
+    ``random(k)`` twice returns what ``random(2 * k)`` returns once.  The
+    resource index of every draw in a block is found once per refill, and a
+    step reads the one its resource draw has.  Every lane applies the same
+    floating-point operations as ``rollout``, with the same scalar
+    discount, so each lane's cost equals ``rollout``'s bit for bit.
 
-    A lane with ``lam > 0`` settles, and stops stepping, at the first refill
-    where ``disc * max|cost| * (1 + 2**-52) < spacing(|total|) / 4``: every
-    later term ``disc_t * cost`` (``disc_t <= disc``) is then smaller than
-    half the gap to the total's nearest float on either side (below a power
-    of two the gap halves), so under round-to-nearest no later addition
-    changes the total.  The rule never holds at ``total == 0``.  A lane
-    with ``lam == 0`` never settles, since it may still raise
-    ``NoEventError``.
+    Two rules stop a lane with ``lam > 0`` early, checked at each refill:
+
+    - it settles where ``disc * max|cost| * (1 + 2**-52) < spacing(|total|) / 4``:
+      every later term ``disc_t * cost`` (``disc_t <= disc``) is then
+      smaller than half the gap to the total's nearest float on either side
+      (below a power of two the gap halves), so under round-to-nearest no
+      later addition changes the total.  The rule never holds at
+      ``total == 0``;
+    - it is trapped in a state whose arrival probability is exactly 1.0 and
+      which its table offloads from: every later draw is an arrival (a
+      uniform is below 1.0), offloaded, so the state and the step cost stay
+      and no resource is drawn.  The trap is what ``busy = 0`` at ``x = 0``
+      makes of an offloading table.  The lane draws nothing more and adds
+      the same terms in the same order through ``_trapped_totals``, which
+      settles it by the same rule.
+
+    Both rules are exact: a lane stopped by either returns the total that
+    stepping on to ``horizon`` would have given.  The trap test reads
+    ``chain.arrival_p``, not ``x == 0``, so it holds for any departure
+    kernel.
+
+    A lane with ``lam <= 0`` draws no events and never stops early.  One
+    with ``lam == 0`` raises ``NoEventError`` where ``rollout`` would, in a
+    state with ``busy == 0`` at the start of a step: that is ``x = 0``,
+    which its departures never leave, so it is checked at the last step.
     """
     n, horizon = cfg.n_rollouts, cfg.rollout_length
-    L = chain.params.cpu_levels
     beta = chain.params.discount_beta
     states, events, n_r = chain.succ.shape
     x0, ell0 = cfg.initial_state
-    # a lane sits at row i = events * s + e of the chain's event tables, its
-    # state's departure row until an arrival moves it to the arrival's: by row,
-    # the step cost, the resource draw and (at i * n_r + j) the next departure row
-    step_cost = chain.cost.ravel()
-    draws_resource = np.tile(np.arange(events) != Event.OFFLOADED, states).astype(np.intp)
-    after = events * chain.succ.ravel() + Event.DEPARTURE
+    s = np.arange(states)
+    # point-free rows r = n_r * (events * s + e) of the chain's event tables,
+    # then r = n_r * (events * states + s): a departure from s that draws no
+    # event, for lam <= 0.  By row, the step cost and the draws the step
+    # takes, and at r + j, for resource index j, the next state's departure
+    # index 2 * s' (a point's lanes add the point's offset)
+    depart, offload, accept = (
+        n_r * (events * s + e) for e in (Event.DEPARTURE, Event.OFFLOADED, Event.ACCEPTED))
+    idle_depart = n_r * (events * states + s)
+    step_cost = np.repeat(np.concatenate(
+        [chain.cost.ravel(), chain.cost[:, Event.DEPARTURE]]), n_r)
+    draws = np.repeat(np.concatenate(
+        [np.tile(1 + (np.arange(events) != Event.OFFLOADED), states), np.ones(states, np.intp)]), n_r)
+    after = 2 * np.concatenate([chain.succ.ravel(), chain.succ[:, Event.DEPARTURE].ravel()])
     # a bound on every term a lane adds from a discount disc on: disc * settle
     settle = float(np.abs(step_cost).max()) * (1.0 + 2.0**-52)
     # a step takes at most two draws, so a full block lasts half as many steps
@@ -165,9 +232,15 @@ def rollout_costs(
     chunk = width // 2
 
     out = np.empty(len(points) * n)
-    # every batch refills its rows before it reads them, so one array serves all
-    u = np.empty((min(BATCH_LANES, len(out)), width))
-    flat = u.ravel()
+    # every batch refills its rows before it reads them, so one array serves
+    # all.  Column 0 of each row stays 0.0: a lane that draws no events keeps
+    # its cursor one behind its next draw, so that every lane reads its
+    # resource index at its cursor; the event it reads there, that column or
+    # a draw already used, is >= 0.0 and never below its arrival probability -1.0
+    u = np.zeros((min(BATCH_LANES, len(out)), width + 1))
+    flat, block = u.ravel(), u[:, 1:]
+    # index[c] is the resource index of flat[c + 1]
+    index = np.empty(u.size, np.min_scalar_type(n_r - 1))
     for first in range(0, len(out), BATCH_LANES):
         # lane j is rollout i of point p, where (p, i) = divmod(j, n)
         batch = range(first, min(first + BATCH_LANES, len(out)))
@@ -175,61 +248,74 @@ def rollout_costs(
         p0 = first // n
         local = np.arange(first, first + m) // n - p0
         here = points[p0:p0 + local[-1] + 1]
-        # per point, by row: the arrival probability (-1 at lam <= 0: no draw
-        # is an arrival) and an arrival's move from the departure row
-        arrival_p, arrival_move = [], []
+        # per point, by departure index d = 2 * s: the arrival probability
+        # (-1.0 at lam <= 0), the row of a departure at d and of an arrival at
+        # d + 1, and whether the state traps a lane
+        arrival_p, nxt, trap = [], [], []
         for table, lam, _ in here:
-            arrival_p.append(chain.arrival_p(lam) if lam > 0.0 else np.full(states, -1.0))
-            event = np.where(np.asarray(table).ravel() != 0, Event.OFFLOADED, Event.ACCEPTED)
-            arrival_move.append(event - Event.DEPARTURE)
-        arrival_p = np.repeat(np.concatenate(arrival_p), events)
-        arrival_move = np.repeat(np.concatenate(arrival_move), events)
+            offloads = np.asarray(table).ravel() != 0
+            if lam > 0.0:
+                p, departs = chain.arrival_p(lam), depart
+            else:
+                p, departs = np.full(states, -1.0), idle_depart
+            arrival_p.append(p)
+            nxt.append(np.stack([departs, np.where(offloads, offload, accept)], axis=1).ravel())
+            trap.append((p == 1.0) & offloads)
+        arrival_p = np.repeat(np.concatenate(arrival_p), 2)
+        nxt = np.concatenate(nxt)
+        trap = np.repeat(np.concatenate(trap), 2)
         seeds, names = zip(*((points[p][2], f"rollout-{i}")
                              for p, i in map(divmod, batch, itertools.repeat(n))))
         gens = rngmod.substreams(seeds, names)
 
-        # by lane, compacted as lanes settle: its index in the batch, its
+        # by lane, compacted as lanes stop: its index in the batch, its
         # block's row before the last compaction and the draws read from it
         lane = np.arange(m)
         src = lane
         used = np.full(m, width)
-        base = local * states * events
         lams = np.array([lam for _, lam, _ in here])[local]
-        event_draws = (lams > 0.0).astype(np.intp)
-        idle = np.flatnonzero(lams == 0.0)
-        i = np.full(m, events * (x0 * (L + 1) + ell0) + Event.DEPARTURE)
+        skip = (lams > 0.0).astype(np.intp)  # a lane that draws events skips column 0
+        offset = 2 * states * local
+        d = offset + 2 * (x0 * (chain.params.cpu_levels + 1) + ell0)
         total = np.zeros(m)
         disc = 1.0
         for t in range(0, horizon, chunk):
             final = (disc * settle < np.spacing(np.abs(total)) / 4) & (lams > 0.0)
-            if final.any():
+            trapped = trap[d] & ~final
+            stop = final | trapped
+            if stop.any():
                 out[first + lane[final]] = total[final]
-                src = np.flatnonzero(~final)
-                lane, used, base, lams, event_draws, i, total = (
-                    a[src] for a in (lane, used, base, lams, event_draws, i, total))
+                if trapped.any():
+                    out[first + lane[trapped]] = _trapped_totals(
+                        total[trapped], step_cost[nxt[d[trapped] + 1]], disc, beta,
+                        range(t, horizon, chunk), settle)
+                src = np.flatnonzero(~stop)
+                lane, used, lams, skip, offset, d, total = (
+                    a[src] for a in (lane, used, lams, skip, offset, d, total))
                 gens = [gens[k] for k in src.tolist()]
-                idle = np.flatnonzero(lams == 0.0)
                 if not lane.size:
                     break
             # keep each lane's unread draws, moved up to its new row, and fill
             # the row up behind them: a lane's new row is never after its old one
-            for row, old, gen, k in zip(u, src.tolist(), gens, used.tolist()):
-                row[:width - k] = u[old, k:]
-                gen.random(out=row[width - k:])
+            for row_u, old, gen, k in zip(block, src.tolist(), gens, used.tolist()):
+                row_u[:width - k] = block[old, k:]
+                gen.random(out=row_u[width - k:])
+            size = lane.size * (width + 1)
+            _resource_indices(flat[1:size], chain.cdf, index[:size - 1])
             src = np.arange(lane.size)
-            cursor = src * width
+            start = src * (width + 1) + skip
+            cursor = start.copy()
             for _ in range(min(chunk, horizon - t)):
-                if idle.size and (i[idle] < events * (L + 1)).any():  # an idle lane at x == 0
-                    raise NoEventError()
-                g = base + i
-                i += (flat[cursor] <= arrival_p[g]) * arrival_move[g]
-                total += disc * step_cost[i]
+                last = d
+                r = nxt[d + (flat[cursor] <= arrival_p[d])]
+                total += disc * step_cost[r]
                 disc *= beta
-                cursor += event_draws
-                size = np.searchsorted(chain.cdf, flat[cursor], side="right")
-                cursor += draws_resource[i]
-                i = after[i * n_r + size]
-            used = cursor - src * width
+                d = after[r + index[cursor]] + offset
+                cursor += draws[r]
+            used = cursor - start
+        idle = lams == 0.0  # any left ran every step
+        if idle.any() and (chain.busy[(last[idle] - offset[idle]) // 2] == 0).any():
+            raise NoEventError()
         out[first + lane] = total
         del gens  # so that two batches' generators are never held at once
     return out.reshape(len(points), n)

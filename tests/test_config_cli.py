@@ -280,8 +280,8 @@ def test_cli_horizon_scale_reaches_every_command(tmp_path):
     art = tmp_path / "runs" / "dp" / "policy.json"
     result = runner.invoke(main, ["evaluate", *scale, "--artifact", str(art)])
     assert result.exit_code == 0, result.output
-    report = json.loads((tmp_path / "runs" / "eval" / "report.json").read_text())
-    manifest = json.loads((tmp_path / "runs" / "eval" / "manifest.json").read_text())
+    report = json.loads((tmp_path / "runs" / "eval" / "dp" / "report.json").read_text())
+    manifest = json.loads((tmp_path / "runs" / "eval" / "dp" / "manifest.json").read_text())
     assert report["config_sha256"] == json.loads(art.read_text())["config_sha256"]
     assert manifest["config"]["learner"]["horizon"] == 2000
 
@@ -599,7 +599,7 @@ def test_cli_compare_end_to_end(tmp_path):
         "baseline": policy_table(exp.chain.params, accept_below=exp.baseline.accept_below),
     }
     for path in (runs / "dp", runs / "salmut" / "seed_0", runs / "qlearning" / "seed_0"):
-        kind, tables[kind] = _load_policy(path / "policy.json", exp)
+        kind, _, tables[kind] = _load_policy(path / "policy.json", exp)
     totals = json.loads((out / "summary.json").read_text())["totals"]
     for name, table in tables.items():
         _, _, trap_step = windowed_replay(
@@ -623,9 +623,49 @@ def test_cli_evaluate_artifact(tmp_path):
     result = runner.invoke(main, ["evaluate", "--config", str(cfg_path),
                                   "--artifact", str(art)])
     assert result.exit_code == 0, result.output
-    report = json.loads((tmp_path / "runs" / "eval" / "report.json").read_text())
+    report = json.loads((tmp_path / "runs" / "eval" / "dp" / "report.json").read_text())
     assert report["kind"] == "dp"
     assert report["n_rollouts"] == 8
+
+
+def test_cli_evaluate_keeps_a_report_per_artifact(tmp_path):
+    # each report lands under the artifact's kind and seed, so scoring the
+    # planner's and two learner seeds' artifacts keeps all three
+    runner = CliRunner()
+    cfg_path = _desk_config(tmp_path)
+    for args in (["solve"], ["train", "--learner", "qlearning", "--no-periodic-eval"]):
+        assert runner.invoke(main, [*args, "--config", str(cfg_path)]).exit_code == 0
+    runs = tmp_path / "runs"
+    scored = {"dp": runs / "dp", "qlearning/seed_0": runs / "qlearning" / "seed_0",
+              "qlearning/seed_1": runs / "qlearning" / "seed_1"}
+    for where in scored.values():
+        result = runner.invoke(main, ["evaluate", "--config", str(cfg_path),
+                                      "--artifact", str(where / "policy.json")])
+        assert result.exit_code == 0, result.output
+    reports = {key: json.loads((runs / "eval" / key / "report.json").read_text())
+               for key in scored}
+    assert {key: r["kind"] for key, r in reports.items()} == {
+        "dp": "dp", "qlearning/seed_0": "qlearning", "qlearning/seed_1": "qlearning"}
+    assert reports["qlearning/seed_0"] != reports["qlearning/seed_1"]
+    for key in scored:
+        manifest = json.loads((runs / "eval" / key / "manifest.json").read_text())
+        assert manifest["command"] == "evaluate"
+    assert sorted(p.name for p in (runs / "eval").iterdir()) == ["dp", "qlearning"]
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "../x", [0]])
+def test_cli_evaluate_rejects_a_malformed_artifact_seed(tmp_path, seed):
+    # the seed names the report's directory, so only an integer >= 0 passes
+    cfg_path = _desk_config(tmp_path)
+    art = tmp_path / "policy.json"
+    art.write_text(json.dumps({"schema": "edgeadmit/policy/1", "kind": "salmut", "seed": seed,
+                               "config_sha256": "", "chain_sha256": _chain_sha(cfg_path),
+                               "policy": _VALID_TABLE}))
+    result = CliRunner().invoke(main, ["evaluate", "--config", str(cfg_path),
+                                       "--artifact", str(art)])
+    assert result.exit_code == 2, result.output
+    assert "field 'seed' must be an integer >= 0" in result.output
+    assert not (tmp_path / "runs" / "eval").exists()
 
 
 def test_cli_policy_artifacts_carry_their_action_tables(tmp_path):
@@ -652,7 +692,7 @@ def test_cli_policy_artifacts_carry_their_action_tables(tmp_path):
     result = runner.invoke(main, ["evaluate", "--config", str(cfg_path),
                                   "--artifact", str(salmut_path)])
     assert result.exit_code == 0, result.output
-    report = json.loads((runs / "eval" / "report.json").read_text())
+    report = json.loads((runs / "eval" / "salmut" / "seed_0" / "report.json").read_text())
     tau = json.loads(salmut_path.read_text())["tau"]
     lam = exp.scenario.initial_aggregate_rate()
     expected = evaluate_module.evaluate(policy_table(params, tau=tau),

@@ -257,6 +257,112 @@ def test_idle_lane_never_settles(monkeypatch, canonical_costs, canonical_resourc
             rollout_costs(batch, cfg, chain)
 
 
+def _count_trapped(monkeypatch) -> list:
+    """Make ``rollout_costs`` record how many lanes each tail it adds finishes."""
+    calls = []
+    finish = evaluate_module._trapped_totals
+
+    def counted(total, *args):
+        calls.append(len(total))
+        return finish(total, *args)
+
+    monkeypatch.setattr(evaluate_module, "_trapped_totals", counted)
+    return calls
+
+
+@pytest.mark.parametrize("initial_state", [(0, 0), (0, 13)])
+def test_lane_trapped_from_the_first_step_equals_scalar_rollout(
+    initial_state, monkeypatch, canonical_params, canonical_chain,
+):
+    # the all-offload table at x = 0: every event is an arrival it offloads,
+    # so a lane is trapped before its first refill, draws nothing, and its
+    # total is the tail alone, beside lanes of another point that step
+    table = policy_table(canonical_params, accept_below=0)
+    stepping = policy_table(canonical_params, accept_below=18)
+    cfg = EvalConfig(rollout_length=1000, n_rollouts=5, initial_state=initial_state)
+    points = [(table, 6.0, 3), (stepping, 6.0, 4), (table, 9.0, 5)]
+    lanes = _count_refills(monkeypatch)
+    trapped = _count_trapped(monkeypatch)
+    costs = rollout_costs(points, cfg, canonical_chain)
+    for (table, lam, seed), lane_costs in zip(points, costs):
+        assert lane_costs.tolist() == _reference_costs(table, cfg, lam, canonical_chain, seed)
+    assert trapped[0] == 10
+    assert [gen.refills for gen in lanes[:5] + lanes[10:]] == [0] * 10
+    assert all(gen.refills for gen in lanes[5:10])
+
+
+@pytest.mark.parametrize("block", [None, 10])
+@pytest.mark.parametrize("lam", [6.0, 9.0])
+def test_lanes_trapped_partway_equal_scalar_rollout_exactly(
+    lam, block, monkeypatch, canonical_chain,
+):
+    # the planner's and the baseline's tables reach x = 0 in a state they
+    # offload from: such a lane stops stepping at its next refill and adds
+    # the rest of its terms, in the step loop's order, bit for bit
+    if block is not None:
+        monkeypatch.setattr(evaluate_module, "BLOCK_DRAWS", block)
+    tables = _tables(canonical_chain)
+    points = [(tables[name], lam, 11) for name in ("dp", "baseline")]
+    cfg = EvalConfig(rollout_length=1000, n_rollouts=40)
+    trapped = _count_trapped(monkeypatch)
+    costs = rollout_costs(points, cfg, canonical_chain)
+    for (table, lam, seed), lane_costs in zip(points, costs):
+        assert lane_costs.tolist() == _reference_costs(table, cfg, lam, canonical_chain, seed)
+    assert sum(trapped) >= 5
+
+
+class _ScriptedGenerator:
+    """Uniforms of a seeded generator with every third replaced by the next
+    of ``special``, the same in ``rollout``'s scalar draws and the lanes' blocks."""
+
+    def __init__(self, seed, special):
+        self.gen, self.special, self.drawn = np.random.default_rng(seed), special, 0
+
+    def _draw(self, k):
+        u = self.gen.random(k)
+        at = np.arange(self.drawn, self.drawn + k)
+        hit = at % 3 == 0
+        u[hit] = self.special[at[hit] // 3 % len(self.special)]
+        self.drawn += k
+        return u
+
+    def random(self, out=None):
+        if out is None:
+            return float(self._draw(1)[0])
+        out[:] = self._draw(len(out))
+        return out
+
+
+@pytest.mark.parametrize("pmf", [
+    [0.5, 0.0, 0.5],  # a zero entry: two cdf entries tie
+    [0.1] * 10,       # a cdf that ends at 0.9999999999999999, which a uniform can equal
+    [1 / 300] * 300,  # resource indices up to 300 need more than a byte
+])
+def test_lanes_read_every_resource_index_exactly(pmf, monkeypatch, canonical_params,
+                                                 canonical_costs, canonical_chain):
+    # draws on, just below and above every cdf entry, up to the largest
+    # uniform below 1.0: a lane's resource index is the scalar bisection's,
+    # index len(cdf) (one past the support) included
+    chain = ChainTables(canonical_params, canonical_costs, ResourceDist(pmf=pmf))
+    special = np.concatenate([chain.cdf, np.nextafter(chain.cdf, 0.0), np.nextafter(chain.cdf, 1.0),
+                              [np.nextafter(1.0, 0.0)]])
+    special = special[special < 1.0]
+    top = np.searchsorted(chain.cdf, special, side="right").max()
+    assert top == len(chain.cdf) - (chain.cdf[-1] == 1.0)
+    monkeypatch.setattr(evaluate_module, "BLOCK_DRAWS", 7)
+    monkeypatch.setattr(rngmod, "substreams", lambda seeds, names: [
+        _ScriptedGenerator([seed, int(name[8:])], special) for seed, name in zip(seeds, names)])
+    cfg = EvalConfig(rollout_length=60, n_rollouts=3, initial_state=(3, 7))
+    points = [(table, lam, 9) for table in _tables(canonical_chain).values() for lam in (6.0, 9.0)]
+    costs = rollout_costs(points, cfg, chain)
+    for (table, lam, seed), lane_costs in zip(points, costs):
+        assert lane_costs.tolist() == [
+            rollout(table, lam, chain, cfg.rollout_length, _ScriptedGenerator([seed, i], special),
+                    initial_state=cfg.initial_state)
+            for i in range(cfg.n_rollouts)
+        ]
+
+
 def test_evaluate_constant_cost_geometric_sum(canonical_params, canonical_resources):
     # constant cost everywhere: any policy accumulates c * (1 - b^H) / (1 - b)
     c = 1.7
