@@ -55,7 +55,7 @@ def main() -> None:
     try:
         with warnings.catch_warnings():  # each command warns about the config itself
             warnings.simplefilter("ignore")
-            root = Experiment.from_config(load_config(ns.config)).output_dir
+            root = Experiment.from_config(load_config(ns.config), ns.horizon_scale).output_dir
     except ConfigError as exc:
         print(f"run_study: {exc}", file=sys.stderr)
         sys.exit(2)

@@ -9,10 +9,11 @@ policy is always measured against the traffic it currently faces;
 ``evaluate_batch`` steps the rollouts of many policies together as numpy
 lanes, and ``evaluate`` is its one-policy call; both report the mean and
 the type-7 quartiles of the costs (``quartiles``, numpy's rule without
-``np.quantile``).  The lanes (``rollout_costs``) run every point, idle
-ones included, through one step loop over the chain's tables; each block's
-resource indices are found once, and a lane is retired early, bit for bit,
-once its total has settled or it is trapped offloading.  The behavioral
+``np.quantile``).  The lanes (``rollout_costs``) step every point with
+``lam > 0`` through one loop over the chain's tables, and ``rollout``
+scores the rest; each block's resource indices are found once, and a lane
+is retired early, bit for bit, once its total has settled or it is trapped
+offloading.  The behavioral
 comparison instead replays a shared event trace against an evolving
 scenario: every policy consumes the same uniform draws, so differences in
 overload entries and offload counts are attributable to the policies alone.
@@ -32,7 +33,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .model import ChainTables, Event, NoEventError, check_ints, freeze_pair
+from .model import ChainTables, Event, check_ints, freeze_pair
 from .scenarios import Scenario, rate_segments, trajectory
 
 
@@ -90,10 +91,11 @@ def rollout(
 ) -> float:
     """Discounted cost of ``horizon`` uniformized steps of ``table`` at a frozen rate.
 
-    The one-lane reference for ``rollout_costs``: every step goes through
-    ``chain.step`` with both draws from ``rng``, an event draw per step when
-    ``lam > 0``, then a resource draw unless the arrival is offloaded, whose
-    index is where it falls in the chain's ``cdf``.
+    ``rollout_costs`` runs it for a point with ``lam <= 0``, and each of its
+    lanes equals it: every step goes through ``chain.step`` with both draws
+    from ``rng``, an event draw per step when ``lam > 0``, then a resource
+    draw unless the arrival is offloaded, whose index is where it falls in
+    the chain's ``cdf``.
     """
     offloads = np.asarray(table).tolist()
     cdf = chain.cdf.tolist()
@@ -168,20 +170,20 @@ def rollout_costs(
 ) -> np.ndarray:
     """Discounted cost of each rollout of each ``(table, lam, seed)`` point.
 
-    Returns a ``(len(points), n_rollouts)`` array.  Lane ``i`` of a point is
-    ``rollout`` on ``substream(seed, f"rollout-{i}")`` (seeded together by
-    ``rng.substreams``), and all lanes of all points step together as numpy
-    lanes, ``BATCH_LANES`` at a time, so a call holds one batch of lanes
-    however many points it scores.  A lane reads its uniforms through its
-    own cursor in the order ``rollout`` draws them; they come in blocks of
-    ``BLOCK_DRAWS``, refilled from the lane's own generator, and
-    ``random(k)`` twice returns what ``random(2 * k)`` returns once.  The
-    resource index of every draw in a block is found once per refill, and a
-    step reads the one its resource draw has.  Every lane applies the same
-    floating-point operations as ``rollout``, with the same scalar
+    Returns a ``(len(points), n_rollouts)`` array.  Rollout ``i`` of a point
+    is ``rollout`` on ``substream(seed, f"rollout-{i}")``, and a point with
+    ``lam <= 0`` is scored by ``rollout`` itself (at ``lam == 0`` it raises
+    ``NoEventError`` where the chain has no event).  The lanes of the other
+    points, seeded together by ``rng.substreams``, step together as numpy
+    lanes, ``BATCH_LANES`` at a time.  A lane reads its uniforms through its
+    own cursor in the order ``rollout`` draws them, from blocks of
+    ``BLOCK_DRAWS`` refilled from its own generator (``random(k)`` twice
+    returns what ``random(2 * k)`` returns once), and the resource index of
+    every draw in a block is found once per refill.  Every lane applies the
+    same floating-point operations as ``rollout``, with the same scalar
     discount, so each lane's cost equals ``rollout``'s bit for bit.
 
-    Two rules stop a lane with ``lam > 0`` early, checked at each refill:
+    Two rules stop a lane early, checked at each refill:
 
     - it settles where ``disc * max|cost| * (1 + 2**-52) < spacing(|total|) / 4``:
       every later term ``disc_t * cost`` (``disc_t <= disc``) is then
@@ -201,69 +203,57 @@ def rollout_costs(
     stepping on to ``horizon`` would have given.  The trap test reads
     ``chain.arrival_p``, not ``x == 0``, so it holds for any departure
     kernel.
-
-    A lane with ``lam <= 0`` draws no events and never stops early.  One
-    with ``lam == 0`` raises ``NoEventError`` where ``rollout`` would, in a
-    state with ``busy == 0`` at the start of a step: that is ``x = 0``,
-    which its departures never leave, so it is checked at the last step.
     """
     n, horizon = cfg.n_rollouts, cfg.rollout_length
+    out = np.empty((len(points), n))
+    moving = np.array([lam > 0.0 for _, lam, _ in points], dtype=bool)
+    for k in np.flatnonzero(~moving).tolist():
+        table, lam, seed = points[k]
+        out[k] = [rollout(table, lam, chain, horizon, rngmod.substream(seed, f"rollout-{i}"),
+                          cfg.initial_state) for i in range(n)]
+    points = list(itertools.compress(points, moving))
     beta = chain.params.discount_beta
     states, events, n_r = chain.succ.shape
     x0, ell0 = cfg.initial_state
     s = np.arange(states)
-    # point-free rows r = n_r * (events * s + e) of the chain's event tables,
-    # then r = n_r * (events * states + s): a departure from s that draws no
-    # event, for lam <= 0.  By row, the step cost and the draws the step
-    # takes, and at r + j, for resource index j, the next state's departure
-    # index 2 * s' (a point's lanes add the point's offset)
+    # point-free rows r = n_r * (events * s + e) of the chain's event tables.
+    # By row, the step cost and the draws the step takes, and at r + j, for
+    # resource index j, the next state's departure index 2 * s' (a point's
+    # lanes add the point's offset)
     depart, offload, accept = (
         n_r * (events * s + e) for e in (Event.DEPARTURE, Event.OFFLOADED, Event.ACCEPTED))
-    idle_depart = n_r * (events * states + s)
-    step_cost = np.repeat(np.concatenate(
-        [chain.cost.ravel(), chain.cost[:, Event.DEPARTURE]]), n_r)
-    draws = np.repeat(np.concatenate(
-        [np.tile(1 + (np.arange(events) != Event.OFFLOADED), states), np.ones(states, np.intp)]), n_r)
-    after = 2 * np.concatenate([chain.succ.ravel(), chain.succ[:, Event.DEPARTURE].ravel()])
+    step_cost = np.repeat(chain.cost.ravel(), n_r)
+    draws = np.repeat(np.tile(1 + (np.arange(events) != Event.OFFLOADED), states), n_r)
+    after = 2 * chain.succ.ravel()
     # a bound on every term a lane adds from a discount disc on: disc * settle
     settle = float(np.abs(step_cost).max()) * (1.0 + 2.0**-52)
     # a step takes at most two draws, so a full block lasts half as many steps
     width = min(BLOCK_DRAWS, 2 * horizon)
     chunk = width // 2
 
-    out = np.empty(len(points) * n)
-    # every batch refills its rows before it reads them, so one array serves
-    # all.  Column 0 of each row stays 0.0: a lane that draws no events keeps
-    # its cursor one behind its next draw, so that every lane reads its
-    # resource index at its cursor; the event it reads there, that column or
-    # a draw already used, is >= 0.0 and never below its arrival probability -1.0
-    u = np.zeros((min(BATCH_LANES, len(out)), width + 1))
-    flat, block = u.ravel(), u[:, 1:]
-    # index[c] is the resource index of flat[c + 1]
+    costs = np.empty(len(points) * n)
+    # every batch refills its rows before it reads them, so one array serves all
+    u = np.empty((min(BATCH_LANES, len(costs)), width))
+    flat = u.ravel()
+    # index[c] is the resource index of flat[c + 1], the draw after an event
+    # draw at c.  The last entry is never read: a chunk's last event draw
+    # lies at most at column width - 2
     index = np.empty(u.size, np.min_scalar_type(n_r - 1))
-    for first in range(0, len(out), BATCH_LANES):
+    for first in range(0, len(costs), BATCH_LANES):
         # lane j is rollout i of point p, where (p, i) = divmod(j, n)
-        batch = range(first, min(first + BATCH_LANES, len(out)))
+        batch = range(first, min(first + BATCH_LANES, len(costs)))
         m = len(batch)
         p0 = first // n
         local = np.arange(first, first + m) // n - p0
         here = points[p0:p0 + local[-1] + 1]
-        # per point, by departure index d = 2 * s: the arrival probability
-        # (-1.0 at lam <= 0), the row of a departure at d and of an arrival at
-        # d + 1, and whether the state traps a lane
-        arrival_p, nxt, trap = [], [], []
-        for table, lam, _ in here:
-            offloads = np.asarray(table).ravel() != 0
-            if lam > 0.0:
-                p, departs = chain.arrival_p(lam), depart
-            else:
-                p, departs = np.full(states, -1.0), idle_depart
-            arrival_p.append(p)
-            nxt.append(np.stack([departs, np.where(offloads, offload, accept)], axis=1).ravel())
-            trap.append((p == 1.0) & offloads)
-        arrival_p = np.repeat(np.concatenate(arrival_p), 2)
-        nxt = np.concatenate(nxt)
-        trap = np.repeat(np.concatenate(trap), 2)
+        # per point, by departure index d = 2 * s: the arrival probability,
+        # the row of a departure at d and of an arrival at d + 1, and whether
+        # the state traps a lane
+        offloads = np.array([np.asarray(table).ravel() != 0 for table, _, _ in here])
+        arrive = np.array([chain.arrival_p(lam) for _, lam, _ in here])
+        arrival_p = np.repeat(arrive, 2)
+        nxt = np.stack(np.broadcast_arrays(depart, np.where(offloads, offload, accept)), -1).ravel()
+        trap = np.repeat((arrive == 1.0) & offloads, 2)
         seeds, names = zip(*((points[p][2], f"rollout-{i}")
                              for p, i in map(divmod, batch, itertools.repeat(n))))
         gens = rngmod.substreams(seeds, names)
@@ -273,52 +263,46 @@ def rollout_costs(
         lane = np.arange(m)
         src = lane
         used = np.full(m, width)
-        lams = np.array([lam for _, lam, _ in here])[local]
-        skip = (lams > 0.0).astype(np.intp)  # a lane that draws events skips column 0
         offset = 2 * states * local
         d = offset + 2 * (x0 * (chain.params.cpu_levels + 1) + ell0)
         total = np.zeros(m)
         disc = 1.0
         for t in range(0, horizon, chunk):
-            final = (disc * settle < np.spacing(np.abs(total)) / 4) & (lams > 0.0)
+            final = disc * settle < np.spacing(np.abs(total)) / 4
             trapped = trap[d] & ~final
             stop = final | trapped
             if stop.any():
-                out[first + lane[final]] = total[final]
+                costs[first + lane[final]] = total[final]
                 if trapped.any():
-                    out[first + lane[trapped]] = _trapped_totals(
+                    costs[first + lane[trapped]] = _trapped_totals(
                         total[trapped], step_cost[nxt[d[trapped] + 1]], disc, beta,
                         range(t, horizon, chunk), settle)
                 src = np.flatnonzero(~stop)
-                lane, used, lams, skip, offset, d, total = (
-                    a[src] for a in (lane, used, lams, skip, offset, d, total))
+                lane, used, offset, d, total = (a[src] for a in (lane, used, offset, d, total))
                 gens = [gens[k] for k in src.tolist()]
                 if not lane.size:
                     break
             # keep each lane's unread draws, moved up to its new row, and fill
             # the row up behind them: a lane's new row is never after its old one
-            for row_u, old, gen, k in zip(block, src.tolist(), gens, used.tolist()):
-                row_u[:width - k] = block[old, k:]
+            for row_u, old, gen, k in zip(u, src.tolist(), gens, used.tolist()):
+                row_u[:width - k] = u[old, k:]
                 gen.random(out=row_u[width - k:])
-            size = lane.size * (width + 1)
+            size = lane.size * width
             _resource_indices(flat[1:size], chain.cdf, index[:size - 1])
             src = np.arange(lane.size)
-            start = src * (width + 1) + skip
+            start = src * width
             cursor = start.copy()
             for _ in range(min(chunk, horizon - t)):
-                last = d
                 r = nxt[d + (flat[cursor] <= arrival_p[d])]
                 total += disc * step_cost[r]
                 disc *= beta
                 d = after[r + index[cursor]] + offset
                 cursor += draws[r]
             used = cursor - start
-        idle = lams == 0.0  # any left ran every step
-        if idle.any() and (chain.busy[(last[idle] - offset[idle]) // 2] == 0).any():
-            raise NoEventError()
-        out[first + lane] = total
+        costs[first + lane] = total
         del gens  # so that two batches' generators are never held at once
-    return out.reshape(len(points), n)
+    out[moving] = costs.reshape(len(points), n)
+    return out
 
 
 def quartiles(values: Sequence[float]) -> tuple[float, float, float]:

@@ -12,8 +12,9 @@ read ``Generator.random`` in blocks, ``exploration_draws`` reads the
 words behind ``random()`` and ``integers(0, 2)`` from those blocks, and
 ``user_uniforms`` computes many ``user_uniform`` draws in numpy arithmetic.
 ``substreams`` seeds many ``substream`` generators at once, from
-``SeedSequence`` state words computed in the same arithmetic.  Importing
-this module does not load numpy.random: only drawing does.
+``SeedSequence`` state words computed in the same arithmetic, for entropy
+of any length: every seed, user id and step takes the array form.
+Importing this module does not load numpy.random: only drawing does.
 """
 
 from __future__ import annotations
@@ -105,12 +106,13 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
+@functools.cache
 def _hash_steps(init: int, mult: int, n: int) -> list[tuple[np.uint32, np.uint32]]:
     """``(xor, multiplier)`` of ``n`` successive hash steps from constant ``init``.
 
     A step xors the word with the hash constant, multiplies the constant by
     ``mult`` and the word by the new constant: the constants are the same
-    for every entropy, so they are computed once.
+    for every entropy of a length, so they are computed once.
     """
     steps, h = [], init
     for _ in range(n):
@@ -119,8 +121,7 @@ def _hash_steps(init: int, mult: int, n: int) -> list[tuple[np.uint32, np.uint32
     return steps
 
 
-# a four-word pool takes 4 + 12 hashmix steps, and a PCG64 seed 8 output words
-_HASHMIX = _hash_steps(_INIT_A, _MULT_A, 16)
+# a PCG64 seed takes 8 output words
 _GENERATE = _hash_steps(_INIT_B, _MULT_B, 8)
 # PCG64's 128-bit LCG multiplier, high and low words
 _PCG_HI, _PCG_LO = (np.uint64(w) for w in divmod(0x2360ED051FC65DA44385DF649FCCF645, 2**64))
@@ -154,22 +155,30 @@ def _lcg_step(hi, lo, inc_hi, inc_lo):
 
 
 def _state_words(entropy: list[np.ndarray]) -> list[np.ndarray]:
-    """``SeedSequence(e).generate_state(4, np.uint64)`` of four-word entropies ``e``.
+    """``SeedSequence(e).generate_state(4, np.uint64)`` of entropies ``e`` of ``n`` words.
 
-    ``entropy`` is four uint32 arrays, one per word; the result is four
-    uint64 arrays, one per state word.  ``mix_entropy`` hashes a missing
-    word as 0, so an entropy of fewer words is the same padded with zeros.
+    ``entropy`` is ``n`` uint32 arrays, one per word; the result is four
+    uint64 arrays, one per state word.  As in ``mix_entropy``, the first
+    four words are hashed into the four-word pool, the pool words are mixed
+    with each other, and then each later word is hashed into every pool
+    word, the hash constant running on throughout: ``16 + 4 * (n - 4)``
+    hash steps.  A missing word is hashed as 0, so an entropy of fewer than
+    four words is the same padded with zeros.
     """
-    pool = [_hash(word, step) for word, step in zip(entropy, _HASHMIX)]
-    mixes = iter(_HASHMIX[4:])
+    entropy = entropy + [np.zeros_like(entropy[0])] * (4 - len(entropy))
+    steps = iter(_hash_steps(_INIT_A, _MULT_A, 16 + 4 * (len(entropy) - 4)))
+    pool = [_hash(word, next(steps)) for word in entropy[:4]]
     for src, dst in itertools.permutations(range(4), 2):
-        pool[dst] = _mix(pool[dst], _hash(pool[src], next(mixes)))
+        pool[dst] = _mix(pool[dst], _hash(pool[src], next(steps)))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hash(word, next(steps)))
     state = [_hash(pool[k % 4], step).astype(np.uint64) for k, step in enumerate(_GENERATE)]
     return [lo | (hi << _U32) for lo, hi in zip(state[::2], state[1::2])]
 
 
-def _four_word_uniforms(entropy: list[np.ndarray]) -> np.ndarray:
-    """``user_uniform`` of four-word entropies given as four uint32 arrays.
+def _entropy_uniforms(entropy: list[np.ndarray]) -> np.ndarray:
+    """``user_uniform`` of entropies given as one uint32 array per word.
 
     ``_state_words``, then ``PCG64``'s seeding and first ``random()``: with
     state words ``s`` and stream words ``i`` (high word first),
@@ -220,47 +229,53 @@ def _seed_words(seed: int) -> list[int]:
 def substreams(seeds: Sequence[int], names: Sequence[str]) -> list[np.random.Generator]:
     """``substream(s, name)`` of each pair of ``seeds`` and ``names``, seeded together.
 
-    Each generator's stream equals ``substream``'s.  Where a seed's words
-    and the name's CRC make at most four entropy words (any seed below
-    ``2**96``), the state words of all of them are computed together by
-    ``_state_words`` and handed to ``PCG64`` as they are: about a tenth of
-    the cost of seeding through ``SeedSequence``.  Any other pair falls
-    back to ``substream``.
+    Each generator's stream equals ``substream``'s.  A pair's entropy is its
+    seed's 32-bit words, low word first, then the name's CRC.  The pairs are
+    grouped by entropy length, and each group's state words are computed
+    together by ``_state_words`` and handed to ``PCG64`` as they are: about
+    a tenth of the cost of seeding through ``SeedSequence``.  A negative
+    seed raises ``ValueError``, as in ``SeedSequence``.
     """
     from numpy.random import PCG64, Generator
 
     seeds = [int(s) for s in seeds]
-    gens = [None if 0 <= s < 2**96 else substream(s, name) for s, name in zip(seeds, names)]
-    fast = [i for i, gen in enumerate(gens) if gen is None]
-    if fast:
-        entropy = [(words + [_tag(names[i]), 0, 0])[:4]
-                   for i in fast for words in (_seed_words(seeds[i]),)]
-        state = np.stack(_state_words(list(np.array(entropy, dtype=np.uint32).T)), axis=1)
-        preseeded = _preseeded()
-        for i, words in zip(fast, state):
-            gens[i] = Generator(PCG64(preseeded(words)))
+    if any(s < 0 for s in seeds):
+        raise ValueError("seeds must be >= 0")
+    entropy = [_seed_words(s) + [_tag(name)] for s, name in zip(seeds, names)]
+    gens = [None] * len(entropy)
+    preseeded = _preseeded()
+    for n_words in set(map(len, entropy)):
+        at = [i for i, words in enumerate(entropy) if len(words) == n_words]
+        words = np.array([entropy[i] for i in at], dtype=np.uint32)
+        for i, state in zip(at, np.stack(_state_words(list(words.T)), axis=1)):
+            gens[i] = Generator(PCG64(preseeded(state)))
     return gens
 
 
 def user_uniforms(seed: int, domain, uids, steps) -> np.ndarray:
     """``user_uniform(seed, d, u, s)`` over the broadcast of ``domain``, ``uids`` and ``steps``.
 
-    ``domain`` is a string or an array of strings.  Each draw equals the
-    scalar form bit for bit.  Where the seed, the user id and the step are
-    all in ``0..2**32-1``, each is one entropy word, and those draws are
-    computed together in numpy arithmetic; any other draw, whose entropy
-    has another word count, falls back to ``user_uniform``.
+    ``domain`` is a string or an array of strings, and the user ids and
+    steps lie in ``0..2**64-1``.  Each draw equals the scalar form bit for
+    bit.  A draw's entropy is the seed's 32-bit words, the domain's CRC,
+    then the user id's and the step's words: one below ``2**32``, two from
+    there on.  The draws are grouped by those two word counts, and each
+    group is computed together in numpy arithmetic.  A negative seed, user
+    id or step raises ``ValueError``, as in ``SeedSequence``.
     """
-    domain = np.asarray(domain)
-    tags = np.vectorize(_tag, otypes=[np.int64])(domain)
-    arrays = np.broadcast_arrays(domain, tags, np.asarray(uids), np.asarray(steps))
-    shape = arrays[0].shape
-    domain, tags, uids, steps = (a.ravel() for a in arrays)
+    seed = int(seed)
+    tags = np.vectorize(_tag, otypes=[np.int64])(np.asarray(domain))
+    tags, uids, steps = np.broadcast_arrays(tags, np.asarray(uids), np.asarray(steps))
+    if seed < 0 or (uids < 0).any() or (steps < 0).any():
+        raise ValueError("seeds, user ids and steps must be >= 0")
+    seed_words = _seed_words(seed)
     out = np.empty(tags.shape)
-    fast = (0 <= seed < 2**32) & (0 <= uids) & (uids < 2**32) & (0 <= steps) & (steps < 2**32)
-    if fast.any():
-        words = [np.full(np.count_nonzero(fast), seed)] + [w[fast] for w in (tags, uids, steps)]
-        out[fast] = _four_word_uniforms([w.astype(np.uint32) for w in words])
-    for i in np.flatnonzero(~fast).tolist():
-        out[i] = user_uniform(seed, str(domain[i]), int(uids[i]), int(steps[i]))
-    return out.reshape(shape)
+    wide = (uids >= 2**32) + 2 * (steps >= 2**32)  # which of the two take two words
+    for key in range(4):
+        at = wide == key
+        if at.any():
+            words = [np.full(np.count_nonzero(at), w) for w in seed_words] + [tags[at]]
+            for values, two in ((uids[at], key & 1), (steps[at], key & 2)):
+                words += [values % 2**32, values >> 32] if two else [values]
+            out[at] = _entropy_uniforms([w.astype(np.uint32) for w in words])
+    return out

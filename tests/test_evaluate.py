@@ -236,25 +236,33 @@ def test_settled_lanes_equal_scalar_rollout_exactly(case, monkeypatch, canonical
         assert settled[totals < 0].any() and settled[totals > 0].any()
 
 
-def test_idle_lane_never_settles(monkeypatch, canonical_costs, canonical_resources):
-    # at beta = 0.1 a total settles within 20 steps, before a lam = 0 lane's
-    # queue empties from a full buffer: that lane still steps on, and raises
-    # at 21 steps, alone or beside a lane that settles
-    monkeypatch.setattr(evaluate_module, "BLOCK_DRAWS", 2)  # a check at every step
+def test_idle_point_seeds_no_lane(monkeypatch, canonical_costs, canonical_resources):
+    # a lam = 0 point is scored by rollout itself, beside a point that runs
+    # as lanes: rng.substreams seeds the other point's lanes and never sees
+    # the idle point's.  From a full buffer the idle queue empties at step
+    # 20, so it raises at 21 steps, alone or in a batch, and not at 20
     params = ModelParams(discount_beta=0.1)
     chain = ChainTables(params, canonical_costs, canonical_resources)
     table = policy_table(params, accept_below=18)
     points = [(table, 0.0, 2), (table, 6.0, 1)]
     cfg = EvalConfig(rollout_length=20, n_rollouts=3, initial_state=(20, 20))
-    lanes = _count_refills(monkeypatch)
+    seeded = []
+    substreams = rngmod.substreams
+
+    def recorded(seeds, names):
+        seeded.extend(zip(seeds, names))
+        return substreams(seeds, names)
+
+    monkeypatch.setattr(rngmod, "substreams", recorded)
     costs = rollout_costs(points, cfg, chain)
     for (table, lam, seed), lane_costs in zip(points, costs):
         assert lane_costs.tolist() == _reference_costs(table, cfg, lam, chain, seed=seed)
-    assert [gen.refills < 20 for gen in lanes] == [False] * 3 + [True] * 3
+    assert seeded == [(1, f"rollout-{i}") for i in range(3)]
     cfg = EvalConfig(rollout_length=21, n_rollouts=3, initial_state=(20, 20))
     for batch in (points[:1], points):
         with pytest.raises(NoEventError):
             rollout_costs(batch, cfg, chain)
+    assert len(seeded) == 3
 
 
 def _count_trapped(monkeypatch) -> list:

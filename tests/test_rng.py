@@ -43,21 +43,24 @@ def test_user_uniforms_at_the_word_edges():
     words = np.array(list(itertools.product(EDGES, repeat=4)), dtype=np.uint32).T
     want = [np.random.default_rng(np.random.SeedSequence(tuple(w))).random()
             for w in words.T.tolist()]
-    assert rngmod._four_word_uniforms(list(words)).tolist() == want
+    assert rngmod._entropy_uniforms(list(words)).tolist() == want
 
 
-def test_user_uniforms_fall_back_past_one_entropy_word():
-    # a value of 2**32 or more has two entropy words: those draws, and a
-    # whole call under such a seed, take the scalar form; the rest of the
-    # call does not
-    uids = [0, 2**32 - 1, 2**32, 7, 2**40]
-    steps = [2**40, 5, 2**32 - 1, 2**32, 3]
-    for seed in (2**32 - 1, 2**32, 2**32 + 5, 2**64 + 1):
+def test_user_uniforms_of_any_entropy_length(monkeypatch):
+    # a value of 2**32 or more has two entropy words, and a seed of 2**64 or
+    # more three or more: one call mixes user ids and steps of one and two
+    # words under seeds of one to seven words, each draw equal to numpy's,
+    # and none of them takes the scalar form
+    monkeypatch.setattr(rngmod, "user_uniform", None)
+    uids = [0, 2**32 - 1, 2**32, 7, 2**40, 2**63 - 1, 2**32 + 9]
+    steps = [2**40, 5, 2**32 - 1, 2**32, 3, 2**62 + 1, 2**33]
+    for seed in (0, 2**32 - 1, 2**32, 2**32 + 5, 2**64 + 1, 2**200 + 3):
         got = user_uniforms(seed, "scenario-toggle", uids, steps)
         assert got.tolist() == [numpy_user_uniform(seed, "scenario-toggle", u, s)
-                                for u, s in zip(uids, steps)]
-    with pytest.raises(ValueError):
-        user_uniforms(0, "scenario-pop", [1, -1], 3)
+                                for u, s in zip(uids, steps)], seed
+    for seed, uid, step in ((-1, 1, 3), (0, [1, -1], 3), (0, 1, [3, -2]), (2**64, -1, 2**40)):
+        with pytest.raises(ValueError):
+            user_uniforms(seed, "scenario-pop", uid, step)
 
 
 def test_user_uniforms_broadcast_a_users_by_draws_grid():
@@ -71,13 +74,16 @@ def test_user_uniforms_broadcast_a_users_by_draws_grid():
     assert user_uniforms(11, "scenario-pop", np.arange(0)[:, None], [3, 4]).shape == (0, 2)
 
 
-def test_substreams_equal_substream_draw_for_draw():
-    # random seeds of one word, and the edges of one to five entropy words:
-    # 2**32 - 1 and 2**32 (one and two seed words), 2**64 - 1 and 2**64 (two
-    # and three), 2**96 (four seed words and the name's CRC: the fallback)
+def test_substreams_equal_substream_draw_for_draw(monkeypatch):
+    # random seeds of one word, and seeds of one to ten words: 2**32 - 1
+    # and 2**32 (one and two), 2**64 - 1 and 2**64 (two and three), 2**96 - 1
+    # and 2**96 (three and four: with the name's CRC, the pool's four entropy
+    # words and one past them), 2**128 (five) and 2**300 + 7 (ten), all in
+    # one call, and none of them seeded by ``rng.substream``
+    monkeypatch.setattr(rngmod, "substream", None)
     names = [f"rollout-{i}" for i in range(100)]
     random_seeds = np.random.default_rng(26).integers(0, 2**32, len(names)).tolist()
-    edges = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 - 1, 2**96]
+    edges = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 - 1, 2**96, 2**128, 2**300 + 7]
     pairs = list(zip(random_seeds, names)) + [(s, n) for s in edges for n in names[::9]]
     seeds, lane_names = zip(*pairs)
     gens = substreams(seeds, lane_names)

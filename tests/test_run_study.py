@@ -121,3 +121,27 @@ def test_config_that_does_not_load_ends_the_study_before_any_command(run_study, 
     assert exit_info.value.code == 2
     assert capsys.readouterr().err == f"run_study: {error}\n"
     assert run_study.calls == []
+
+
+@pytest.mark.parametrize("scale, error", [
+    ("-1", "must be finite and > 0"),
+    ("nan", "must be finite and > 0"),
+    (str(2.0**53), "horizon must be an integer in [1, 2**53]"),  # the horizon past 2**53
+])
+def test_bad_horizon_scale_ends_the_study_before_any_command(run_study, monkeypatch, capsys,
+                                                             tmp_path, scale, error):
+    # checked before any command runs, as --trace-length is; solve used to
+    # start before refusing it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output_dir": str(tmp_path / "runs")}))
+    monkeypatch.setattr(sys, "argv", ["run_study.py", "--config", str(cfg),
+                                      "--horizon-scale", scale])
+    run_study.exit_codes = [0] * 5
+    with pytest.raises(SystemExit) as exit_info:
+        run_study.main()
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"run_study: config error at --horizon-scale: {error}\n"
+    assert captured.out == ""
+    assert run_study.calls == []
+    assert not (tmp_path / "runs").exists()
